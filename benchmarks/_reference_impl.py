@@ -224,6 +224,10 @@ class ReferenceNetwork(Network):
     are not charged to the traffic accountant (the old accounting bug --
     irrelevant for timing, preserved for faithfulness)."""
 
+    def send_many(self, src: ProcessId, deliveries) -> None:
+        for dest, message in deliveries:
+            self.send(src, dest, message)
+
     def send(self, src: ProcessId, dest: ProcessId, message: Message) -> None:
         self.messages_sent += 1
         self.stats.record(src, dest, message.kind, message.data_bytes, message.metadata_bytes)
@@ -246,5 +250,5 @@ class ReferenceNetwork(Network):
             if copy_index:
                 self.messages_duplicated += 1
             self.sim.schedule(delay,
-                              lambda: self._deliver(src, dest, message, sent_while_down),
+                              lambda: self._deliver(src, dest, message, None, sent_while_down),
                               label=f"deliver {message.kind} {src}->{dest}")

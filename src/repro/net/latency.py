@@ -60,7 +60,11 @@ class UniformLatency(LatencyModel):
         self.D = D
 
     def sample(self, sim: Simulator, src: ProcessId, dest: ProcessId) -> float:
-        return sim.uniform(self.d, self.D)
+        # The expression random.uniform evaluates, and (like sim.uniform) no
+        # draw for a degenerate range: same floats, same RNG stream.
+        d = self.d
+        span = self.D - d
+        return d + span * sim.rng.random() if span else d
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UniformLatency(d={self.d}, D={self.D})"

@@ -10,20 +10,18 @@ the paper's normalised cost or raw wire bytes.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
-
-
-_MESSAGE_COUNTER = itertools.count()
 
 #: Nominal byte size charged for one metadata field (tag, id, status flag...).
 METADATA_FIELD_BYTES = 16
 
 
-@dataclass
 class Message:
     """A protocol message.
+
+    One instance may be handed to many destinations (a quorum broadcast
+    sends the *same* object to every server, the duplication fault delivers
+    it twice), so receivers must treat a message and its body as read-only.
 
     Attributes
     ----------
@@ -52,14 +50,20 @@ class Message:
         The configuration in whose context the message is sent, if any.
     """
 
-    kind: str
-    body: Dict[str, Any] = field(default_factory=dict)
-    data_bytes: int = 0
-    metadata_bytes: int = METADATA_FIELD_BYTES
-    request_id: Optional[int] = None
-    in_reply_to: Optional[int] = None
-    config_id: Optional[Any] = None
-    uid: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
+    __slots__ = ("kind", "body", "data_bytes", "metadata_bytes",
+                 "request_id", "in_reply_to", "config_id")
+
+    def __init__(self, kind: str, body: Optional[Dict[str, Any]] = None,
+                 data_bytes: int = 0, metadata_bytes: int = METADATA_FIELD_BYTES,
+                 request_id: Optional[int] = None, in_reply_to: Optional[int] = None,
+                 config_id: Optional[Any] = None) -> None:
+        self.kind = kind
+        self.body = {} if body is None else body
+        self.data_bytes = data_bytes
+        self.metadata_bytes = metadata_bytes
+        self.request_id = request_id
+        self.in_reply_to = in_reply_to
+        self.config_id = config_id
 
     def get(self, key: str, default: Any = None) -> Any:
         """Shorthand for ``message.body.get(key, default)``."""
@@ -73,7 +77,7 @@ class Message:
         """Raw bytes on the wire: data plus metadata estimate."""
         return self.data_bytes + self.metadata_bytes
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
         direction = f"re:{self.in_reply_to}" if self.in_reply_to is not None else f"req:{self.request_id}"
         return f"Message({self.kind}, {direction}, data={self.data_bytes}B)"
 
@@ -88,14 +92,8 @@ def request(
     **body: Any,
 ) -> Message:
     """Build a request message initiating a quorum phase."""
-    return Message(
-        kind=kind,
-        body=dict(body),
-        data_bytes=data_bytes,
-        metadata_bytes=metadata_fields * METADATA_FIELD_BYTES,
-        request_id=request_id,
-        config_id=config_id,
-    )
+    return Message(kind, body, data_bytes, metadata_fields * METADATA_FIELD_BYTES,
+                   request_id, None, config_id)
 
 
 def reply(
@@ -107,11 +105,6 @@ def reply(
     **body: Any,
 ) -> Message:
     """Build a reply to ``to``, echoing its request id."""
-    return Message(
-        kind=kind if kind is not None else f"{to.kind}-ACK",
-        body=dict(body),
-        data_bytes=data_bytes,
-        metadata_bytes=metadata_fields * METADATA_FIELD_BYTES,
-        in_reply_to=to.request_id,
-        config_id=to.config_id,
-    )
+    return Message(kind if kind is not None else f"{to.kind}-ACK", body, data_bytes,
+                   metadata_fields * METADATA_FIELD_BYTES, None, to.request_id,
+                   to.config_id)

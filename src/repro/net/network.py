@@ -12,7 +12,7 @@ delay) but are never lost unless a loss rule is explicitly installed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.ids import ProcessId
@@ -25,6 +25,14 @@ from repro.sim.process import Process
 
 class Network:
     """Point-to-point asynchronous network over a :class:`Simulator`.
+
+    Everything put on the wire goes through :meth:`send_many`, which takes
+    one sender and any number of ``(dest, message)`` pairs -- a quorum
+    broadcast is one call -- and treats each destination exactly as a
+    separate :meth:`send` would: same accounting at send time, same RNG
+    draws in the same order, same event sequence numbers, hooks consulted
+    per destination.  Delivery hands the message to
+    :meth:`Process.deliver <repro.sim.process.Process.deliver>`.
 
     Parameters
     ----------
@@ -52,8 +60,8 @@ class Network:
         self._duplicators: List[Callable[[ProcessId, ProcessId, Message], int]] = []
         # Observers see every (src, dest, message, deliver_time) tuple accepted for delivery.
         self._observers: List[Callable[[ProcessId, ProcessId, Message, float], None]] = []
-        # True while no hook of any kind is installed; send() then takes a
-        # zero-chaos fast path that skips every hook loop.
+        # True while no hook of any kind is installed; send_many() then
+        # skips every hook loop.
         self._quiet = True
         # Observability registry.  None (the default) costs nothing; an
         # installed registry reads the message counters above as delta
@@ -82,7 +90,9 @@ class Network:
 
     def alive(self, pids: Iterable[ProcessId]) -> List[ProcessId]:
         """Filter ``pids`` down to those that are registered and not crashed."""
-        return [p for p in pids if not self.is_crashed(p)]
+        processes = self.processes
+        return [pid for pid in pids
+                if (process := processes.get(pid)) is not None and not process.crashed]
 
     # ------------------------------------------------------------ fault hooks
     def _refresh_quiet(self) -> None:
@@ -140,64 +150,84 @@ class Network:
 
     # --------------------------------------------------------------- delivery
     def send(self, src: ProcessId, dest: ProcessId, message: Message) -> None:
-        """Send ``message`` from ``src`` to ``dest``.
+        """Send ``message`` from ``src`` to ``dest`` (a one-element :meth:`send_many`)."""
+        self.send_many(src, ((dest, message),))
 
-        The message is charged to the traffic accountant at send time (a
-        dropped message still consumed bandwidth at the sender; a duplicated
-        one is charged once per copy) and delivered after a latency-model
-        delay, unless a drop filter discards it or the destination has
-        crashed by delivery time.
+    def send_many(self, src: ProcessId,
+                  deliveries: Iterable[Tuple[ProcessId, Message]]) -> None:
+        """Send every ``(dest, message)`` of ``deliveries`` from ``src``, in order.
 
-        When no fault hook of any kind is installed (the common, chaos-free
-        case) the hook loops are skipped entirely and the single delivery
-        event is scheduled with pre-bound arguments -- no per-message closure
-        or label allocation.  The RNG draw sequence is identical on both
-        paths, so executions stay byte-for-byte deterministic.
+        The one entry point onto the wire: a quorum broadcast passes the
+        same ``message`` object with every destination, a scatter passes one
+        per destination, :meth:`send` passes a single pair.  Per destination,
+        in order: the message is charged to the traffic accountant (at send
+        time -- a dropped message still consumed bandwidth at the sender, a
+        duplicated one is charged once per copy), the destination's
+        liveness is noted (a message addressed to a crashed process is lost
+        even if the process restarts before it would arrive: a rebooted
+        machine never sees requests sent during its outage), drop filters
+        and duplicators are consulted, and each copy draws its own latency
+        sample, passes through the delay adjusters and observers, and is
+        queued for delivery.  With no hook installed the hook loops are
+        skipped.  Either way the RNG draws, the event sequence numbers and
+        therefore the ``(time, seq)`` firing order are exactly those of
+        sending the pairs one by one, so executions stay byte-for-byte
+        deterministic.
         """
-        self.messages_sent += 1
         sim = self.sim
-        self.stats.record(src, dest, message.kind, message.data_bytes, message.metadata_bytes)
-        # Messages addressed to a crashed process are lost even if the
-        # process restarts before they would arrive: a rebooted machine
-        # never sees requests sent during its outage.
-        dest_process = self.processes.get(dest)
-        sent_while_down = dest_process is not None and dest_process.crashed
-        if self._quiet:
-            delay = self.latency.sample(sim, src, dest)
-            if delay < 0.0:
-                delay = 0.0
-            sim.schedule(
-                delay, self._deliver, args=(src, dest, message, sent_while_down),
-                label=f"deliver {message.kind} {src}->{dest}" if sim.trace_enabled else "")
-            return
-        for rule in self._drop_filters:
-            if rule(src, dest, message):
-                self.messages_dropped += 1
-                return
-        extra_copies = 0
-        for duplicator in self._duplicators:
-            extra_copies += max(0, int(duplicator(src, dest, message)))
-        label = (f"deliver {message.kind} {src}->{dest}" if sim.trace_enabled else "")
-        for copy_index in range(1 + extra_copies):
-            delay = self.latency.sample(sim, src, dest)
-            for adjuster in self._delay_adjusters:
-                delay = adjuster(src, dest, message, delay)
-            delay = max(0.0, delay)
-            for observer in self._observers:
-                observer(src, dest, message, sim.now + delay)
-            if copy_index:
-                self.messages_duplicated += 1
-                # Each extra copy occupies the wire too; without this the
-                # communication-cost benchmarks under-report under packet
-                # chaos.
-                self.stats.record(src, dest, message.kind,
-                                  message.data_bytes, message.metadata_bytes)
-            sim.schedule(delay, self._deliver,
-                         args=(src, dest, message, sent_while_down), label=label)
+        post = sim.post
+        processes = self.processes
+        record = self.stats.record
+        sample = self.latency.sample
+        deliver = self._deliver
+        quiet = self._quiet
+        traced = sim.trace_enabled
+        label = ""
+        for dest, message in deliveries:
+            self.messages_sent += 1
+            record(src, dest, message.kind, message.data_bytes, message.metadata_bytes)
+            process = processes.get(dest)
+            args = (src, dest, message, process,
+                    process is not None and process.crashed)
+            extra_copies = 0
+            if not quiet:
+                dropped = False
+                for rule in self._drop_filters:
+                    if rule(src, dest, message):
+                        dropped = True
+                        break
+                if dropped:
+                    self.messages_dropped += 1
+                    continue
+                for duplicator in self._duplicators:
+                    extra_copies += max(0, int(duplicator(src, dest, message)))
+            if traced:
+                label = f"deliver {message.kind} {src}->{dest}"
+            copy_index = 0
+            while True:
+                delay = sample(sim, src, dest)
+                if not quiet:
+                    for adjuster in self._delay_adjusters:
+                        delay = adjuster(src, dest, message, delay)
+                    for observer in self._observers:
+                        observer(src, dest, message, sim.now + max(0.0, delay))
+                    if copy_index:
+                        self.messages_duplicated += 1
+                        # Each extra copy occupies the wire too; without this
+                        # the communication-cost benchmarks under-report
+                        # under packet chaos.
+                        record(src, dest, message.kind,
+                               message.data_bytes, message.metadata_bytes)
+                # Deliveries are never cancelled: no handle is allocated.
+                post(delay if delay > 0.0 else 0.0, deliver, label, args)
+                if copy_index == extra_copies:
+                    break
+                copy_index += 1
 
     def _deliver(self, src: ProcessId, dest: ProcessId, message: Message,
-                 sent_while_down: bool = False) -> None:
-        process = self.processes.get(dest)
+                 process: Optional[Process], sent_while_down: bool) -> None:
+        if process is None:  # unknown when sent; may have registered since
+            process = self.processes.get(dest)
         if process is None or process.crashed or sent_while_down:
             self.messages_dropped += 1
             return

@@ -19,7 +19,7 @@ Two figures are kept for every record, mirroring the paper's cost model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.ids import ProcessId
 
@@ -70,79 +70,91 @@ class OperationScope:
 class TrafficStats:
     """Network-wide traffic accounting.
 
-    The global counters are always maintained.  Per-operation attribution
-    works by scope: :meth:`open_scope` returns a handle; every message whose
-    *sender or receiver* is the scope owner is charged to the scope while it
-    is open.  Scopes are cheap, and multiple concurrent scopes (one per
-    in-flight operation of different clients) are supported.
+    Every message is charged to two ledgers -- one row per message kind and
+    one per directed link, each ``[messages, data_bytes, metadata_bytes]`` --
+    and :attr:`global_record`, :attr:`per_kind` and :attr:`per_link` are
+    derived from them on read, so the per-message path touches two rows
+    instead of three record objects.  Per-operation attribution works by
+    scope: :meth:`open_scope` returns a handle; every message whose *sender
+    or receiver* is the scope owner is charged to the scope while it is
+    open.  Scopes are cheap, multiple concurrent scopes (one per in-flight
+    operation of different clients) are supported, and a closed scope
+    leaves nothing behind: with none open, :meth:`record` skips them with
+    one truth test.
     """
 
     def __init__(self) -> None:
-        self.global_record = TrafficRecord()
-        self.per_kind: Dict[str, TrafficRecord] = {}
-        self.per_link: Dict[Tuple[ProcessId, ProcessId], TrafficRecord] = {}
-        self._scopes: List[OperationScope] = []
-        self._per_process_scopes: Dict[ProcessId, List[OperationScope]] = {}
+        self._kinds: Dict[str, List[int]] = {}
+        # Nested (src -> dest -> row): no key tuple is built per message.
+        self._links: Dict[ProcessId, Dict[ProcessId, List[int]]] = {}
+        self._scopes: Dict[ProcessId, List[OperationScope]] = {}
 
     # -------------------------------------------------------------- recording
     def record(self, src: ProcessId, dest: ProcessId, kind: str,
                data_bytes: int, metadata_bytes: int) -> None:
-        """Record one delivered message.
-
-        Called once per message on the wire (the network's hottest path), so
-        the counter updates are inlined rather than routed through
-        :meth:`TrafficRecord.add`, and the ``setdefault``-with-fresh-record
-        idiom is avoided -- it would allocate a throwaway
-        :class:`TrafficRecord` per call.
-        """
-        record = self.global_record
-        record.messages += 1
-        record.data_bytes += data_bytes
-        record.metadata_bytes += metadata_bytes
-        record = self.per_kind.get(kind)
-        if record is None:
-            record = self.per_kind[kind] = TrafficRecord()
-        record.messages += 1
-        record.data_bytes += data_bytes
-        record.metadata_bytes += metadata_bytes
-        link = (src, dest)
-        record = self.per_link.get(link)
-        if record is None:
-            record = self.per_link[link] = TrafficRecord()
-        record.messages += 1
-        record.data_bytes += data_bytes
-        record.metadata_bytes += metadata_bytes
-        scopes = self._per_process_scopes
+        """Record one message put on the wire (the network's hottest path)."""
+        row = self._kinds.get(kind)
+        if row is None:
+            row = self._kinds[kind] = [0, 0, 0]
+        row[0] += 1
+        row[1] += data_bytes
+        row[2] += metadata_bytes
+        links = self._links.get(src)
+        if links is None:
+            links = self._links[src] = {}
+        row = links.get(dest)
+        if row is None:
+            row = links[dest] = [0, 0, 0]
+        row[0] += 1
+        row[1] += data_bytes
+        row[2] += metadata_bytes
+        scopes = self._scopes
         if scopes:
             for owner in (src, dest):
                 for scope in scopes.get(owner, ()):
-                    if scope.open:
-                        scope.record.add(data_bytes, metadata_bytes)
+                    scope.record.add(data_bytes, metadata_bytes)
 
     # ---------------------------------------------------------------- scopes
     def open_scope(self, name: str, owner: ProcessId) -> OperationScope:
         """Open an accounting scope charging traffic to/from ``owner``."""
         scope = OperationScope(name=name, owner=owner)
-        self._scopes.append(scope)
-        self._per_process_scopes.setdefault(owner, []).append(scope)
+        self._scopes.setdefault(owner, []).append(scope)
         return scope
 
     def close_scope(self, scope: OperationScope) -> TrafficRecord:
         """Close the scope and return its accumulated record."""
         scope.open = False
-        owner_scopes = self._per_process_scopes.get(scope.owner, [])
+        owner_scopes = self._scopes.get(scope.owner, [])
         if scope in owner_scopes:
             owner_scopes.remove(scope)
+            if not owner_scopes:
+                del self._scopes[scope.owner]
         return scope.record
 
     # --------------------------------------------------------------- queries
+    @property
+    def global_record(self) -> TrafficRecord:
+        """All traffic since construction (or the last :meth:`reset`)."""
+        return TrafficRecord(*map(sum, zip(*self._kinds.values())))
+
+    @property
+    def per_kind(self) -> Dict[str, TrafficRecord]:
+        """Traffic by message kind (a snapshot; first-sent order)."""
+        return {kind: TrafficRecord(*row) for kind, row in self._kinds.items()}
+
+    @property
+    def per_link(self) -> Dict[Tuple[ProcessId, ProcessId], TrafficRecord]:
+        """Traffic by directed ``(src, dest)`` link (a snapshot)."""
+        return {(src, dest): TrafficRecord(*row)
+                for src, links in self._links.items() for dest, row in links.items()}
+
     def by_kind(self, kind: str) -> TrafficRecord:
         """Traffic for one message kind (e.g. ``"PUT-DATA"``)."""
-        return self.per_kind.get(kind, TrafficRecord())
+        return TrafficRecord(*self._kinds.get(kind, ()))
 
     def link(self, src: ProcessId, dest: ProcessId) -> TrafficRecord:
         """Traffic on one directed link."""
-        return self.per_link.get((src, dest), TrafficRecord())
+        return TrafficRecord(*self._links.get(src, {}).get(dest, ()))
 
     def to_and_from(self, pid: ProcessId) -> TrafficRecord:
         """All traffic sent or received by ``pid``."""
@@ -154,22 +166,22 @@ class TrafficStats:
 
     def reset(self) -> None:
         """Zero all counters (open scopes are preserved but also reset)."""
-        self.global_record = TrafficRecord()
-        self.per_kind.clear()
-        self.per_link.clear()
-        for scope in self._scopes:
-            scope.record = TrafficRecord()
+        self._kinds.clear()
+        self._links.clear()
+        for owner_scopes in self._scopes.values():
+            for scope in owner_scopes:
+                scope.record = TrafficRecord()
 
     def summary(self) -> str:
         """Human-readable multi-line summary (used by examples)."""
+        total = self.global_record
         lines = [
-            f"messages:       {self.global_record.messages}",
-            f"data bytes:     {self.global_record.data_bytes}",
-            f"metadata bytes: {self.global_record.metadata_bytes}",
+            f"messages:       {total.messages}",
+            f"data bytes:     {total.data_bytes}",
+            f"metadata bytes: {total.metadata_bytes}",
             "per message kind:",
         ]
-        for kind in sorted(self.per_kind):
-            record = self.per_kind[kind]
+        for kind, record in sorted(self.per_kind.items()):
             lines.append(
                 f"  {kind:<22} {record.messages:>8} msgs  {record.data_bytes:>12} data B"
             )

@@ -19,13 +19,17 @@ This module is the hottest path of the whole emulation (every message
 delivery and coroutine resumption is an event), so it trades a little
 uniformity for speed:
 
-* The heap stores ``(time, seq, event)`` tuples so ordering is decided by
-  native tuple comparison instead of rich-comparison calls on event objects;
-  :class:`Event` itself is a ``__slots__`` class.
+* Both queues store ``(time, seq, callback, args, label, handle)`` tuples:
+  ordering is decided by native tuple comparison (``seq`` is unique, so it
+  never looks past the second field) and the run loop unpacks what it needs
+  without touching an object.  ``handle`` is the cancellable :class:`Event`
+  (a ``__slots__`` class) that :meth:`Simulator.schedule` returned, or
+  ``None`` for an entry queued by :meth:`Simulator.post` -- message
+  deliveries, which nobody ever cancels, allocate no handle at all.
 * :meth:`Simulator.call_soon` bypasses the heap entirely: same-time events
   go through a FIFO lane (a deque) that is merged with the heap by
-  ``(time, seq)`` at pop time.  Coroutine resumptions -- the most frequent
-  event kind -- therefore cost an append/popleft instead of a heap push/pop.
+  ``(time, seq)`` at pop time.  Coroutine resumptions therefore cost an
+  append/popleft instead of a heap push/pop.
 * Cancellation is lazy: a cancelled event stays queued and is skipped when
   popped.  The simulator counts cancelled-but-queued events (so
   :attr:`Simulator.pending_events` is exact) and compacts the heap when the
@@ -49,23 +53,26 @@ from repro.common.errors import SimulationError
 _COMPACT_MIN_CANCELLED = 64
 
 
+#: A queue entry: ``(time, seq, callback, args, label, handle-or-None)``.
+_Entry = Tuple[float, int, Callable[..., None], tuple, str, "Optional[Event]"]
+
+
 class Event:
     """A scheduled callback.
 
     Events are ordered by ``(time, seq)``; ``seq`` is a global insertion
     counter that makes simultaneous events fire in the order they were
-    scheduled, which keeps executions deterministic.  The ordering lives in
-    the simulator's queue entries, not on the event object.
+    scheduled, which keeps executions deterministic.  The ordering (and what
+    the run loop calls) lives in the simulator's queue entries; the event
+    object is the handle that can cancel its entry.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label", "_sim")
+    __slots__ = ("time", "seq", "cancelled", "label", "_sim")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., None],
-                 args: tuple = (), label: str = "", sim: "Optional[Simulator]" = None) -> None:
+    def __init__(self, time: float, seq: int, label: str = "",
+                 sim: "Optional[Simulator]" = None) -> None:
         self.time = time
         self.seq = seq
-        self.callback = callback
-        self.args = args
         self.cancelled = False
         self.label = label
         self._sim = sim
@@ -89,6 +96,10 @@ class Event:
         return f"<Event t={self.time} seq={self.seq} {self.label!r}{state}>"
 
 
+def _is_cancelled(entry: _Entry) -> bool:
+    return entry[5] is not None and entry[5].cancelled
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -110,14 +121,17 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
         self._now: float = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
-        self._soon: "deque[Event]" = deque()
+        self._queue: List[_Entry] = []
+        self._soon: "deque[_Entry]" = deque()
         self._seq: int = 0
         self._events_processed: int = 0
         self._cancelled_events: int = 0
         self._cancelled_pending: int = 0
         self._running = False
         self._trace: Optional[List[str]] = None
+        #: Whether labelled events are being recorded.  Hot paths test this
+        #: (a plain attribute) to skip building label strings nobody reads.
+        self.trace_enabled = False
 
     # ------------------------------------------------------------------ time
     @property
@@ -182,9 +196,20 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, args, label, self)
-        heapq.heappush(self._queue, (time, seq, event))
+        event = Event(time, seq, label, self)
+        heapq.heappush(self._queue, (time, seq, callback, args, label, event))
         return event
+
+    def post(self, delay: float, callback: Callable[..., None], label: str = "",
+             args: tuple = ()) -> None:
+        """:meth:`schedule` without a handle: the event cannot be cancelled.
+
+        The network's per-message path, so ``delay`` is trusted to be
+        non-negative and nothing is allocated beyond the queue entry.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (self._now + delay, seq, callback, args, label, None))
 
     def call_soon(self, callback: Callable[..., None], label: str = "",
                   args: tuple = ()) -> Event:
@@ -196,8 +221,8 @@ class Simulator:
         """
         seq = self._seq
         self._seq = seq + 1
-        event = Event(self._now, seq, callback, args, label, self)
-        self._soon.append(event)
+        event = Event(self._now, seq, label, self)
+        self._soon.append((self._now, seq, callback, args, label, event))
         return event
 
     # --------------------------------------------------- lazy-deletion upkeep
@@ -215,37 +240,30 @@ class Simulator:
         Mutates the queues in place so that the inlined run loop's local
         bindings stay valid across a compaction.
         """
-        live = [entry for entry in self._queue if not entry[2].cancelled]
-        self._queue[:] = live
+        self._queue[:] = [entry for entry in self._queue if not _is_cancelled(entry)]
         heapq.heapify(self._queue)
-        if any(event.cancelled for event in self._soon):
-            live_soon = [event for event in self._soon if not event.cancelled]
+        if any(map(_is_cancelled, self._soon)):
+            live_soon = [entry for entry in self._soon if not _is_cancelled(entry)]
             self._soon.clear()
             self._soon.extend(live_soon)
         self._cancelled_pending = 0
 
-    def _pop_next(self) -> Optional[Event]:
-        """Pop the globally next live event, merging the heap and FIFO lanes."""
+    def _pop_next(self) -> Optional[_Entry]:
+        """Pop the globally next live entry, merging the heap and FIFO lanes."""
         queue = self._queue
         soon = self._soon
         while queue or soon:
-            if soon:
-                if queue:
-                    head = queue[0]
-                    first = soon[0]
-                    if (head[0], head[1]) < (first.time, first.seq):
-                        event = heapq.heappop(queue)[2]
-                    else:
-                        event = soon.popleft()
-                else:
-                    event = soon.popleft()
+            if soon and not (queue and queue[0] < soon[0]):
+                entry = soon.popleft()
             else:
-                event = heapq.heappop(queue)[2]
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                event._sim = None
-                continue
-            return event
+                entry = heapq.heappop(queue)
+            event = entry[5]
+            if event is not None:
+                event._sim = None  # popped: a later cancel() must not skew counters
+                if event.cancelled:
+                    self._cancelled_pending -= 1
+                    continue
+            return entry
         return None
 
     # ------------------------------------------------------------------- run
@@ -255,20 +273,15 @@ class Simulator:
         Returns ``True`` if an event was processed, ``False`` if the queue
         was empty.
         """
-        event = self._pop_next()
-        if event is None:
+        entry = self._pop_next()
+        if entry is None:
             return False
-        self._now = event.time
+        time, _, callback, args, label, _ = entry
+        self._now = time
         self._events_processed += 1
-        if self._trace is not None and event.label:
-            self._trace.append(f"{event.time:.3f} {event.label}")
-        event._sim = None  # fired: a later cancel() must not skew counters
-        callback = event.callback
-        args = event.args
-        if args:
-            callback(*args)
-        else:
-            callback()
+        if label and self._trace is not None:
+            self._trace.append(f"{time:.3f} {label}")
+        callback(*args)
         return True
 
     def run(self, max_events: int = 10_000_000) -> None:
@@ -290,30 +303,24 @@ class Simulator:
         try:
             while True:
                 if soon:
-                    if queue:
-                        head = queue[0]
-                        first = soon[0]
-                        if (head[0], head[1]) < (first.time, first.seq):
-                            event = heappop(queue)[2]
-                        else:
-                            event = soon.popleft()
+                    if queue and queue[0] < soon[0]:
+                        entry = heappop(queue)
                     else:
-                        event = soon.popleft()
+                        entry = soon.popleft()
                 elif queue:
-                    event = heappop(queue)[2]
+                    entry = heappop(queue)
                 else:
                     break
-                if event.cancelled:
-                    self._cancelled_pending -= 1
+                time, _, callback, args, label, event = entry
+                if event is not None:
                     event._sim = None
-                    continue
-                self._now = event.time
+                    if event.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                self._now = time
                 self._events_processed += 1
-                if self._trace is not None and event.label:
-                    self._trace.append(f"{event.time:.3f} {event.label}")
-                event._sim = None
-                callback = event.callback
-                args = event.args
+                if label and self._trace is not None:
+                    self._trace.append(f"{time:.3f} {label}")
                 if args:
                     callback(*args)
                 else:
@@ -341,21 +348,14 @@ class Simulator:
             soon = self._soon
             # Drop cancelled heads first: the peek below must see the next
             # *live* event, or step() could fire an event past the limit.
-            while soon and soon[0].cancelled:
+            while soon and _is_cancelled(soon[0]):
                 soon.popleft()
                 self._cancelled_pending -= 1
-            while queue and queue[0][2].cancelled:
+            while queue and _is_cancelled(queue[0]):
                 heapq.heappop(queue)
                 self._cancelled_pending -= 1
-            if soon:
-                next_time = soon[0].time
-                if queue and (queue[0][0], queue[0][1]) < (next_time, soon[0].seq):
-                    next_time = queue[0][0]
-            elif queue:
-                next_time = queue[0][0]
-            else:
-                break
-            if next_time > time:
+            heads = [lane[0] for lane in (soon, queue) if lane]
+            if not heads or min(heads)[0] > time:
                 break
             if not self.step():  # pragma: no cover - head exists, so step fires
                 break
@@ -390,20 +390,12 @@ class Simulator:
     def enable_trace(self) -> None:
         """Start recording labelled events (used by debugging tests)."""
         self._trace = []
+        self.trace_enabled = True
 
     @property
     def trace(self) -> List[str]:
         """The recorded trace lines (empty unless :meth:`enable_trace` was called)."""
         return list(self._trace or [])
-
-    @property
-    def trace_enabled(self) -> bool:
-        """Whether labelled events are being recorded.
-
-        Hot paths use this to skip building label strings that nobody will
-        ever read.
-        """
-        return self._trace is not None
 
     # -------------------------------------------------------------- utilities
     def uniform(self, low: float, high: float) -> float:

@@ -112,11 +112,11 @@ class QuorumFuture(SimFuture):
     was reached* (later responses are still appended for diagnostic purposes
     but do not change the result).
 
-    A quorum is a set of *distinct* processes, so when ``distinct_by`` is
-    given (the process layer passes the responder id) repeated responses with
-    the same key are counted once: the chaos layer's message-duplication
-    fault must not let one server satisfy two slots of a threshold, nor feed
-    the same coded element twice to an erasure decoder.
+    A quorum is a set of *distinct* processes, so a response recorded with a
+    ``key`` (the process layer passes the responder id) counts once per key:
+    the chaos layer's message-duplication fault must not let one server
+    satisfy two slots of a threshold, nor feed the same coded element twice
+    to an erasure decoder.
 
     Servers under injected resource pressure answer with explicit NACKs
     (:meth:`add_nack`) instead of staying silent.  When ``expected`` (the
@@ -126,60 +126,58 @@ class QuorumFuture(SimFuture):
     condition -- rather than hanging until a timeout.
     """
 
-    __slots__ = ("threshold", "responses", "distinct_by", "duplicates_ignored",
-                 "_seen_keys", "_frozen_result", "expected", "nacks")
+    __slots__ = ("threshold", "responses", "duplicates_ignored",
+                 "_seen_keys", "expected", "nacks")
 
     def __init__(self, sim: Simulator, threshold: int, label: str = "",
-                 distinct_by: Optional[Callable[[Any], Any]] = None,
                  expected: Optional[int] = None) -> None:
         super().__init__(sim, label=label)
         if threshold < 0:
             raise SimulationError("quorum threshold must be non-negative")
         self.threshold = threshold
         self.responses: List[Any] = []
-        self.distinct_by = distinct_by
         self.duplicates_ignored = 0
         self._seen_keys: set = set()
-        self._frozen_result: Optional[List[Any]] = None
         self.expected = expected
         self.nacks: List[Any] = []
         if threshold == 0:
             self.set_result([])
 
-    def add_response(self, response: Any) -> None:
+    def add_response(self, response: Any, key: Any = None) -> None:
         """Record one response; resolves the future at the threshold.
 
-        Responses whose ``distinct_by`` key was already seen are discarded
-        (tallied in :attr:`duplicates_ignored`).
+        A response whose ``key`` was already seen (as a response or a NACK)
+        is discarded and tallied in :attr:`duplicates_ignored`.
         """
-        if self.distinct_by is not None:
-            key = self.distinct_by(response)
-            if key in self._seen_keys:
+        if key is not None:
+            # One hash of the key, not two: add, then see whether it grew.
+            seen = self._seen_keys
+            before = len(seen)
+            seen.add(key)
+            if len(seen) == before:
                 self.duplicates_ignored += 1
                 return
-            self._seen_keys.add(key)
-        self.responses.append(response)
-        if not self.done() and len(self.responses) >= self.threshold:
-            self._frozen_result = list(self.responses)
-            self.set_result(self._frozen_result)
+        responses = self.responses
+        responses.append(response)
+        if not self._done and len(responses) >= self.threshold:
+            self.set_result(list(responses))
 
-    def add_nack(self, response: Any) -> None:
+    def add_nack(self, response: Any, key: Any = None) -> None:
         """Record one explicit refusal; may fail the future fast.
 
-        Refusals dedupe through the same ``distinct_by`` key space as
-        acceptances (one process occupies one slot, whichever way it
-        answers).  With ``expected`` known, the future fails with
+        Refusals dedupe through the same key space as acceptances (one
+        process occupies one slot, whichever way it answers).  With
+        ``expected`` known, the future fails with
         :class:`~repro.common.errors.QuorumRefusedError` as soon as the
         remaining non-refusing processes cannot reach the threshold.
         """
-        if self.distinct_by is not None:
-            key = self.distinct_by(response)
+        if key is not None:
             if key in self._seen_keys:
                 self.duplicates_ignored += 1
                 return
             self._seen_keys.add(key)
         self.nacks.append(response)
-        if (not self.done() and self.expected is not None
+        if (not self._done and self.expected is not None
                 and self.expected - len(self.nacks) < self.threshold):
             self.set_exception(QuorumRefusedError(
                 f"{self.label or 'quorum'}: {len(self.nacks)} of {self.expected} "
@@ -349,12 +347,12 @@ class Coroutine:
         if self._aborted or self.completion.done():
             return
         sim = self.sim
-        exc = fut.exception()
+        exc = fut._exception
         if exc is not None:
             sim.call_soon(self._advance, args=(None, exc),
                           label=f"{self.label}:resume-exc" if sim.trace_enabled else "")
         else:
-            sim.call_soon(self._advance, args=(fut.result(), None),
+            sim.call_soon(self._advance, args=(fut._result, None),
                           label=f"{self.label}:resume" if sim.trace_enabled else "")
 
     # ------------------------------------------------------------ future API

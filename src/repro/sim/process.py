@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import (
@@ -34,32 +35,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
 
 
-def _responder(response):
-    """Dedup key for quorum gathers: the (server id, reply) pair's sender."""
-    return response[0]
-
-
 #: Interned ``round:{label}`` histogram names; the label set is small and
 #: static, so caching avoids a string build per instrumented quorum round.
 _ROUND_SERIES: Dict[str, str] = {}
 
 
-class _RoundTimer:
-    """Done-callback for one instrumented quorum round (see ``_observe_round``).
+class _RoundDone:
+    """The done-callback of one quorum round: forget the pending gather and,
+    on an instrumented process, time the round (see ``_observe_round``).
 
-    Combines the pending-gather cleanup with the round timing so an
-    instrumented round attaches exactly as many callbacks as a plain one.
     A ``__slots__`` instance is one allocation where a closure needs a
     function object plus a cell per captured variable -- one of these is
     created per round, so the difference shows up directly as
     garbage-collector pressure.  ``handle`` is the pre-resolved histogram
-    series object, so firing skips the registry's name lookup entirely.
+    series object (``None`` on a plain round), so firing skips the
+    registry's name lookup entirely.
     """
 
     __slots__ = ("process", "request_id", "handle", "started")
 
-    def __init__(self, process: "Process", request_id: int, handle,
-                 started: float) -> None:
+    def __init__(self, process: "Process", request_id: int, handle=None,
+                 started: float = 0.0) -> None:
         self.process = process
         self.request_id = request_id
         self.handle = handle
@@ -67,6 +63,8 @@ class _RoundTimer:
 
     def __call__(self, fut: SimFuture) -> None:
         self.process._pending_gathers.pop(self.request_id, None)
+        if self.handle is None:
+            return
         metrics = self.process.metrics
         # Reading the slot directly saves a method call on a path that runs
         # once per round; callbacks fire synchronously inside set_result /
@@ -192,26 +190,27 @@ class Process:
     # ------------------------------------------------------------- messaging
     def send(self, dest: ProcessId, message: "Message") -> None:
         """Send ``message`` to ``dest`` over the network (no-op if crashed)."""
-        if self.crashed:
-            return
-        self.network.send(self.pid, dest, message)
+        if not self.crashed:
+            self.network.send_many(self.pid, ((dest, message),))
 
     def deliver(self, src: ProcessId, message: "Message") -> None:
         """Entry point called by the network when a message arrives."""
         if self.crashed:
             return
-        # First give pending quorum gathers a chance to consume the reply.
-        request_id = getattr(message, "in_reply_to", None)
-        if request_id is not None and request_id in self._pending_gathers:
-            gather = self._pending_gathers[request_id]
-            if message.get("nack"):
-                self.nacks_received += 1
-                if self.metrics is not None:
-                    self.metrics.inc("nacks")
-                gather.add_nack((src, message))
-            else:
-                gather.add_response((src, message))
-            return
+        # A reply goes straight to the pending gather that asked for it,
+        # keyed by its sender: one server fills one slot of the quorum.
+        request_id = message.in_reply_to
+        if request_id is not None:
+            gather = self._pending_gathers.get(request_id)
+            if gather is not None:
+                if message.body.get("nack"):
+                    self.nacks_received += 1
+                    if self.metrics is not None:
+                        self.metrics.inc("nacks")
+                    gather.add_nack((src, message), src)
+                else:
+                    gather.add_response((src, message), src)
+                return
         self.on_message(src, message)
 
     def enable_retries(self, policy: RetryPolicy, seed: object = 0) -> None:
@@ -242,13 +241,19 @@ class Process:
     ) -> QuorumFuture:
         """Send a request to every server and await ``threshold`` replies.
 
+        The round is one :meth:`Network.send_many
+        <repro.net.network.Network.send_many>` batch carrying one request
+        object; each reply is routed by :meth:`deliver` to the returned
+        future, which counts one slot per responding server.
+
         Parameters
         ----------
         servers:
             Destination processes (typically ``c.Servers``).
         make_message:
-            Called with the fresh request id; must return the request
-            message.  The request id is embedded so that replies (which carry
+            Called once, with the fresh request id; must return the request
+            message, which every server receives (and must not mutate).  The
+            request id is embedded so that replies (which carry
             ``in_reply_to``) are routed to the returned future.
         threshold:
             Number of replies to await (e.g. a majority, or ``⌈(n+k)/2⌉``).
@@ -283,28 +288,39 @@ class Process:
         threshold: int,
         label: str,
     ) -> "tuple[int, QuorumFuture]":
-        """One broadcast attempt under a fresh request id (the retry unit)."""
+        """One broadcast attempt under a fresh request id (the retry unit).
+
+        ``make_message`` is called once: every server is handed the same
+        message object, in one :meth:`Network.send_many` batch.
+        """
+        request_id, gather = self._open_round(servers, threshold, label)
+        if not self.crashed:
+            message = make_message(request_id)
+            self.network.send_many(self.pid, zip(servers, repeat(message)))
+        return request_id, gather
+
+    def _open_round(self, servers, threshold: int,
+                    label: str) -> "tuple[int, QuorumFuture]":
+        """Register the pending gather of one round about to contact ``servers``.
+
+        Fails fast if too few of them are alive; the gather knows how many
+        refusals make its threshold unreachable.
+        """
         request_id = self.new_request_id()
         gather = QuorumFuture(self.sim, threshold=threshold,
                               label=f"{self.pid}:{label}#{request_id}",
-                              distinct_by=_responder, expected=len(servers))
-        alive = [s for s in servers if not self.network.is_crashed(s)]
-        if len(alive) < threshold:
+                              expected=len(servers))
+        alive = len(self.network.alive(servers))
+        if alive < threshold:
             raise QuorumUnavailableError(
                 f"{self.pid}: {label} needs {threshold} replies but only "
-                f"{len(alive)} of {len(servers)} servers are alive"
+                f"{alive} of {len(servers)} servers are alive"
             )
         self._pending_gathers[request_id] = gather
-
         if self.metrics is None:
-            def cleanup(_fut: SimFuture) -> None:
-                self._pending_gathers.pop(request_id, None)
-
-            gather.add_done_callback(cleanup)
+            gather.add_done_callback(_RoundDone(self, request_id))
         else:
             self._observe_round(gather, request_id, label)
-        for server in servers:
-            self.send(server, make_message(request_id))
         return request_id, gather
 
     def _observe_round(self, gather: QuorumFuture, request_id: int,
@@ -316,8 +332,8 @@ class Process:
         cannot perturb the simulation.  Successful rounds record their
         virtual-time duration into the ``round:{label}`` histogram; failed
         rounds (refused / quorum lost) bump the ``round_failures`` counter.
-        The callback doubles as the pending-gather cleanup, replacing the
-        plain path's closure rather than stacking on top of it.  The
+        The callback is the plain path's :class:`_RoundDone` with a series
+        handle, not a second one stacked on top of it.  The
         ``round:{label}`` series handle is resolved once per process and
         label (a registry is installed once per run, so a cached handle can
         never go stale) and fed through the registry's lookup-free
@@ -331,7 +347,7 @@ class Process:
             handle = self._round_handles[label] = \
                 self.metrics.histogram_handle(name)
         gather.add_done_callback(
-            _RoundTimer(self, request_id, handle, self.sim.now))
+            _RoundDone(self, request_id, handle, self.sim.now))
 
     def open_gather(self, threshold: int, label: str = "gather") -> "tuple[int, QuorumFuture]":
         """Register a reply-gathering future without sending any request.
@@ -344,10 +360,9 @@ class Process:
         """
         request_id = self.new_request_id()
         gather = QuorumFuture(self.sim, threshold=threshold,
-                              label=f"{self.pid}:{label}#{request_id}",
-                              distinct_by=_responder)
+                              label=f"{self.pid}:{label}#{request_id}")
         self._pending_gathers[request_id] = gather
-        gather.add_done_callback(lambda _f: self._pending_gathers.pop(request_id, None))
+        gather.add_done_callback(_RoundDone(self, request_id))
         return request_id, gather
 
     def scatter_and_gather(
@@ -374,24 +389,11 @@ class Process:
         label: str,
     ) -> "tuple[int, QuorumFuture]":
         """One scatter attempt under a fresh request id (the retry unit)."""
-        request_id = self.new_request_id()
-        gather = QuorumFuture(self.sim, threshold=threshold,
-                              label=f"{self.pid}:{label}#{request_id}",
-                              distinct_by=_responder, expected=len(messages))
-        alive = [s for s in messages if not self.network.is_crashed(s)]
-        if len(alive) < threshold:
-            raise QuorumUnavailableError(
-                f"{self.pid}: {label} needs {threshold} replies but only "
-                f"{len(alive)} of {len(messages)} servers are alive"
-            )
-        self._pending_gathers[request_id] = gather
-        if self.metrics is None:
-            gather.add_done_callback(
-                lambda _f: self._pending_gathers.pop(request_id, None))
-        else:
-            self._observe_round(gather, request_id, label)
-        for server, make_message in messages.items():
-            self.send(server, make_message(request_id))
+        request_id, gather = self._open_round(messages, threshold, label)
+        if not self.crashed:
+            self.network.send_many(self.pid, [
+                (server, make_message(request_id))
+                for server, make_message in messages.items()])
         return request_id, gather
 
     # ---------------------------------------------------------------- retries

@@ -226,12 +226,12 @@ class TestSubstrateHooks:
         from repro.sim.core import Simulator
         from repro.sim.futures import QuorumFuture
 
-        future = QuorumFuture(Simulator(), threshold=2, distinct_by=lambda r: r[0])
-        future.add_response(("a", 1))
-        future.add_response(("a", 2))
+        future = QuorumFuture(Simulator(), threshold=2)
+        future.add_response(("a", 1), key="a")
+        future.add_response(("a", 2), key="a")
         assert not future.done()
         assert future.duplicates_ignored == 1
-        future.add_response(("b", 3))
+        future.add_response(("b", 3), key="b")
         assert future.done()
         assert [key for key, _ in future.result()] == ["a", "b"]
 

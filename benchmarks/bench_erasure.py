@@ -1,25 +1,23 @@
 """E9 -- Erasure-coding substrate microbenchmark.
 
 Reed-Solomon encode and decode throughput for the ``[n, k]`` parameters used
-throughout the experiments, plus the measured speedup of the fully
-vectorised GF(2^8) matrix multiply over the per-row/per-col reference
-implementation.  This is the sanity baseline for E3: the paper's deployment
-uses a C erasure-coding library (liberasurecode), so absolute throughput
-differs, but the relative cost of growing ``n`` at fixed rate ``k/n`` is
-the same shape.
+throughout the experiments, plus the throughput of the one GF(2^8) kernel
+underneath (:func:`repro.erasure.gf256.gf_combine`, one dense row).  This is
+the sanity baseline for E3: the paper's deployment uses a C erasure-coding
+library (liberasurecode), so absolute throughput differs, but the relative
+cost of growing ``n`` at fixed rate ``k/n`` is the same shape.
 """
 
 from __future__ import annotations
 
+import random
 import time
 
-import numpy as np
 import pytest
 
 from repro.analysis.report import Table
 from repro.common.values import Value
-from repro.erasure.gf256 import gf_matmul_vec, gf_matmul_vec_reference
-from repro.erasure.matrix import matrix_invert, systematic_generator
+from repro.erasure.gf256 import gf_combine
 from repro.erasure.rs import ReedSolomonCode, decode_cache_clear, decode_cache_info
 
 PAYLOAD = 1 << 16  # 64 KiB
@@ -73,93 +71,55 @@ def _time(fn, repeats: int) -> float:
 
 
 @pytest.mark.experiment("E9")
-def test_gf_matmul_vectorization_speedup(benchmark, quick):
-    """The single-expression log/exp-table multiply beats the scalar loop.
-
-    Results must match the reference byte-for-byte; the table reports the
-    measured per-call times and the speedup factor for each ``[n, k]``.
-    """
-    rng = np.random.default_rng(0)
-    repeats = 3 if quick else 10
-    payload = QUICK_PAYLOAD if quick else PAYLOAD
-    table = Table(
-        "E9: vectorised GF(2^8) matmul vs per-row/per-col reference "
-        f"({payload // 1024} KiB object)",
-        ["n", "k", "path", "reference ms", "vectorised ms", "speedup"],
-    )
-    speedups = []
-    for n, k in PARAMETERS:
-        generator = systematic_generator(n, k)
-        # The encode path (identity + parity rows) and the worst-case decode
-        # path (dense inverse of the parity-only submatrix).
-        paths = [("encode", generator),
-                 ("decode", matrix_invert(generator[n - k:n, :]))]
-        shard_len = (payload + k - 1) // k
-        shards = [rng.integers(0, 256, size=shard_len).astype(np.uint8)
-                  for _ in range(k)]
-        for path, m in paths:
-            expected = gf_matmul_vec_reference(m, shards)
-            actual = gf_matmul_vec(m, shards)
-            assert all(np.array_equal(a, b) for a, b in zip(actual, expected))
-            t_ref = _time(lambda: gf_matmul_vec_reference(m, shards), repeats)
-            t_vec = _time(lambda: gf_matmul_vec(m, shards), repeats)
-            speedups.append(t_ref / t_vec)
-            table.add_row(n, k, path, round(t_ref * 1e3, 3), round(t_vec * 1e3, 3),
-                          round(t_ref / t_vec, 2))
-    table.print()
-    # The win grows with n*k; require a clear improvement on the largest
-    # code, but only in the full run: --quick times sub-millisecond calls
-    # best-of-3 where shared-runner jitter could fail the bound spuriously.
-    if not quick:
-        assert max(speedups) > 1.2, f"vectorisation shows no speedup: {speedups}"
-    bench_generator = systematic_generator(12, 8)
-    bench_shards = [rng.integers(0, 256, size=payload // 8).astype(np.uint8)
-                    for _ in range(8)]
-    benchmark(lambda: gf_matmul_vec(bench_generator, bench_shards))
-
-
-@pytest.mark.experiment("E9")
 def test_throughput_across_value_sizes(benchmark, quick):
-    """Encode/decode throughput from 1 KiB to 1 MiB on the [6, 4] code.
+    """Throughput from 1 KiB to 1 MiB on the [6, 4] code, random bytes.
 
-    Decode is timed on the worst-case survivor set (parity-heavy, a dense
-    decode matrix) with the inverse cache cold for the first call and warm
-    afterwards; the cache hit rate of the timed loop is reported alongside.
+    Per size: encode (two parity rows), decode with one data shard missing
+    (one row rebuilt), decode from the parity-heavy survivor set (two rows
+    rebuilt, the worst case for [6, 4]) and the kernel alone -- one dense
+    row of :func:`gf_combine` over the four data shards, in MB/s of shard
+    bytes read.  Decodes are timed with the inverse cache warm; the hit
+    rate of the timed loops is reported alongside.
     """
     n, k = 6, 4
     code = ReedSolomonCode(n, k)
     sizes = QUICK_THROUGHPUT_SIZES if quick else THROUGHPUT_SIZES
     repeats = 3 if quick else 5
     table = Table(
-        f"E9: Reed-Solomon [{n}, {k}] throughput by value size "
-        "(decode from the parity-heavy survivor set)",
-        ["value size", "encode ms", "encode MB/s", "decode ms", "decode MB/s",
-         "decode cache hit rate"],
+        f"E9: Reed-Solomon [{n}, {k}] throughput by value size (MB/s)",
+        ["value size", "encode", "decode, 1 data shard lost",
+         "decode, parity-heavy", "kernel (1 dense row)", "decode cache hit rate"],
     )
+    rng = random.Random(0)
+    dense_row = code.generator[k].tolist()      # first parity row: k translates
+    assert 0 not in dense_row and 1 not in dense_row
     for size in sizes:
-        value = Value.of_size(size, label="bench")
+        value = Value(payload=rng.randbytes(size), label="bench")
         elements = code.encode(value)
-        survivors = elements[n - k:]
-        t_enc = _time(lambda: code.encode(value), repeats)
+        one_lost, parity_heavy = elements[1:k + 1], elements[n - k:]
+        data = [element.payload for element in elements[:k]]
+        assert gf_combine(dense_row, data) == elements[k].payload
         decode_cache_clear()
-        code.decode(survivors)  # cold call: builds and caches the inverse
+        for survivors in (one_lost, parity_heavy):   # cold calls cache the inverses
+            assert code.decode(survivors).payload == value.payload
         warm_base = decode_cache_info()
-        t_dec = _time(lambda: code.decode(survivors), repeats)
+        mb = size / (1 << 20)
+        rates = [mb / _time(fn, repeats) for fn in (
+            lambda: code.encode(value),
+            lambda: code.decode(one_lost),
+            lambda: code.decode(parity_heavy),
+            lambda: gf_combine(dense_row, data))]
         info = decode_cache_info()
-        # Rate over the timed loop only (the cold call's miss is excluded).
+        # Rate over the timed loops only (the cold calls' misses are excluded).
         timed_hits = info["hits"] - warm_base["hits"]
         timed_misses = info["misses"] - warm_base["misses"]
         hit_rate = timed_hits / max(1, timed_hits + timed_misses)
-        mb = size / (1 << 20)
-        table.add_row(f"{size >> 10} KiB",
-                      round(t_enc * 1e3, 3), round(mb / t_enc, 1),
-                      round(t_dec * 1e3, 3), round(mb / t_dec, 1),
+        table.add_row(f"{size >> 10} KiB", *(round(rate, 1) for rate in rates),
                       f"{hit_rate:.0%}")
-        assert code.decode(survivors).payload == value.payload
         # Repeated decodes from one quorum must hit the memoised inverse.
-        assert info["hits"] >= repeats
+        assert timed_hits == 2 * repeats and timed_misses == 0
     table.print()
-    benchmark(lambda: code.decode(survivors))
+    benchmark(lambda: code.decode(parity_heavy))
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ class TreasTransferServerState(TreasServerState):
             if len(buffer) >= source.code.k:
                 value = source.code.decode(buffer.values())
                 del self.transfer_buffer[(reconfigurer, tag)]
-                own_element = self.configuration.code.encode(value)[self.my_index]
+                own_element = self.configuration.code.encode_one(value, self.my_index)
                 self.insert(tag, own_element)
         if tag in self.list:
             self.recons.add(reconfigurer)

@@ -7,13 +7,14 @@ each, and any ``k`` coded elements suffice to reconstruct ``v``.
 
 This package implements that substrate from scratch:
 
-* :mod:`repro.erasure.gf256` -- arithmetic over GF(2^8) with log/antilog tables.
+* :mod:`repro.erasure.gf256` -- arithmetic over GF(2^8): scalar log/antilog
+  operations and the one bulk kernel, ``gf_combine``.
 * :mod:`repro.erasure.matrix` -- matrix operations (multiply, invert) over GF(2^8).
 * :mod:`repro.erasure.rs` -- a systematic Reed-Solomon ``[n, k]`` MDS code.
 * :mod:`repro.erasure.replication` -- replication expressed as the degenerate
   ``[n, 1]`` code, so ABD-style configurations use the same interface.
-* :mod:`repro.erasure.striping` -- padding/striping of byte strings into ``k``
-  equal shards.
+* :mod:`repro.erasure.striping` -- the padding rule for cutting a value into
+  ``k`` equal shards.
 """
 
 from repro.erasure.interface import ErasureCode, CodedElement

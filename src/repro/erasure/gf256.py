@@ -2,14 +2,24 @@
 
 The field is realised as polynomials over GF(2) modulo the primitive
 polynomial ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), the conventional choice for
-Reed-Solomon codes.  Multiplication and division use log/antilog tables of
-the generator ``α = 2``; numpy vectorised versions are provided for bulk
-encoding and decoding of byte arrays.
+Reed-Solomon codes.  Scalar multiplication and division use log/antilog
+tables of the generator ``α = 2``; they serve the small matrix algebra in
+:mod:`repro.erasure.matrix`.
+
+Bulk data goes through exactly one primitive, :func:`gf_combine`: the
+GF-linear combination of equal-length byte strings with one row of
+coefficients.  Multiplying a whole shard by a coefficient is a single
+``bytes.translate`` through that coefficient's 256-byte multiplication
+table (built on first use, at most 255 tables), and the products are
+XOR-accumulated as numpy ``uint8`` views.  Coefficient 0 contributes
+nothing and coefficient 1 contributes the shard itself, so the identity
+rows of a systematic code cost no field arithmetic at all.
 """
 
 from __future__ import annotations
 
-from typing import List
+import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -41,15 +51,6 @@ def _build_tables() -> tuple:
 _EXP_LIST, _LOG_LIST = _build_tables()
 EXP_TABLE = np.array(_EXP_LIST, dtype=np.uint8)
 LOG_TABLE = np.array(_LOG_LIST, dtype=np.int32)
-
-# Tables for the fully vectorised matrix multiply: the log of zero maps to a
-# sentinel so large that any sum involving it lands in the zeroed tail of the
-# extended exp table -- multiplication by zero then needs no masking pass.
-_ZERO_SENTINEL = 1024
-_VLOG_TABLE = LOG_TABLE.astype(np.int16)
-_VLOG_TABLE[0] = _ZERO_SENTINEL
-_VEXP_TABLE = np.zeros(2 * _ZERO_SENTINEL + 1, dtype=np.uint8)
-_VEXP_TABLE[: 2 * (FIELD_SIZE - 1)] = EXP_TABLE[: 2 * (FIELD_SIZE - 1)]
 
 
 def gf_add(a: int, b: int) -> int:
@@ -95,120 +96,36 @@ def gf_inverse(a: int) -> int:
     return int(EXP_TABLE[(FIELD_SIZE - 1) - int(LOG_TABLE[a])])
 
 
-def gf_mul_bytes(scalar: int, data: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``data`` by ``scalar`` (vectorised).
+@functools.lru_cache(maxsize=None)
+def _mul_table(coefficient: int) -> bytes:
+    """The ``bytes.translate`` table ``x -> coefficient * x`` (``coefficient != 0``)."""
+    log_c = _LOG_LIST[coefficient]
+    return bytes([0] + [_EXP_LIST[log_c + _LOG_LIST[x]] for x in range(1, FIELD_SIZE)])
 
-    Parameters
-    ----------
-    scalar:
-        A field element in ``[0, 255]``.
-    data:
-        A ``uint8`` numpy array.
+
+def gf_combine(coefficients: Sequence[int], shards: Sequence[bytes]) -> bytes:
+    """The GF(2^8)-linear combination ``sum_c coefficients[c] * shards[c]``.
+
+    ``shards`` are equal-length byte strings and ``coefficients`` one field
+    element per shard.  This is the only function in the package that
+    multiplies bulk data by field coefficients: a parity element is one
+    call with a generator row, a lost data shard one call with a row of the
+    decode inverse.  A zero coefficient skips its shard, a one uses it as
+    is, anything else is one ``bytes.translate`` through the coefficient's
+    multiplication table.
     """
-    if scalar == 0:
-        return np.zeros_like(data)
-    if scalar == 1:
-        return data.copy()
-    log_scalar = int(LOG_TABLE[scalar])
-    result = np.zeros_like(data)
-    nonzero = data != 0
-    logs = LOG_TABLE[data[nonzero].astype(np.int32)]
-    result[nonzero] = EXP_TABLE[logs + log_scalar]
-    return result
-
-
-def gf_matmul_vec_reference(matrix: np.ndarray, shards: List[np.ndarray]) -> List[np.ndarray]:
-    """Row-by-row scalar reference of :func:`gf_matmul_vec`.
-
-    Kept for the equivalence test and the vectorisation speedup benchmark
-    (``benchmarks/bench_erasure.py``); production code uses
-    :func:`gf_matmul_vec`.
-    """
-    rows, cols = matrix.shape
-    if cols != len(shards):
-        raise ValueError(f"matrix has {cols} columns but {len(shards)} shards were given")
-    if not shards:
-        return [np.zeros(0, dtype=np.uint8) for _ in range(rows)]
-    length = len(shards[0])
-    outputs = []
-    for r in range(rows):
-        acc = np.zeros(length, dtype=np.uint8)
-        for c in range(cols):
-            coeff = int(matrix[r, c])
-            if coeff == 0:
-                continue
-            acc ^= gf_mul_bytes(coeff, shards[c])
-        outputs.append(acc)
-    return outputs
-
-
-def gf_matmul(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Multiply a ``(rows, cols)`` GF(2^8) matrix by a ``(cols, length)`` block.
-
-    The 2D form of :func:`gf_matmul_vec`: one table-lookup expression over
-    the whole block, no per-row dispatch.  ``EXP[L[r, c] + S[c, i]]`` is
-    XOR-reduced over the column axis (zero operands map to a sentinel log
-    whose sums index the zeroed tail of the extended exp table).  Used by
-    the erasure data path where the caller already holds the shards as a
-    single matrix (:func:`repro.erasure.striping.split_into_matrix`), so
-    encode is a single matmul over the parity rows and decode a single
-    matmul over the cached inverse.
-    """
-    rows, cols = matrix.shape
-    if block.shape[0] != cols:
+    if len(coefficients) != len(shards):
         raise ValueError(
-            f"matrix has {cols} columns but the shard block has {block.shape[0]} rows")
-    length = block.shape[1]
-    if rows == 0 or length == 0:
-        return np.zeros((rows, length), dtype=np.uint8)
-    coeffs = np.ascontiguousarray(matrix, dtype=np.uint8)
-    shard_block = np.asarray(block, dtype=np.uint8)
-    log_sum = _VLOG_TABLE[coeffs][:, :, None] + _VLOG_TABLE[shard_block][None, :, :]
-    return np.bitwise_xor.reduce(_VEXP_TABLE[log_sum], axis=1)
-
-
-def gf_matmul_vec(matrix: np.ndarray, shards: List[np.ndarray]) -> List[np.ndarray]:
-    """Multiply a GF(2^8) matrix by a "vector" of byte shards.
-
-    ``matrix`` has shape ``(rows, cols)``; ``shards`` is a list of ``cols``
-    equal-length ``uint8`` arrays.  Returns ``rows`` output arrays, each the
-    GF-linear combination of the shards with the matrix row as coefficients.
-    This is the workhorse of Reed-Solomon encoding and decoding.
-
-    Dense rows (two or more non-zero coefficients: the parity rows of a
-    systematic generator, every row of a decode matrix that mixes parity
-    fragments) are computed in a single table-lookup expression over the 2D
-    shard matrix: with ``L = log(matrix)`` broadcast against
-    ``S = log(shards)`` (zero operands mapped to a sentinel log whose sums
-    index the zeroed tail of the extended exp table), the 3D tensor
-    ``EXP[L[r, c] + S[c, i]]`` is XOR-reduced over the column axis.  No
-    Python-level loop or masking pass touches a byte.  Rows with at most
-    one non-zero coefficient (the identity part of a systematic generator)
-    reduce to a single scaled copy.  ``benchmarks/bench_erasure.py``
-    measures the speedup over the per-row/per-col reference.  Peak scratch
-    memory is ``~3 * dense_rows * cols * shard_len`` bytes (a few hundred
-    KiB for the [n, k] ranges the experiments use).
-    """
-    rows, cols = matrix.shape
-    if cols != len(shards):
-        raise ValueError(f"matrix has {cols} columns but {len(shards)} shards were given")
-    if not shards:
-        return [np.zeros(0, dtype=np.uint8) for _ in range(rows)]
-    coeffs = np.ascontiguousarray(matrix, dtype=np.uint8)
-    stacked = np.stack([np.asarray(shard, dtype=np.uint8) for shard in shards])
-    length = stacked.shape[1]
-    outputs: List[np.ndarray] = [None] * rows  # type: ignore[list-item]
-    nonzero_per_row = np.count_nonzero(coeffs, axis=1)
-    for r in np.flatnonzero(nonzero_per_row == 0):
-        outputs[r] = np.zeros(length, dtype=np.uint8)
-    for r in np.flatnonzero(nonzero_per_row == 1):
-        c = int(np.flatnonzero(coeffs[r])[0])
-        outputs[r] = gf_mul_bytes(int(coeffs[r, c]), stacked[c])
-    dense = np.flatnonzero(nonzero_per_row > 1)
-    if dense.size:
-        # (d, cols, 1) + (1, cols, length) -> (d, cols, length) log-sums.
-        log_sum = _VLOG_TABLE[coeffs[dense]][:, :, None] + _VLOG_TABLE[stacked][None, :, :]
-        reduced = np.bitwise_xor.reduce(_VEXP_TABLE[log_sum], axis=1)
-        for position, r in enumerate(dense):
-            outputs[r] = reduced[position]
-    return outputs
+            f"{len(coefficients)} coefficients for {len(shards)} shards")
+    if len({len(shard) for shard in shards}) > 1:
+        raise ValueError("shards must have equal lengths")
+    terms = [shard if c == 1 else shard.translate(_mul_table(c))
+             for c, shard in zip(coefficients, shards) if c != 0]
+    if not terms:
+        return bytes(len(shards[0])) if shards else b""
+    if len(terms) == 1:
+        return bytes(terms[0])
+    acc = np.frombuffer(terms[0], dtype=np.uint8) ^ np.frombuffer(terms[1], dtype=np.uint8)
+    for term in terms[2:]:
+        acc ^= np.frombuffer(term, dtype=np.uint8)
+    return acc.tobytes()

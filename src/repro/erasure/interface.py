@@ -64,7 +64,12 @@ class ErasureCode:
         raise NotImplementedError
 
     def encode_one(self, value: Value, index: int) -> CodedElement:
-        """Encode only the element for server ``index`` (convenience)."""
+        """The element for server ``index``, equal to ``encode(value)[index]``.
+
+        This default encodes all ``n`` elements to keep one; a code that can
+        compute a single element for less overrides it
+        (:class:`~repro.erasure.rs.ReedSolomonCode` does).
+        """
         return self.encode(value)[index]
 
     def decode(self, elements: Iterable[CodedElement]) -> Value:

@@ -1,23 +1,26 @@
 """Systematic Reed-Solomon ``[n, k]`` MDS code over GF(2^8).
 
-Encoding multiplies the ``k`` data shards by a systematic ``n x k`` generator
-matrix built from a Vandermonde matrix (:func:`repro.erasure.matrix.systematic_generator`);
-decoding inverts the ``k x k`` submatrix corresponding to the ``k`` surviving
-fragments.  Any ``k`` of the ``n`` coded elements reconstruct the value,
-which is exactly the MDS property the paper relies on.
+The generator is a systematic ``n x k`` matrix built from a Vandermonde
+matrix (:func:`repro.erasure.matrix.systematic_generator`); decoding inverts
+the ``k x k`` submatrix of the ``k`` surviving fragments.  Any ``k`` of the
+``n`` coded elements reconstruct the value, which is exactly the MDS
+property the paper relies on.
 
-The data path is allocation-lean:
+Everything that touches value bytes is ``bytes`` slicing plus one primitive,
+:func:`repro.erasure.gf256.gf_combine` (one output shard from one row of
+coefficients):
 
-* the payload is striped into a ``(k, shard_len)`` reshape *view* (no
-  per-shard copy; see :mod:`repro.erasure.striping`);
-* because the generator is systematic, the first ``k`` coded elements are
-  the data shards themselves and only the ``n - k`` parity rows go through
-  one dense GF matmul (:func:`repro.erasure.gf256.gf_matmul`);
-* decode inverses are memoised in a bounded LRU keyed by the sorted
-  surviving-index tuple -- TREAS reads repeatedly decode from the same
-  quorum, so after the first decode the Gauss-Jordan elimination disappears
-  from the hot path entirely (and the all-data-shards subset skips the
-  matmul too, since its decode matrix is the identity).
+* encode slices the ``k`` data elements out of the zero-padded payload (see
+  :mod:`repro.erasure.striping` for the padding rule) and combines once per
+  parity row, ``n - k`` times; :meth:`ReedSolomonCode.encode_one` computes
+  only the element asked for, which is a slice for a data index;
+* decode keeps every surviving data shard verbatim and combines once per
+  *missing* data shard, with the matching row of the inverse.  When all
+  ``k`` data shards survived no inverse is looked up at all;
+* decode inverses are memoised, as immutable rows, in a bounded LRU keyed by
+  the sorted surviving-index tuple -- TREAS reads repeatedly decode from the
+  same quorum, so after the first decode the Gauss-Jordan elimination
+  disappears from the hot path.
 
 This is the stand-in for pyeclib/liberasurecode in the original deployment;
 the storage and communication accounting (fragment size ``|v|/k``) is
@@ -34,10 +37,14 @@ import numpy as np
 from repro.common.errors import DecodeError
 from repro.common.lru import BoundedLRU
 from repro.common.values import Value
-from repro.erasure.gf256 import gf_matmul
+from repro.erasure.gf256 import gf_combine
 from repro.erasure.interface import CodedElement, ErasureCode
 from repro.erasure.matrix import matrix_invert, systematic_generator
-from repro.erasure.striping import join_matrix, split_into_matrix
+from repro.erasure.striping import shard_length
+
+#: A GF(2^8) matrix as immutable rows of Python ints, the form
+#: :func:`gf_combine` consumes and the decode cache can safely share.
+Rows = Tuple[Tuple[int, ...], ...]
 
 # Generator matrices only depend on (n, k); cache them across code instances
 # because deployments create one code object per configuration.
@@ -46,7 +53,7 @@ _GENERATOR_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
 #: Memoised decode matrices: ``(n, k, surviving indices) -> inverse``.
 #: Shared across code instances (the key pins the generator) and bounded so
 #: a sweep over many [n, k] settings cannot grow it without limit.
-_DECODE_CACHE: BoundedLRU[Tuple[int, int, Tuple[int, ...]], np.ndarray] = (
+_DECODE_CACHE: BoundedLRU[Tuple[int, int, Tuple[int, ...]], Rows] = (
     BoundedLRU(maxsize=256))
 
 
@@ -58,6 +65,11 @@ def decode_cache_info() -> Dict[str, int]:
 def decode_cache_clear() -> None:
     """Drop every memoised decode inverse and reset the counters."""
     _DECODE_CACHE.clear()
+
+
+def _as_rows(matrix: np.ndarray) -> Rows:
+    """Freeze a ``uint8`` matrix into tuples of Python ints."""
+    return tuple(tuple(row) for row in matrix.tolist())
 
 
 class ReedSolomonCode(ErasureCode):
@@ -85,37 +97,43 @@ class ReedSolomonCode(ErasureCode):
             _GENERATOR_CACHE[key] = systematic_generator(n, k)
         self.generator = _GENERATOR_CACHE[key]
         # The generator is systematic: rows [0, k) are the identity, so only
-        # the parity rows ever need a matmul.
-        self._parity_rows = self.generator[k:, :]
+        # the parity rows ever multiply anything.
+        self._parity_rows = _as_rows(self.generator[k:, :])
         self._identity_indices = tuple(range(k))
 
     # ---------------------------------------------------------------- encode
+    def _data_shards(self, payload: bytes) -> List[bytes]:
+        """The ``k`` data elements: equal slices of the zero-padded payload."""
+        length = shard_length(len(payload), self.k)
+        padded = payload.ljust(length * self.k, b"\0")
+        return [padded[i * length:(i + 1) * length] for i in range(self.k)]
+
     def encode(self, value: Value) -> List[CodedElement]:
         """Encode ``value`` into ``n`` coded elements ``Φ_1(v) ... Φ_n(v)``."""
-        block = split_into_matrix(value.payload, self.k)
+        data = self._data_shards(value.payload)
+        shards = data + [gf_combine(row, data) for row in self._parity_rows]
         size, label = value.size, value.label
-        elements = [
-            CodedElement(index=i, payload=block[i].tobytes(),
-                         original_size=size, label=label)
-            for i in range(self.k)
-        ]
-        if self.n > self.k:
-            parity = gf_matmul(self._parity_rows, block)
-            elements.extend(
-                CodedElement(index=self.k + j, payload=parity[j].tobytes(),
-                             original_size=size, label=label)
-                for j in range(self.n - self.k)
-            )
-        return elements
+        return [CodedElement(index=i, payload=shard, original_size=size, label=label)
+                for i, shard in enumerate(shards)]
+
+    def encode_one(self, value: Value, index: int) -> CodedElement:
+        """Encode only ``Φ_index(v)``: a slice for a data index, one row otherwise."""
+        index = range(self.n)[index]
+        shards = self._data_shards(value.payload)
+        payload = (shards[index] if index < self.k
+                   else gf_combine(self._parity_rows[index - self.k], shards))
+        return CodedElement(index=index, payload=payload,
+                            original_size=value.size, label=value.label)
 
     # ---------------------------------------------------------------- decode
-    def _decode_matrix(self, indices: Tuple[int, ...]) -> np.ndarray:
-        """The inverse of the generator rows at ``indices`` (memoised)."""
+    def _decode_matrix(self, indices: Tuple[int, ...]) -> Rows:
+        """The inverse of the generator rows at ``indices`` (memoised, immutable)."""
         key = (self.n, self.k, indices)
         cached = _DECODE_CACHE.get(key)
         if cached is not None:
             return cached
-        return _DECODE_CACHE.put(key, matrix_invert(self.generator[list(indices), :]))
+        return _DECODE_CACHE.put(
+            key, _as_rows(matrix_invert(self.generator[list(indices), :])))
 
     def decode(self, elements: Iterable[CodedElement]) -> Value:
         """Reconstruct the value from any ``k`` distinct coded elements."""
@@ -142,15 +160,20 @@ class ReedSolomonCode(ErasureCode):
                 f"fragments disagree on the original value size {sorted(original_sizes)}"
             )
         original_size = chosen[0].original_size
+        if shard_length(original_size, self.k) != chosen[0].size:
+            raise DecodeError(
+                f"{chosen[0].size}-byte fragments cannot belong to a "
+                f"{original_size}-byte value under [n={self.n}, k={self.k}]"
+            )
 
         indices = tuple(e.index for e in chosen)
-        fragments = np.stack(
-            [np.frombuffer(e.payload, dtype=np.uint8) for e in chosen])
-        if indices == self._identity_indices:
-            # All k data shards survived: the decode matrix is the identity.
-            block = fragments
-        else:
-            block = gf_matmul(self._decode_matrix(indices), fragments)
-        payload = join_matrix(block, original_size)
-        label = chosen[0].label
-        return Value(payload=payload, label=label)
+        shards = [e.payload for e in chosen]
+        if indices != self._identity_indices:
+            # Surviving data shards are taken verbatim (their inverse rows
+            # are unit vectors); only the missing ones are recomputed.
+            inverse = self._decode_matrix(indices)
+            held = dict(zip(indices, shards))
+            shards = [held[row] if row in held else gf_combine(inverse[row], shards)
+                      for row in range(self.k)]
+        payload = b"".join(shards)[:original_size]
+        return Value(payload=payload, label=chosen[0].label)

@@ -1,23 +1,16 @@
-"""Splitting byte strings into ``k`` equal shards.
+"""How a value is cut into ``k`` equal shards.
 
 Before Reed-Solomon encoding a value is divided into ``k`` data shards of
 equal length (the paper: "v is divided into k elements v_1 ... v_k with each
 element having size 1/k").  Values whose length is not a multiple of ``k``
-are padded with zero bytes; the original length travels with every coded
-element so decoding can strip the padding.
-
-Striping is zero-copy: :func:`split_into_matrix` wraps the payload bytes in
-a ``(k, shard_len)`` ``uint8`` view (one padded buffer is allocated only when
-the length is not a multiple of ``k``), and :func:`split_into_shards` returns
-the rows of that matrix as views.  Bytes are copied exactly once per
-encode/decode -- at the final ``tobytes`` serialisation.
+are padded with zero bytes up to ``k * shard_length``; the original length
+travels with every coded element so decoding can strip the padding, and a
+fragment whose length is not ``shard_length(original_size, k)`` is rejected.
+The slicing itself is plain ``bytes`` slicing in
+:class:`repro.erasure.rs.ReedSolomonCode`.
 """
 
 from __future__ import annotations
-
-from typing import List
-
-import numpy as np
 
 
 def shard_length(value_size: int, k: int) -> int:
@@ -27,58 +20,3 @@ def shard_length(value_size: int, k: int) -> int:
     if value_size == 0:
         return 0
     return -(-value_size // k)  # ceil division
-
-
-def split_into_matrix(payload: bytes, k: int) -> np.ndarray:
-    """View ``payload`` as a ``(k, shard_len)`` ``uint8`` matrix (zero padded).
-
-    When ``len(payload)`` is a positive multiple of ``k`` the result is a
-    read-only reshape view of the payload's own buffer -- no bytes are
-    copied.  Otherwise a single padded buffer is allocated and filled once.
-    """
-    length = shard_length(len(payload), k)
-    if length == 0:
-        return np.zeros((k, 0), dtype=np.uint8)
-    total = length * k
-    if len(payload) == total:
-        return np.frombuffer(payload, dtype=np.uint8).reshape(k, length)
-    padded = np.zeros(total, dtype=np.uint8)
-    padded[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-    return padded.reshape(k, length)
-
-
-def split_into_shards(payload: bytes, k: int) -> List[np.ndarray]:
-    """Split ``payload`` into ``k`` equal-length ``uint8`` arrays (zero padded).
-
-    The arrays are reshape *views* into one shared buffer (see
-    :func:`split_into_matrix`); treat them as read-only.
-    """
-    return list(split_into_matrix(payload, k))
-
-
-def join_matrix(block: np.ndarray, original_size: int) -> bytes:
-    """Serialise a ``(k, shard_len)`` data-shard matrix back into bytes.
-
-    The row-major serialisation *is* the concatenation of the shards, so no
-    intermediate concatenated array is built; when the padding is zero the
-    single ``tobytes`` copy is the whole cost, otherwise the trailing pad is
-    sliced off the serialised bytes.
-    """
-    if original_size == 0:
-        return b""
-    data = block.tobytes()
-    if len(data) == original_size:
-        return data
-    return data[:original_size]
-
-
-def join_shards(shards: List[np.ndarray], original_size: int) -> bytes:
-    """Concatenate data shards and strip padding back to ``original_size`` bytes."""
-    if not shards or original_size == 0:
-        return b""
-    total = sum(len(shard) for shard in shards)
-    if total == original_size:
-        # No padding: serialise shard-by-shard, skipping the concatenate+slice.
-        return b"".join(np.ascontiguousarray(shard).tobytes() for shard in shards)
-    joined = np.concatenate(shards)
-    return joined.tobytes()[:original_size]

@@ -1,8 +1,16 @@
-"""Unit and property-based tests for the erasure-coding substrate."""
+"""Unit and property-based tests for the erasure-coding substrate.
+
+The differential oracle for the data path lives here: :func:`oracle_combine`
+is a scalar double loop over :func:`gf_mul`, and :func:`oracle_encode` /
+:func:`oracle_decode` are the textbook generator-matrix and inverse-matrix
+products built on it.  Production code must agree with them byte for byte.
+"""
 
 from __future__ import annotations
 
 import itertools
+import random
+from typing import List, Sequence
 
 import numpy as np
 import pytest
@@ -13,10 +21,10 @@ from repro.common.values import Value
 from repro.erasure.gf256 import (
     FIELD_SIZE,
     gf_add,
+    gf_combine,
     gf_div,
     gf_inverse,
     gf_mul,
-    gf_mul_bytes,
     gf_pow,
 )
 from repro.erasure.matrix import (
@@ -26,14 +34,43 @@ from repro.erasure.matrix import (
     systematic_generator,
     vandermonde_matrix,
 )
+from repro.erasure.interface import CodedElement
 from repro.erasure.replication import ReplicationCode
 from repro.erasure.rs import (ReedSolomonCode, decode_cache_clear,
                               decode_cache_info)
-from repro.erasure.striping import (join_matrix, join_shards, shard_length,
-                                    split_into_matrix, split_into_shards)
+from repro.erasure.striping import shard_length
 
 field_elements = st.integers(0, 255)
 nonzero_elements = st.integers(1, 255)
+#: ``[n, k]`` with ``1 <= k <= min(n, 8)`` and ``n <= 12``.
+code_parameters = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, min(n, 8))))
+
+
+def oracle_combine(coefficients: Sequence[int], shards: Sequence[bytes]) -> bytes:
+    """``out[i] = XOR_c coefficients[c] * shards[c][i]``, one scalar at a time."""
+    out = bytearray(len(shards[0]) if shards else 0)
+    for coefficient, shard in zip(coefficients, shards):
+        for position, byte in enumerate(shard):
+            out[position] ^= gf_mul(int(coefficient), byte)
+    return bytes(out)
+
+
+def oracle_encode(n: int, k: int, payload: bytes) -> List[bytes]:
+    """All ``n`` fragments: generator matrix times the zero-padded data shards."""
+    length = shard_length(len(payload), k)
+    padded = payload + bytes(length * k - len(payload))
+    data = [padded[i * length:(i + 1) * length] for i in range(k)]
+    return [oracle_combine(row, data) for row in systematic_generator(n, k)]
+
+
+def oracle_decode(n: int, k: int, fragments: Sequence[CodedElement]) -> bytes:
+    """The full inverse-matrix product over ``k`` fragments, padding stripped."""
+    indices = [fragment.index for fragment in fragments]
+    inverse = matrix_invert(systematic_generator(n, k)[indices, :])
+    payloads = [fragment.payload for fragment in fragments]
+    data = b"".join(oracle_combine(row, payloads) for row in inverse)
+    return data[: fragments[0].original_size]
 
 
 class TestGF256:
@@ -77,11 +114,28 @@ class TestGF256:
         assert gf_pow(a, exponent) == expected
 
     @given(field_elements, st.binary(min_size=0, max_size=64))
-    def test_vectorised_multiplication_matches_scalar(self, scalar, data):
-        array = np.frombuffer(data, dtype=np.uint8).copy()
-        vectorised = gf_mul_bytes(scalar, array)
-        scalarised = np.array([gf_mul(scalar, int(x)) for x in array], dtype=np.uint8)
-        assert np.array_equal(vectorised, scalarised)
+    def test_table_multiplication_matches_scalar(self, scalar, data):
+        assert gf_combine([scalar], [data]) == bytes(gf_mul(scalar, x) for x in data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(field_elements, st.binary(min_size=17, max_size=17)),
+                    min_size=0, max_size=8))
+    def test_combine_matches_oracle(self, terms):
+        coefficients = [c for c, _ in terms]
+        shards = [shard for _, shard in terms]
+        assert gf_combine(coefficients, shards) == oracle_combine(coefficients, shards)
+
+    def test_combine_rejects_malformed_input(self):
+        with pytest.raises(ValueError):
+            gf_combine([1, 2], [b"ab"])
+        with pytest.raises(ValueError):
+            gf_combine([1, 2], [b"ab", b"abc"])
+
+    def test_combine_never_aliases_mutable_input(self):
+        shard = bytearray(b"abc")
+        out = gf_combine([1], [shard])
+        shard[0] = 0
+        assert out == b"abc" and type(out) is bytes
 
 
 class TestMatrices:
@@ -127,61 +181,44 @@ class TestStriping:
         with pytest.raises(ValueError):
             shard_length(10, 0)
 
+    # The padding rule, observed through encode/decode: the k data fragments
+    # are equal slices of the zero-padded payload and decode strips the pad.
+    @staticmethod
+    def _round_trip(payload: bytes, k: int) -> List[bytes]:
+        code = ReedSolomonCode(k + 2, k)
+        elements = code.encode(Value(payload=payload, label="pad"))
+        shards = [element.payload for element in elements[:k]]
+        length = shard_length(len(payload), k)
+        assert [len(shard) for shard in shards] == [length] * k
+        assert all(element.size == length for element in elements)
+        assert b"".join(shards) == payload + bytes(k * length - len(payload))
+        assert code.decode(elements[:k]).payload == payload
+        assert code.decode(elements[2:]).payload == payload
+        return shards
+
     @given(st.binary(min_size=0, max_size=200), st.integers(1, 8))
     def test_split_join_round_trip(self, payload, k):
-        shards = split_into_shards(payload, k)
-        assert len(shards) == k
-        assert len({len(s) for s in shards}) <= 1
-        assert join_shards(shards, len(payload)) == payload
+        self._round_trip(payload, k)
 
-    # ------------------------------------------------- zero-copy guarantees
-    def test_split_returns_views_not_copies(self):
-        # Multiple-of-k payload: rows are reshape views of the payload bytes.
-        payload = bytes(range(12))
-        shards = split_into_shards(payload, 3)
-        assert all(shard.base is not None for shard in shards)
-        base = split_into_matrix(payload, 3)
-        assert base.base is not None  # view of the frombuffer wrapper
-
-    def test_split_with_padding_shares_one_buffer(self):
-        shards = split_into_shards(b"0123456789", 3)  # 10 bytes, pad to 12
-        bases = {id(shard.base) for shard in shards}
-        assert len(bases) == 1  # all rows view the single padded buffer
-
-    @given(st.binary(min_size=0, max_size=100), st.integers(1, 7))
-    def test_matrix_and_shards_agree(self, payload, k):
-        block = split_into_matrix(payload, k)
-        shards = split_into_shards(payload, k)
-        assert block.shape == (k, shard_length(len(payload), k))
-        assert all(np.array_equal(block[i], shards[i]) for i in range(k))
-        assert join_matrix(block, len(payload)) == payload
-
-    # ------------------------------------------------ round-trip edge cases
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_empty_payload_round_trip(self, k):
-        shards = split_into_shards(b"", k)
-        assert len(shards) == k and all(len(shard) == 0 for shard in shards)
-        assert join_shards(shards, 0) == b""
-        assert join_matrix(split_into_matrix(b"", k), 0) == b""
+        assert self._round_trip(b"", k) == [b""] * k
 
     @given(st.integers(2, 9), st.data())
     def test_payload_shorter_than_k(self, k, data):
         payload = data.draw(st.binary(min_size=1, max_size=k - 1))
-        shards = split_into_shards(payload, k)
+        shards = self._round_trip(payload, k)
         assert all(len(shard) == 1 for shard in shards)
-        assert join_shards(shards, len(payload)) == payload
 
     @given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 200))
     def test_non_multiple_of_k_round_trip(self, k, remainder, scale):
         size = k * scale + (remainder % k if k > 1 else 0)
-        payload = bytes(i % 251 for i in range(size))
-        assert join_shards(split_into_shards(payload, k), size) == payload
+        self._round_trip(bytes(i % 251 for i in range(size)), k)
 
     @given(st.integers(1, 8), st.integers(1, 200))
-    def test_zero_padding_join_skips_concatenate(self, k, scale):
-        # Exact multiples exercise the padding-free join path.
+    def test_exact_multiple_of_k_has_no_padding(self, k, scale):
         payload = bytes(i % 256 for i in range(k * scale))
-        assert join_shards(split_into_shards(payload, k), len(payload)) == payload
+        assert b"".join(self._round_trip(payload, k)) == payload
 
 
 class TestReedSolomon:
@@ -263,6 +300,73 @@ class TestReedSolomon:
         assert ReedSolomonCode(5, 3).parameters() == {"n": 5, "k": 3}
 
 
+class TestOracleEquivalence:
+    """``encode`` / ``encode_one`` / ``decode`` against the scalar oracle."""
+
+    @staticmethod
+    def _payload(size: int, seed: int = 0) -> bytes:
+        return random.Random(seed).randbytes(size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(code_parameters, st.binary(min_size=0, max_size=96))
+    def test_encode_is_byte_identical(self, parameters, payload):
+        n, k = parameters
+        elements = ReedSolomonCode(n, k).encode(Value(payload=payload, label="eq"))
+        assert [e.index for e in elements] == list(range(n))
+        assert all(e.original_size == len(payload) and e.label == "eq"
+                   for e in elements)
+        assert [e.payload for e in elements] == oracle_encode(n, k, payload)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (6, 4), (12, 8)])
+    def test_encode_edge_lengths(self, n, k):
+        code = ReedSolomonCode(n, k)
+        for size in sorted({0, 1, max(k - 1, 0), k, k + 1, 7 * k + 3}):
+            payload = self._payload(size, seed=size)
+            fragments = [e.payload for e in code.encode(Value(payload=payload))]
+            assert fragments == oracle_encode(n, k, payload), size
+
+    @pytest.mark.parametrize("n,k", [(6, 4), (12, 8)])
+    def test_encode_64_kib(self, n, k):
+        payload = self._payload(64 * 1024)
+        fragments = [e.payload for e in ReedSolomonCode(n, k).encode(Value(payload=payload))]
+        assert fragments == oracle_encode(n, k, payload)
+
+    @settings(max_examples=40, deadline=None)
+    @given(code_parameters, st.binary(min_size=0, max_size=96))
+    def test_encode_one_equals_encode(self, parameters, payload):
+        n, k = parameters
+        code = ReedSolomonCode(n, k)
+        value = Value(payload=payload, label="one")
+        assert [code.encode_one(value, i) for i in range(n)] == code.encode(value)
+
+    def test_encode_one_rejects_out_of_range_index(self):
+        code = ReedSolomonCode(6, 4)
+        with pytest.raises(IndexError):
+            code.encode_one(Value.of_size(10), 6)
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 4, 1023, 4096])
+    def test_every_subset_of_6_4_decodes_cold_and_warm(self, size):
+        n, k = 6, 4
+        code = ReedSolomonCode(n, k)
+        payload = self._payload(size, seed=size)
+        elements = code.encode(Value(payload=payload, label="sub"))
+        for subset in itertools.combinations(elements, k):
+            decode_cache_clear()
+            cold = code.decode(subset)
+            warm = code.decode(subset)
+            assert cold.payload == warm.payload == payload
+            assert oracle_decode(n, k, subset) == payload
+            assert cold.label == "sub"
+
+    def test_one_missing_shard_of_64_kib_decodes(self):
+        code = ReedSolomonCode(6, 4)
+        payload = self._payload(64 * 1024, seed=1)
+        elements = code.encode(Value(payload=payload))
+        for lost in range(4):
+            survivors = [e for e in elements if e.index != lost][:4]
+            assert code.decode(survivors).payload == payload
+
+
 class TestDecodeInverseCache:
     @pytest.fixture(autouse=True)
     def _fresh_cache(self):
@@ -274,23 +378,15 @@ class TestDecodeInverseCache:
         """Every survivor subset decodes identically with and without the cache.
 
         The uncached reference inverts the submatrix from scratch per call
-        (exactly the pre-cache code path); the cached path must return
-        byte-identical payloads for every subset, cold and warm.
+        and multiplies it out with the scalar oracle; the cached path must
+        return byte-identical payloads for every subset, cold and warm.
         """
-        from repro.erasure.gf256 import gf_matmul
-        from repro.erasure.matrix import matrix_invert
-
         n, k = 6, 4
         code = ReedSolomonCode(n, k)
         value = Value(payload=bytes(range(256)) * 3 + b"tail", label="diff")
         elements = code.encode(value)
         for subset in itertools.combinations(elements, k):
-            indices = [e.index for e in subset]
-            # Uncached reference decode.
-            inverse = matrix_invert(code.generator[indices, :])
-            fragments = np.stack(
-                [np.frombuffer(e.payload, dtype=np.uint8) for e in subset])
-            reference = gf_matmul(inverse, fragments).tobytes()[: value.size]
+            reference = oracle_decode(n, k, subset)
             # Cached decode, cold then warm.
             assert code.decode(subset).payload == reference == value.payload
             assert code.decode(subset).payload == reference
@@ -355,6 +451,23 @@ class TestDecodeInverseCache:
         info = decode_cache_info()
         assert info == {"hits": 0, "misses": 0, "size": 0,
                         "maxsize": info["maxsize"]}
+
+    def test_cached_inverse_cannot_be_mutated(self):
+        # One object serves every later decode of this survivor set, so it
+        # must not be editable through what _decode_matrix hands out.
+        code = ReedSolomonCode(6, 4)
+        value = Value.of_size(64, label="x")
+        survivors = code.encode(value)[2:]
+        inverse = code._decode_matrix((2, 3, 4, 5))
+        assert isinstance(inverse, tuple)
+        assert all(isinstance(row, tuple) for row in inverse)
+        assert all(type(c) is int for row in inverse for c in row)
+        with pytest.raises(TypeError):
+            inverse[0][0] ^= 1
+        with pytest.raises(TypeError):
+            inverse[0] = inverse[1]
+        assert code._decode_matrix((2, 3, 4, 5)) is inverse
+        assert code.decode(survivors).payload == value.payload
 
 
 class TestReplication:

@@ -73,6 +73,40 @@ class TestDecodeErrorPaths:
         with pytest.raises(DecodeError, match="disagree on the original value size"):
             code.decode([bad, *elements[1:4]])
 
+    def test_overstated_original_size_rejected(self, code):
+        # Four 10-byte fragments can only carry a 37..40-byte value; the
+        # parent accepted the relabelling and returned a 40-byte Value.
+        fragments = code.encode(Value.of_size(40, label="v"))
+        assert {f.size for f in fragments} == {10}
+        relabelled = [dataclasses.replace(f, original_size=1000) for f in fragments]
+        for subset in (relabelled[:4], relabelled[2:]):
+            with pytest.raises(DecodeError, match="cannot belong"):
+                code.decode(subset)
+
+    def test_understated_original_size_rejected(self, code):
+        # ... and original_size=3 silently truncated the value to 3 bytes.
+        fragments = code.encode(Value.of_size(40, label="v"))
+        relabelled = [dataclasses.replace(f, original_size=3) for f in fragments]
+        for subset in (relabelled[:4], relabelled[2:]):
+            with pytest.raises(DecodeError, match="cannot belong"):
+                code.decode(subset)
+
+    @pytest.mark.parametrize("original_size", [37, 38, 39, 40])
+    def test_every_size_the_fragments_can_carry_is_accepted(self, code, original_size):
+        value = Value.of_size(original_size, label="v")
+        fragments = code.encode(value)
+        assert {f.size for f in fragments} == {10}
+        assert code.decode(fragments[2:]).payload == value.payload
+
+    def test_empty_value_still_decodes(self, code):
+        fragments = code.encode(Value(payload=b"", label="empty"))
+        assert {(f.size, f.original_size) for f in fragments} == {(0, 0)}
+        for subset in (fragments[:4], fragments[2:]):
+            assert code.decode(subset).payload == b""
+        nonempty = [dataclasses.replace(f, original_size=1) for f in fragments]
+        with pytest.raises(DecodeError, match="cannot belong"):
+            code.decode(nonempty[:4])
+
     def test_mixed_parity_and_data_fragments_with_bad_index(self, code, elements):
         # A parity fragment whose index was corrupted into the valid range
         # but duplicates another fragment's index reduces the distinct count.

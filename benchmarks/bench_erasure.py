@@ -91,7 +91,7 @@ def test_throughput_across_value_sizes(benchmark, quick):
          "decode, parity-heavy", "kernel (1 dense row)", "decode cache hit rate"],
     )
     rng = random.Random(0)
-    dense_row = code.generator[k].tolist()      # first parity row: k translates
+    dense_row = code.generator[k]               # first parity row: k translates
     assert 0 not in dense_row and 1 not in dense_row
     for size in sizes:
         value = Value(payload=rng.randbytes(size), label="bench")

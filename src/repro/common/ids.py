@@ -10,7 +10,7 @@ dictionary keys throughout the protocol stack.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import weakref
 from typing import Any
 
 
@@ -28,8 +28,56 @@ class Role(enum.Enum):
         return self in (Role.WRITER, Role.READER, Role.RECONFIGURER)
 
 
-@dataclass(frozen=True, order=True)
-class ProcessId:
+class _InternedId:
+    """What the two identifier classes share: immutability and ordering.
+
+    Each subclass hands out **one object per key** from a weak-valued intern
+    table in ``__new__`` and rebuilds through its constructor on unpickle,
+    ``copy`` and ``deepcopy`` (``__reduce__``), so two identifiers are equal
+    exactly when they are the same object.  Neither equality nor hashing
+    is overridden: both are ``object``'s, and every dict or set probe
+    keyed by an identifier -- several per simulated message -- runs
+    entirely in C.  The numeric hash is therefore an address and differs
+    from run to run; nothing may depend on it (iterate dicts, which keep
+    insertion order, or ``sorted()`` sets of identifiers).
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __lt__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key < other.sort_key
+
+    def __le__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key <= other.sort_key
+
+    def __gt__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key > other.sort_key
+
+    def __ge__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key >= other.sort_key
+
+    def __str__(self) -> str:
+        return self.name
+
+
+_PROCESS_IDS: "weakref.WeakValueDictionary[tuple, ProcessId]" = weakref.WeakValueDictionary()
+_CONFIG_IDS: "weakref.WeakValueDictionary[str, ConfigId]" = weakref.WeakValueDictionary()
+
+
+class ProcessId(_InternedId):
     """Globally unique identifier of a process.
 
     Ordering is (role-name, index) which gives writers a deterministic total
@@ -42,33 +90,32 @@ class ProcessId:
         The :class:`Role` the process plays.
     index:
         A small integer distinguishing processes of the same role.
+    sort_key:
+        ``(role.value, index)``, the ordering key (also embedded in tags).
+    name:
+        Short human-readable name, e.g. ``writer-0`` or ``server-3``.
     """
 
-    sort_key: tuple = field(init=False, repr=False, compare=True)
-    role: Role = field(compare=False)
-    index: int = field(compare=False)
-    # Identifiers are used as dictionary keys (process registries, traffic
-    # accounting, quorum dedup) on every message of every execution, so the
-    # hash and display name are computed once at construction.  The hash
-    # basis is unchanged, keeping set/dict layouts identical to older builds.
-    _hash: int = field(init=False, repr=False, compare=False)
-    _name: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("role", "index", "sort_key", "name")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sort_key", (self.role.value, self.index))
-        object.__setattr__(self, "_hash", hash((self.role, self.index)))
-        object.__setattr__(self, "_name", f"{self.role.value}-{self.index}")
+    def __new__(cls, role: Role, index: int) -> "ProcessId":
+        key = (role, index)
+        self = _PROCESS_IDS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            set_slot = object.__setattr__
+            set_slot(self, "role", role)
+            set_slot(self, "index", index)
+            set_slot(self, "sort_key", (role.value, index))
+            set_slot(self, "name", f"{role.value}-{index}")
+            _PROCESS_IDS[key] = self    # last: never a half-built identifier
+        return self
 
-    @property
-    def name(self) -> str:
-        """Short human-readable name, e.g. ``writer-0`` or ``server-3``."""
-        return self._name
+    def __reduce__(self) -> tuple:
+        return ProcessId, (self.role, self.index)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self._name
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __repr__(self) -> str:
+        return f"ProcessId(role={self.role!r}, index={self.index!r})"
 
 
 def writer_id(index: int) -> ProcessId:
@@ -91,27 +138,30 @@ def server_id(index: int) -> ProcessId:
     return ProcessId(role=Role.SERVER, index=index)
 
 
-@dataclass(frozen=True, order=True)
-class ConfigId:
+class ConfigId(_InternedId):
     """Unique identifier of a configuration (an element of the set ``C``).
 
     Configuration identifiers need only be unique and hashable; a total order
-    is provided for determinism of data structures, it carries no protocol
-    meaning.
+    (by ``name``) is provided for determinism of data structures, it carries
+    no protocol meaning.
     """
 
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "sort_key")
 
-    def __post_init__(self) -> None:
-        # Same basis as the dataclass-generated hash (the compare fields).
-        object.__setattr__(self, "_hash", hash((self.name,)))
+    def __new__(cls, name: str) -> "ConfigId":
+        self = _CONFIG_IDS.get(name)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "name", name)
+            object.__setattr__(self, "sort_key", name)
+            _CONFIG_IDS[name] = self
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:
+        return ConfigId, (self.name,)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
+    def __repr__(self) -> str:
+        return f"ConfigId(name={self.name!r})"
 
 
 def config_id(index: int) -> ConfigId:

@@ -52,8 +52,6 @@ class TreasTransferServerState(TreasServerState):
     configuration it collects forwarded elements in ``D`` and re-encodes.
     """
 
-    HANDLED_KINDS = TreasServerState.HANDLED_KINDS + (MD_BCAST_REQ_FW, FWD_CODE_ELEM)
-
     def __init__(self, configuration: Configuration, server_pid: ProcessId) -> None:
         super().__init__(configuration, server_pid)
         #: ``D``: buffered foreign coded elements per (reconfigurer, tag).

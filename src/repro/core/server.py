@@ -62,7 +62,10 @@ CONFIRM_CONFIG = "ARES-CONFIRM-CONFIG"
 #: a tombstone redirect to the finalized successor.
 RETIRE_CONFIG = "ARES-RETIRE-CONFIG"
 
-_PAXOS_KINDS = (PREPARE, ACCEPT, DECIDED)
+#: Kinds the server answers itself (``nextC``, retirement, Paxos); any other
+#: kind belongs to the DAP state of the configuration the message names.
+_CONTROL_KINDS = frozenset({READ_CONFIG, WRITE_CONFIG, CONFIRM_CONFIG,
+                            RETIRE_CONFIG, PREPARE, ACCEPT, DECIDED})
 
 #: Factory signature for per-configuration DAP server state.
 DapStateFactory = Callable[[Configuration, ProcessId], DapServerState]
@@ -134,22 +137,20 @@ class AresServer(Process):
                                          nack=True, error=reason))
                 return
         kind = message.kind
-        if kind == READ_CONFIG:
+        if kind not in _CONTROL_KINDS:
+            # Everything else is addressed to a DAP state -- half of every
+            # operation's messages, so it is routed with one set probe.
+            self._on_dap(src, message)
+        elif kind == READ_CONFIG:
             self._on_read_config(src, message)
-            return
-        if kind == WRITE_CONFIG:
+        elif kind == WRITE_CONFIG:
             self._on_write_config(src, message)
-            return
-        if kind == CONFIRM_CONFIG:
+        elif kind == CONFIRM_CONFIG:
             self._on_confirm_config(src, message)
-            return
-        if kind == RETIRE_CONFIG:
+        elif kind == RETIRE_CONFIG:
             self._on_retire_config(src, message)
-            return
-        if kind in _PAXOS_KINDS:
+        else:
             self._on_paxos(src, message)
-            return
-        self._on_dap(src, message)
 
     # ----------------------------------------------------- nextC (Algorithm 6)
     def _on_read_config(self, src: ProcessId, message: Message) -> None:
@@ -237,14 +238,18 @@ class AresServer(Process):
     # ------------------------------------------------------------------ DAP
     def _on_dap(self, src: ProcessId, message: Message) -> None:
         cfg_id = message.config_id
-        if cfg_id is None:
-            return
-        if cfg_id in self.retired:
-            self._refuse_retired(src, message)
-            return
-        state = self.dap_state_for(cfg_id)
-        if state is None or not state.handles(message.kind):
-            return
+        # An instantiated state is never retired (retirement pops it and
+        # dap_state_for never resurrects one), so a hit needs no other probe.
+        state = self.dap_states.get(cfg_id)
+        if state is None:
+            if cfg_id is None:
+                return
+            if cfg_id in self.retired:
+                self._refuse_retired(src, message)
+                return
+            state = self.dap_state_for(cfg_id)
+            if state is None:
+                return
         response = state.handle(src, message)
         if response is not None:
             self.send(src, response)

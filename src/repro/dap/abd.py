@@ -88,8 +88,6 @@ class AbdDapClient(DapClient):
 class AbdServerState(DapServerState):
     """Per-configuration server state: one ``(tag, value)`` pair."""
 
-    HANDLED_KINDS = (QUERY_TAG, QUERY_DATA, WRITE)
-
     def __init__(self, configuration: Configuration, server_pid: ProcessId) -> None:
         super().__init__(configuration, server_pid)
         self.tag: Tag = BOTTOM_TAG

@@ -77,15 +77,12 @@ class DapServerState:
         """Attach the owning server process (called at state creation time)."""
         self.server = server
 
-    #: Message kinds this state component consumes.
-    HANDLED_KINDS: tuple = ()
-
-    def handles(self, kind: str) -> bool:
-        """Whether ``kind`` belongs to this DAP's protocol."""
-        return kind in self.HANDLED_KINDS
-
     def handle(self, src: ProcessId, message: Message) -> Optional[Message]:
-        """Process a request and return the reply to send (or ``None``)."""
+        """Process a request and return the reply to send, or ``None``.
+
+        ``None`` is also the answer to any kind that is not of this DAP's
+        protocol: servers hand over whatever names the configuration.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------ accounting

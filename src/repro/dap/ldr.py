@@ -147,8 +147,6 @@ class LdrServerState(DapServerState):
     either role so tests can exercise overlapping layouts too).
     """
 
-    HANDLED_KINDS = (QUERY_TAG_LOCATION, PUT_METADATA, PUT_DATA, GET_DATA)
-
     def __init__(self, configuration: Configuration, server_pid: ProcessId) -> None:
         super().__init__(configuration, server_pid)
         self.is_directory = server_pid in configuration.ldr_directories

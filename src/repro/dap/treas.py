@@ -146,8 +146,6 @@ class TreasDapClient(DapClient):
 class TreasServerState(DapServerState):
     """Per-configuration server state: the bounded ``List`` variable."""
 
-    HANDLED_KINDS = (QUERY_TAG, QUERY_LIST, PUT_DATA)
-
     def __init__(self, configuration: Configuration, server_pid: ProcessId) -> None:
         super().__init__(configuration, server_pid)
         index = configuration.server_index(server_pid)

@@ -14,6 +14,10 @@ table (built on first use, at most 255 tables), and the products are
 XOR-accumulated as numpy ``uint8`` views.  Coefficient 0 contributes
 nothing and coefficient 1 contributes the shard itself, so the identity
 rows of a systematic code cost no field arithmetic at all.
+
+That XOR is the package's only use of numpy, which is therefore imported
+by the first :func:`gf_combine` call that has two terms to add, not with
+the module: a process that never runs Reed-Solomon never loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-import numpy as np
+#: numpy, bound once by the first :func:`gf_combine` that needs it.
+np = None
 
 #: The primitive polynomial x^8 + x^4 + x^3 + x^2 + 1.
 PRIMITIVE_POLY = 0x11D
@@ -48,9 +53,7 @@ def _build_tables() -> tuple:
     return exp, log
 
 
-_EXP_LIST, _LOG_LIST = _build_tables()
-EXP_TABLE = np.array(_EXP_LIST, dtype=np.uint8)
-LOG_TABLE = np.array(_LOG_LIST, dtype=np.int32)
+EXP_TABLE, LOG_TABLE = _build_tables()
 
 
 def gf_add(a: int, b: int) -> int:
@@ -67,7 +70,7 @@ def gf_mul(a: int, b: int) -> int:
     """Multiplication in GF(2^8) via log tables."""
     if a == 0 or b == 0:
         return 0
-    return int(EXP_TABLE[int(LOG_TABLE[a]) + int(LOG_TABLE[b])])
+    return EXP_TABLE[LOG_TABLE[a] + LOG_TABLE[b]]
 
 
 def gf_div(a: int, b: int) -> int:
@@ -76,7 +79,7 @@ def gf_div(a: int, b: int) -> int:
         raise ZeroDivisionError("division by zero in GF(2^8)")
     if a == 0:
         return 0
-    return int(EXP_TABLE[(int(LOG_TABLE[a]) - int(LOG_TABLE[b])) % (FIELD_SIZE - 1)])
+    return EXP_TABLE[(LOG_TABLE[a] - LOG_TABLE[b]) % (FIELD_SIZE - 1)]
 
 
 def gf_pow(a: int, power: int) -> int:
@@ -85,22 +88,21 @@ def gf_pow(a: int, power: int) -> int:
         return 1
     if a == 0:
         return 0
-    log_a = int(LOG_TABLE[a])
-    return int(EXP_TABLE[(log_a * power) % (FIELD_SIZE - 1)])
+    return EXP_TABLE[(LOG_TABLE[a] * power) % (FIELD_SIZE - 1)]
 
 
 def gf_inverse(a: int) -> int:
     """Multiplicative inverse of ``a``; raises for ``a == 0``."""
     if a == 0:
         raise ZeroDivisionError("zero has no inverse in GF(2^8)")
-    return int(EXP_TABLE[(FIELD_SIZE - 1) - int(LOG_TABLE[a])])
+    return EXP_TABLE[(FIELD_SIZE - 1) - LOG_TABLE[a]]
 
 
 @functools.lru_cache(maxsize=None)
 def _mul_table(coefficient: int) -> bytes:
     """The ``bytes.translate`` table ``x -> coefficient * x`` (``coefficient != 0``)."""
-    log_c = _LOG_LIST[coefficient]
-    return bytes([0] + [_EXP_LIST[log_c + _LOG_LIST[x]] for x in range(1, FIELD_SIZE)])
+    log_c = LOG_TABLE[coefficient]
+    return bytes([0] + [EXP_TABLE[log_c + LOG_TABLE[x]] for x in range(1, FIELD_SIZE)])
 
 
 def gf_combine(coefficients: Sequence[int], shards: Sequence[bytes]) -> bytes:
@@ -125,6 +127,9 @@ def gf_combine(coefficients: Sequence[int], shards: Sequence[bytes]) -> bytes:
         return bytes(len(shards[0])) if shards else b""
     if len(terms) == 1:
         return bytes(terms[0])
+    global np
+    if np is None:
+        import numpy as np
     acc = np.frombuffer(terms[0], dtype=np.uint8) ^ np.frombuffer(terms[1], dtype=np.uint8)
     for term in terms[2:]:
         acc ^= np.frombuffer(term, dtype=np.uint8)

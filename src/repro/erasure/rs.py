@@ -32,28 +32,22 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-import numpy as np
-
 from repro.common.errors import DecodeError
 from repro.common.lru import BoundedLRU
 from repro.common.values import Value
 from repro.erasure.gf256 import gf_combine
 from repro.erasure.interface import CodedElement, ErasureCode
-from repro.erasure.matrix import matrix_invert, systematic_generator
+from repro.erasure.matrix import Matrix, matrix_invert, systematic_generator
 from repro.erasure.striping import shard_length
-
-#: A GF(2^8) matrix as immutable rows of Python ints, the form
-#: :func:`gf_combine` consumes and the decode cache can safely share.
-Rows = Tuple[Tuple[int, ...], ...]
 
 # Generator matrices only depend on (n, k); cache them across code instances
 # because deployments create one code object per configuration.
-_GENERATOR_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
+_GENERATOR_CACHE: Dict[Tuple[int, int], Matrix] = {}
 
 #: Memoised decode matrices: ``(n, k, surviving indices) -> inverse``.
 #: Shared across code instances (the key pins the generator) and bounded so
 #: a sweep over many [n, k] settings cannot grow it without limit.
-_DECODE_CACHE: BoundedLRU[Tuple[int, int, Tuple[int, ...]], Rows] = (
+_DECODE_CACHE: BoundedLRU[Tuple[int, int, Tuple[int, ...]], Matrix] = (
     BoundedLRU(maxsize=256))
 
 
@@ -65,11 +59,6 @@ def decode_cache_info() -> Dict[str, int]:
 def decode_cache_clear() -> None:
     """Drop every memoised decode inverse and reset the counters."""
     _DECODE_CACHE.clear()
-
-
-def _as_rows(matrix: np.ndarray) -> Rows:
-    """Freeze a ``uint8`` matrix into tuples of Python ints."""
-    return tuple(tuple(row) for row in matrix.tolist())
 
 
 class ReedSolomonCode(ErasureCode):
@@ -98,7 +87,7 @@ class ReedSolomonCode(ErasureCode):
         self.generator = _GENERATOR_CACHE[key]
         # The generator is systematic: rows [0, k) are the identity, so only
         # the parity rows ever multiply anything.
-        self._parity_rows = _as_rows(self.generator[k:, :])
+        self._parity_rows = self.generator[k:]
         self._identity_indices = tuple(range(k))
 
     # ---------------------------------------------------------------- encode
@@ -126,14 +115,14 @@ class ReedSolomonCode(ErasureCode):
                             original_size=value.size, label=value.label)
 
     # ---------------------------------------------------------------- decode
-    def _decode_matrix(self, indices: Tuple[int, ...]) -> Rows:
+    def _decode_matrix(self, indices: Tuple[int, ...]) -> Matrix:
         """The inverse of the generator rows at ``indices`` (memoised, immutable)."""
         key = (self.n, self.k, indices)
         cached = _DECODE_CACHE.get(key)
         if cached is not None:
             return cached
         return _DECODE_CACHE.put(
-            key, _as_rows(matrix_invert(self.generator[list(indices), :])))
+            key, matrix_invert([self.generator[index] for index in indices]))
 
     def decode(self, elements: Iterable[CodedElement]) -> Value:
         """Reconstruct the value from any ``k`` distinct coded elements."""

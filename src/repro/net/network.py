@@ -88,11 +88,15 @@ class Network:
         process = self.processes.get(pid)
         return process is None or process.crashed
 
-    def alive(self, pids: Iterable[ProcessId]) -> List[ProcessId]:
-        """Filter ``pids`` down to those that are registered and not crashed."""
+    def alive_count(self, pids: Iterable[ProcessId]) -> int:
+        """How many of ``pids`` are registered and not crashed."""
         processes = self.processes
-        return [pid for pid in pids
-                if (process := processes.get(pid)) is not None and not process.crashed]
+        count = 0
+        for pid in pids:
+            process = processes.get(pid)
+            if process is not None and not process.crashed:
+                count += 1
+        return count
 
     # ------------------------------------------------------------ fault hooks
     def _refresh_quiet(self) -> None:

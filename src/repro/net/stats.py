@@ -110,7 +110,8 @@ class TrafficStats:
         row[2] += metadata_bytes
         scopes = self._scopes
         if scopes:
-            for owner in (src, dest):
+            # A self-addressed message is one message to its owner's scopes.
+            for owner in (src, dest) if src != dest else (src,):
                 for scope in scopes.get(owner, ()):
                     scope.record.add(data_bytes, metadata_bytes)
 

@@ -40,8 +40,6 @@ class RegisterServer(Process):
         self.dap_state.bind(self)
 
     def on_message(self, src: ProcessId, message: Message) -> None:
-        if not self.dap_state.handles(message.kind):
-            return
         response = self.dap_state.handle(src, message)
         if response is not None:
             self.send(src, response)

@@ -310,7 +310,7 @@ class Process:
         gather = QuorumFuture(self.sim, threshold=threshold,
                               label=f"{self.pid}:{label}#{request_id}",
                               expected=len(servers))
-        alive = len(self.network.alive(servers))
+        alive = self.network.alive_count(servers)
         if alive < threshold:
             raise QuorumUnavailableError(
                 f"{self.pid}: {label} needs {threshold} replies but only "

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.ids import server_id
@@ -32,3 +37,25 @@ def uniform_network(sim: Simulator) -> Network:
 def server_ids():
     """Five server process ids."""
     return [server_id(i) for i in range(5)]
+
+
+@pytest.fixture
+def run_in_child():
+    """Run a script in a fresh interpreter with ``src`` importable.
+
+    ``run_in_child(script, *argv, **env)`` returns the child's stdout and
+    fails the test, showing stderr, unless it exits 0.  For what cannot be
+    observed in the test process itself: what an import loads, behaviour
+    under another ``PYTHONHASHSEED``.
+    """
+    source = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+    def run(script: str, *argv: str, **env: str) -> str:
+        child = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env={**os.environ, "PYTHONPATH": source, **env},
+            capture_output=True, text=True, timeout=300, check=False)
+        assert child.returncode == 0, child.stderr
+        return child.stdout
+
+    return run

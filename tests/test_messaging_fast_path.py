@@ -11,6 +11,10 @@ protocol needs -- deterministic counts, so the gate is exact.
 
 from __future__ import annotations
 
+import cProfile
+import collections
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,8 +217,12 @@ class TestExactCounts:
             workload=WorkloadSpec(
                 operations_per_writer=ops // 16, operations_per_reader=ops // 16,
                 value_size=64, think_time=0.0, num_keys=256, batch_size=2))
+        profiler = cProfile.Profile()
+        profiler.enable()
         result = run_scenario_instance(scenario, seed=0, streaming=True)
-        assert result.check()[0] is None
+        failure = result.check()[0]
+        profiler.disable()
+        assert failure is None
         sim, network = result.deployment.sim, result.deployment.network
         # Every operation is four quorum rounds of 5 requests + 5 replies,
         # each round one request object and five reply objects.
@@ -222,3 +230,16 @@ class TestExactCounts:
         assert len(constructed) == 24 * ops
         assert sim.events_processed == 14_240      # 44.5 per operation
         assert sim.cancelled_events == 0
+        # Identifiers hash and compare in C, so the only Python-level calls
+        # into common/ids.py are the 24 + 178 constructions (processes, one
+        # ConfigId per key touched) and the names rendered into coroutine and
+        # gather labels: 7 per operation.  Every one of the 40 messages is
+        # looked up by id in four to six dicts and sets; when ``__hash__``
+        # was a Python method that alone was 68 734 calls here (215 per op).
+        ids_py = os.path.join("repro", "common", "ids.py")
+        calls = collections.Counter()
+        for entry in profiler.getstats():
+            if getattr(entry.code, "co_filename", "").endswith(ids_py):
+                calls[entry.code.co_name] += entry.callcount
+        assert calls == {"__new__": 202, "__str__": 2012, "server_id": 15,
+                         "writer_id": 4, "reader_id": 4, "reconfigurer_id": 1}

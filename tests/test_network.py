@@ -294,6 +294,19 @@ class TestTrafficScopes:
         a.send(b.pid, Message(kind="PUT", data_bytes=50))
         assert record.data_bytes == 100
 
+    def test_self_addressed_message_is_charged_to_its_scope_once(self, sim):
+        # Regression: the scope loop visited the owner as sender *and* as
+        # receiver, so an open scope saw 2 messages / 20 bytes where every
+        # other ledger saw 1 / 10.
+        network = Network(sim, latency=FixedLatency(1.0))
+        a = Collector(server_id(0), network)
+        scope = network.stats.open_scope("op", a.pid)
+        network.stats.record(a.pid, a.pid, "X", 10, 16)
+        record = network.stats.close_scope(scope)
+        assert (record.messages, record.data_bytes, record.metadata_bytes) == (1, 10, 16)
+        assert network.stats.global_record == record
+        assert network.stats.to_and_from(a.pid) == record
+
     def test_to_and_from(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         a = Collector(writer_id(0), network)

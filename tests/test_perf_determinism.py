@@ -54,6 +54,31 @@ def test_scenario_signature_matches_golden(name, golden):
         "a hot-path change altered event ordering or RNG sequencing")
 
 
+#: Run in a child interpreter: prints ``name hash`` per scenario named in argv.
+_SIGNATURE_PROBE = """
+import hashlib, sys
+from repro.workloads.scenarios import run_scenario
+for name in sys.argv[1:]:
+    signature = repr(run_scenario(name, seed=0).signature())
+    print(name, hashlib.sha256(signature.encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "4242"])
+def test_goldens_do_not_depend_on_hash_values(hash_seed, golden, run_in_child):
+    """No execution may depend on the numeric hash of anything.
+
+    Identifiers hash by address and ``str`` hashes are seeded per process, so
+    a set iterated in hash order on a protocol path would show up here: the
+    store, reconfiguration + retirement and all three DAPs under two fixed
+    ``PYTHONHASHSEED`` values must reproduce the committed signatures.
+    """
+    names = ["store_mixed_dap_storm", "store_migration_gc"]
+    output = run_in_child(_SIGNATURE_PROBE, *names, PYTHONHASHSEED=hash_seed)
+    assert dict(line.split() for line in output.splitlines()) == {
+        name: golden[name] for name in names}
+
+
 def test_scenario_histories_are_decided_by_the_fast_checker():
     """The registered scenarios' histories must not hit the DFS fallback.
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import multiprocessing
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common import ids
 from repro.common.ids import (
     ConfigId,
     ProcessId,
@@ -136,6 +142,105 @@ class TestConfigIds:
 
     def test_ordering(self):
         assert ConfigId("a") < ConfigId("b")
+
+
+process_ids = st.builds(ProcessId, st.sampled_from(Role), st.integers(0, 50))
+config_ids = st.builds(ConfigId, st.text("abc0123/", min_size=1, max_size=4))
+
+
+class TestIdentityContract:
+    """One object per ``(role, index)`` / ``name``: equality is identity and
+    hashing is ``object.__hash__``, so every id-keyed probe stays in C."""
+
+    @given(st.sampled_from(Role), st.integers(0, 10**6))
+    def test_every_spelling_returns_the_same_object(self, role, index):
+        pid = ProcessId(role, index)
+        assert pid is ProcessId(role=role, index=index)
+        assert pid is parse_any_id(f"{role.value}-{index}")
+        assert pid is parse_any_id(pid)
+
+    def test_helpers_and_config_spellings_are_interned_too(self):
+        assert writer_id(7) is ProcessId(Role.WRITER, 7)
+        assert server_id(7) is ProcessId(role=Role.SERVER, index=7)
+        assert server_id(7) is not writer_id(7)
+        assert config_id(3) is ConfigId("c3") is ConfigId(name="c3") is parse_any_id("c3")
+        assert ConfigId("st0/k1") is ConfigId("st0/k1")
+
+    @pytest.mark.parametrize("identifier", [reader_id(2), ConfigId("st1/key-9")],
+                             ids=["ProcessId", "ConfigId"])
+    def test_copies_and_unpickling_return_the_same_object(self, identifier):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(identifier, protocol)) is identifier
+        assert copy.copy(identifier) is identifier
+        assert copy.deepcopy(identifier) is identifier
+        assert copy.deepcopy({"nested": [identifier]})["nested"][0] is identifier
+
+    def test_round_trip_through_another_process(self):
+        # The child re-interns what it unpickles in its own table; what
+        # comes back is re-interned here, onto the original objects.
+        sent = [reconfigurer_id(1), ConfigId("c41"), server_id(0)]
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            returned = pool.apply_async(copy.copy, (sent,)).get(timeout=60)
+        assert len(returned) == len(sent)
+        assert all(back is original for back, original in zip(returned, sent))
+
+    @pytest.mark.parametrize("identifier,attribute", [
+        (writer_id(1), "index"), (writer_id(1), "role"), (writer_id(1), "name"),
+        (writer_id(1), "sort_key"), (writer_id(1), "brand_new"),
+        (config_id(1), "name"), (config_id(1), "brand_new")])
+    def test_identifiers_are_immutable(self, identifier, attribute):
+        with pytest.raises(AttributeError):
+            setattr(identifier, attribute, 5)
+        with pytest.raises(AttributeError):
+            delattr(identifier, attribute)
+        assert not hasattr(identifier, "__dict__")
+        assert writer_id(1).sort_key == ("writer", 1) and config_id(1).name == "c1"
+
+    @given(st.lists(process_ids, max_size=12))
+    def test_process_ids_sort_by_role_value_then_index(self, pids):
+        assert sorted(pids) == sorted(pids, key=lambda pid: (pid.role.value, pid.index))
+        for a, b in zip(pids, pids[1:]):
+            assert (a < b) == (a.sort_key < b.sort_key)
+            assert (a <= b) == (a.sort_key <= b.sort_key)
+            assert (a > b) == (a.sort_key > b.sort_key)
+            assert (a >= b) == (a.sort_key >= b.sort_key)
+
+    @given(st.lists(config_ids, max_size=12))
+    def test_config_ids_sort_by_name(self, cfg_ids):
+        assert sorted(cfg_ids) == sorted(cfg_ids, key=lambda cfg_id: cfg_id.name)
+
+    def test_the_two_classes_do_not_compare(self):
+        with pytest.raises(TypeError):
+            writer_id(0) < config_id(0)
+        with pytest.raises(TypeError):
+            config_id(0) >= 3
+        assert writer_id(0) != config_id(0)
+
+    def test_repr_and_str_are_unchanged(self):
+        assert repr(writer_id(4)) == "ProcessId(role=<Role.WRITER: 'writer'>, index=4)"
+        assert repr(ConfigId("st2/k")) == "ConfigId(name='st2/k')"
+        assert str(writer_id(4)) == f"{writer_id(4)}" == writer_id(4).name == "writer-4"
+        assert str(ConfigId("st2/k")) == "st2/k"
+
+    @pytest.mark.parametrize("cls", [ProcessId, ConfigId])
+    def test_hashing_and_equality_are_objects_own(self, cls):
+        assert cls.__hash__ is object.__hash__
+        assert cls.__eq__ is object.__eq__
+        assert cls.__ne__ is object.__ne__
+
+    def test_throw_away_identifiers_are_not_kept_alive(self):
+        gc.collect()
+        configs, processes = len(ids._CONFIG_IDS), len(ids._PROCESS_IDS)
+        for index in range(10_000):
+            ConfigId(f"throw-away-{index}")
+            ProcessId(Role.AUXILIARY, 10**9 + index)
+        gc.collect()
+        assert len(ids._CONFIG_IDS) == configs
+        assert len(ids._PROCESS_IDS) == processes
+        # ... while a held identifier keeps its entry, and its identity.
+        held = ConfigId("held")
+        gc.collect()
+        assert ConfigId("held") is held and len(ids._CONFIG_IDS) == configs + 1
 
 
 class TestParseAnyId:

@@ -15,13 +15,8 @@ from repro.analysis.report import Table
 from repro.spec.linearizability import check_linearizability
 from repro.workloads.scenarios import reconfiguration_storm
 
-CHAINS = {
-    "treas-only": False,
-    "alternating treas/abd": True,
-}
 
-
-def run_chain(alternate: bool, num_reconfigs: int = 3, seed: int = 0):
+def run_chain(num_reconfigs: int = 3, seed: int = 0):
     deployment, result = reconfiguration_storm(
         num_reconfigs=num_reconfigs, value_size=2048,
         direct_state_transfer=False, seed=seed)
@@ -34,7 +29,7 @@ def run_chain(alternate: bool, num_reconfigs: int = 3, seed: int = 0):
 
 @pytest.mark.experiment("E8")
 def test_mixed_dap_chain(benchmark):
-    result, storage, kinds = run_chain(alternate=True)
+    result, storage, kinds = run_chain()
     table = Table(
         "E8: per-configuration storage after an alternating TREAS/ABD reconfiguration chain",
         ["configuration", "dap", "object bytes stored"],
@@ -51,7 +46,7 @@ def test_mixed_dap_chain(benchmark):
                     result.total_operations)
     summary.print()
 
-    benchmark(lambda: run_chain(alternate=True, num_reconfigs=2, seed=1))
+    benchmark(lambda: run_chain(num_reconfigs=2, seed=1))
 if __name__ == "__main__":
     import pathlib
     import sys

@@ -68,8 +68,7 @@ def calibration_probe() -> float:
 
 def build_report(quick: bool) -> dict:
     from bench_simcore import (SCALED_OPS, QUICK_SCALED_OPS, checker_comparison,
-                               end_to_end_comparison, event_throughput,
-                               message_throughput)
+                               end_to_end, event_throughput, message_throughput)
     from repro.workloads.scenarios import run_scenario, scenario_names
 
     # Snapshot the canonical registry before the comparisons below register
@@ -79,10 +78,10 @@ def build_report(quick: bool) -> dict:
     canonical_scenarios = list(scenario_names())
 
     ops = QUICK_SCALED_OPS if quick else SCALED_OPS
-    events_per_sec, ref_events_per_sec = event_throughput(2_000 if quick else 20_000)
-    messages_per_sec, ref_messages_per_sec = message_throughput(2_000 if quick else 20_000)
+    events_per_sec = event_throughput(2_000 if quick else 20_000)
+    messages_per_sec = message_throughput(2_000 if quick else 20_000)
     checker = checker_comparison(ops)
-    end_to_end = end_to_end_comparison(ops)
+    storm = end_to_end(ops)
 
     scenarios = {}
     for name in canonical_scenarios:
@@ -102,21 +101,13 @@ def build_report(quick: bool) -> dict:
         }
 
     return {
-        "schema": 1,
+        "schema": 2,
         "generated_by": "benchmarks/perf_report.py",
         "quick": quick,
         "python": platform.python_version(),
         "calibration_ops_per_sec": round(calibration_probe()),
-        "sim": {
-            "events_per_sec": round(events_per_sec),
-            "reference_events_per_sec": round(ref_events_per_sec),
-            "speedup": round(events_per_sec / ref_events_per_sec, 2),
-        },
-        "net": {
-            "messages_per_sec": round(messages_per_sec),
-            "reference_messages_per_sec": round(ref_messages_per_sec),
-            "speedup": round(messages_per_sec / ref_messages_per_sec, 2),
-        },
+        "sim": {"events_per_sec": round(events_per_sec)},
+        "net": {"messages_per_sec": round(messages_per_sec)},
         "checker": {
             "history_ops": checker["history_ops"],
             "ops_per_sec": round(checker["ops_per_sec"]),
@@ -128,13 +119,11 @@ def build_report(quick: bool) -> dict:
         },
         "end_to_end": {
             "scaled_storm": {
-                "scenario": end_to_end["scenario"],
-                "history_ops": end_to_end["history_ops"],
-                "events": end_to_end["events"],
-                "messages": end_to_end["messages"],
-                "new_total_sec": round(end_to_end["new_total_sec"], 4),
-                "reference_total_sec": round(end_to_end["reference_total_sec"], 4),
-                "speedup": round(end_to_end["speedup"], 2),
+                "scenario": storm["scenario"],
+                "history_ops": storm["history_ops"],
+                "events": storm["events"],
+                "messages": storm["messages"],
+                "total_sec": round(storm["total_sec"], 4),
             },
             "scenarios": scenarios,
         },

@@ -57,7 +57,12 @@ def main() -> int:
     if storm is None:  # SHOWCASE not in names (cannot happen today, but cheap)
         storm = run_scenario(SHOWCASE, seed=7)
     if "--profile" in sys.argv[1:]:
-        run_scenario(SHOWCASE, seed=7, profile=True)
+        import cProfile
+        import pstats
+
+        with cProfile.Profile() as profiler:
+            run_scenario(SHOWCASE, seed=7)
+        pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
     print(f"\n--- {SHOWCASE}: fault schedule ---")
     print(storm.schedule.describe())
     print(f"\n--- {SHOWCASE}: chaos log (what actually fired) ---")

@@ -38,7 +38,7 @@ def main() -> None:
     # --- Phase 1: crashes within the tolerance --------------------------------
     victims = [server_id(7), server_id(8)]
     for victim in victims:
-        deployment.failure_injector.crash_now(victim)
+        deployment.network.crash(victim)
     print(f"\nCrashed {len(victims)} of {cfg0.n} servers "
           f"({', '.join(v.name for v in victims)}); operations continue:")
     print("  read ->", deployment.read(0).as_text())
@@ -58,7 +58,7 @@ def main() -> None:
 
     # Now the entire old configuration dies.
     for index in range(7):
-        deployment.failure_injector.crash_now(server_id(index))
+        deployment.network.crash(server_id(index))
     print("Old configuration is now completely dead; service still works:")
     print("  read ->", deployment.read(1).as_text())
 

@@ -9,7 +9,7 @@ Public API overview
 
 Substrates
     :mod:`repro.sim`        -- discrete-event simulator and coroutine futures.
-    :mod:`repro.net`        -- simulated network, latency models, failure injection.
+    :mod:`repro.net`        -- simulated network, latency models, traffic accounting.
     :mod:`repro.chaos`      -- scripted fault schedules (the adversary subsystem).
     :mod:`repro.erasure`    -- Reed-Solomon [n, k] MDS codes over GF(256).
     :mod:`repro.consensus`  -- single-decree Paxos consensus per configuration.

@@ -256,11 +256,6 @@ class ChaosEngine:
                 return
             self._stop(fault)
 
-    def stop_all(self) -> None:
-        """Stop every active window fault (used by teardown paths)."""
-        for fault in list(self.active):
-            self._stop(fault)
-
     def track_operation(self, handle) -> None:
         """Register a schedule-fired operation handle for liveness checking."""
         self.pending_operations.append(handle)

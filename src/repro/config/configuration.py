@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import ConfigId, ProcessId
@@ -188,6 +188,30 @@ class Configuration:
             ldr_replicas=replicas,
             delta=f,
         )
+
+    @classmethod
+    def of_kind(
+        cls,
+        dap: str,
+        cfg_id: ConfigId,
+        servers: Sequence[ProcessId],
+        k: Optional[int] = None,
+        delta: int = 2,
+    ) -> "Configuration":
+        """A configuration of DAP kind ``dap`` (by name) over a flat server list.
+
+        ``k`` and ``delta`` apply to TREAS only; LDR takes the first half of
+        ``servers`` as directories and the second half as replicas.
+        """
+        dap = dap.lower()
+        if dap == "treas":
+            return cls.treas(cfg_id, servers, k=k, delta=delta)
+        if dap == "abd":
+            return cls.abd(cfg_id, servers)
+        if dap == "ldr":
+            half = len(servers) // 2
+            return cls.ldr(cfg_id, servers[:half], servers[half:])
+        raise ConfigurationError(f"unknown DAP kind {dap!r}")
 
     # --------------------------------------------------------------- helpers
     @property

@@ -120,17 +120,10 @@ class ConfigSequence:
     def mu(self) -> int:
         """``µ``: index of the last configuration whose status is ``F``.
 
-        Served from the monotone cache; ``mu_scan`` is the reference
-        implementation the property tests compare against.
+        Served from the monotone cache; the property tests compare it
+        against a backward scan over :meth:`entries`.
         """
         return self._mu
-
-    def mu_scan(self) -> int:
-        """``µ`` by backward scan over the retained entries (reference)."""
-        for offset in range(len(self._entries) - 1, -1, -1):
-            if self._entries[offset].status is Status.FINALIZED:
-                return self._base + offset
-        raise ConfigurationError("configuration sequence has no finalized entry")
 
     @property
     def last(self) -> ConfigRecord:

@@ -1,21 +1,26 @@
-"""Deployment builder for complete ARES systems.
+"""Deployment builders: one core, and the complete ARES system on top of it.
 
-:class:`AresDeployment` wires together everything a test, example or
-benchmark needs: the simulator, the network (with a chosen latency model),
-a pool of :class:`~repro.core.server.AresServer` processes, the initial
-configuration, reader/writer clients and reconfiguration clients, the shared
-history and (optionally) DAP recorder.
+:class:`Deployment` wires together, once, everything a test, example or
+benchmark needs from any runnable system: the simulator, the network (with
+a chosen latency model), the configuration directory, the shared history
+and (optionally) DAP recorder, a pool of server processes, the writer /
+reader / reconfigurer populations, and the storage and traffic accounting.
+The three kinds of system say which processes to build and add only what is
+theirs: :class:`AresDeployment` (one reconfigurable register, this module),
+:class:`~repro.store.deployment.StoreDeployment` (many keys over shards) and
+:class:`~repro.registers.static.StaticRegisterDeployment` (one fixed
+configuration).
 
-It also provides convenience helpers to build follow-up configurations over
-fresh or existing servers, and synchronous wrappers (``write`` / ``read`` /
-``reconfig``) that spawn the corresponding client coroutine and drive the
-simulator until it completes.
+:class:`AresDeployment` also provides convenience helpers to build follow-up
+configurations over fresh or existing servers, and synchronous wrappers
+(``write`` / ``read`` / ``reconfig``) that spawn the corresponding client
+coroutine and drive the simulator until it completes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import (
@@ -28,50 +33,33 @@ from repro.common.ids import (
     writer_id,
 )
 from repro.common.values import Value
-from repro.config.configuration import Configuration, DapKind
+from repro.config.configuration import Configuration
 from repro.core.ares_treas import DirectTransferReconfigurer, transfer_dap_state_factory
 from repro.core.client import AresClient
 from repro.core.directory import ConfigurationDirectory
 from repro.core.reconfig import AresReconfigurer
 from repro.core.server import AresServer
-from repro.net.failures import FailureInjector
 from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.network import Network
 from repro.sim.core import Simulator
 from repro.sim.futures import Coroutine
-from repro.sim.process import RetryPolicy
+from repro.sim.process import Process, RetryPolicy
 from repro.spec.history import History
 from repro.spec.properties import DapRecorder
 
 
 @dataclass
-class DeploymentSpec:
-    """Parameters of an ARES deployment.
+class CommonSpec:
+    """The parameters every kind of deployment shares.
 
     Attributes
     ----------
-    num_servers:
-        Size of the initial server pool (more can be added later with
-        :meth:`AresDeployment.add_servers`).
-    initial_dap:
-        DAP kind of the initial configuration (``"treas"`` or ``"abd"``).
-    initial_config_size:
-        Number of servers in the initial configuration (defaults to the whole
-        pool).
-    k:
-        Erasure-code dimension for TREAS configurations (default ``⌈2n/3⌉``).
-    delta:
-        TREAS garbage-collection / concurrency parameter δ.
     num_writers, num_readers, num_reconfigurers:
         Client population.
     latency:
         Network latency model (default ``UniformLatency(1, 2)``).
     seed:
         Simulator seed.
-    consensus_delay:
-        Extra latency per consensus decision (the ``T(CN)`` knob).
-    direct_state_transfer:
-        Enable the Section 5 ARES-TREAS transfer path.
     record_dap:
         Install a :class:`~repro.spec.properties.DapRecorder` on all clients.
     retry:
@@ -87,113 +75,212 @@ class DeploymentSpec:
         retirement.
     """
 
-    num_servers: int = 5
-    initial_dap: str = "treas"
-    initial_config_size: Optional[int] = None
-    k: Optional[int] = None
-    delta: int = 4
     num_writers: int = 2
     num_readers: int = 2
     num_reconfigurers: int = 1
     latency: Optional[LatencyModel] = None
     seed: int = 0
-    consensus_delay: float = 0.0
-    direct_state_transfer: bool = False
     record_dap: bool = False
-    retry: Optional["RetryPolicy"] = None
+    retry: Optional[RetryPolicy] = None
     gc: bool = False
 
 
-class AresDeployment:
-    """A complete, runnable ARES system."""
+class Deployment:
+    """What every runnable system owns: substrate, processes, accounting.
 
-    def __init__(self, spec: Optional[DeploymentSpec] = None, **overrides) -> None:
+    Subclasses set :attr:`spec_class`, implement :meth:`_make_server`,
+    :meth:`_make_client` and :meth:`_make_reconfigurer`, and build their
+    processes at the end of ``__init__`` with :meth:`_build_servers` then
+    :meth:`_build_clients` -- servers, writers, readers, reconfigurers, the
+    order everything that iterates ``Network.processes`` relies on.
+    """
+
+    #: The spec dataclass built from keyword overrides.
+    spec_class = CommonSpec
+    #: Marks keyed (multi-object) deployments for the closed-loop workload
+    #: driver and the scenario runner.
+    keyed = False
+
+    def __init__(self, spec: Optional[CommonSpec] = None, **overrides) -> None:
         if spec is None:
-            spec = DeploymentSpec(**overrides)
+            spec = self.spec_class(**overrides)
         elif overrides:
-            raise ConfigurationError("pass either a DeploymentSpec or keyword overrides, not both")
+            raise ConfigurationError(
+                f"pass either a {self.spec_class.__name__} or keyword overrides, not both")
         self.spec = spec
         self.sim = Simulator(seed=spec.seed)
         self.network = Network(self.sim, latency=spec.latency or UniformLatency(1.0, 2.0))
         self.directory = ConfigurationDirectory()
         self.history = History()
         self.dap_recorder = DapRecorder(self.sim) if spec.record_dap else None
-        self.failure_injector = FailureInjector(self.network)
-        self._config_counter = 0
+        self.servers: Dict[ProcessId, Process] = {}
+        self.writers: List[Process] = []
+        self.readers: List[Process] = []
+        self.reconfigurers: List[Process] = []
 
-        dap_factory = transfer_dap_state_factory if spec.direct_state_transfer else None
-        self.servers: Dict[ProcessId, AresServer] = {}
-        for index in range(spec.num_servers):
-            pid = server_id(index)
-            self.servers[pid] = AresServer(pid, self.network, self.directory,
-                                           dap_state_factory=dap_factory)
-        self._next_server_index = spec.num_servers
+    # -------------------------------------------------------------- processes
+    def _make_server(self, pid: ProcessId) -> Process:
+        """Build (and attach to the network) this kind's server ``pid``."""
+        raise NotImplementedError
 
-        initial_size = spec.initial_config_size or spec.num_servers
-        initial_servers = [server_id(i) for i in range(initial_size)]
-        self.initial_configuration = self._build_configuration(
-            spec.initial_dap, initial_servers, k=spec.k, delta=spec.delta,
-        )
-        self.directory.register(self.initial_configuration)
+    def _make_client(self, pid: ProcessId) -> Process:
+        """Build this kind's reader/writer client ``pid``."""
+        raise NotImplementedError
 
-        self.writers: List[AresClient] = [
-            AresClient(writer_id(i), self.network, self.directory,
-                       self.initial_configuration, history=self.history,
-                       dap_recorder=self.dap_recorder)
-            for i in range(spec.num_writers)
-        ]
-        self.readers: List[AresClient] = [
-            AresClient(reader_id(i), self.network, self.directory,
-                       self.initial_configuration, history=self.history,
-                       dap_recorder=self.dap_recorder)
-            for i in range(spec.num_readers)
-        ]
+    def _make_reconfigurer(self, pid: ProcessId) -> Process:
+        """Build this kind's reconfiguration client ``pid``."""
+        raise NotImplementedError
+
+    def _build_servers(self, pids: Iterable[ProcessId]) -> List[ProcessId]:
+        pids = list(pids)
+        for pid in pids:
+            self.servers[pid] = self._make_server(pid)
+        return pids
+
+    def _build_clients(self) -> None:
+        spec = self.spec
+        self.writers = [self._make_client(writer_id(i)) for i in range(spec.num_writers)]
+        self.readers = [self._make_client(reader_id(i)) for i in range(spec.num_readers)]
         if spec.retry is not None:
             # Writers and readers only: reconfiguration drives consensus,
             # where blind re-broadcast under the same proposal is not a
             # safe retry unit.
             for client in [*self.writers, *self.readers]:
                 client.enable_retries(spec.retry, seed=spec.seed)
-        reconfigurer_class = (DirectTransferReconfigurer if spec.direct_state_transfer
-                              else AresReconfigurer)
-        self.reconfigurers: List[AresReconfigurer] = [
-            reconfigurer_class(reconfigurer_id(i), self.network, self.directory,
-                               self.initial_configuration, history=self.history,
-                               dap_recorder=self.dap_recorder,
-                               consensus_delay=spec.consensus_delay,
-                               gc=spec.gc)
-            for i in range(spec.num_reconfigurers)
-        ]
-
-    # --------------------------------------------------------- configuration
-    def _build_configuration(self, dap: str, servers: Sequence[ProcessId],
-                             k: Optional[int] = None, delta: Optional[int] = None,
-                             cfg: Optional[ConfigId] = None) -> Configuration:
-        cfg = cfg if cfg is not None else config_id(self._config_counter)
-        self._config_counter += 1
-        delta = self.spec.delta if delta is None else delta
-        dap = dap.lower()
-        if dap == "treas":
-            return Configuration.treas(cfg, servers, k=k, delta=delta)
-        if dap == "abd":
-            return Configuration.abd(cfg, servers)
-        if dap == "ldr":
-            half = len(servers) // 2
-            return Configuration.ldr(cfg, servers[:half], servers[half:])
-        raise ConfigurationError(f"unknown DAP kind {dap!r}")
+        self.reconfigurers = [self._make_reconfigurer(reconfigurer_id(i))
+                              for i in range(spec.num_reconfigurers)]
 
     def add_servers(self, count: int) -> List[ProcessId]:
-        """Add ``count`` fresh servers to the pool and return their ids."""
-        dap_factory = (transfer_dap_state_factory if self.spec.direct_state_transfer
-                       else None)
-        added = []
-        for _ in range(count):
-            pid = server_id(self._next_server_index)
-            self._next_server_index += 1
-            self.servers[pid] = AresServer(pid, self.network, self.directory,
-                                           dap_state_factory=dap_factory)
-            added.append(pid)
-        return added
+        """Add ``count`` fresh servers to the pool and return their ids.
+
+        Ids keep counting from the pool size (``s<n>``, ``s<n+1>``, ...).
+        """
+        first = len(self.servers)
+        return self._build_servers(server_id(first + i) for i in range(count))
+
+    def run(self) -> None:
+        """Drain the event queue, completing all spawned operations."""
+        self.sim.run()
+
+    # ------------------------------------------------------------ accounting
+    def total_storage_data_bytes(self) -> int:
+        """Object-data bytes stored across every server (Theorem 3's metric)."""
+        return sum(server.storage_data_bytes() for server in self.servers.values())
+
+    def configs_retired(self) -> int:
+        """Configurations reclaimed across the server pool (GC acks)."""
+        return sum(server.configs_retired for server in self.servers.values())
+
+    def bytes_reclaimed(self) -> int:
+        """Object-data bytes reclaimed by retirement across the server pool."""
+        return sum(server.bytes_reclaimed for server in self.servers.values())
+
+    @property
+    def stats(self):
+        """Network traffic statistics."""
+        return self.network.stats
+
+    @property
+    def latency_model(self) -> LatencyModel:
+        """The network's latency model (exposes the ``d``/``D`` bounds)."""
+        return self.network.latency
+
+
+class SingleRegisterDeployment(Deployment):
+    """A deployment of one (unkeyed) register: ``write`` / ``read`` helpers."""
+
+    def spawn_write(self, value: Value, writer_index: int = 0) -> Coroutine:
+        """Start a write without driving the simulator."""
+        writer = self.writers[writer_index]
+        return writer.spawn(writer.write(value), label=f"{writer.pid}:write")
+
+    def spawn_read(self, reader_index: int = 0) -> Coroutine:
+        """Start a read without driving the simulator."""
+        reader = self.readers[reader_index]
+        return reader.spawn(reader.read(), label=f"{reader.pid}:read")
+
+    def write(self, value: Value, writer_index: int = 0):
+        """Run one write to completion; returns the written tag."""
+        return self.sim.run_until_complete(self.spawn_write(value, writer_index))
+
+    def read(self, reader_index: int = 0) -> Value:
+        """Run one read to completion; returns the value."""
+        return self.sim.run_until_complete(self.spawn_read(reader_index))
+
+
+@dataclass
+class DeploymentSpec(CommonSpec):
+    """Parameters of an ARES deployment (plus those of :class:`CommonSpec`).
+
+    Attributes
+    ----------
+    num_servers:
+        Size of the initial server pool (more can be added later with
+        :meth:`AresDeployment.add_servers`).
+    initial_dap:
+        DAP kind of the initial configuration (``"treas"`` or ``"abd"``).
+    initial_config_size:
+        Number of servers in the initial configuration (defaults to the whole
+        pool).
+    k:
+        Erasure-code dimension for TREAS configurations (default ``⌈2n/3⌉``).
+    delta:
+        TREAS garbage-collection / concurrency parameter δ.
+    consensus_delay:
+        Extra latency per consensus decision (the ``T(CN)`` knob).
+    direct_state_transfer:
+        Enable the Section 5 ARES-TREAS transfer path.
+    """
+
+    num_servers: int = 5
+    initial_dap: str = "treas"
+    initial_config_size: Optional[int] = None
+    k: Optional[int] = None
+    delta: int = 4
+    consensus_delay: float = 0.0
+    direct_state_transfer: bool = False
+
+
+class AresDeployment(SingleRegisterDeployment):
+    """A complete, runnable ARES system."""
+
+    spec_class = DeploymentSpec
+
+    def __init__(self, spec: Optional[DeploymentSpec] = None, **overrides) -> None:
+        super().__init__(spec, **overrides)
+        spec = self.spec
+        self._config_counter = 0
+        pool = self.add_servers(spec.num_servers)
+        self.initial_configuration = self._next_configuration(
+            spec.initial_dap, pool[:spec.initial_config_size or len(pool)], k=spec.k)
+        self.directory.register(self.initial_configuration)
+        self._build_clients()
+
+    def _make_server(self, pid: ProcessId) -> AresServer:
+        factory = transfer_dap_state_factory if self.spec.direct_state_transfer else None
+        return AresServer(pid, self.network, self.directory, dap_state_factory=factory)
+
+    def _make_client(self, pid: ProcessId) -> AresClient:
+        return AresClient(pid, self.network, self.directory, self.initial_configuration,
+                          history=self.history, dap_recorder=self.dap_recorder)
+
+    def _make_reconfigurer(self, pid: ProcessId) -> AresReconfigurer:
+        spec = self.spec
+        reconfigurer_class = (DirectTransferReconfigurer if spec.direct_state_transfer
+                              else AresReconfigurer)
+        return reconfigurer_class(pid, self.network, self.directory,
+                                  self.initial_configuration, history=self.history,
+                                  dap_recorder=self.dap_recorder,
+                                  consensus_delay=spec.consensus_delay, gc=spec.gc)
+
+    # --------------------------------------------------------- configuration
+    def _next_configuration(self, dap: str, servers: Sequence[ProcessId],
+                            k: Optional[int] = None,
+                            delta: Optional[int] = None) -> Configuration:
+        cfg = config_id(self._config_counter)
+        self._config_counter += 1
+        return Configuration.of_kind(dap, cfg, servers, k=k,
+                                     delta=self.spec.delta if delta is None else delta)
 
     def make_configuration(self, dap: str = "treas",
                            servers: Optional[Sequence[ProcessId]] = None,
@@ -210,39 +297,9 @@ class AresDeployment:
             chosen.extend(self.add_servers(fresh_servers))
         if not chosen:
             chosen = list(self.initial_configuration.servers)
-        return self._build_configuration(dap, chosen, k=k, delta=delta)
+        return self._next_configuration(dap, chosen, k=k, delta=delta)
 
     # ------------------------------------------------------------ operations
-    def write(self, value: Value, writer_index: int = 0):
-        """Run one ARES write to completion; returns the written tag."""
-        writer = self.writers[writer_index]
-        op = writer.spawn(writer.write(value), label=f"{writer.pid}:write")
-        return self.sim.run_until_complete(op)
-
-    def read(self, reader_index: int = 0) -> Value:
-        """Run one ARES read to completion; returns the value."""
-        reader = self.readers[reader_index]
-        op = reader.spawn(reader.read(), label=f"{reader.pid}:read")
-        return self.sim.run_until_complete(op)
-
-    def reconfig(self, configuration: Configuration, reconfigurer_index: int = 0) -> Configuration:
-        """Run one reconfiguration to completion; returns the installed configuration."""
-        reconfigurer = self.reconfigurers[reconfigurer_index]
-        op = reconfigurer.spawn(reconfigurer.reconfig(configuration),
-                                label=f"{reconfigurer.pid}:reconfig")
-        return self.sim.run_until_complete(op)
-
-    # ----------------------------------------------------------- async forms
-    def spawn_write(self, value: Value, writer_index: int = 0) -> Coroutine:
-        """Start a write without driving the simulator."""
-        writer = self.writers[writer_index]
-        return writer.spawn(writer.write(value), label=f"{writer.pid}:write")
-
-    def spawn_read(self, reader_index: int = 0) -> Coroutine:
-        """Start a read without driving the simulator."""
-        reader = self.readers[reader_index]
-        return reader.spawn(reader.read(), label=f"{reader.pid}:read")
-
     def spawn_reconfig(self, configuration: Configuration,
                        reconfigurer_index: int = 0) -> Coroutine:
         """Start a reconfiguration without driving the simulator."""
@@ -250,23 +307,12 @@ class AresDeployment:
         return reconfigurer.spawn(reconfigurer.reconfig(configuration),
                                   label=f"{reconfigurer.pid}:reconfig")
 
-    def run(self) -> None:
-        """Drain the event queue, completing all spawned operations."""
-        self.sim.run()
+    def reconfig(self, configuration: Configuration, reconfigurer_index: int = 0) -> Configuration:
+        """Run one reconfiguration to completion; returns the installed configuration."""
+        return self.sim.run_until_complete(
+            self.spawn_reconfig(configuration, reconfigurer_index))
 
     # ------------------------------------------------------------ accounting
-    def total_storage_data_bytes(self) -> int:
-        """Object-data bytes stored across every server and configuration."""
-        return sum(server.storage_data_bytes() for server in self.servers.values())
-
-    def configs_retired(self) -> int:
-        """Configurations reclaimed across the server pool (GC acks)."""
-        return sum(server.configs_retired for server in self.servers.values())
-
-    def bytes_reclaimed(self) -> int:
-        """Object-data bytes reclaimed by retirement across the server pool."""
-        return sum(server.bytes_reclaimed for server in self.servers.values())
-
     def storage_by_configuration(self) -> Dict[ConfigId, int]:
         """Object-data bytes stored per configuration (summed over servers)."""
         totals: Dict[ConfigId, int] = {}
@@ -274,13 +320,3 @@ class AresDeployment:
             for cfg_id, state in server.dap_states.items():
                 totals[cfg_id] = totals.get(cfg_id, 0) + state.storage_data_bytes()
         return totals
-
-    @property
-    def stats(self):
-        """Network traffic statistics."""
-        return self.network.stats
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The network's latency model (exposes the ``d``/``D`` bounds)."""
-        return self.network.latency

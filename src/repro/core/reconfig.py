@@ -50,14 +50,14 @@ implementation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.common.errors import (
     QuorumRefusedError,
     QuorumUnavailableError,
     is_retirement_refusal,
 )
-from repro.common.ids import ConfigId, ProcessId
+from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, TagValue
 from repro.common.values import BOTTOM_VALUE
 from repro.config.configuration import Configuration
@@ -65,9 +65,8 @@ from repro.config.sequence import ConfigRecord, ConfigSequence, Status
 from repro.consensus.paxos import PaxosProposer
 from repro.core.directory import ConfigurationDirectory
 from repro.core.server import CONFIRM_CONFIG, RETIRE_CONFIG
-from repro.core.traversal import SequenceTraversalMixin
+from repro.core.traversal import RegisterState, SequenceTraversalMixin
 from repro.net.message import request
-from repro.dap import make_dap_client
 from repro.dap.interface import DapClient
 from repro.net.network import Network
 from repro.sim.process import Process
@@ -340,18 +339,14 @@ class AresReconfigurer(Process, ReconfigOpsMixin):
         self.consensus_delay = consensus_delay
         self.gc_enabled = gc
         directory.register(initial_configuration)
-        self.cseq = ConfigSequence(initial_configuration)
-        self._dap_clients: Dict[ConfigId, DapClient] = {}
+        self._state = RegisterState(self, initial_configuration)
+        self.cseq = self._state.cseq
         self.completed_reconfigs = 0
 
     # --------------------------------------------------------------- plumbing
     def dap_for(self, configuration: Configuration) -> DapClient:
         """The (cached) DAP client for ``configuration``."""
-        client = self._dap_clients.get(configuration.cfg_id)
-        if client is None:
-            client = make_dap_client(self, configuration)
-            self._dap_clients[configuration.cfg_id] = client
-        return client
+        return self._state.dap_for(configuration)
 
     # ---------------------------------------------------------------- reconfig
     def reconfig(self, proposed: Configuration):
@@ -360,7 +355,7 @@ class AresReconfigurer(Process, ReconfigOpsMixin):
         Returns the configuration that was actually installed (the decided
         one, which may differ from ``proposed`` under contention).
         """
-        return self._register_reconfig(self.cseq, self.dap_for, proposed,
+        return self._register_reconfig(self.cseq, self._state.dap_for, proposed,
                                        update=self.update_config)
 
     # ---------------------------------------------- overridable phase wrappers
@@ -379,7 +374,7 @@ class AresReconfigurer(Process, ReconfigOpsMixin):
         transfer (the Section 5 direct server-to-server path of
         :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
         """
-        return self._update_config(self.cseq, self.dap_for)
+        return self._update_config(self.cseq, self._state.dap_for)
 
     def finalize_config(self):
         """Coroutine: the finalize-config phase against this client's ``cseq``."""

@@ -24,17 +24,47 @@ onto the redirect target and resuming the walk from there, so a client whose
 replaying reclaimed links.
 
 The helper is written as a mixin so the ARES clients and the reconfigurer
-share one implementation.
+share one implementation; :class:`RegisterState` is the per-register state
+(``cseq`` plus DAP clients) every one of those clients keeps.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.common.ids import ConfigId
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status
+from repro.dap import make_dap_client
+from repro.dap.interface import DapClient
 from repro.net.message import request
 from repro.core.server import READ_CONFIG, WRITE_CONFIG
+
+
+class RegisterState:
+    """One client's local state for one register.
+
+    The configuration sequence ``cseq`` (Algorithms 5 and 7 state) plus the
+    DAP client ``process`` talks to each configuration through.  A
+    single-register client or reconfigurer holds one; the store's clients
+    and reconfigurers hold one per object key.  The operation mixins take
+    ``state.cseq`` and ``state.dap_for``.
+    """
+
+    __slots__ = ("cseq", "_process", "_dap_clients")
+
+    def __init__(self, process, configuration: Configuration) -> None:
+        self.cseq = ConfigSequence(configuration)
+        self._process = process
+        self._dap_clients: Dict[ConfigId, DapClient] = {}
+
+    def dap_for(self, configuration: Configuration) -> DapClient:
+        """The (cached) DAP client for ``configuration``."""
+        client = self._dap_clients.get(configuration.cfg_id)
+        if client is None:
+            client = make_dap_client(self._process, configuration)
+            self._dap_clients[configuration.cfg_id] = client
+        return client
 
 
 class SequenceTraversalMixin:

@@ -4,15 +4,14 @@ Provides the point-to-point channels of the paper's model: asynchronous,
 reliable (by default), with per-message delivery delay drawn from a
 configurable latency model bounded by ``[d, D]``.  The network also keeps the
 byte-level traffic accounting that the communication-cost experiments use,
-and exposes hooks for crash/partition/loss injection used in robustness
-tests.
+and exposes the crash/drop/delay/duplication hooks the chaos subsystem
+(:mod:`repro.chaos`) injects faults through.
 """
 
 from repro.net.message import Message, request, reply
 from repro.net.latency import LatencyModel, FixedLatency, UniformLatency, AsymmetricLatency
 from repro.net.network import Network
 from repro.net.stats import TrafficStats, TrafficRecord
-from repro.net.failures import FailureInjector, PartitionController
 
 __all__ = [
     "Message",
@@ -25,6 +24,4 @@ __all__ = [
     "Network",
     "TrafficStats",
     "TrafficRecord",
-    "FailureInjector",
-    "PartitionController",
 ]

@@ -2,8 +2,9 @@
 
 :class:`Network` owns the registry of processes, delivers messages with a
 delay drawn from its :class:`~repro.net.latency.LatencyModel`, feeds the
-traffic accountant, and applies failure rules (crashes, partitions, message
-loss) injected through :mod:`repro.net.failures`.
+traffic accountant, and applies the failure rules (crashes, partitions,
+message loss, delay, duplication) that :mod:`repro.chaos` installs on its
+hooks.
 
 Channels are reliable and FIFO-less by default, exactly matching the paper's
 model: messages may be arbitrarily reordered (each draws an independent

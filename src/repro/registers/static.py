@@ -12,19 +12,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.common.ids import ProcessId, reader_id, server_id, writer_id
+from repro.common.errors import ConfigurationError
+from repro.common.ids import ProcessId, config_id, server_id
 from repro.common.tags import TagValue
 from repro.common.values import Value
-from repro.config.configuration import Configuration, DapKind
+from repro.config.configuration import Configuration
+from repro.core.deployment import CommonSpec, SingleRegisterDeployment
 from repro.dap import make_dap_client, make_dap_server_state
 from repro.dap.interface import DapServerState
-from repro.net.latency import LatencyModel
+from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.sim.core import Simulator
-from repro.sim.futures import Coroutine
 from repro.sim.process import Process
 from repro.spec.history import History, OperationType
 from repro.spec.properties import DapRecorder
@@ -32,6 +32,10 @@ from repro.spec.properties import DapRecorder
 
 class RegisterServer(Process):
     """A server hosting the DAP state of a single configuration."""
+
+    #: Retirement accounting: a static configuration is never retired.
+    configs_retired = 0
+    bytes_reclaimed = 0
 
     def __init__(self, pid: ProcessId, network: Network, configuration: Configuration) -> None:
         super().__init__(pid, network)
@@ -113,7 +117,7 @@ class RegisterClient(Process):
         return Value.of_size(size, label=f"{self.pid.name}:{self._write_counter}")
 
 
-class StaticRegisterDeployment:
+class StaticRegisterDeployment(SingleRegisterDeployment):
     """A complete single-configuration system.
 
     Builds the simulator, network, one :class:`RegisterServer` per
@@ -142,35 +146,33 @@ class StaticRegisterDeployment:
         record_dap: bool = False,
         use_template_a2: bool = False,
     ) -> None:
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, latency=latency)
+        super().__init__(CommonSpec(
+            num_writers=num_writers, num_readers=num_readers, num_reconfigurers=0,
+            latency=latency or FixedLatency(1.0), seed=seed, record_dap=record_dap))
         self.configuration = configuration
-        self.history = History()
-        self.dap_recorder = DapRecorder(self.sim) if record_dap else None
-        self.servers: Dict[ProcessId, RegisterServer] = {
-            pid: RegisterServer(pid, self.network, configuration)
-            for pid in configuration.servers
-        }
-        self.writers: List[RegisterClient] = [
-            RegisterClient(writer_id(i), self.network, configuration,
-                           history=self.history, dap_recorder=self.dap_recorder,
-                           use_template_a2=use_template_a2)
-            for i in range(num_writers)
-        ]
-        self.readers: List[RegisterClient] = [
-            RegisterClient(reader_id(i), self.network, configuration,
-                           history=self.history, dap_recorder=self.dap_recorder,
-                           use_template_a2=use_template_a2)
-            for i in range(num_readers)
-        ]
+        self.use_template_a2 = use_template_a2
+        self._build_servers(configuration.servers)
+        self._build_clients()
+
+    def _make_server(self, pid: ProcessId) -> RegisterServer:
+        return RegisterServer(pid, self.network, self.configuration)
+
+    def _make_client(self, pid: ProcessId) -> RegisterClient:
+        return RegisterClient(pid, self.network, self.configuration,
+                              history=self.history, dap_recorder=self.dap_recorder,
+                              use_template_a2=self.use_template_a2)
+
+    def add_servers(self, count: int) -> List[ProcessId]:
+        """Always raises: a static register's servers are its one configuration's."""
+        raise ConfigurationError(
+            f"cannot add {count} servers: a static register never leaves "
+            f"{self.configuration.cfg_id}")
 
     # ------------------------------------------------------------- factories
     @classmethod
     def abd(cls, num_servers: int = 3, **kwargs) -> "StaticRegisterDeployment":
         """An ABD (replication, majority quorum) deployment."""
         servers = [server_id(i) for i in range(num_servers)]
-        from repro.common.ids import config_id
-
         return cls(Configuration.abd(config_id(0), servers), **kwargs)
 
     @classmethod
@@ -178,8 +180,6 @@ class StaticRegisterDeployment:
               **kwargs) -> "StaticRegisterDeployment":
         """A TREAS (erasure-coded) deployment."""
         servers = [server_id(i) for i in range(num_servers)]
-        from repro.common.ids import config_id
-
         return cls(Configuration.treas(config_id(0), servers, k=k, delta=delta), **kwargs)
 
     @classmethod
@@ -188,44 +188,4 @@ class StaticRegisterDeployment:
         """An LDR (directory/replica) deployment."""
         directories = [server_id(i) for i in range(num_directories)]
         replicas = [server_id(num_directories + i) for i in range(num_replicas)]
-        from repro.common.ids import config_id
-
         return cls(Configuration.ldr(config_id(0), directories, replicas), **kwargs)
-
-    # ------------------------------------------------------------ sync helpers
-    def write(self, value: Value, writer_index: int = 0) -> None:
-        """Run one write to completion on writer ``writer_index``."""
-        writer = self.writers[writer_index]
-        op = writer.spawn(writer.write(value), label=f"{writer.pid}:write")
-        self.sim.run_until_complete(op)
-
-    def read(self, reader_index: int = 0) -> Value:
-        """Run one read to completion on reader ``reader_index`` and return the value."""
-        reader = self.readers[reader_index]
-        op = reader.spawn(reader.read(), label=f"{reader.pid}:read")
-        return self.sim.run_until_complete(op)
-
-    # ----------------------------------------------------------- async helpers
-    def spawn_write(self, value: Value, writer_index: int = 0) -> Coroutine:
-        """Start a write without driving the simulator (for concurrency tests)."""
-        writer = self.writers[writer_index]
-        return writer.spawn(writer.write(value), label=f"{writer.pid}:write")
-
-    def spawn_read(self, reader_index: int = 0) -> Coroutine:
-        """Start a read without driving the simulator."""
-        reader = self.readers[reader_index]
-        return reader.spawn(reader.read(), label=f"{reader.pid}:read")
-
-    def run(self) -> None:
-        """Drain the event queue (completes every spawned operation)."""
-        self.sim.run()
-
-    # ------------------------------------------------------------ accounting
-    def total_storage_data_bytes(self) -> int:
-        """Total object-data bytes stored across all servers (Theorem 3's metric)."""
-        return sum(server.storage_data_bytes() for server in self.servers.values())
-
-    @property
-    def stats(self):
-        """The network traffic statistics."""
-        return self.network.stats

@@ -20,30 +20,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.common.ids import ConfigId, ProcessId
+from repro.common.ids import ProcessId
 from repro.common.values import Value
-from repro.config.configuration import Configuration
-from repro.config.sequence import ConfigSequence
 from repro.core.client import RegisterOpsMixin
 from repro.core.directory import ConfigurationDirectory
-from repro.dap import make_dap_client
-from repro.dap.interface import DapClient
+from repro.core.traversal import RegisterState
 from repro.net.network import Network
 from repro.sim.futures import all_of
 from repro.sim.process import Process
 from repro.spec.history import History
 from repro.spec.properties import DapRecorder
 from repro.store.shardmap import ShardMap, StaleEpochError
-
-
-class _KeyRegister:
-    """Per-key client state: the key's ``cseq`` and its DAP-client cache."""
-
-    __slots__ = ("cseq", "dap_clients")
-
-    def __init__(self, cseq: ConfigSequence) -> None:
-        self.cseq = cseq
-        self.dap_clients: Dict[ConfigId, DapClient] = {}
 
 
 class StoreClient(Process, RegisterOpsMixin):
@@ -77,7 +64,7 @@ class StoreClient(Process, RegisterOpsMixin):
         self.shard_map = shard_map
         self.history = history
         self.dap_recorder = dap_recorder
-        self._registers: Dict[str, _KeyRegister] = {}
+        self._registers: Dict[str, RegisterState] = {}
         self._write_counter = 0
         #: The shard-map epoch this client last resolved a key against.  The
         #: map refuses stale-epoch lookups, so a client that fell behind a
@@ -88,7 +75,7 @@ class StoreClient(Process, RegisterOpsMixin):
         self.forwarded_lookups = 0
 
     # --------------------------------------------------------------- plumbing
-    def register_for(self, key: str) -> _KeyRegister:
+    def register_for(self, key: str) -> RegisterState:
         """The per-key state (configuration sequence), created on first use.
 
         Resolution asserts the client's cached shard-map epoch; when a
@@ -109,16 +96,9 @@ class StoreClient(Process, RegisterOpsMixin):
                 self.forwarded_lookups += 1
                 configuration = self.shard_map.configuration_for(
                     key, epoch=placement.epoch)
-            register = _KeyRegister(ConfigSequence(configuration))
+            register = RegisterState(self, configuration)
             self._registers[key] = register
         return register
-
-    def _dap_for(self, register: _KeyRegister, configuration: Configuration) -> DapClient:
-        client = register.dap_clients.get(configuration.cfg_id)
-        if client is None:
-            client = make_dap_client(self, configuration)
-            register.dap_clients[configuration.cfg_id] = client
-        return client
 
     def next_value(self, size: int) -> Value:
         """A fresh uniquely-labelled value for workload generation."""
@@ -138,14 +118,12 @@ class StoreClient(Process, RegisterOpsMixin):
         configuration sequence and DAP-client cache.
         """
         register = self.register_for(key)
-        return self._register_write(
-            register.cseq, lambda cfg: self._dap_for(register, cfg), value, key=key)
+        return self._register_write(register.cseq, register.dap_for, value, key=key)
 
     def read(self, key: str):
         """Coroutine: ARES read of object ``key``; returns the value."""
         register = self.register_for(key)
-        return self._register_read(
-            register.cseq, lambda cfg: self._dap_for(register, cfg), key=key)
+        return self._register_read(register.cseq, register.dap_for, key=key)
 
     # ------------------------------------------------------------- batch ops
     def multi_get(self, keys: Iterable[str]):

@@ -7,8 +7,8 @@ keys to shards (each shard with its own DAP kind, so ABD, LDR and TREAS
 shards coexist), writer/reader :class:`~repro.store.client.StoreClient`
 processes, and one shared keyed :class:`~repro.spec.history.History`.
 
-The deployment exposes the same driver surface as
-:class:`~repro.core.deployment.AresDeployment` (``sim``/``network``/
+The deployment inherits the driver surface of every
+:class:`~repro.core.deployment.Deployment` (``sim``/``network``/
 ``history``/``writers``/``readers``), so the closed-loop workload driver,
 the chaos engine and the scenario registry treat stores exactly like
 single-register systems -- the ``keyed`` marker switches the driver into
@@ -20,23 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
-from repro.common.ids import (
-    ProcessId,
-    reader_id,
-    reconfigurer_id,
-    server_id,
-    writer_id,
-)
+from repro.common.ids import ProcessId, server_id
 from repro.common.values import Value
-from repro.core.directory import ConfigurationDirectory
-from repro.net.latency import LatencyModel, UniformLatency
-from repro.net.network import Network
-from repro.sim.core import Simulator
+from repro.core.deployment import CommonSpec, Deployment
 from repro.sim.futures import Coroutine
-from repro.sim.process import RetryPolicy
-from repro.spec.history import History
-from repro.spec.properties import DapRecorder
 from repro.store.client import StoreClient
 from repro.store.reconfigurer import ShardReconfigurer
 from repro.store.server import StoreServer
@@ -44,8 +31,15 @@ from repro.store.shardmap import Shard, ShardMap, ShardSpec
 
 
 @dataclass
-class StoreSpec:
+class StoreSpec(CommonSpec):
     """Parameters of a sharded store deployment.
+
+    The client population, ``latency``, ``seed``, ``record_dap``, ``retry``
+    and ``gc`` are those of :class:`~repro.core.deployment.CommonSpec`: every
+    client can address every key, the reconfigurers are
+    :class:`~repro.store.reconfigurer.ShardReconfigurer` processes (shard
+    migrations and key-range rebalances), and ``gc`` retires configurations
+    per key.
 
     Attributes
     ----------
@@ -53,124 +47,63 @@ class StoreSpec:
         One :class:`~repro.store.shardmap.ShardSpec` per shard; each shard
         gets its own disjoint slice of the server pool and may run a
         different DAP kind.
-    num_writers, num_readers:
-        Client population (every client can address every key).
-    num_reconfigurers:
-        :class:`~repro.store.reconfigurer.ShardReconfigurer` population
-        (shard migrations and key-range rebalances).
-    latency:
-        Network latency model (default ``UniformLatency(1, 2)``).
-    seed:
-        Simulator seed.
-    record_dap:
-        Install a :class:`~repro.spec.properties.DapRecorder` on all clients.
-    retry:
-        A :class:`~repro.sim.process.RetryPolicy` installed on every writer
-        and reader (never on reconfigurers); ``None`` keeps the gather path
-        byte-identical to builds without retry.
-    gc:
-        Enable per-key configuration retirement on the reconfigurers (see
-        :class:`~repro.store.reconfigurer.ShardReconfigurer`); ``False``
-        keeps executions byte-identical to builds without retirement.
     """
 
     shards: Tuple[ShardSpec, ...] = (ShardSpec(), ShardSpec())
-    num_writers: int = 2
-    num_readers: int = 2
-    num_reconfigurers: int = 1
-    latency: Optional[LatencyModel] = None
-    seed: int = 0
-    record_dap: bool = False
-    retry: Optional[RetryPolicy] = None
-    gc: bool = False
 
 
-class StoreDeployment:
+class StoreDeployment(Deployment):
     """A complete, runnable sharded key-value store."""
 
-    #: Marks keyed deployments for the closed-loop workload driver.
+    spec_class = StoreSpec
     keyed = True
 
     def __init__(self, spec: Optional[StoreSpec] = None, **overrides) -> None:
-        if spec is None:
-            spec = StoreSpec(**overrides)
-        elif overrides:
-            raise ConfigurationError(
-                "pass either a StoreSpec or keyword overrides, not both")
-        self.spec = spec
-        self.sim = Simulator(seed=spec.seed)
-        self.network = Network(self.sim, latency=spec.latency or UniformLatency(1.0, 2.0))
-        self.directory = ConfigurationDirectory()
-        self.history = History()
-        self.dap_recorder = DapRecorder(self.sim) if spec.record_dap else None
-
+        super().__init__(spec, **overrides)
         # Carve the global server pool into per-shard slices (s0.. in shard
         # order), then build the shard map the servers also consult.
         shards: List[Shard] = []
-        shard_servers: List[List[ProcessId]] = []
         next_index = 0
-        for shard_index, shard_spec in enumerate(spec.shards):
+        for shard_index, shard_spec in enumerate(self.spec.shards):
             ids = [server_id(next_index + i) for i in range(shard_spec.num_servers)]
             next_index += shard_spec.num_servers
-            shard_servers.append(ids)
             shards.append(Shard(shard_index, shard_spec, ids, self.directory))
         self.shard_map = ShardMap(shards)
+        self._build_servers(pid for shard in shards for pid in shard.servers)
+        self._build_clients()
 
-        self.servers: Dict[ProcessId, StoreServer] = {}
-        for ids in shard_servers:
-            for pid in ids:
-                self.servers[pid] = StoreServer(pid, self.network, self.directory,
-                                                shard_map=self.shard_map)
+    def _make_server(self, pid: ProcessId) -> StoreServer:
+        # Fresh servers (add_servers) start with no shard membership; a shard
+        # migration recruits them as a target slice.
+        return StoreServer(pid, self.network, self.directory, shard_map=self.shard_map)
 
-        self.writers: List[StoreClient] = [
-            StoreClient(writer_id(i), self.network, self.directory, self.shard_map,
-                        history=self.history, dap_recorder=self.dap_recorder)
-            for i in range(spec.num_writers)
-        ]
-        self.readers: List[StoreClient] = [
-            StoreClient(reader_id(i), self.network, self.directory, self.shard_map,
-                        history=self.history, dap_recorder=self.dap_recorder)
-            for i in range(spec.num_readers)
-        ]
-        if spec.retry is not None:
-            for client in [*self.writers, *self.readers]:
-                client.enable_retries(spec.retry, seed=spec.seed)
-        self.reconfigurers: List[ShardReconfigurer] = [
-            ShardReconfigurer(reconfigurer_id(i), self.network, self.directory,
-                              self.shard_map, history=self.history,
-                              dap_recorder=self.dap_recorder, gc=spec.gc)
-            for i in range(spec.num_reconfigurers)
-        ]
-        self._next_server_index = next_index
+    def _make_client(self, pid: ProcessId) -> StoreClient:
+        return StoreClient(pid, self.network, self.directory, self.shard_map,
+                           history=self.history, dap_recorder=self.dap_recorder)
 
-    # --------------------------------------------------------------- topology
-    def add_servers(self, count: int) -> List[ProcessId]:
-        """Add ``count`` fresh store servers to the pool and return their ids.
-
-        Fresh servers start with no shard membership; a shard migration
-        (:meth:`migrate_shard`) recruits them as a target slice.
-        """
-        added = []
-        for _ in range(count):
-            pid = server_id(self._next_server_index)
-            self._next_server_index += 1
-            self.servers[pid] = StoreServer(pid, self.network, self.directory,
-                                            shard_map=self.shard_map)
-            added.append(pid)
-        return added
+    def _make_reconfigurer(self, pid: ProcessId) -> ShardReconfigurer:
+        return ShardReconfigurer(pid, self.network, self.directory, self.shard_map,
+                                 history=self.history, dap_recorder=self.dap_recorder,
+                                 gc=self.spec.gc)
 
     # ------------------------------------------------------------ operations
+    def spawn_put(self, key: str, value: Value, writer_index: int = 0) -> Coroutine:
+        """Start a keyed write without driving the simulator."""
+        writer = self.writers[writer_index]
+        return writer.spawn(writer.write(key, value), label=f"{writer.pid}:put:{key}")
+
+    def spawn_get(self, key: str, reader_index: int = 0) -> Coroutine:
+        """Start a keyed read without driving the simulator."""
+        reader = self.readers[reader_index]
+        return reader.spawn(reader.read(key), label=f"{reader.pid}:get:{key}")
+
     def put(self, key: str, value: Value, writer_index: int = 0):
         """Run one store write to completion; returns the written tag."""
-        writer = self.writers[writer_index]
-        op = writer.spawn(writer.write(key, value), label=f"{writer.pid}:put:{key}")
-        return self.sim.run_until_complete(op)
+        return self.sim.run_until_complete(self.spawn_put(key, value, writer_index))
 
     def get(self, key: str, reader_index: int = 0) -> Value:
         """Run one store read to completion; returns the value."""
-        reader = self.readers[reader_index]
-        op = reader.spawn(reader.read(key), label=f"{reader.pid}:get:{key}")
-        return self.sim.run_until_complete(op)
+        return self.sim.run_until_complete(self.spawn_get(key, reader_index))
 
     def multi_put(self, items: Mapping[str, Value], writer_index: int = 0) -> Dict[str, object]:
         """Run a pipelined batch write to completion; returns ``{key: tag}``."""
@@ -245,34 +178,7 @@ class StoreDeployment:
             reconfigurer.split_shard(source_index, left_index, right_index),
             label=f"{reconfigurer.pid}:split-shard-{source_index}")
 
-    # ----------------------------------------------------------- async forms
-    def spawn_put(self, key: str, value: Value, writer_index: int = 0) -> Coroutine:
-        """Start a keyed write without driving the simulator."""
-        writer = self.writers[writer_index]
-        return writer.spawn(writer.write(key, value), label=f"{writer.pid}:put:{key}")
-
-    def spawn_get(self, key: str, reader_index: int = 0) -> Coroutine:
-        """Start a keyed read without driving the simulator."""
-        reader = self.readers[reader_index]
-        return reader.spawn(reader.read(key), label=f"{reader.pid}:get:{key}")
-
-    def run(self) -> None:
-        """Drain the event queue, completing all spawned operations."""
-        self.sim.run()
-
     # ------------------------------------------------------------ accounting
-    def total_storage_data_bytes(self) -> int:
-        """Object-data bytes stored across every server and object."""
-        return sum(server.storage_data_bytes() for server in self.servers.values())
-
-    def configs_retired(self) -> int:
-        """Configurations reclaimed across the server pool (GC acks)."""
-        return sum(server.configs_retired for server in self.servers.values())
-
-    def bytes_reclaimed(self) -> int:
-        """Object-data bytes reclaimed by retirement across the server pool."""
-        return sum(server.bytes_reclaimed for server in self.servers.values())
-
     def storage_by_shard(self) -> Dict[int, int]:
         """Object-data bytes stored per shard (summed over its servers)."""
         totals: Dict[int, int] = {shard.index: 0 for shard in self.shard_map.shards}
@@ -288,13 +194,3 @@ class StoreDeployment:
             for key, count in server.storage_by_key().items():
                 totals[key] = totals.get(key, 0) + count
         return totals
-
-    @property
-    def stats(self):
-        """Network traffic statistics."""
-        return self.network.stats
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The network's latency model (exposes the ``d``/``D`` bounds)."""
-        return self.network.latency

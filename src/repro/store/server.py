@@ -14,7 +14,7 @@ bytes stored per object) used by hot-shard diagnostics and benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.ids import ProcessId
 from repro.core.directory import ConfigurationDirectory
@@ -39,15 +39,13 @@ class StoreServer(AresServer):
 
     def __init__(self, pid: ProcessId, network: Network,
                  directory: ConfigurationDirectory,
-                 shard_map: Optional[ShardMap] = None) -> None:
+                 shard_map: ShardMap) -> None:
         super().__init__(pid, network, directory)
         self.shard_map = shard_map
 
     # ------------------------------------------------------------ accounting
     def hosted_keys(self) -> List[str]:
         """Object keys this server currently holds DAP state for."""
-        if self.shard_map is None:
-            return []
         keys = []
         for cfg_id in self.dap_states:
             key = self.shard_map.key_of(cfg_id)
@@ -58,8 +56,6 @@ class StoreServer(AresServer):
     def storage_by_key(self) -> Dict[str, int]:
         """Object-data bytes stored at this server, per object key."""
         totals: Dict[str, int] = {}
-        if self.shard_map is None:
-            return totals
         for cfg_id, state in self.dap_states.items():
             key = self.shard_map.key_of(cfg_id)
             if key is not None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import ConfigId, ProcessId
@@ -170,16 +170,9 @@ class Shard:
         cached -- callers decide whether it becomes a lazy per-key base
         (:meth:`configuration_for`) or a migration proposal.
         """
-        servers = tuple(self.servers if servers is None else servers)
-        dap = self.dap
-        if dap == "treas":
-            return Configuration.treas(cfg_id, servers,
-                                       k=self.spec.k, delta=self.spec.delta)
-        if dap == "abd":
-            return Configuration.abd(cfg_id, servers)
-        # ldr: first half directories, second half replicas
-        half = len(servers) // 2
-        return Configuration.ldr(cfg_id, servers[:half], servers[half:])
+        return Configuration.of_kind(
+            self.dap, cfg_id, self.servers if servers is None else servers,
+            k=self.spec.k, delta=self.spec.delta)
 
     def configuration_for(self, key: str) -> Configuration:
         """The (lazily created, shared) configuration of object ``key``."""

@@ -2,10 +2,12 @@
 
 Each participating client runs a *session*: a loop of operations separated by
 an optional think time.  Writers issue writes of uniquely-labelled values of
-the configured size; readers issue reads.  The driver works against both
-:class:`~repro.registers.static.StaticRegisterDeployment` and
-:class:`~repro.core.deployment.AresDeployment` because both expose clients
-with ``read()`` / ``write(value)`` coroutines and a shared history.
+the configured size; readers issue reads.  The driver works against every
+:class:`~repro.core.deployment.Deployment` -- it reads ``sim``, ``writers``,
+``readers`` and ``history`` -- and the single-register kinds
+(:class:`~repro.registers.static.StaticRegisterDeployment`,
+:class:`~repro.core.deployment.AresDeployment`) have clients with
+``read()`` / ``write(value)`` coroutines.
 
 Keyspaces: when the workload names a keyspace (``num_keys > 0``) and the
 deployment is keyed (a :class:`~repro.store.deployment.StoreDeployment`),
@@ -216,7 +218,7 @@ class ClosedLoopDriver:
         # workload must agree with the deployment about which surface to
         # drive, so a mismatch is a configuration error, not a silent fall
         # back to the wrong call signature.
-        keyed_deployment = bool(getattr(deployment, "keyed", False))
+        keyed_deployment = deployment.keyed
         if self.spec.num_keys > 0 and not keyed_deployment:
             raise ValueError(
                 "workload names a keyspace (num_keys="

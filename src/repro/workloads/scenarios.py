@@ -39,7 +39,7 @@ from repro.chaos.faults import (
     SlowServer,
 )
 from repro.chaos.schedule import At, During, Schedule, Stochastic
-from repro.core.deployment import AresDeployment, DeploymentSpec
+from repro.core.deployment import AresDeployment, Deployment, DeploymentSpec
 from repro.net.latency import UniformLatency
 from repro.obs import slo
 from repro.obs.registry import install_metrics
@@ -109,8 +109,7 @@ def reconfiguration_storm(num_reconfigs: int = 3, value_size: int = 512,
 
     def reconfig_session():
         for index in range(num_reconfigs):
-            dap = "treas" if index % 2 == 0 else "abd"
-            fresh = 5 if dap == "treas" else 3
+            dap, fresh = ("treas", 5) if index % 2 == 0 else ("abd", 3)
             configuration = deployment.make_configuration(dap=dap, fresh_servers=fresh)
             yield from reconfigurer.reconfig(configuration)
         return None
@@ -142,7 +141,9 @@ class ChaosScenario:
         ``reconfig``, ``gray``, ``drop``, ``duplicate``, ``reorder``,
         ``restart``) -- used for registry queries and coverage assertions.
     deployment:
-        ``seed -> AresDeployment`` factory.
+        ``seed -> Deployment`` factory: any kind built on
+        :class:`~repro.core.deployment.Deployment` (single ARES register,
+        sharded store or static register).
     schedule:
         ``deployment -> Schedule`` factory (may inspect the deployment to
         pick victims inside the fault-tolerance envelope).
@@ -184,15 +185,15 @@ class ChaosScenario:
     description: str
     dap: str
     faults: Tuple[str, ...]
-    deployment: Callable[[int], AresDeployment]
-    schedule: Callable[[AresDeployment], Schedule]
+    deployment: Callable[[int], Deployment]
+    schedule: Callable[[Deployment], Schedule]
     workload: WorkloadSpec
     num_reconfigs: int = 0
     reconfig_cadence: float = 8.0
     reconfig_daps: Tuple[str, ...] = ()
     fresh_servers: int = 0
     fault_rate: float = 0.0
-    background: Optional[Callable[[AresDeployment, "ChaosScenario"], Schedule]] = None
+    background: Optional[Callable[[Deployment, "ChaosScenario"], Schedule]] = None
     gc: bool = False
     slos: Tuple[slo.SLO, ...] = ()
 
@@ -203,13 +204,11 @@ class ChaosRunResult:
 
     scenario: ChaosScenario
     seed: int
-    deployment: AresDeployment
+    deployment: Deployment
     workload: WorkloadResult
     engine: ChaosEngine
     schedule: Schedule
     reconfig_errors: List[str] = dataclass_field(default_factory=list)
-    #: cProfile rendering of the run, when ``run_scenario(..., profile=True)``.
-    profile_summary: Optional[str] = None
     #: The run's exported metrics, when ``run_scenario(..., metrics=True)``.
     metrics: Optional[MetricsReport] = None
 
@@ -363,9 +362,7 @@ def get_scenario(name: str) -> ChaosScenario:
         ) from None
 
 
-def run_scenario(name: str, seed: int = 0, profile: bool = False,
-                 streaming: bool = False,
-                 window_limit: Optional[int] = None,
+def run_scenario(name: str, seed: int = 0, streaming: bool = False,
                  metrics: bool = False) -> ChaosRunResult:
     """Execute one registered scenario end-to-end, deterministically.
 
@@ -373,11 +370,6 @@ def run_scenario(name: str, seed: int = 0, profile: bool = False,
     (latencies), chaos engine (drop/duplicate coin flips, jitter) and
     workload (think times) -- so two calls with equal ``(name, seed)``
     produce byte-identical histories and chaos logs.
-
-    With ``profile=True`` the simulation loop runs under :mod:`cProfile`;
-    a cumulative-time summary is printed and kept on the result's
-    :attr:`~ChaosRunResult.profile_summary`.  Profiling slows the run but
-    does not perturb it (the execution stays byte-identical).
 
     With ``streaming=True`` the deployment's history runs in bounded
     open-window mode (see
@@ -393,14 +385,12 @@ def run_scenario(name: str, seed: int = 0, profile: bool = False,
     any seeded RNG stream, so the execution stays byte-identical -- the
     differential metrics tests pin this against the golden signatures.
     """
-    return run_scenario_instance(get_scenario(name), seed=seed, profile=profile,
-                                 streaming=streaming, window_limit=window_limit,
-                                 metrics=metrics)
+    return run_scenario_instance(get_scenario(name), seed=seed,
+                                 streaming=streaming, metrics=metrics)
 
 
 def run_scenario_instance(scenario: ChaosScenario, seed: int = 0,
-                          profile: bool = False, streaming: bool = False,
-                          window_limit: Optional[int] = None,
+                          streaming: bool = False,
                           metrics: bool = False) -> ChaosRunResult:
     """Execute a :class:`ChaosScenario` object (registered or derived).
 
@@ -408,9 +398,9 @@ def run_scenario_instance(scenario: ChaosScenario, seed: int = 0,
     uses it to run parameter-grid variants (``dataclasses.replace`` of a
     registered scenario with an overridden workload).  All three RNG streams
     are keyed by ``scenario.name``, so for registered scenarios the two entry
-    points are byte-identical.  ``streaming`` / ``window_limit`` switch the
-    fresh deployment's history into bounded open-window mode before any
-    operation is recorded.
+    points are byte-identical.  ``streaming`` switches the fresh
+    deployment's history into bounded open-window mode before any operation
+    is recorded.
     """
     name = scenario.name
     deployment = scenario.deployment(seed)
@@ -421,7 +411,7 @@ def run_scenario_instance(scenario: ChaosScenario, seed: int = 0,
         for reconfigurer in deployment.reconfigurers:
             reconfigurer.gc_enabled = True
     if streaming:
-        deployment.history.enable_streaming(window_limit=window_limit)
+        deployment.history.enable_streaming()
     # The deployment already seeded its simulator with the bare integer;
     # derive a distinct chaos seed so fault coin flips are not the same
     # Mersenne Twister stream as the latency draws.
@@ -454,23 +444,7 @@ def run_scenario_instance(scenario: ChaosScenario, seed: int = 0,
 
     driver = ClosedLoopDriver(deployment, scenario.workload,
                               rng=random.Random(f"workload-{name}-{seed}"))
-    profile_summary = None
-    if profile:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        workload = driver.run()
-        profiler.disable()
-        stream = io.StringIO()
-        pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(25)
-        profile_summary = stream.getvalue()
-        print(f"--- cProfile of run_scenario({name!r}, seed={seed}) ---")
-        print(profile_summary)
-    else:
-        workload = driver.run()
+    workload = driver.run()
     reconfig_errors = []
     if reconfig_session is not None:
         if reconfig_session.exception() is not None:
@@ -485,8 +459,7 @@ def run_scenario_instance(scenario: ChaosScenario, seed: int = 0,
         report = _collect_final_metrics(registry, deployment, engine)
     return ChaosRunResult(scenario=scenario, seed=seed, deployment=deployment,
                           workload=workload, engine=engine, schedule=schedule,
-                          reconfig_errors=reconfig_errors,
-                          profile_summary=profile_summary, metrics=report)
+                          reconfig_errors=reconfig_errors, metrics=report)
 
 
 def _collect_final_metrics(registry, deployment, engine) -> MetricsReport:
@@ -508,7 +481,7 @@ def _collect_final_metrics(registry, deployment, engine) -> MetricsReport:
                if server.governor is not None)
     if shed:
         registry.inc("governor_shed", shed)
-    if getattr(deployment, "keyed", False):
+    if deployment.keyed:
         by_shard = deployment.storage_by_shard()
         for index, stored in sorted(by_shard.items()):
             registry.set_gauge(f"shard_bytes:{index}", float(stored))
@@ -544,7 +517,7 @@ def _spawn_reconfig_session(deployment, scenario: ChaosScenario):
     reconfigurer = deployment.reconfigurers[0]
     daps = scenario.reconfig_daps or (scenario.dap,)
 
-    if getattr(deployment, "keyed", False):
+    if deployment.keyed:
         num_shards = deployment.shard_map.num_shards
 
         def session():
@@ -573,27 +546,36 @@ def _spawn_reconfig_session(deployment, scenario: ChaosScenario):
 
 
 # ---------------------------------------------------------------- factories
-def _abd_deployment(seed: int) -> AresDeployment:
-    """ABD over 5 servers: majority quorums, crash tolerance f = 2."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=5, initial_dap="abd", num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed))
+def _ares(dap: str, num_servers: int, retry: Optional[RetryPolicy] = None,
+          **dap_params) -> Callable[[int], AresDeployment]:
+    """A ``seed -> AresDeployment`` factory: 2 writers, 2 readers, 1 reconfigurer."""
+
+    def deployment(seed: int) -> AresDeployment:
+        return AresDeployment(DeploymentSpec(
+            num_servers=num_servers, initial_dap=dap, num_writers=2, num_readers=2,
+            num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed,
+            retry=retry, **dap_params))
+
+    return deployment
 
 
-def _treas_deployment(seed: int) -> AresDeployment:
-    """TREAS [6, 4]: quorum ceil((n+k)/2) = 5, crash tolerance f = 1."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="treas", k=4, delta=8, num_writers=2,
-        num_readers=2, num_reconfigurers=1,
-        latency=UniformLatency(1.0, 2.0), seed=seed))
+def _store(*shards: ShardSpec) -> Callable[[int], StoreDeployment]:
+    """A ``seed -> StoreDeployment`` factory over ``shards``: 2 writers, 2 readers."""
+
+    def deployment(seed: int) -> StoreDeployment:
+        return StoreDeployment(StoreSpec(
+            shards=shards, num_writers=2, num_readers=2,
+            latency=UniformLatency(1.0, 2.0), seed=seed))
+
+    return deployment
 
 
-def _ldr_deployment(seed: int) -> AresDeployment:
-    """LDR over 6 servers (3 directories + 3 replicas): directory majority 2, replica f = 1."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="ldr", num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed))
-
+#: ABD over 5 servers: majority quorums, crash tolerance f = 2.
+_abd_deployment = _ares("abd", 5)
+#: TREAS [6, 4]: quorum ceil((n+k)/2) = 5, crash tolerance f = 1.
+_treas_deployment = _ares("treas", 6, k=4, delta=8)
+#: LDR over 6 servers (3 directories + 3 replicas): directory majority 2, replica f = 1.
+_ldr_deployment = _ares("ldr", 6)
 
 _WORKLOAD = WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
                          value_size=256, think_time=2.0)
@@ -760,24 +742,14 @@ register_scenario(ChaosScenario(
 # shard tolerates 2 lost servers, a TREAS [6, 4] shard 1, an LDR 3+3 shard
 # 1 directory plus 1 replica.
 
-def _store_mixed_deployment(seed: int) -> StoreDeployment:
-    """Three shards, one per DAP kind: ABD-5 + TREAS [6,4] + LDR 3+3."""
-    return StoreDeployment(StoreSpec(
-        shards=(ShardSpec(dap="abd", num_servers=5),
-                ShardSpec(dap="treas", num_servers=6, k=4, delta=8),
-                ShardSpec(dap="ldr", num_servers=6)),
-        num_writers=2, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed))
+_ABD_5 = ShardSpec(dap="abd", num_servers=5)
+_TREAS_6_4 = ShardSpec(dap="treas", num_servers=6, k=4, delta=8)
+_LDR_3_3 = ShardSpec(dap="ldr", num_servers=6)
 
-
-def _store_abd_deployment(seed: int) -> StoreDeployment:
-    """Three uniform ABD-5 shards (each tolerates 2 crashed servers)."""
-    return StoreDeployment(StoreSpec(
-        shards=(ShardSpec(dap="abd", num_servers=5),
-                ShardSpec(dap="abd", num_servers=5),
-                ShardSpec(dap="abd", num_servers=5)),
-        num_writers=2, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed))
+#: Three shards, one per DAP kind: ABD-5 + TREAS [6,4] + LDR 3+3.
+_store_mixed_deployment = _store(_ABD_5, _TREAS_6_4, _LDR_3_3)
+#: Three uniform ABD-5 shards (each tolerates 2 crashed servers).
+_store_abd_deployment = _store(_ABD_5, _ABD_5, _ABD_5)
 
 
 def _hot_shard_crashes(deployment: StoreDeployment) -> Schedule:
@@ -823,24 +795,15 @@ register_scenario(ChaosScenario(
     description=("Sharded ABD+TREAS store with one server of every shard "
                  "partitioned away, then healed"),
     dap="store", faults=("partition",),
-    deployment=lambda seed: StoreDeployment(StoreSpec(
-        shards=(ShardSpec(dap="abd", num_servers=5),
-                ShardSpec(dap="treas", num_servers=6, k=4, delta=8)),
-        num_writers=2, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed)),
+    deployment=_store(_ABD_5, _TREAS_6_4),
     schedule=lambda d: Schedule([During(6, 36, Isolate("s4", "s10"))]),
     workload=WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
                           value_size=256, think_time=2.0, num_keys=10),
 ))
 
 
-def _dap_flip_store(seed: int) -> StoreDeployment:
-    """Two shards: TREAS [6,4] (s0-s5) + ABD-5 (s6-s10)."""
-    return StoreDeployment(StoreSpec(
-        shards=(ShardSpec(dap="treas", num_servers=6, k=4, delta=8),
-                ShardSpec(dap="abd", num_servers=5)),
-        num_writers=2, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed))
+#: Two shards: TREAS [6,4] (s0-s5) + ABD-5 (s6-s10).
+_dap_flip_store = _store(_TREAS_6_4, _ABD_5)
 
 
 def _dap_flip_schedule(deployment: StoreDeployment) -> Schedule:
@@ -955,8 +918,8 @@ register_scenario(ChaosScenario(
 # "fault_rate=0.0..0.5"`` maps each DAP's maximum survivable rate.  Retry
 # stays on at every rate so the axis compares like with like; note that
 # enabling retry changes the event sequence (per-attempt timeout timers), so
-# these deployments are distinct factories rather than reusing the quiet
-# ones.
+# these deployments are the quiet ones plus ``retry=GRAY_RETRY``, not the
+# quiet ones themselves.
 
 #: Retry/backoff used by the gray scenarios: bounded attempts, exponential
 #: backoff, seeded jitter (see RetryPolicy for the exact schedule).  The
@@ -969,28 +932,12 @@ GRAY_RETRY = RetryPolicy(attempts=9, timeout=30.0, base_delay=2.0,
                          multiplier=2.0, jitter=0.5)
 
 
-def _abd_gray_deployment(seed: int) -> AresDeployment:
-    """ABD-5 with retrying clients (majority quorums shrug off refusals)."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=5, initial_dap="abd", num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed,
-        retry=GRAY_RETRY))
-
-
-def _treas_gray_deployment(seed: int) -> AresDeployment:
-    """TREAS [6, 4] with retrying clients (quorum 5-of-6: loss-sensitive)."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="treas", k=4, delta=8, num_writers=2,
-        num_readers=2, num_reconfigurers=1,
-        latency=UniformLatency(1.0, 2.0), seed=seed, retry=GRAY_RETRY))
-
-
-def _ldr_gray_deployment(seed: int) -> AresDeployment:
-    """LDR 3+3 with retrying clients."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="ldr", num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed,
-        retry=GRAY_RETRY))
+#: ABD-5 with retrying clients (majority quorums shrug off refusals).
+_abd_gray_deployment = _ares("abd", 5, retry=GRAY_RETRY)
+#: TREAS [6, 4] with retrying clients (quorum 5-of-6: loss-sensitive).
+_treas_gray_deployment = _ares("treas", 6, k=4, delta=8, retry=GRAY_RETRY)
+#: LDR 3+3 with retrying clients.
+_ldr_gray_deployment = _ares("ldr", 6, retry=GRAY_RETRY)
 
 
 def _gray_background(*resource_faults):

@@ -107,8 +107,8 @@ class TestAtomicityUnderConcurrency:
 class TestLivenessUnderFailures:
     def test_operations_survive_f_crashes_in_current_configuration(self):
         dep = make_deployment(num_servers=9, k=5)  # f = 2
-        dep.failure_injector.crash_now(server_id(7))
-        dep.failure_injector.crash_now(server_id(8))
+        dep.network.crash(server_id(7))
+        dep.network.crash(server_id(8))
         dep.write(Value.of_size(64, label="x"), 0)
         assert dep.read(0).label == "x"
 
@@ -118,7 +118,7 @@ class TestLivenessUnderFailures:
         # the service keeps operating after the old configuration dies.
         dep = make_deployment(num_servers=6)
         dep.write(Value.of_size(128, label="precious"), 0)
-        dep.failure_injector.crash_now(server_id(5))  # within tolerance
+        dep.network.crash(server_id(5))  # within tolerance
         fresh = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
         dep.reconfig(fresh, 0)
         # Clients learn the new configuration while the old one is still up
@@ -132,7 +132,7 @@ class TestLivenessUnderFailures:
         # Now the remaining old servers die too; clients that already migrated
         # keep operating against the new configuration alone.
         for index in range(5):
-            dep.failure_injector.crash_now(server_id(index))
+            dep.network.crash(server_id(index))
         dep.write(Value.of_size(128, label="after-death-of-c0"), 0)
         assert dep.read(0).label == "after-death-of-c0"
 

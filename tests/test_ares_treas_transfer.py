@@ -123,8 +123,8 @@ class TestDirectTransfer:
         dep = make_deployment(num_servers=9, k=5, delta=4)
         dep.write(Value.of_size(500, label="x"), 0)
         # Crash f = (9-5)/2 = 2 servers of the source configuration.
-        dep.failure_injector.crash_now(server_id(7))
-        dep.failure_injector.crash_now(server_id(8))
+        dep.network.crash(server_id(7))
+        dep.network.crash(server_id(8))
         cfg = dep.make_configuration(dap="treas", fresh_servers=9, k=5)
         dep.reconfig(cfg, 0)
         assert dep.read(0).label == "x"

@@ -360,4 +360,6 @@ class TestConfigSequencePruning:
                 seq.jump_to(target,
                             ConfigRecord(self._cfg(target), Status.FINALIZED))
                 next_index = target + 1
-            assert seq.mu == seq.mu_scan(), f"after {op}: {seq.describe()}"
+            scanned = max(seq.base + offset for offset, record in enumerate(seq.entries())
+                          if record.status is Status.FINALIZED)
+            assert seq.mu == scanned, f"after {op}: {seq.describe()}"

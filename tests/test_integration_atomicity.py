@@ -119,9 +119,11 @@ def test_ares_with_server_crashes_within_tolerance(seed):
         seed=seed, record_dap=True))
     # f = (9-5)/2 = 2: crash two random servers of the initial configuration
     # at a random time while operations are in flight.
-    victims = dep.failure_injector.crash_random_servers(
-        dep.initial_configuration.servers, 2, at=5.0)
-    assert len(victims) == 2
+    pool = list(dep.initial_configuration.servers)
+    for _ in range(2):
+        victim = dep.sim.choice(pool)
+        pool.remove(victim)
+        dep.network.crash_at(victim, 5.0)
     ops = []
     for round_number in range(2):
         for index in range(2):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import At, ChaosEngine, Drop, During, Heal, Partition, Schedule
 from repro.common.errors import QuorumUnavailableError, SimulationError
-from repro.common.ids import Role, reader_id, server_id, writer_id
-from repro.net.failures import FailureInjector, MessageLossModel, PartitionController
+from repro.common.ids import Role, config_id, reader_id, server_id, writer_id
+from repro.config.configuration import Configuration
 from repro.net.latency import AsymmetricLatency, CallableLatency, FixedLatency, UniformLatency
 from repro.net.message import METADATA_FIELD_BYTES, Message, reply, request
 from repro.net.network import Network
@@ -211,45 +212,33 @@ class TestFailureInjection:
     def test_crash_at_scheduled_time(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         victim = Collector(server_id(0), network)
-        injector = FailureInjector(network)
-        injector.crash_at(server_id(0), 5.0)
+        network.crash_at(server_id(0), 5.0)
         sim.run_until(4.0)
         assert not victim.crashed
         sim.run_until(6.0)
         assert victim.crashed
 
-    def test_crash_random_servers_respects_count(self, sim):
-        network = Network(sim, latency=FixedLatency(1.0))
-        servers = [Collector(server_id(i), network) for i in range(6)]
-        injector = FailureInjector(network)
-        victims = injector.crash_random_servers([s.pid for s in servers], 2)
-        assert len(victims) == 2
-        assert len(set(victims)) == 2
-        assert sum(1 for s in servers if s.crashed) == 2
+    def test_max_tolerated_failures_formula(self):
+        def treas(n, k):
+            return Configuration.treas(config_id(0), [server_id(i) for i in range(n)], k=k)
 
-    def test_crash_random_servers_too_many(self, sim):
-        network = Network(sim, latency=FixedLatency(1.0))
-        servers = [Collector(server_id(i), network) for i in range(2)]
-        injector = FailureInjector(network)
-        with pytest.raises(ValueError):
-            injector.crash_random_servers([s.pid for s in servers], 3)
-
-    def test_max_tolerated_failures_formula(self, sim):
-        injector = FailureInjector(Network(sim))
-        assert injector.max_tolerated_failures(5, 3) == 1
-        assert injector.max_tolerated_failures(9, 5) == 2
-        assert injector.max_tolerated_failures(3, 1) == 1
+        assert treas(5, 3).max_crash_failures() == 1
+        assert treas(9, 5).max_crash_failures() == 2
+        assert treas(3, 2).max_crash_failures() == 0
 
     def test_partition_blocks_cross_group_traffic(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         a = Collector(writer_id(0), network)
         b = Collector(server_id(0), network)
-        controller = PartitionController(network)
-        controller.partition([a.pid], [b.pid])
+        engine = ChaosEngine(network).inject(
+            Schedule([At(1.0, Partition([a.pid], [b.pid])), At(5.0, Heal())]))
+        sim.run_until(2.0)
         a.send(b.pid, Message(kind="HELLO"))
-        sim.run()
+        sim.run_until(4.0)
         assert b.received == []
-        controller.heal()
+        assert network.messages_dropped == 1
+        sim.run_until(6.0)
+        assert engine.active == []
         a.send(b.pid, Message(kind="HELLO"))
         sim.run()
         assert len(b.received) == 1
@@ -258,25 +247,24 @@ class TestFailureInjection:
         network = Network(sim, latency=FixedLatency(1.0))
         a = Collector(writer_id(0), network)
         b = Collector(server_id(0), network)
-        controller = PartitionController(network)
-        controller.partition_for(5.0, [a.pid], [b.pid])
+        ChaosEngine(network).inject(
+            Schedule([During(0.5, 5.0, Partition([a.pid], [b.pid]))]))
+        sim.run_until(1.0)
+        a.send(b.pid, Message(kind="DURING"))
         sim.run_until(6.0)
         a.send(b.pid, Message(kind="AFTER"))
         sim.run()
-        assert len(b.received) == 1
+        assert [message.kind for _, message in b.received] == ["AFTER"]
 
     def test_message_loss_model(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         a = Collector(writer_id(0), network)
         b = Collector(server_id(0), network)
-        MessageLossModel(network, loss_probability=1.0)
+        ChaosEngine(network).inject(Schedule([During(0.5, 10.0, Drop(1.0))]))
+        sim.run_until(1.0)
         a.send(b.pid, Message(kind="LOST"))
         sim.run()
         assert b.received == []
-
-    def test_message_loss_rejects_bad_probability(self, sim):
-        with pytest.raises(ValueError):
-            MessageLossModel(Network(sim), loss_probability=1.5)
 
 
 class TestTrafficScopes:

@@ -15,7 +15,7 @@ environment as a deterministic, seeded discrete-event simulator:
 """
 
 from repro.sim.core import Simulator, Event
-from repro.sim.futures import SimFuture, QuorumFuture, all_of, any_of
+from repro.sim.futures import SimFuture, QuorumFuture, all_of
 from repro.sim.process import Process
 
 __all__ = [
@@ -24,6 +24,5 @@ __all__ = [
     "SimFuture",
     "QuorumFuture",
     "all_of",
-    "any_of",
     "Process",
 ]

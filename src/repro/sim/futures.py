@@ -243,26 +243,6 @@ def all_of(sim: Simulator, futures: Iterable[SimFuture], label: str = "all_of") 
     return combined
 
 
-def any_of(sim: Simulator, futures: Iterable[SimFuture], label: str = "any_of") -> SimFuture:
-    """Return a future resolving with the result of the first future to complete."""
-    futures = list(futures)
-    combined = SimFuture(sim, label=label)
-    if not futures:
-        raise SimulationError("any_of requires at least one future")
-
-    def on_done(_fut: SimFuture) -> None:
-        if combined.done():
-            return
-        if _fut.exception() is not None:
-            combined.set_exception(_fut.exception())
-        else:
-            combined.set_result(_fut.result())
-
-    for fut in futures:
-        fut.add_done_callback(on_done)
-    return combined
-
-
 class Coroutine:
     """Handle of a running generator coroutine.
 

@@ -16,6 +16,7 @@ clients and servers -- is a :class:`Process` attached to a
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, TYPE_CHECKING
@@ -27,8 +28,8 @@ from repro.common.errors import (
     is_retirement_refusal,
 )
 from repro.common.ids import ProcessId
-from repro.sim.core import Simulator
-from repro.sim.futures import Coroutine, QuorumFuture, SimFuture, Timer, any_of, spawn
+from repro.sim.core import Event, Simulator
+from repro.sim.futures import Coroutine, QuorumFuture, SimFuture, Timer, spawn
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
@@ -88,7 +89,15 @@ class RetryPolicy:
     is drawn from the process's dedicated retry RNG -- seeded, so two runs
     with the same seed back off identically.  Exhausting the budget raises
     :class:`~repro.common.errors.RetriesExhaustedError` into the waiting
-    protocol coroutine, which surfaces as a clean operation error.
+    protocol coroutine, which surfaces as a clean operation error.  A
+    refusal caused only by retired configurations is permanent and surfaces
+    on the first attempt instead.
+
+    The timeout is measured per attempt, from its own opening, by one
+    deadline sweep per process (:meth:`Process._sweep_deadlines`), not by a
+    timer per attempt; a reply delivered at the very instant of the
+    deadline still counts.  A round whose attempt succeeds costs one
+    :class:`_RetriedRound` object and no event of its own.
 
     Retrying at the gather level is safe for the register protocols: server
     writes apply only if the incoming tag is newer, so a re-broadcast that
@@ -115,6 +124,93 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
+class _RetriedRound(SimFuture):
+    """One quorum round of a process that has a :class:`RetryPolicy` installed.
+
+    The round *is* the future the protocol coroutine awaits and also the
+    done-callback of each attempt's gather, so a round that succeeds first
+    time -- all but a percent or two of them, even under loss -- costs this
+    one object: success hands the gather's result over synchronously, and
+    the awaiting coroutine resumes through the same single ``call_soon`` as
+    on the plain path.  A retriable failure (a refusal that is not a
+    retirement refusal, too few live servers at open, a timeout reported by
+    :meth:`Process._sweep_deadlines`) draws the backoff at once and
+    schedules the re-open; anything else surfaces at once.  ``opener`` is
+    the bound ``_open_broadcast`` / ``_open_scatter`` and ``args`` its
+    arguments, so no closure is built per round.
+    """
+
+    __slots__ = ("process", "opener", "args", "attempt")
+
+    def __init__(self, process: "Process", opener: Callable[..., tuple],
+                 args: tuple, label: str) -> None:
+        super().__init__(process.sim, label=label)
+        self.process = process
+        self.opener = opener
+        self.args = args
+        self.attempt = 0
+        self._open(process._incarnation)
+
+    def _open(self, incarnation: int) -> None:
+        """Open the next attempt under a fresh request id.
+
+        ``incarnation`` is the process's crash count when the call was
+        scheduled: a backoff wake-up that finds it moved belongs to a
+        process that crashed meanwhile (restarted or not) and sends nothing.
+        """
+        process = self.process
+        if incarnation != process._incarnation:
+            return
+        self.attempt += 1
+        try:
+            request_id, gather = self.opener(*self.args)
+        except (QuorumRefusedError, QuorumUnavailableError) as error:
+            self._failed(error)
+            return
+        # Runs at once when the gather is born done (threshold 0).
+        gather.add_done_callback(self)
+        if not gather._done:
+            process._arm_deadline(request_id, self)
+
+    def __call__(self, gather: SimFuture) -> None:
+        """The current attempt's gather completed: succeed, retry or surface."""
+        error = gather._exception
+        if error is None:
+            self.set_result(gather._result)
+        elif (isinstance(error, (QuorumRefusedError, QuorumUnavailableError))
+                and not is_retirement_refusal(error)):
+            self._failed(error)
+        else:
+            # Not retriable.  In particular a retired configuration stays
+            # retired (it is not pressure that drains): re-broadcasting the
+            # same gather can never succeed, so the protocol layer must see
+            # the refusal now, restart from read-config and converge through
+            # the tombstone instead of burning the budget.
+            self.set_exception(error)
+
+    def timed_out(self) -> None:
+        """The current attempt's deadline passed with its gather still pending."""
+        process = self.process
+        self._failed(QuorumUnavailableError(
+            f"{process.pid}: {self.label} attempt {self.attempt} timed out "
+            f"after {process.retry_policy.timeout:g}"))
+
+    def _failed(self, error: BaseException) -> None:
+        """Back off and re-open after a retriable failure, or give up."""
+        process = self.process
+        policy = process.retry_policy
+        if self.attempt >= policy.attempts:
+            self.set_exception(RetriesExhaustedError(
+                f"{process.pid}: {self.label} failed after {policy.attempts} "
+                f"attempts: {error!r}"))
+            return
+        process.retries += 1
+        if process.metrics is not None:
+            process.metrics.inc("retries")
+        process.sim.schedule(policy.backoff(self.attempt, process._retry_rng),
+                             self._open, args=(process._incarnation,))
+
+
 class Process:
     """Base class for all simulated processes.
 
@@ -139,10 +235,18 @@ class Process:
         self._next_request_id = 0
         # Retry is strictly opt-in: with no policy installed the gather path
         # (and the simulator event sequence) is byte-identical to older
-        # builds -- enabling it schedules per-attempt timeout timers, which
-        # shifts event sequence numbers even when no retry ever fires.
+        # builds.  With one, every round is a _RetriedRound and its attempts
+        # queue in _deadlines (made by enable_retries) as (opened at, request
+        # id, round), oldest first; one scheduled _sweep_deadlines event per
+        # process, armed whenever the queue is not empty, times them out.
         self.retry_policy: Optional[RetryPolicy] = None
         self._retry_rng: Optional[random.Random] = None
+        self._deadlines: "Optional[deque[tuple[float, int, _RetriedRound]]]" = None
+        self._sweep: Optional[Event] = None
+        #: Crashes so far: lets a backoff wake-up see that it was overtaken.
+        self._incarnation = 0
+        #: Coroutines spawned with a policy installed and not yet finished.
+        self._live_coroutines = 0
         #: How many gather attempts this process re-issued / NACKs it received.
         self.retries = 0
         self.nacks_received = 0
@@ -169,11 +273,13 @@ class Process:
         if self.crashed:
             return
         self.crashed = True
+        self._incarnation += 1
         for coroutine in self._coroutines:
             if not coroutine.done():
                 coroutine.abort(f"{self.pid} crashed")
         self._coroutines.clear()
         self._pending_gathers.clear()
+        self._drop_sweep()
 
     def restart(self) -> None:
         """Bring a crashed process back up (crash-recovery with stable storage).
@@ -219,9 +325,21 @@ class Process:
         The RNG stream is ``Random(f"retry-{seed}-{name}")``, so backoff
         jitter is deterministic per (seed, process) and independent of the
         simulator, chaos and workload streams.
+
+        A process has one policy, the one installed: swapping it while
+        rounds are armed puts them under the new policy from that moment.
+        An attempt in flight times out ``policy.timeout`` after *its own*
+        opening (at once if that is already past), and attempt budget,
+        backoff and jitter stream of every later decision are the new ones.
         """
         self.retry_policy = policy
         self._retry_rng = random.Random(f"retry-{seed}-{self.pid.name}")
+        if self._deadlines is None:
+            self._deadlines = deque()
+        if self._sweep is not None:
+            # Armed for the old timeout: look at the queue again.
+            self._sweep.cancel()
+            self._sweep = self.sim.call_soon(self._sweep_deadlines)
 
     def on_message(self, src: ProcessId, message: "Message") -> None:
         """Handle an unsolicited message.  Subclasses override this."""
@@ -264,22 +382,25 @@ class Process:
         -------
         QuorumFuture
             Resolves with a list of ``(server_id, reply_message)`` pairs.
+            With a retry policy installed (:meth:`enable_retries`) the
+            returned future is the whole retried round instead -- same
+            result, or :class:`~repro.common.errors.RetriesExhaustedError`
+            once every attempt timed out or was refused -- and each attempt
+            is a gather like the above under a fresh request id.
 
         Raises
         ------
         QuorumUnavailableError
             Immediately, if fewer than ``threshold`` destinations are alive,
             since in a reliable-channel crash-stop model the gather could
-            then never complete.  With a retry policy installed
-            (:meth:`enable_retries`) the error is retried and surfaces
-            through the returned future instead.
+            then never complete.  With a retry policy installed the error
+            is retried and surfaces through the returned future instead.
         """
         servers = list(servers)
         if self.retry_policy is None:
             return self._open_broadcast(servers, make_message, threshold, label)[1]
-        return self._gather_with_retries(
-            lambda: self._open_broadcast(servers, make_message, threshold, label),
-            label)
+        return _RetriedRound(self, self._open_broadcast,
+                             (servers, make_message, threshold, label), label)
 
     def _open_broadcast(
         self,
@@ -379,8 +500,8 @@ class Process:
         """
         if self.retry_policy is None:
             return self._open_scatter(messages, threshold, label)[1]
-        return self._gather_with_retries(
-            lambda: self._open_scatter(messages, threshold, label), label)
+        return _RetriedRound(self, self._open_scatter,
+                             (messages, threshold, label), label)
 
     def _open_scatter(
         self,
@@ -397,72 +518,91 @@ class Process:
         return request_id, gather
 
     # ---------------------------------------------------------------- retries
-    def _gather_with_retries(
-        self,
-        open_attempt: Callable[[], "tuple[int, QuorumFuture]"],
-        label: str,
-    ) -> SimFuture:
-        """Drive ``open_attempt`` under the installed :class:`RetryPolicy`.
+    def _arm_deadline(self, request_id: int, round: _RetriedRound) -> None:
+        """Queue the attempt just opened as ``request_id`` for its timeout.
 
-        Returns the completion future of a retry coroutine owned by this
-        process (so a crash aborts the loop like any protocol coroutine).
-        Each attempt runs under a *fresh* request id; an abandoned attempt's
-        pending gather is unregistered, so straggler replies from it fall
-        through to :meth:`on_message` as unsolicited no-ops.
+        The timeout is one per-process constant, so the queue is a FIFO by
+        deadline and one scheduled sweep -- armed here only when none is --
+        serves every attempt of the process.
         """
-        return self.spawn(self._retry_driver(open_attempt, label),
-                          label=f"{self.pid}:{label}:retry").completion
+        now = self.sim.now
+        self._deadlines.append((now, request_id, round))
+        if self._sweep is None:
+            self._sweep = self.sim.schedule_at(
+                now + self.retry_policy.timeout, self._sweep_deadlines)
 
-    def _retry_driver(self, open_attempt, label: str):
-        policy = self.retry_policy
-        rng = self._retry_rng
-        last_failure: Optional[BaseException] = None
-        for attempt in range(1, policy.attempts + 1):
-            if attempt > 1:
-                self.retries += 1
-                if self.metrics is not None:
-                    self.metrics.inc("retries")
-                yield self.sleep(policy.backoff(attempt - 1, rng))
-            try:
-                request_id, gather = open_attempt()
-            except (QuorumRefusedError, QuorumUnavailableError) as error:
-                last_failure = error
-                continue
-            timer = Timer(self.sim, policy.timeout, label=f"{label}:attempt-timeout")
-            try:
-                yield any_of(self.sim, [gather, timer], label=f"{label}:attempt")
-            except (QuorumRefusedError, QuorumUnavailableError) as error:
-                timer.cancel()
-                if is_retirement_refusal(error):
-                    # The configuration was retired: re-broadcasting the same
-                    # gather can never succeed (retirement is permanent, not
-                    # pressure that drains).  Surface immediately so the
-                    # protocol layer restarts from read-config and converges
-                    # through the tombstone instead of burning the budget.
-                    raise
-                last_failure = error
-                continue
-            if gather.done():
-                timer.cancel()
-                return gather.result()
-            # Timed out: abandon the attempt so late replies are ignored.
-            self._pending_gathers.pop(request_id, None)
-            last_failure = QuorumUnavailableError(
-                f"{self.pid}: {label} attempt {attempt} timed out "
-                f"after {policy.timeout:g}")
-        raise RetriesExhaustedError(
-            f"{self.pid}: {label} failed after {policy.attempts} attempts: "
-            f"{last_failure!r}")
+    def _sweep_deadlines(self, settled: bool = False) -> None:
+        """Time out the attempts that are due; re-arm for the next live one.
+
+        Queue heads whose request id is no longer pending (the round
+        completed or failed fast) are dropped whatever their deadline, so
+        the sweep re-arms at the oldest *live* attempt's own deadline: while
+        rounds complete it fires once per ``timeout`` of virtual time, not
+        once per round, and a timeout still happens at exactly
+        ``opened + timeout``.
+
+        Deadline ties: a due attempt is timed out on a second pass queued
+        with ``call_soon`` (``settled``), i.e. after every delivery of the
+        same instant, so a reply landing exactly on the deadline completes
+        the round.  Timing an attempt out unregisters it, so straggler
+        replies fall through to :meth:`on_message` as unsolicited no-ops.
+        """
+        deadlines = self._deadlines
+        pending = self._pending_gathers
+        timeout = self.retry_policy.timeout
+        now = self.sim.now
+        while deadlines:
+            opened, request_id, round = deadlines[0]
+            if request_id not in pending:
+                deadlines.popleft()
+            elif opened + timeout > now:
+                self._sweep = self.sim.schedule_at(opened + timeout,
+                                                   self._sweep_deadlines)
+                return
+            elif not settled:
+                self._sweep = self.sim.call_soon(self._sweep_deadlines,
+                                                 args=(True,))
+                return
+            else:
+                deadlines.popleft()
+                del pending[request_id]
+                round.timed_out()
+        self._sweep = None
+
+    def _drop_sweep(self) -> None:
+        """Forget the deadline queue and cancel the armed sweep, if any.
+
+        For callers that know no gather is pending: then no queued attempt
+        is live and there is nothing left to time out.
+        """
+        if self._sweep is not None:
+            self._sweep.cancel()
+            self._sweep = None
+            self._deadlines.clear()
 
     # ------------------------------------------------------------ coroutines
     def spawn(self, generator: Generator, label: str = "") -> Coroutine:
         """Run a protocol coroutine owned by this process."""
         coroutine = spawn(self.sim, generator, label=label or f"{self.pid}:coroutine")
         self._coroutines.append(coroutine)
+        if self.retry_policy is not None:
+            self._live_coroutines += 1
+            coroutine.add_done_callback(self._coroutine_done)
         # Drop completed coroutines opportunistically to bound memory in long runs.
         if len(self._coroutines) > 64:
             self._coroutines = [c for c in self._coroutines if not c.done()]
         return coroutine
+
+    def _coroutine_done(self, _completion: SimFuture) -> None:
+        """Cancel the armed sweep once the last live coroutine finishes.
+
+        The last sweep of a process is armed up to one ``timeout`` past its
+        last round; left queued it would drag the run's final clock (and
+        every duration derived from it) out to that deadline.
+        """
+        self._live_coroutines -= 1
+        if not self._live_coroutines and not self._pending_gathers:
+            self._drop_sweep()
 
     def sleep(self, delay: float) -> Timer:
         """Return a future that resolves ``delay`` time units from now."""

@@ -916,10 +916,10 @@ register_scenario(ChaosScenario(
 # (byte-identical to a quiet retry-enabled run) and raising it degrades the
 # run until retries exhaust -- ``python -m repro.sweep --bisect
 # "fault_rate=0.0..0.5"`` maps each DAP's maximum survivable rate.  Retry
-# stays on at every rate so the axis compares like with like; note that
-# enabling retry changes the event sequence (per-attempt timeout timers), so
-# these deployments are the quiet ones plus ``retry=GRAY_RETRY``, not the
-# quiet ones themselves.
+# stays on at every rate so the axis compares like with like: these
+# deployments are the quiet ones plus ``retry=GRAY_RETRY``.  (Arming retry
+# adds only each client's deadline sweep, an event per ``timeout`` of
+# virtual time; until a round fails, no message or history entry moves.)
 
 #: Retry/backoff used by the gray scenarios: bounded attempts, exponential
 #: backoff, seeded jitter (see RetryPolicy for the exact schedule).  The

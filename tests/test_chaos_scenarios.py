@@ -1,17 +1,21 @@
 """Property tests over the chaos scenario registry.
 
-Every registered scenario is executed under many seeds; each run must keep
-liveness (no stalled or errored client session) *and* atomicity (the
+Every registered scenario is executed under five fixed seeds; each run must
+keep liveness (no stalled or errored client session) *and* atomicity (the
 recorded history passes the full linearizability checker plus the tag
-monotonicity condition).  A second battery checks determinism: the same
-``(scenario, seed)`` pair must reproduce the history and the chaos log
-byte-for-byte.
+monotonicity condition).  The whole ``0..200`` seed range is
+``tools/seed_scan.py``'s job (a CI job of its own); the cells it is known
+to fail on are pinned here as strict xfails.  A second battery checks
+determinism: the same ``(scenario, seed)`` pair must reproduce the history
+and the chaos log byte-for-byte.
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.workloads.scenarios import (
     SCENARIOS,
@@ -22,6 +26,17 @@ from repro.workloads.scenarios import (
 )
 
 ALL_SCENARIOS = scenario_names()
+
+#: Listed, not drawn: no example database and no randomness decide whether
+#: tier-1 passes.  Every scenario x seed in 0..200 verifies except the
+#: known-failing cells below.
+SEEDS = (0, 41, 97, 150, 200)
+
+#: ``[scenario, seed]`` cells that fail ``check()`` today -- the file
+#: ``tools/seed_scan.py`` compares its scan against.
+KNOWN_FAILING_CELLS = [tuple(cell) for cell in json.loads(
+    (pathlib.Path(__file__).parent / "data" / "known_failing_cells.json")
+    .read_text())["cells"]]
 
 
 class TestRegistry:
@@ -45,13 +60,20 @@ class TestRegistry:
             register_scenario(SCENARIOS[ALL_SCENARIOS[0]])
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 class TestScenariosAreAtomicAndLive:
-    @settings(max_examples=5, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 200))
     def test_scenario_survives_its_faults(self, name, seed):
         run_scenario(name, seed=seed).verify()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: a read parks forever when retired-config NACKs and a "
+    "crash meet in one quorum round; the fix must flip this marker and "
+    "empty tests/data/known_failing_cells.json"))
+@pytest.mark.parametrize("name, seed", KNOWN_FAILING_CELLS)
+def test_known_failing_cell_still_fails(name, seed):
+    run_scenario(name, seed=seed).verify()
 
 
 @pytest.mark.parametrize("name", ["abd_packet_chaos", "treas_gray_failure",

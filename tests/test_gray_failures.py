@@ -34,11 +34,20 @@ from repro.chaos import (
 )
 from repro.chaos.engine import LOG_RECENT, RATE_RESOLUTION
 from repro.chaos.resources import queue_limit_rule
-from repro.common.errors import QuorumRefusedError, RetriesExhaustedError
+from repro.common.errors import (
+    RETIRED_CONFIG_REASON,
+    QuorumRefusedError,
+    RetriesExhaustedError,
+    is_retirement_refusal,
+)
+from repro.common.ids import reader_id, server_id
 from repro.common.values import Value
 from repro.core.deployment import AresDeployment, DeploymentSpec
-from repro.net.latency import UniformLatency
-from repro.sim.process import RetryPolicy
+from repro.net.latency import FixedLatency, UniformLatency
+from repro.net.message import reply, request
+from repro.net.network import Network
+from repro.sim.core import Simulator
+from repro.sim.process import Process, RetryPolicy
 from repro.spec.linearizability import check_linearizability
 from repro.workloads.scenarios import (
     get_scenario,
@@ -55,6 +64,61 @@ def abd_deployment(seed: int = 0, retry: RetryPolicy = None) -> AresDeployment:
         num_servers=5, initial_dap="abd", num_writers=1, num_readers=1,
         num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed,
         retry=retry))
+
+
+class _Server(Process):
+    """Answers every request one way: ``"echo"`` replies, ``"hole"`` stays
+    silent, any other string is the reason of a NACK."""
+
+    def __init__(self, pid, network, answer):
+        super().__init__(pid, network)
+        self.answer = answer
+        self.requests = []
+
+    def on_message(self, src, message):
+        self.requests.append(message)
+        if self.answer == "echo":
+            self.send(src, reply(message))
+        elif self.answer != "hole":
+            self.send(src, reply(message, kind="SRV-NACK", nack=True,
+                                 error=self.answer))
+
+
+class _Client(Process):
+    """Records when it opens each attempt and what reaches ``on_message``."""
+
+    def __init__(self, pid, network):
+        super().__init__(pid, network)
+        self.opened = []        # (virtual time, request id) per attempt
+        self.unsolicited = []   # in_reply_to of every message not routed
+
+    def ping(self, rid):
+        self.opened.append((self.sim.now, rid))
+        return request("PING", rid)
+
+    def on_message(self, src, message):
+        self.unsolicited.append(message.in_reply_to)
+
+
+def bare_round(policy, answers, latency=1.0, seed=0):
+    """A retrying client and one ``_Server`` per answer; no deployment."""
+    sim = Simulator(seed=seed)
+    network = Network(sim, latency=FixedLatency(latency))
+    servers = [_Server(server_id(index), network, answer)
+               for index, answer in enumerate(answers)]
+    client = _Client(reader_id(0), network)
+    client.enable_retries(policy, seed=seed)
+    return sim, client, servers
+
+
+def open_round(client, servers, threshold=2):
+    """Open one retried round; returns it and the list that receives the
+    virtual time at which it completes."""
+    round = client.broadcast_and_gather([s.pid for s in servers], client.ping,
+                                        threshold=threshold, label="ping")
+    finished = []
+    round.add_done_callback(lambda _: finished.append(client.sim.now))
+    return round, finished
 
 
 class TestStochasticSchedule:
@@ -320,6 +384,171 @@ class TestRetryBackoff:
         with pytest.raises(RetriesExhaustedError) as excinfo:
             deployment.write(Value.from_text("doomed", label="v1"))
         assert "after 2 attempts" in str(excinfo.value)
+
+    # What one retried round guarantees, on a bare Process (no deployment).
+    POLICY = RetryPolicy(attempts=4, timeout=10.0, base_delay=2.0,
+                         multiplier=2.0, jitter=0.5)
+    NO_JITTER = dataclasses.replace(POLICY, jitter=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_attempts_open_one_timeout_plus_one_backoff_apart(self, seed):
+        sim, client, servers = bare_round(self.POLICY, ["hole"] * 3, seed=seed)
+        round, finished = open_round(client, servers)
+        sim.run()
+        rng = random.Random(f"retry-{seed}-{client.pid.name}")
+        expected = [0.0]
+        for attempt in (1, 2, 3):
+            expected.append(expected[-1] + 10.0
+                            + self.POLICY.backoff(attempt, rng))
+        assert [at for at, _ in client.opened] == expected     # exact floats
+        assert [rid for _, rid in client.opened] == [1, 2, 3, 4]
+        assert finished == [expected[-1] + 10.0] and sim.now == finished[0]
+        assert client.retries == 3
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            round.result()
+        assert str(excinfo.value) == (
+            "reader-0: ping failed after 4 attempts: QuorumUnavailableError("
+            "'reader-0: ping attempt 4 timed out after 10')")
+
+    def test_concurrent_rounds_time_out_at_their_own_deadlines(self):
+        policy = dataclasses.replace(self.NO_JITTER, attempts=2)
+        sim, client, servers = bare_round(policy, ["hole"] * 3)
+        _, first_finished = open_round(client, servers)
+        second = []
+        sim.schedule(1.0, lambda: second.extend(open_round(client, servers)))
+        sim.run()
+        # Opened at 0 and 1: timed out at 10 and 11, re-opened 2 later,
+        # exhausted at 22 and 23 -- one sweep event serves both.
+        assert [at for at, _ in client.opened] == [0.0, 1.0, 12.0, 13.0]
+        assert first_finished == [22.0] and second[1] == [23.0]
+        assert client.retries == 2
+
+    def test_straggler_reply_reaches_on_message_not_the_new_attempt(self):
+        sim, client, servers = bare_round(self.NO_JITTER, ["hole"] * 3)
+        round, finished = open_round(client, servers)
+        sim.run_until(14.0)              # attempt 2 opened at 12, delivered at 13
+        assert [rid for _, rid in client.opened] == [1, 2]
+        for server in servers:           # every server answers attempt 1 late
+            server.send(client.pid, reply(server.requests[0]))
+        sim.run_until(16.0)
+        assert client.unsolicited == [1, 1, 1] and not round.done()
+        for server in servers[:2]:
+            server.send(client.pid, reply(server.requests[1]))
+        sim.run()
+        assert finished == [17.0] and len(round.result()) == 2
+        assert client.retries == 1
+
+    def test_retirement_refusal_surfaces_at_once_pressure_is_retried(self):
+        sim, client, servers = bare_round(self.NO_JITTER,
+                                          [RETIRED_CONFIG_REASON] * 3)
+        round, finished = open_round(client, servers)
+        sim.run()
+        assert finished == [2.0] and client.retries == 0
+        assert is_retirement_refusal(round.exception())
+        assert len(client.opened) == 1
+
+        sim, client, servers = bare_round(
+            self.NO_JITTER, ["disk-full", "disk-full", RETIRED_CONFIG_REASON])
+        round, finished = open_round(client, servers)
+        sim.run()
+        # Refused at 2, 6, 12 and 22 (backoffs 2, 4 and 8): never a timeout.
+        assert [at for at, _ in client.opened] == [0.0, 4.0, 10.0, 20.0]
+        assert finished == [22.0] and client.retries == 3
+        assert client.nacks_received == 8       # the second refusal decides
+        assert isinstance(round.exception(), RetriesExhaustedError)
+        assert "QuorumRefusedError" in str(round.exception())
+
+    def test_too_few_live_servers_on_every_attempt_exhausts_the_budget(self):
+        sim, client, servers = bare_round(self.NO_JITTER, ["echo"] * 3)
+        for server in servers[:2]:
+            server.crash()
+        round, finished = open_round(client, servers)       # does not raise
+        sim.run()
+        assert finished == [2.0 + 4.0 + 8.0] and client.retries == 3
+        assert client.network.messages_sent == 0 and not client.opened
+        with pytest.raises(RetriesExhaustedError, match="only 1 of 3 servers"):
+            round.result()
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_crash_during_backoff_never_sends_again(self, restart):
+        sim, client, servers = bare_round(self.NO_JITTER, ["hole"] * 3)
+        round, _ = open_round(client, servers)
+        sim.schedule(11.0, client.crash)          # timed out at 10, wakes at 12
+        if restart:
+            sim.schedule(11.5, client.restart)
+        sim.run()
+        assert len(client.opened) == 1 and not round.done()
+        assert client.network.messages_sent == 3 and sim.now == 12.0
+
+    def test_crash_in_flight_disarms_the_round(self):
+        sim, client, servers = bare_round(self.NO_JITTER, ["hole"] * 3)
+        round, _ = open_round(client, servers)
+        sim.schedule(5.0, client.crash)
+        sim.schedule(6.0, client.restart)
+        sim.run()
+        assert len(client.opened) == 1 and not round.done()
+        assert client.retries == 0 and sim.now == 6.0       # no sweep at 10
+
+    def test_threshold_zero_resolves_at_once(self):
+        sim, client, servers = bare_round(self.POLICY, ["echo"] * 3)
+        round, finished = open_round(client, servers, threshold=0)
+        assert round.done() and round.result() == [] and finished == [0.0]
+        sim.run()
+        assert sim.now == 2.0 and client.unsolicited == [1, 1, 1]
+        assert client.retries == 0 and sim.cancelled_events == 0
+
+    def test_reply_landing_exactly_on_the_deadline_completes_the_round(self):
+        # Request and reply take 5 each: every reply lands on the deadline.
+        # The first round's sweep was armed before its replies were sent,
+        # the second round's sweep is re-armed (at 10) after -- the rule is
+        # the same for both: deliveries of the instant go first.
+        sim, client, servers = bare_round(self.POLICY, ["echo"] * 3,
+                                          latency=5.0)
+        first, first_finished = open_round(client, servers)
+        second = []
+        sim.schedule(3.0, lambda: second.extend(open_round(client, servers)))
+        sim.run()
+        assert first_finished == [10.0] and second[1] == [13.0]
+        assert len(first.result()) == len(second[0].result()) == 2
+        assert client.retries == 0 and len(client.opened) == 2
+
+    def test_reply_after_the_deadline_loses(self):
+        sim, client, servers = bare_round(self.NO_JITTER, ["echo"] * 3,
+                                          latency=5.0 + 1e-9)
+        _, finished = open_round(client, servers)
+        sim.run_until(11.0)
+        assert client.retries == 1 and client.unsolicited == [1, 1, 1]
+        assert not finished
+
+    @pytest.mark.parametrize("swap_at, timeout, times_out_at", [
+        (5.0, 50.0, 50.0),      # longer: the armed attempt gets the extension
+        (5.0, 8.0, 8.0),        # shorter: measured from the attempt's opening
+        (9.0, 4.0, 9.0),        # already overdue: times out at the swap
+    ])
+    def test_policy_swapped_while_armed_governs_armed_rounds(
+            self, swap_at, timeout, times_out_at):
+        sim, client, servers = bare_round(self.NO_JITTER, ["hole"] * 3)
+        open_round(client, servers)
+        swapped = dataclasses.replace(self.NO_JITTER, timeout=timeout,
+                                      base_delay=3.0)
+        sim.schedule(swap_at, lambda: client.enable_retries(swapped))
+        sim.run_until(times_out_at + 3.5)
+        assert client.opened == [(0.0, 1), (times_out_at + 3.0, 2)]
+
+    def test_last_sweep_does_not_outlive_the_last_coroutine(self):
+        sim, client, servers = bare_round(self.POLICY, ["echo"] * 3)
+
+        def session():
+            for _ in range(2):
+                yield client.broadcast_and_gather(
+                    [s.pid for s in servers], client.ping, threshold=2)
+
+        client.spawn(session())
+        sim.run()
+        # Two rounds of 2 vt; the sweep armed for t=10 is cancelled when the
+        # session ends, so it cannot drag the final clock out to 10.
+        assert sim.now == 4.0 and sim.cancelled_events == 1
+        assert sim.pending_events == 0 and client.retries == 0
 
     def test_retry_disabled_by_default(self):
         deployment = abd_deployment()

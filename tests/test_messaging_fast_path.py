@@ -24,7 +24,7 @@ from repro.net.message import Message, reply, request
 from repro.net.network import Network
 from repro.net.stats import TrafficStats
 from repro.sim.core import Simulator
-from repro.sim.process import Process
+from repro.sim.process import Process, RetryPolicy
 from repro.store import ShardSpec, StoreDeployment, StoreSpec
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.scenarios import ChaosScenario, run_scenario_instance
@@ -204,19 +204,23 @@ class TestExactCounts:
         assert len(constructed) == 5 + 5
         assert (network.messages_sent, sim.events_processed) == (10, 10)
 
-    def test_abd_store_costs_per_operation(self, constructed):
-        ops = 320
-        scenario = ChaosScenario(
+    @staticmethod
+    def _abd_store(ops, retry=None):
+        return ChaosScenario(
             name="exact_counts_abd_store", description="3x ABD-5 store, no faults",
             dap="store", faults=(),
             deployment=lambda seed: StoreDeployment(StoreSpec(
                 shards=(ShardSpec(dap="abd", num_servers=5),) * 3,
                 num_writers=4, num_readers=4,
-                latency=UniformLatency(1.0, 2.0), seed=seed)),
+                latency=UniformLatency(1.0, 2.0), seed=seed, retry=retry)),
             schedule=lambda deployment: Schedule([]),
             workload=WorkloadSpec(
                 operations_per_writer=ops // 16, operations_per_reader=ops // 16,
                 value_size=64, think_time=0.0, num_keys=256, batch_size=2))
+
+    def test_abd_store_costs_per_operation(self, constructed):
+        ops = 320
+        scenario = self._abd_store(ops)
         profiler = cProfile.Profile()
         profiler.enable()
         result = run_scenario_instance(scenario, seed=0, streaming=True)
@@ -243,3 +247,33 @@ class TestExactCounts:
                 calls[entry.code.co_name] += entry.callcount
         assert calls == {"__new__": 202, "__str__": 2012, "server_id": 15,
                          "writer_id": 4, "reader_id": 4, "reconfigurer_id": 1}
+
+    def test_armed_retry_costs_a_sweep_per_timeout_not_a_timer_per_round(
+            self, constructed):
+        ops = 320
+        plain = run_scenario_instance(self._abd_store(ops), seed=0, streaming=True)
+        del constructed[:]
+        retry = RetryPolicy(attempts=9, timeout=30, base_delay=2, multiplier=2,
+                            jitter=0.5)
+        armed = run_scenario_instance(self._abd_store(ops, retry), seed=0,
+                                      streaming=True)
+        assert armed.check()[0] is None
+        sim, network = armed.deployment.sim, armed.deployment.network
+        clients = armed.deployment.writers + armed.deployment.readers
+        # Arming retry without a fault changes nothing a client can see.
+        assert armed.signature_hash() == plain.signature_hash()
+        assert network.messages_sent == 40 * ops
+        assert len(constructed) == 24 * ops
+        assert sum(client.retries for client in clients) == 0
+        assert sim.now == plain.deployment.sim.now == 247.6831438197282
+        # Every extra event is one firing of a client's deadline sweep: it
+        # finds the attempts queued over the last 30 vt completed, drops
+        # them and re-arms at the deadline of the one in flight -- once per
+        # client per ``timeout`` of virtual time (8 clients x 247 vt / 30),
+        # where a Timer per attempt cost one extra resume hop *and* one
+        # cancelled heap entry per round (1 280 of each).  The cancelled
+        # events are the clients' last armed sweeps, dropped when their
+        # session coroutine ends so that the final clock above is the plain
+        # run's, not the last deadline.
+        assert 0 < sim.events_processed - 14_240 <= ops // 2
+        assert 0 < sim.cancelled_events <= len(clients) == 8

@@ -12,7 +12,6 @@ from repro.sim.futures import (
     SimFuture,
     Timer,
     all_of,
-    any_of,
     spawn,
 )
 
@@ -125,18 +124,6 @@ class TestTimerAndCombinators:
         assert combined.done()
         with pytest.raises(RuntimeError):
             combined.result()
-
-    def test_any_of(self, sim):
-        futures = [SimFuture(sim) for _ in range(3)]
-        combined = any_of(sim, futures)
-        futures[1].set_result("winner")
-        assert combined.result() == "winner"
-        futures[0].set_result("late")
-        assert combined.result() == "winner"
-
-    def test_any_of_requires_futures(self, sim):
-        with pytest.raises(SimulationError):
-            any_of(sim, [])
 
 
 class TestCoroutines:

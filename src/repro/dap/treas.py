@@ -22,11 +22,14 @@ Client primitives:
   complete; retrying preserves safety and gives the same liveness guarantee
   under the δ bound).
 * ``put-data(⟨τ, v⟩)`` -- send ``(τ, Φ_i(v))`` to each server ``s_i``, await
-  ``⌈(n+k)/2⌉`` acks.
+  ``⌈(n+k)/2⌉`` acks.  A read's write-back takes the ``Φ_i(v)`` it was sent
+  from the ``get-data`` that decoded ``v`` and computes only the others.
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import QuorumUnavailableError
@@ -52,6 +55,14 @@ class TreasDapClient(DapClient):
     #: assumption is deliberately violated by stress tests.
     max_get_data_attempts: int = 64
 
+    #: ``(tag, {index: element}, ref to the returned pair)``: the coded
+    #: elements the last ``get-data`` decoded ``tag`` from, kept for the
+    #: ``put-data`` that writes the same pair back (Algorithm 7's read).
+    #: Dropped the moment ``put-data`` looks, or when the caller lets go of
+    #: the pair without writing it here (a read through several
+    #: configurations puts only into the last).
+    _decoded_from: Optional[Tuple[Tag, Dict[int, CodedElement], weakref.ref]] = None
+
     # ------------------------------------------------------------ primitives
     def get_tag(self):
         """Return the maximum tag reported by ``⌈(n+k)/2⌉`` servers."""
@@ -68,9 +79,16 @@ class TreasDapClient(DapClient):
         return tag
 
     def get_data(self):
-        """Return the maximal decodable tag-value pair from ``⌈(n+k)/2⌉`` lists."""
+        """Return the maximal decodable tag-value pair from ``⌈(n+k)/2⌉`` lists.
+
+        The elements a non-bottom pair was decoded from are remembered under
+        its tag for the next :meth:`put_data` on this client, for as long as
+        the caller holds the returned pair; an attempt that finds nothing
+        decodable remembers nothing.
+        """
         token = self._record_start("get-data")
         cfg = self.configuration
+        self._decoded_from = None
         attempts = 0
         while True:
             attempts += 1
@@ -94,10 +112,21 @@ class TreasDapClient(DapClient):
             yield self.process.sleep(self.process.sim.uniform(0.1, 0.5))
 
     def put_data(self, tag_value: TagValue):
-        """Send one coded element per server and await ``⌈(n+k)/2⌉`` acks."""
+        """Send one coded element per server and await ``⌈(n+k)/2⌉`` acks.
+
+        When ``tag_value`` carries the tag the preceding :meth:`get_data` of
+        this client decoded, the elements it decoded from are reused and only
+        the ones it lacked are computed.  Any other pair -- a write, a pair
+        read from another configuration -- is encoded in full under this
+        configuration's code.  Either way the remembered elements are gone
+        afterwards.
+        """
         token = self._record_start("put-data", tag_value)
         cfg = self.configuration
-        elements = cfg.code.encode(tag_value.value)
+        decoded_from, self._decoded_from = self._decoded_from, None
+        known = (decoded_from[1].values()
+                 if decoded_from is not None and decoded_from[0] == tag_value.tag else ())
+        elements = cfg.code.encode(tag_value.value, known)
         def make_factory(element: CodedElement):
             return lambda rid: request(
                 PUT_DATA, rid, config_id=cfg.cfg_id,
@@ -139,8 +168,16 @@ class TreasDapClient(DapClient):
             return None
         if t_dec_max == BOTTOM_TAG:
             return TagValue(tag=BOTTOM_TAG, value=BOTTOM_VALUE)
-        value = cfg.code.decode(elements[t_dec_max].values())
-        return TagValue(tag=t_dec_max, value=value)
+        pair = TagValue(tag=t_dec_max, value=cfg.code.decode(elements[t_dec_max].values()))
+        self._decoded_from = (t_dec_max, elements[t_dec_max],
+                              weakref.ref(pair, self._forget_decoded))
+        return pair
+
+    def _forget_decoded(self, pair_ref: weakref.ref) -> None:
+        """Drop the remembered elements of a pair nobody holds any more."""
+        decoded_from = self._decoded_from
+        if decoded_from is not None and decoded_from[2] is pair_ref:
+            self._decoded_from = None
 
 
 class TreasServerState(DapServerState):
@@ -153,6 +190,12 @@ class TreasServerState(DapServerState):
         #: ``List``: tag -> coded element (``None`` encodes the paper's ⊥).
         self.list: Dict[Tag, Optional[CodedElement]] = {BOTTOM_TAG: initial_element}
         self.my_index = index
+        # What every message asks of ``List``, maintained by ``insert`` so
+        # that no handler walks the placeholders: its highest tag, the tags
+        # that still hold an element (ascending, at most δ+1) and their bytes.
+        self._max_tag = BOTTOM_TAG
+        self._element_tags: List[Tag] = [BOTTOM_TAG]
+        self._data_bytes = initial_element.size
 
     # ---------------------------------------------------------------- handle
     def handle(self, src: ProcessId, message: Message) -> Optional[Message]:
@@ -160,9 +203,8 @@ class TreasServerState(DapServerState):
         if kind == QUERY_TAG:
             return reply(message, kind="TREAS-TAG", tag=self.max_known_tag())
         if kind == QUERY_LIST:
-            entries = [(tag, element) for tag, element in self.list.items()]
-            data_bytes = sum(element.size for _, element in entries if element is not None)
-            return reply(message, kind="TREAS-LIST", data_bytes=data_bytes,
+            entries = list(self.list.items())
+            return reply(message, kind="TREAS-LIST", data_bytes=self._data_bytes,
                          metadata_fields=len(entries) or 1, list=entries)
         if kind == PUT_DATA:
             self.insert(message["tag"], message["element"])
@@ -175,28 +217,30 @@ class TreasServerState(DapServerState):
 
         Coded elements are kept only for the ``δ+1`` highest tags; older tags
         retain a ``⊥`` placeholder so that ``get-tag`` still sees them
-        (Algorithm 3, lines 12-15).
+        (Algorithm 3, lines 12-15).  A tag that already holds an element
+        keeps it.  This is the only writer of ``List``: it also keeps the
+        maximum tag, the element-bearing tags and the stored-bytes total
+        current, so each insert costs O(δ) however many placeholders there are.
         """
-        existing = self.list.get(tag)
-        if existing is None:
-            self.list[tag] = element
-        self._garbage_collect()
-
-    def _garbage_collect(self) -> None:
-        limit = self.configuration.delta + 1
-        with_elements = [tag for tag, element in self.list.items() if element is not None]
-        if len(with_elements) <= limit:
+        if self.list.get(tag) is not None:
             return
-        with_elements.sort()
-        excess = len(with_elements) - limit
-        for tag in with_elements[:excess]:
-            self.list[tag] = None
+        self.list[tag] = element
+        if tag > self._max_tag:
+            self._max_tag = tag
+        if element is None:
+            return
+        insort(self._element_tags, tag)
+        self._data_bytes += element.size
+        if len(self._element_tags) > self.configuration.delta + 1:
+            trimmed = self._element_tags.pop(0)
+            self._data_bytes -= self.list[trimmed].size
+            self.list[trimmed] = None
 
     def storage_data_bytes(self) -> int:
-        return sum(element.size for element in self.list.values() if element is not None)
+        return self._data_bytes
 
     def max_known_tag(self) -> Tag:
-        return max_tag(list(self.list.keys()))
+        return self._max_tag
 
     def coded_element_for(self, tag: Tag) -> Optional[CodedElement]:
         """The coded element stored for ``tag``, if it has not been trimmed."""

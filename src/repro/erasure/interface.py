@@ -59,8 +59,23 @@ class ErasureCode:
     #: Number of elements sufficient (and necessary) to reconstruct the value.
     k: int
 
-    def encode(self, value: Value) -> List[CodedElement]:
-        """Encode ``value`` into ``n`` coded elements (index ``0 .. n-1``)."""
+    def encode(self, value: Value,
+               known: Iterable[CodedElement] = ()) -> List[CodedElement]:
+        """Encode ``value`` into ``n`` coded elements (index ``0 .. n-1``).
+
+        ``known`` holds coded elements of this very value that the caller
+        already has (a TREAS reader writing back what it just decoded): the
+        result equals ``encode(value)`` element for element, but an element
+        covered by ``known`` is taken from there instead of being computed.
+        The payload of a known element is trusted, its shape is not.
+
+        Raises
+        ------
+        ValueError
+            If a known element cannot belong to ``value`` under this code:
+            its index is outside ``0 .. n-1``, its ``original_size`` is not
+            ``value.size`` or its length is not the shard length.
+        """
         raise NotImplementedError
 
     def encode_one(self, value: Value, index: int) -> CodedElement:

@@ -26,8 +26,9 @@ class ReplicationCode(ErasureCode):
         self.n = n
         self.k = 1
 
-    def encode(self, value: Value) -> List[CodedElement]:
-        """Return ``n`` identical full copies of the value."""
+    def encode(self, value: Value,
+               known: Iterable[CodedElement] = ()) -> List[CodedElement]:
+        """Return ``n`` identical full copies of the value (``known`` saves nothing)."""
         return [
             CodedElement(index=i, payload=value.payload,
                          original_size=value.size, label=value.label)

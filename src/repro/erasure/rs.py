@@ -12,8 +12,10 @@ coefficients):
 
 * encode slices the ``k`` data elements out of the zero-padded payload (see
   :mod:`repro.erasure.striping` for the padding rule) and combines once per
-  parity row, ``n - k`` times; :meth:`ReedSolomonCode.encode_one` computes
-  only the element asked for, which is a slice for a data index;
+  parity row, ``n - k`` times -- less the rows whose element the caller
+  already holds and passes as ``known`` (a TREAS reader writing back what
+  it decoded); :meth:`ReedSolomonCode.encode_one` computes only the element
+  asked for, which is a slice for a data index;
 * decode keeps every surviving data shard verbatim and combines once per
   *missing* data shard, with the matching row of the inverse.  When all
   ``k`` data shards survived no inverse is looked up at all;
@@ -97,11 +99,29 @@ class ReedSolomonCode(ErasureCode):
         padded = payload.ljust(length * self.k, b"\0")
         return [padded[i * length:(i + 1) * length] for i in range(self.k)]
 
-    def encode(self, value: Value) -> List[CodedElement]:
-        """Encode ``value`` into ``n`` coded elements ``Φ_1(v) ... Φ_n(v)``."""
+    def encode(self, value: Value,
+               known: Iterable[CodedElement] = ()) -> List[CodedElement]:
+        """Encode ``value`` into ``n`` coded elements ``Φ_1(v) ... Φ_n(v)``.
+
+        Data elements are always slices of the payload; a parity row is
+        combined only when no element of ``known`` covers it.
+        """
         data = self._data_shards(value.payload)
-        shards = data + [gf_combine(row, data) for row in self._parity_rows]
         size, label = value.size, value.label
+        length = len(data[0])
+        held: Dict[int, bytes] = {}
+        for element in known:
+            if not 0 <= element.index < self.n:
+                raise ValueError(
+                    f"known element index {element.index} out of range for [n={self.n}, k={self.k}]")
+            if element.original_size != size or len(element.payload) != length:
+                raise ValueError(
+                    f"known element {element.index} ({element.size} B of a "
+                    f"{element.original_size}-byte value) is not an element of this "
+                    f"{size}-byte value under [n={self.n}, k={self.k}]")
+            held[element.index] = element.payload
+        shards = data + [held[index] if index in held else gf_combine(row, data)
+                         for index, row in enumerate(self._parity_rows, self.k)]
         return [CodedElement(index=i, payload=shard, original_size=size, label=label)
                 for i, shard in enumerate(shards)]
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from repro.common.ids import server_id
+from repro.erasure.rs import ReedSolomonCode
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.network import Network
 from repro.sim.core import Simulator
@@ -59,3 +60,19 @@ def run_in_child():
         return child.stdout
 
     return run
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """``[(code, indices of the known elements, result)]`` per Reed-Solomon encode."""
+    calls = []
+    inner = ReedSolomonCode.encode
+
+    def recording(self, value, known=()):
+        known = list(known)
+        result = inner(self, value, known)
+        calls.append((self, sorted(element.index for element in known), result))
+        return result
+
+    monkeypatch.setattr(ReedSolomonCode, "encode", recording)
+    return calls

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.ids import server_id
 from repro.common.values import Value
+from repro.config.configuration import DapKind
 from repro.core.ares_treas import (
     FWD_CODE_ELEM,
     MD_BCAST_REQ_FW,
@@ -119,6 +120,25 @@ class TestDirectTransfer:
         total_direct = sum(r.direct_transfers for r in dep.reconfigurers)
         assert total_direct == 3
 
+    def test_transferred_elements_keep_the_list_bookkeeping_exact(self):
+        # Algorithm 9 stores through ``insert`` only, so the incremental
+        # figures of a transfer state equal a rescan of its ``List``.
+        dep = make_deployment(delta=1)
+        for round_number in range(3):
+            dep.write(Value.of_size(450, label=f"v{round_number}"), round_number % 2)
+            dep.write(Value.of_size(300, label=f"w{round_number}"), 0)
+            cfg = dep.make_configuration(dap="treas", fresh_servers=6, k=4, delta=1)
+            dep.reconfig(cfg, round_number % 2)
+        states = [state for server in dep.servers.values()
+                  for state in server.dap_states.values()]
+        assert sum(r.direct_transfers for r in dep.reconfigurers) == 3
+        assert all(isinstance(state, TreasTransferServerState) for state in states)
+        for state in states:
+            held = [e for e in state.list.values() if e is not None]
+            assert len(held) <= 2
+            assert state.storage_data_bytes() == sum(e.size for e in held)
+            assert state.max_known_tag() == max(state.list)
+
     def test_transfer_survives_crashes_within_tolerance(self):
         dep = make_deployment(num_servers=9, k=5, delta=4)
         dep.write(Value.of_size(500, label="x"), 0)
@@ -142,3 +162,44 @@ class TestDirectTransfer:
         assert all(op.exception() is None for op in ops)
         result = check_linearizability(dep.history)
         assert result.ok, result.reason
+
+
+class TestWriteBackAcrossAReconfiguration:
+    """A read caught by a reconfiguration writes its pair into two
+    configurations; only the one it decoded the pair from may reuse elements."""
+
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("target", [dict(dap="treas", fresh_servers=8, k=5),
+                                        dict(dap="abd", fresh_servers=3)])
+    def test_second_put_data_of_the_propagation_encodes_in_full(
+            self, direct, target, encode_calls):
+        dep = make_deployment(direct=direct)
+        value = Value.of_size(900, label="payload", fill=0x5A)
+        dep.write(value, 0)
+        old = dep.initial_configuration
+        reader = dep.readers[0]
+        run = dep.sim.run_until_complete
+        # The read's first half, on cseq = [old] ...
+        run(reader.spawn(reader.read_config(reader.cseq)))
+        pair = run(reader.spawn(reader.dap_for(old).get_data()))
+        # ... a reconfiguration completes underneath it ...
+        new = dep.make_configuration(**target)
+        dep.reconfig(new, 0)
+        # ... and its propagation phase then walks old -> new.
+        del encode_calls[:]
+        run(reader.spawn(reader._register_propagate(reader.cseq, reader.dap_for, pair)))
+        assert reader.cseq.config_at(reader.cseq.nu).cfg_id == new.cfg_id
+        (old_code, old_known, _), *rest = encode_calls
+        assert (old_code.n, old_code.k, len(old_known)) == (6, 4, 5)
+        if new.dap is DapKind.TREAS:
+            [(new_code, new_known, elements)] = rest
+            assert (new_code.n, new_code.k, new_known) == (8, 5, [])
+            assert elements == new.code.encode(value)
+            for index, pid in enumerate(new.servers):
+                state = dep.servers[pid].dap_states.get(new.cfg_id)
+                if state is not None and state.coded_element_for(pair.tag) is not None:
+                    assert state.coded_element_for(pair.tag) == elements[index]
+        else:
+            assert rest == []
+        assert reader.dap_for(old)._decoded_from is None
+        assert dep.read(1).label == "payload"

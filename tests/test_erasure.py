@@ -8,6 +8,7 @@ products built on it.  Production code must agree with them byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from typing import List, Sequence
@@ -396,6 +397,81 @@ class TestOracleEquivalence:
             assert code.decode(survivors).payload == payload
 
 
+class TestEncodeWithKnownElements:
+    """``encode(value, known)``: same elements, fewer of them computed."""
+
+    @staticmethod
+    def _subsets(elements, k):
+        """Every subset for a narrow code; for a wide one every parity subset,
+        alone and with one or all data elements (only parity rows can differ)."""
+        def powerset(pool):
+            return itertools.chain.from_iterable(
+                itertools.combinations(pool, size) for size in range(len(pool) + 1))
+
+        if len(elements) <= 6:
+            return powerset(elements)
+        return (data + parity
+                for data in ((), tuple(elements[1:2]), tuple(elements[:k]))
+                for parity in powerset(elements[k:]))
+
+    @pytest.mark.parametrize("n,k", [(6, 4), (12, 8), (5, 5), (3, 1)])
+    def test_equals_plain_encode_for_every_subset(self, n, k):
+        code = ReedSolomonCode(n, k)
+        for size in sorted({0, 1, k - 1, k, 4096, 7 * k + 3}):
+            value = Value(payload=random.Random(size).randbytes(size), label="known")
+            elements = code.encode(value)
+            for known in self._subsets(elements, k):
+                assert code.encode(value, known=known) == elements, (size, known)
+
+    @settings(max_examples=60, deadline=None)
+    @given(code_parameters, st.binary(min_size=0, max_size=96), st.data())
+    def test_equals_plain_encode_for_random_payloads_and_subsets(self, parameters, payload, data):
+        n, k = parameters
+        code = ReedSolomonCode(n, k)
+        value = Value(payload=payload, label="known")
+        elements = code.encode(value)
+        known = data.draw(st.lists(st.sampled_from(elements), unique_by=lambda e: e.index))
+        assert code.encode(value, known=known) == elements
+        assert [e.payload for e in code.encode(value, known=known)] == oracle_encode(n, k, payload)
+
+    def test_known_data_elements_change_nothing(self):
+        code = ReedSolomonCode(6, 4)
+        value = Value.of_size(1000, label="x")
+        elements = code.encode(value)
+        # Data elements are slices of the payload whatever ``known`` says.
+        forged = [dataclasses.replace(e, payload=bytes(e.size)) for e in elements[:4]]
+        assert code.encode(value, known=forged) == elements
+
+    def test_known_elements_accept_any_iterable(self):
+        code = ReedSolomonCode(6, 4)
+        value = Value.of_size(1000, label="x")
+        elements = code.encode(value)
+        by_index = {e.index: e for e in elements[1:]}
+        assert code.encode(value, by_index.values()) == elements
+        assert code.encode(value, iter(elements[4:])) == elements
+
+    @pytest.mark.parametrize("change,match", [
+        (dict(index=6), "out of range"),
+        (dict(index=-1), "out of range"),
+        (dict(original_size=999), "not an element of this 1000-byte value"),
+        (dict(payload=bytes(249)), "not an element of this 1000-byte value"),
+        (dict(payload=bytes(251)), "not an element of this 1000-byte value"),
+    ])
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_known_element_of_another_value_is_rejected(self, change, match, position):
+        code = ReedSolomonCode(6, 4)
+        value = Value.of_size(1000, label="x")
+        elements = code.encode(value)
+        bad = dataclasses.replace(elements[position], **change)
+        with pytest.raises(ValueError, match=match):
+            code.encode(value, known=[*elements[:3], bad])
+
+    def test_known_elements_of_a_different_size_value_are_rejected(self):
+        code = ReedSolomonCode(6, 4)
+        with pytest.raises(ValueError, match="not an element"):
+            code.encode(Value.of_size(1000), known=code.encode(Value.of_size(996)))
+
+
 class TestDecodeInverseCache:
     @pytest.fixture(autouse=True)
     def _fresh_cache(self):
@@ -506,6 +582,13 @@ class TestReplication:
         elements = code.encode(value)
         assert len(elements) == 4
         assert all(e.size == 77 for e in elements)
+
+    def test_known_copies_save_nothing_and_change_nothing(self):
+        code = ReplicationCode(4)
+        value = Value.of_size(77, label="x")
+        elements = code.encode(value)
+        assert code.encode(value, known=elements[1:3]) == elements
+        assert code.encode(value, known=()) == elements
 
     def test_decode_from_any_single_copy(self):
         code = ReplicationCode(3)

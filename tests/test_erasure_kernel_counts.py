@@ -14,10 +14,13 @@ import dataclasses
 import pytest
 
 from repro.chaos.schedule import Schedule
+from repro.common.ids import server_id, writer_id
+from repro.common.tags import BOTTOM_TAG, Tag
 from repro.common.values import Value
 from repro.erasure import rs
 from repro.erasure.rs import ReedSolomonCode
 from repro.net.latency import UniformLatency
+from repro.registers.static import StaticRegisterDeployment
 from repro.store import ShardSpec, StoreDeployment, StoreSpec
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.scenarios import ChaosScenario, run_scenario_instance
@@ -51,9 +54,10 @@ def kernel(monkeypatch) -> KernelCounts:
     monkeypatch.setattr(rs, "gf_combine", counting_combine)
     for method, field in (("encode", "encodes"), ("encode_one", "single_encodes"),
                           ("decode", "decodes")):
-        def counting(self, *args, _inner=getattr(ReedSolomonCode, method), _field=field):
+        def counting(self, *args, _inner=getattr(ReedSolomonCode, method), _field=field,
+                     **kwargs):
             setattr(counts, _field, getattr(counts, _field) + 1)
-            return _inner(self, *args)
+            return _inner(self, *args, **kwargs)
         monkeypatch.setattr(ReedSolomonCode, method, counting)
     return counts
 
@@ -74,6 +78,16 @@ class TestRowCombinationsPerCall:
             code.encode_one(value, index)
             assert kernel.take()[0] == 1
 
+    def test_encode_combines_only_rows_no_known_element_covers(self, kernel):
+        code = ReedSolomonCode(12, 8)
+        value = Value.of_size(4096, label="v")
+        elements = code.encode(value)
+        kernel.take()
+        for known in ((), elements[:8], elements[:9], elements[3:11], elements[8:], elements):
+            assert code.encode(value, known) == elements
+            missing_parity = 4 - sum(1 for element in known if element.index >= 8)
+            assert kernel.take() == (missing_parity, 8 * missing_parity)
+
     @pytest.mark.parametrize("survivors,missing", [
         ((0, 1, 2, 3), 0), ((0, 1, 2, 4), 1), ((1, 2, 3, 5), 1),
         ((2, 3, 4, 5), 2), ((0, 3, 4, 5), 2)])
@@ -93,6 +107,71 @@ class TestRowCombinationsPerCall:
         kernel.take()
         assert code.decode(elements[4:]).payload == value.payload
         assert kernel.take() == (4, 32)         # dense rows: 4 x 8 translates
+
+
+class TestTreasReadRowCombinations:
+    """One read of a bare ``[6, 4]`` register: ``get-data`` then ``put-data``.
+
+    The reader computes each coded element it was not sent exactly once --
+    a missing data element in ``decode``, a missing parity element in the
+    write-back -- so a read costs as many row combinations as elements its
+    quorum lacked (before: the missing data elements plus two per read).
+    """
+
+    @staticmethod
+    def _register(holders):
+        """A register whose servers ``holders`` store one written pair."""
+        deployment = StaticRegisterDeployment.treas(
+            num_servers=6, k=4, delta=2, num_writers=1, num_readers=1)
+        value = Value.of_size(4096, label="v")
+        tag = Tag(1, writer_id(0))
+        elements = deployment.configuration.code.encode(value)
+        for index in holders:
+            deployment.servers[server_id(index)].dap_state.insert(tag, elements[index])
+        return deployment, tag, elements
+
+    @staticmethod
+    def _read(deployment, kernel):
+        """``(pair, decode combinations, write-back combinations)`` of one read."""
+        reader = deployment.readers[0]
+        kernel.take()
+        pair = deployment.sim.run_until_complete(reader.spawn(reader.dap.get_data()))
+        decode = kernel.take()[0]
+        deployment.sim.run_until_complete(reader.spawn(reader.dap.put_data(pair)))
+        return pair, decode, kernel.take()[0]
+
+    @pytest.mark.parametrize("silent", range(6))
+    def test_one_silent_server(self, kernel, silent):
+        deployment, tag, elements = self._register(holders=range(6))
+        deployment.servers[server_id(silent)].crash()
+        pair, decode, write_back = self._read(deployment, kernel)
+        assert pair.tag == tag
+        # Silent data server: its shard is rebuilt in decode and both parity
+        # elements were received.  Silent parity server: nothing to rebuild,
+        # and its element is the one the write-back has to compute.
+        assert (decode, write_back) == ((1, 0) if silent < 4 else (0, 1))
+
+    @pytest.mark.parametrize("silent,lagging,expected", [
+        (0, 1, (2, 0)), (3, 4, (1, 1)), (5, 2, (1, 1)), (4, 5, (0, 2))])
+    def test_silent_server_and_one_the_element_has_not_reached(
+            self, kernel, silent, lagging, expected):
+        deployment, tag, elements = self._register(
+            holders=[index for index in range(6) if index != lagging])
+        deployment.servers[server_id(silent)].crash()
+        pair, decode, write_back = self._read(deployment, kernel)
+        assert pair.tag == tag
+        assert (decode, write_back) == expected
+        # The write-back delivered to the lagging server what a fresh encode would.
+        lagging_state = deployment.servers[server_id(lagging)].dap_state
+        assert lagging_state.coded_element_for(tag) == elements[lagging]
+
+    def test_read_of_the_bottom_tag_is_unchanged(self, kernel):
+        deployment, _, _ = self._register(holders=())
+        pair, decode, write_back = self._read(deployment, kernel)
+        assert pair.tag == BOTTOM_TAG
+        # Nothing is decoded, so nothing is remembered: the write-back
+        # encodes the (empty) bottom value in full.
+        assert (kernel.decodes, decode, write_back) == (0, 0, 2)
 
 
 def test_treas_store_kernel_work_per_operation(kernel):
@@ -117,7 +196,10 @@ def test_treas_store_kernel_work_per_operation(kernel):
     assert (kernel.encodes, kernel.single_encodes) == (ops + 64 * 6, 0)
     # Only reads that found a written tag decode (the bottom tag does not).
     assert kernel.decodes == 95
-    # Two parity rows per encode, and the 95 survivor sets lacked 63 data
-    # shards between them; every such row of a [6, 4] code is dense.
-    assert kernel.combinations == 2 * kernel.encodes + 63 == 1471
-    assert kernel.table_multiplies == 4 * kernel.combinations == 5884
+    # Two parity rows per write and per bottom state; the 95 survivor sets
+    # lacked 63 data shards between them, and the 95 write-backs reuse the
+    # elements they were decoded from, so they compute only the 32 parity
+    # elements their survivor sets lacked (2 x 95 rows when each write-back
+    # encoded from scratch).  Every such row of a [6, 4] code is dense.
+    assert kernel.combinations == 2 * (kernel.encodes - 95) + 63 + 32 == 1313
+    assert kernel.table_multiplies == 4 * kernel.combinations == 5252

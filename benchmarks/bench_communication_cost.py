@@ -3,7 +3,10 @@
 Measures the object-data bytes on the wire for one write and one read, in
 TREAS and ABD configurations, and prints them next to the analytic costs
 ``n/k`` / ``(δ+2)·n/k`` (TREAS) and ``n`` / ``2n`` (ABD), normalised by the
-value size.
+value size.  It asserts the byte counts: a TREAS write sends one
+``code.fragment_size(|v|)``-byte element to each of ``n`` servers, a TREAS
+read moves at most ``(δ+2)·n`` of them, and ABD moves ``n·|v|`` per write and
+``2n·|v|`` per read.
 """
 
 from __future__ import annotations
@@ -19,16 +22,15 @@ from repro.analysis.costs import (
 )
 from repro.analysis.report import Table
 from repro.common.values import Value
+from repro.erasure.rs import ReedSolomonCode
 from repro.net.latency import FixedLatency
 from repro.registers.static import StaticRegisterDeployment
 
 VALUE_SIZE = 8192
 
 
-def measure_treas(n: int, k: int, delta: int):
-    deployment = StaticRegisterDeployment.treas(num_servers=n, k=k, delta=delta,
-                                                num_writers=1, num_readers=1,
-                                                latency=FixedLatency(1.0))
+def measure(deployment):
+    """Data bytes on the wire for one write, then one read, of ``deployment``."""
     write_cost = measure_operation_traffic(
         deployment, deployment.writers[0].pid,
         lambda: deployment.write(Value.of_size(VALUE_SIZE, label="x"), 0),
@@ -36,20 +38,18 @@ def measure_treas(n: int, k: int, delta: int):
     read_cost = measure_operation_traffic(
         deployment, deployment.readers[0].pid,
         lambda: deployment.read(0), value_size=VALUE_SIZE, name="read")
-    return write_cost.normalised, read_cost.normalised
+    return write_cost.data_bytes, read_cost.data_bytes
+
+
+def measure_treas(n: int, k: int, delta: int):
+    return measure(StaticRegisterDeployment.treas(num_servers=n, k=k, delta=delta,
+                                                  num_writers=1, num_readers=1,
+                                                  latency=FixedLatency(1.0)))
 
 
 def measure_abd(n: int):
-    deployment = StaticRegisterDeployment.abd(num_servers=n, num_writers=1, num_readers=1,
-                                              latency=FixedLatency(1.0))
-    write_cost = measure_operation_traffic(
-        deployment, deployment.writers[0].pid,
-        lambda: deployment.write(Value.of_size(VALUE_SIZE, label="x"), 0),
-        value_size=VALUE_SIZE, name="write")
-    read_cost = measure_operation_traffic(
-        deployment, deployment.readers[0].pid,
-        lambda: deployment.read(0), value_size=VALUE_SIZE, name="read")
-    return write_cost.normalised, read_cost.normalised
+    return measure(StaticRegisterDeployment.abd(num_servers=n, num_writers=1, num_readers=1,
+                                                latency=FixedLatency(1.0)))
 
 
 @pytest.mark.experiment("E2")
@@ -62,11 +62,17 @@ def test_communication_cost_table(benchmark):
     )
     for n in (3, 6, 9, 12):
         k = -(-2 * n // 3)
+        fragment = ReedSolomonCode(n, k).fragment_size(VALUE_SIZE)
         treas_write, treas_read = measure_treas(n, k, delta)
         abd_write, abd_read = measure_abd(n)
-        table.add_row(n, k, treas_write, treas_write_cost(n, k),
-                      treas_read, treas_read_cost(n, k, delta),
-                      abd_write, abd_write_cost(n), abd_read, abd_read_cost(n))
+        assert treas_write == n * fragment, (n, k, treas_write)
+        assert treas_read <= (delta + 2) * n * fragment, (n, k, treas_read)
+        assert abd_write == n * VALUE_SIZE, (n, abd_write)
+        assert abd_read == 2 * n * VALUE_SIZE, (n, abd_read)
+        table.add_row(n, k, treas_write / VALUE_SIZE, treas_write_cost(n, k),
+                      treas_read / VALUE_SIZE, treas_read_cost(n, k, delta),
+                      abd_write / VALUE_SIZE, abd_write_cost(n),
+                      abd_read / VALUE_SIZE, abd_read_cost(n))
     table.print()
 
     benchmark(lambda: measure_treas(6, 4, delta))

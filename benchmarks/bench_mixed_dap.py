@@ -12,14 +12,29 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import Table
+from repro.core.deployment import AresDeployment, DeploymentSpec
+from repro.net.latency import UniformLatency
 from repro.spec.linearizability import check_linearizability
-from repro.workloads.scenarios import reconfiguration_storm
+from repro.workloads.generator import ClosedLoopDriver, WorkloadSpec
 
 
 def run_chain(num_reconfigs: int = 3, seed: int = 0):
-    deployment, result = reconfiguration_storm(
-        num_reconfigs=num_reconfigs, value_size=2048,
-        direct_state_transfer=False, seed=seed)
+    """Client traffic while configurations alternate TREAS [5] / ABD [3]."""
+    deployment = AresDeployment(DeploymentSpec(
+        num_servers=5, initial_dap="treas", delta=8, num_writers=2, num_readers=2,
+        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed))
+    reconfigurer = deployment.reconfigurers[0]
+
+    def chain():
+        for index in range(num_reconfigs):
+            dap, fresh = ("treas", 5) if index % 2 == 0 else ("abd", 3)
+            configuration = deployment.make_configuration(dap=dap, fresh_servers=fresh)
+            yield from reconfigurer.reconfig(configuration)
+
+    reconfigurer.spawn(chain(), label="reconfig-chain")
+    spec = WorkloadSpec(operations_per_writer=4, operations_per_reader=4,
+                        value_size=2048, think_time=2.0)
+    result = ClosedLoopDriver(deployment, spec).run()
     assert result.errors == []
     assert check_linearizability(deployment.history).ok
     storage = deployment.storage_by_configuration()

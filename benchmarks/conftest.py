@@ -1,8 +1,9 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-experiment scripts.
 
-Every benchmark module regenerates one experiment from DESIGN.md's
-per-experiment index (E1-E9): it prints the paper-style table/series it
-reproduces and registers one representative configuration with
+Every ``bench_*.py`` module except ``bench_scale.py`` reproduces one
+numbered experiment (E1-E10) of the "Paper claims" table in
+``docs/PERFORMANCE.md``: it prints the paper-style table it reproduces,
+asserts the claim, and registers one representative configuration with
 pytest-benchmark so wall-clock regressions are tracked too.
 
 Run with::
@@ -27,34 +28,16 @@ def pytest_addoption(parser):
         "--quick", action="store_true", default=False,
         help="shrink payloads and parameter sweeps so a smoke run finishes in seconds",
     )
-    parser.addoption(
-        "--jobs", action="store", type=int, default=None,
-        help="worker-pool size for the sweep benchmark (default: available "
-             "cores capped at 4 in full mode, 2 with --quick)",
-    )
 
 
 def pytest_configure(config):
-    config.addinivalue_line("markers", "experiment(id): paper experiment id (E1-E9)")
+    config.addinivalue_line("markers", "experiment(id): paper experiment id (E1-E10)")
 
 
 @pytest.fixture
 def quick(request) -> bool:
     """Whether the benchmark should run its reduced CI smoke variant."""
     return request.config.getoption("--quick")
-
-
-@pytest.fixture
-def jobs(request, quick) -> int:
-    """Pool size for ``bench_sweep.py`` (``--jobs``, else a host-sized default)."""
-    explicit = request.config.getoption("--jobs")
-    if explicit is not None:
-        return max(1, explicit)
-    from repro.sweep import default_jobs
-
-    # At least 2 so the pooled path is always exercised, even on one core
-    # (where the speedup assertion is skipped but the determinism gate runs).
-    return min(2 if quick else 4, max(2, default_jobs()))
 
 
 def main(module_file: str, argv=None) -> int:

@@ -22,7 +22,7 @@ Protocols
 
 Verification and experiments
     :mod:`repro.spec`       -- histories, linearizability checking, DAP properties.
-    :mod:`repro.workloads`  -- workload generators and canned scenarios.
+    :mod:`repro.workloads`  -- workload generators and the chaos scenario registry.
     :mod:`repro.analysis`   -- analytic cost formulas and measured-cost reports.
 """
 

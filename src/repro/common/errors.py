@@ -108,11 +108,11 @@ def is_retirement_refusal(error: BaseException) -> bool:
 class RetriesExhaustedError(ReproError):
     """A client exhausted its retry budget without completing a quorum phase.
 
-    Raised by the retry driver in :class:`~repro.sim.process.Process` after
-    ``RetryPolicy.attempts`` attempts each either timed out or were refused
-    by the contacted quorum.  Surfaces through the workload driver as an
-    operation error, so liveness checks report a clean failure instead of a
-    stalled session.
+    Raised by a retry-armed quorum round (``_RetriedRound`` in
+    :mod:`repro.sim.process`) after ``RetryPolicy.attempts`` attempts each
+    either timed out or were refused by the contacted quorum.  Surfaces
+    through the workload driver as an operation error, so liveness checks
+    report a clean failure instead of a stalled session.
     """
 
 

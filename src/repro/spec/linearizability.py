@@ -278,8 +278,8 @@ def check_linearizability_reference(history: History,
     """Exhaustive Wing-Gong search (the pre-existing reference checker).
 
     Kept both as the fallback for histories the fast checker cannot decide
-    and as the oracle for the differential test-suite and the performance
-    baseline in ``benchmarks/bench_simcore.py``.
+    and as the oracle of the differential test-suite
+    (``tests/test_linearizability_fast.py``).
     """
     reads = [r for r in history.reads(complete_only=True)]
     complete_writes = [w for w in history.writes() if w.complete]

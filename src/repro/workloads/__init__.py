@@ -1,9 +1,9 @@
 """Workload generation and the chaos scenario registry.
 
-Closed-loop client drivers and canned scenarios used by the integration
-tests, the examples and the benchmark harness.  A workload drives the
-reader/writer (and optionally reconfigurer) clients of a deployment with a
-configurable operation mix, value size and think time; keyed workloads
+Closed-loop client drivers used by the integration tests, the examples and
+the benchmark harness.  A workload drives the reader/writer (and optionally
+reconfigurer) clients of a deployment with a configurable operation mix,
+value size and think time; keyed workloads
 additionally sample object keys from a uniform or hot-key Zipf
 :class:`~repro.workloads.generator.KeyspaceSampler` to drive sharded store
 deployments.  All randomness comes from seeded streams so runs are
@@ -21,24 +21,13 @@ from repro.workloads.generator import (
     WorkloadResult,
     WorkloadSpec,
 )
-from repro.workloads.scenarios import (
-    mixed_scenario,
-    read_heavy_scenario,
-    reconfiguration_storm,
-    run_scenario,
-    scenario_names,
-    write_heavy_scenario,
-)
+from repro.workloads.scenarios import run_scenario, scenario_names
 
 __all__ = [
     "WorkloadSpec",
     "ClosedLoopDriver",
     "KeyspaceSampler",
     "WorkloadResult",
-    "read_heavy_scenario",
-    "write_heavy_scenario",
-    "mixed_scenario",
-    "reconfiguration_storm",
     "run_scenario",
     "scenario_names",
 ]

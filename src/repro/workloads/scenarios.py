@@ -1,20 +1,14 @@
-"""Canned workload scenarios and the chaos scenario registry.
+"""The chaos scenario registry.
 
-The first half of this module keeps the workload families the ICDCS'19
-evaluation reports on (read-heavy, write-heavy, balanced, reconfiguration
-storm); each builds a deployment, drives it and returns ``(deployment,
-WorkloadResult)``.
-
-The second half is the **chaos scenario registry**: named, seed-deterministic
-cross-products of DAP (ABD / LDR / TREAS) x fault schedule x reconfiguration
-cadence.  Every registered scenario stays inside the paper's fault-tolerance
-envelope (at most ``f`` servers of any configuration lost at a time), so
-both safety *and* liveness are asserted: ``run_scenario(name, seed)``
-returns a :class:`ChaosRunResult` whose :meth:`~ChaosRunResult.verify`
-checks the recorded history against the linearizability spec.  Use
-:func:`scenario_names` / :func:`get_scenario` to enumerate, and
-:func:`register_scenario` to add new ones (future DAPs and policies get the
-whole adversary suite for free).
+Named, seed-deterministic cross-products of DAP (ABD / LDR / TREAS) x fault
+schedule x reconfiguration cadence.  Every registered scenario stays inside
+the paper's fault-tolerance envelope (at most ``f`` servers of any
+configuration lost at a time), so both safety *and* liveness are asserted:
+``run_scenario(name, seed)`` returns a :class:`ChaosRunResult` whose
+:meth:`~ChaosRunResult.verify` checks the recorded history against the
+linearizability spec.  Use :func:`scenario_names` / :func:`get_scenario` to
+enumerate, and :func:`register_scenario` to add new ones (future DAPs and
+policies get the whole adversary suite for free).
 """
 
 from __future__ import annotations
@@ -47,78 +41,6 @@ from repro.obs.report import MetricsReport
 from repro.sim.process import RetryPolicy
 from repro.store import ShardSpec, StoreDeployment, StoreSpec
 from repro.workloads.generator import ClosedLoopDriver, WorkloadResult, WorkloadSpec
-
-
-def read_heavy_scenario(value_size: int = 1024, num_readers: int = 4,
-                        seed: int = 0) -> Tuple[AresDeployment, WorkloadResult]:
-    """Many readers, a single writer: the archival / content-serving pattern."""
-    deployment = AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="treas", delta=4, num_writers=1,
-        num_readers=num_readers, num_reconfigurers=1,
-        latency=UniformLatency(1.0, 2.0), seed=seed,
-    ))
-    spec = WorkloadSpec(operations_per_writer=3, operations_per_reader=6,
-                        value_size=value_size)
-    result = ClosedLoopDriver(deployment, spec).run()
-    return deployment, result
-
-
-def write_heavy_scenario(value_size: int = 1024, num_writers: int = 4,
-                         seed: int = 0) -> Tuple[AresDeployment, WorkloadResult]:
-    """Many writers, a single reader: the telemetry-ingestion pattern."""
-    deployment = AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="treas", delta=2 * num_writers, num_writers=num_writers,
-        num_readers=1, num_reconfigurers=1,
-        latency=UniformLatency(1.0, 2.0), seed=seed,
-    ))
-    spec = WorkloadSpec(operations_per_writer=6, operations_per_reader=3,
-                        value_size=value_size)
-    result = ClosedLoopDriver(deployment, spec).run()
-    return deployment, result
-
-
-def mixed_scenario(value_size: int = 512, clients_per_role: int = 3,
-                   seed: int = 0) -> Tuple[AresDeployment, WorkloadResult]:
-    """Balanced readers and writers."""
-    deployment = AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="treas", delta=2 * clients_per_role,
-        num_writers=clients_per_role, num_readers=clients_per_role,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed,
-    ))
-    spec = WorkloadSpec(operations_per_writer=4, operations_per_reader=4,
-                        value_size=value_size, think_time=1.0)
-    result = ClosedLoopDriver(deployment, spec).run()
-    return deployment, result
-
-
-def reconfiguration_storm(num_reconfigs: int = 3, value_size: int = 512,
-                          direct_state_transfer: bool = False,
-                          seed: int = 0) -> Tuple[AresDeployment, WorkloadResult]:
-    """Client traffic concurrent with a sequence of reconfigurations.
-
-    Reconfigurations alternate between TREAS and ABD configurations over
-    fresh server sets, exercising the DAP-adaptivity of ARES (Remark 22)
-    while reads and writes are in flight.
-    """
-    deployment = AresDeployment(DeploymentSpec(
-        num_servers=5, initial_dap="treas", delta=8, num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed,
-        direct_state_transfer=direct_state_transfer,
-    ))
-    reconfigurer = deployment.reconfigurers[0]
-
-    def reconfig_session():
-        for index in range(num_reconfigs):
-            dap, fresh = ("treas", 5) if index % 2 == 0 else ("abd", 3)
-            configuration = deployment.make_configuration(dap=dap, fresh_servers=fresh)
-            yield from reconfigurer.reconfig(configuration)
-        return None
-
-    reconfigurer.spawn(reconfig_session(), label="reconfig-storm")
-    spec = WorkloadSpec(operations_per_writer=4, operations_per_reader=4,
-                        value_size=value_size, think_time=2.0)
-    result = ClosedLoopDriver(deployment, spec).run()
-    return deployment, result
 
 
 # ======================================================================

@@ -1,4 +1,4 @@
-"""Tests for the deployment builder, workload generators and canned scenarios."""
+"""Tests for the deployment builder, the workload driver and workload families."""
 
 from __future__ import annotations
 
@@ -8,14 +8,9 @@ from repro.common.errors import ConfigurationError
 from repro.common.ids import server_id
 from repro.common.values import Value
 from repro.core.deployment import AresDeployment, DeploymentSpec
+from repro.net.latency import UniformLatency
 from repro.spec.linearizability import check_linearizability
 from repro.workloads.generator import ClosedLoopDriver, WorkloadSpec
-from repro.workloads.scenarios import (
-    mixed_scenario,
-    read_heavy_scenario,
-    reconfiguration_storm,
-    write_heavy_scenario,
-)
 
 
 class TestDeploymentBuilder:
@@ -115,29 +110,58 @@ class TestWorkloadDriver:
         assert result.throughput == 0.0
 
 
+def drive(workload: WorkloadSpec, **spec):
+    """A TREAS-initial deployment with one reconfigurer, driven by ``workload``."""
+    deployment = AresDeployment(DeploymentSpec(
+        initial_dap="treas", num_reconfigurers=1,
+        latency=UniformLatency(1.0, 2.0), **spec))
+    return deployment, ClosedLoopDriver(deployment, workload).run()
+
+
 class TestScenarios:
     def test_read_heavy(self):
-        dep, result = read_heavy_scenario(value_size=256, num_readers=3, seed=1)
+        dep, result = drive(
+            WorkloadSpec(operations_per_writer=3, operations_per_reader=6, value_size=256),
+            num_servers=6, delta=4, num_writers=1, num_readers=3, seed=1)
         assert result.errors == []
         assert len(result.read_latencies) > len(result.write_latencies)
         assert check_linearizability(dep.history).ok
 
     def test_write_heavy(self):
-        dep, result = write_heavy_scenario(value_size=256, num_writers=3, seed=1)
+        dep, result = drive(
+            WorkloadSpec(operations_per_writer=6, operations_per_reader=3, value_size=256),
+            num_servers=6, delta=6, num_writers=3, num_readers=1, seed=1)
         assert result.errors == []
         assert len(result.write_latencies) > len(result.read_latencies)
         assert check_linearizability(dep.history).ok
 
     def test_mixed(self):
-        dep, result = mixed_scenario(value_size=128, clients_per_role=2, seed=1)
+        dep, result = drive(
+            WorkloadSpec(operations_per_writer=4, operations_per_reader=4,
+                         value_size=128, think_time=1.0),
+            num_servers=6, delta=4, num_writers=2, num_readers=2, seed=1)
         assert result.errors == []
         assert result.total_operations == 2 * 4 + 2 * 4
         assert check_linearizability(dep.history).ok
 
     @pytest.mark.parametrize("direct", [False, True])
     def test_reconfiguration_storm(self, direct):
-        dep, result = reconfiguration_storm(num_reconfigs=2, value_size=128,
-                                            direct_state_transfer=direct, seed=2)
+        """Reads and writes while configurations alternate TREAS / ABD (Remark 22)."""
+        dep = AresDeployment(DeploymentSpec(
+            num_servers=5, initial_dap="treas", delta=8, num_writers=2, num_readers=2,
+            num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=2,
+            direct_state_transfer=direct))
+        reconfigurer = dep.reconfigurers[0]
+
+        def storm():
+            for dap, fresh in (("treas", 5), ("abd", 3)):
+                yield from reconfigurer.reconfig(
+                    dep.make_configuration(dap=dap, fresh_servers=fresh))
+
+        reconfigurer.spawn(storm(), label="reconfig-storm")
+        result = ClosedLoopDriver(dep, WorkloadSpec(
+            operations_per_writer=4, operations_per_reader=4,
+            value_size=128, think_time=2.0)).run()
         assert result.errors == []
         assert len(dep.history.reconfigs()) == 2
         assert check_linearizability(dep.history).ok

@@ -5,7 +5,9 @@ scenario registry; this suite fails whenever the committed file drifts from
 the code (regenerate with ``python -m repro.workloads --list-scenarios
 --markdown --output docs/SCENARIOS.md``).  The offline Markdown link
 checker from ``tools/check_links.py`` also runs here so broken
-cross-references fail the tier-1 matrix, not just the CI docs job.
+cross-references fail the tier-1 matrix, not just the CI docs job.  The
+paper-claims table of ``docs/PERFORMANCE.md`` must list exactly the
+``benchmarks/bench_*.py`` scripts on disk.
 """
 
 from __future__ import annotations
@@ -71,6 +73,39 @@ class TestScenarioCatalog:
                      "--output", str(target)]) == 0
         capsys.readouterr()
         assert target.read_text() == scenario_catalog_markdown()
+
+
+class TestBenchmarkScripts:
+    """The paper-claims table lists exactly the scripts that exist."""
+
+    def test_table_names_every_benchmark_script(self):
+        import re
+
+        text = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
+        section = text.split("\n## Paper claims")[1].split("\n## ")[0]
+        table = [line for line in section.splitlines() if line.startswith("|")]
+        named = set(re.findall(r"`(bench_\w+\.py)`", "\n".join(table)))
+        on_disk = {path.name for path in (REPO_ROOT / "benchmarks").glob("bench_*.py")}
+        assert named == on_disk
+
+    def test_documents_name_only_existing_scripts_and_no_baseline(self):
+        """A deleted script or a ``BENCH_*.json`` baseline stays deleted."""
+        import re
+
+        scripts = {path.name for path in REPO_ROOT.rglob("*.py")}
+        documents = [REPO_ROOT / "README.md"]
+        for directory in ("docs", ".github", ".claude"):
+            documents.extend(path for path in (REPO_ROOT / directory).rglob("*")
+                             if path.is_file())
+        stale = []
+        for path in documents:
+            text = path.read_text(encoding="utf-8")
+            stale.extend((str(path.relative_to(REPO_ROOT)), name)
+                         for name in set(re.findall(r"\b\w+\.py\b", text))
+                         if name not in scripts)
+            stale.extend((str(path.relative_to(REPO_ROOT)), name)
+                         for name in set(re.findall(r"\bBENCH_\w+\.json\b", text)))
+        assert stale == []
 
 
 class TestMarkdownLinks:

@@ -190,6 +190,29 @@ class TestStoreOperations:
         assert batched_time * 4 < sequential_time, (
             f"batched={batched_time} sequential={sequential_time}")
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_shard_fan_out_sets_message_cost(self, num_shards):
+        """One 20-server fleet carved into shards: a round addresses one shard.
+
+        Every operation is four quorum rounds (read-config, get-tag or
+        get-data, put-data, read-config), each a request to and a reply from
+        every server of the key's shard: 8 messages per operation per server
+        of a shard.
+        """
+        per_shard = 20 // num_shards
+        store = StoreDeployment(StoreSpec(
+            shards=tuple(ShardSpec(dap="abd", num_servers=per_shard)
+                         for _ in range(num_shards)),
+            num_writers=2, num_readers=2,
+            latency=UniformLatency(1.0, 2.0), seed=0))
+        spec = WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
+                            value_size=256, num_keys=24, seed=0)
+        result = ClosedLoopDriver(store, spec).run()
+        assert result.errors == []
+        assert check_linearizability_per_key(store.history).ok
+        assert result.total_operations == 12
+        assert store.network.messages_sent == 8 * per_shard * 12
+
     def test_client_tracks_known_keys(self):
         store = mixed_store()
         store.put("k1", Value.of_size(8, label="l1"))

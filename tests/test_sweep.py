@@ -2,7 +2,8 @@
 
 The heavyweight guarantee -- a cell's history signature is byte-identical
 whether it runs serially or in a pool worker -- is asserted here on a small
-grid; ``benchmarks/bench_sweep.py`` re-asserts it on the full registry.
+grid; CI re-asserts it with ``--check-serial=all`` on every push and over the
+full registry nightly.
 """
 
 from __future__ import annotations

@@ -56,9 +56,9 @@ class MetricsReport:
     """An immutable-by-convention view over one run's exported metrics.
 
     Construct with :meth:`from_registry` at the end of an instrumented run
-    or :meth:`from_json` when re-reading a sweep record or checkpoint
-    journal entry.  The underlying dict is exposed as :attr:`data` and
-    returned verbatim by :meth:`to_json`.
+    or :meth:`from_json` when re-reading a sweep record.  The underlying
+    dict is exposed as :attr:`data` and returned verbatim by
+    :meth:`to_json`.
     """
 
     __slots__ = ("data",)

@@ -13,9 +13,7 @@ parallel signature equality (``--check-serial``).
 """
 
 from repro.sweep.adaptive import AdaptiveCampaign, FrontierResult, bisect_axis
-from repro.sweep.checkpoint import Checkpoint, CheckpointError, grid_fingerprint
-from repro.sweep.engine import (auto_chunk, campaign, default_jobs,
-                                execute_run, usable_cores)
+from repro.sweep.engine import campaign, execute_run
 from repro.sweep.grid import (GRID_PARAM_FIELDS, RunSpec, SCENARIO_PARAM_FIELDS,
                               SweepGrid, WORKLOAD_PARAM_FIELDS,
                               parse_grid, parse_seeds, resolve_scenarios)
@@ -23,8 +21,6 @@ from repro.sweep.result import RunRecord, SweepResult, latency_summary
 
 __all__ = [
     "AdaptiveCampaign",
-    "Checkpoint",
-    "CheckpointError",
     "FrontierResult",
     "GRID_PARAM_FIELDS",
     "RunRecord",
@@ -33,12 +29,9 @@ __all__ = [
     "SweepGrid",
     "SweepResult",
     "WORKLOAD_PARAM_FIELDS",
-    "auto_chunk",
     "bisect_axis",
     "campaign",
-    "default_jobs",
     "execute_run",
-    "grid_fingerprint",
     "latency_summary",
     "parse_grid",
     "parse_seeds",

@@ -2,23 +2,15 @@
 
 Examples::
 
-    # the full registry, four seeds, four workers, auto-sized batches
+    # the full registry, four seeds, four workers
     python -m repro.sweep --grid "scenarios=all;seeds=0..3" --jobs 4
 
     # a parameter grid over two object sizes, written to a report file
     python -m repro.sweep --grid "scenarios=treas_*;seeds=0;value_size=256,4096" \
         --jobs 2 --output sweep.json
 
-    # a long campaign that survives interruption: journal every cell,
-    # resume skips the journaled ones
-    python -m repro.sweep --grid "scenarios=all;seeds=0..9" --jobs 4 \
-        --checkpoint sweep.ckpt
-    python -m repro.sweep --grid "scenarios=all;seeds=0..9" --jobs 4 \
-        --checkpoint sweep.ckpt --resume
-
-    # CI determinism gate: pooled and serial execution must agree
-    # hash-for-hash (a seed-deterministic sample of 8 cells by default;
-    # --check-serial=all re-runs the whole grid)
+    # CI determinism gate: the whole grid re-runs serially and every cell's
+    # history signature must match the pooled run
     python -m repro.sweep --grid "scenarios=abd_crash_minority;seeds=0..1" \
         --jobs 2 --check-serial
 
@@ -34,9 +26,8 @@ Examples::
         --jobs 4 --metrics --report campaign.html
 
 Exit status: 0 when every cell passed (and every ``--check-serial``
-signature matched / every ``--bisect`` monotonicity probe agreed); 1 on
-failures; 2 on checkpoint misuse; 3 when a ``--stop-after`` campaign
-stopped early with no failures (resume it to finish).
+signature matched / every ``--bisect`` monotonicity probe agreed); 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -44,18 +35,12 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import random
 import sys
 
 from repro.sweep.adaptive import AdaptiveCampaign
-from repro.sweep.checkpoint import CheckpointError, grid_fingerprint
-from repro.sweep.engine import campaign, default_jobs, execute_run
+from repro.sweep.engine import campaign
 from repro.sweep.grid import GRID_PARAM_FIELDS, SweepGrid, parse_grid
 from repro.sweep.result import RunRecord, SweepResult
-
-#: Bare ``--check-serial`` re-runs this many seed-deterministically sampled
-#: cells serially (``--check-serial=all`` for the exhaustive gate).
-DEFAULT_SERIAL_SAMPLE = 8
 
 
 def _print_progress(record: RunRecord) -> None:
@@ -78,42 +63,6 @@ def _compare_signatures(pooled: SweepResult, serial: SweepResult) -> int:
         print(f"signature gate: all {len(serial_map)} cells byte-identical "
               "between pooled and serial execution")
     return mismatches
-
-
-def _sampled_serial_check(result: SweepResult, grid: SweepGrid,
-                          sample: int) -> dict:
-    """Re-run a seed-deterministic sample of cells serially and compare.
-
-    The sample is drawn from an RNG seeded by the grid fingerprint, so
-    every invocation over the same grid gates the same cells -- a CI rerun
-    cannot dodge a mismatch by sampling differently.  The serial leg calls
-    :func:`execute_run` directly in-process (batch verification mode), so
-    with ``--streaming`` this also crosses the mode boundary.
-    """
-    specs = grid.expand()
-    rng = random.Random(grid_fingerprint(grid, streaming=False))
-    count = min(sample, len(specs))
-    chosen = [specs[i] for i in sorted(rng.sample(range(len(specs)), count))]
-    pooled_map = result.signature_map()
-    print(f"\nsignature gate: re-running {count} of {len(specs)} cells "
-          "serially (seed-deterministic sample)...")
-    mismatches = 0
-    checked = 0
-    for spec in chosen:
-        pooled_hash = pooled_map.get(spec.cell_id)
-        if pooled_hash is None:  # cell not in this (partial) campaign
-            continue
-        checked += 1
-        serial_hash = execute_run(spec).signature_hash
-        if serial_hash != pooled_hash:
-            mismatches += 1
-            print(f"SIGNATURE MISMATCH {spec.cell_id}: pooled "
-                  f"{pooled_hash[:16]}... != serial {serial_hash[:16]}...")
-    if mismatches == 0:
-        print(f"signature gate: all {checked} sampled cells byte-identical "
-              "between pooled and serial execution")
-    return {"mode": "sample", "cells_checked": checked,
-            "mismatches": mismatches}
 
 
 def _parse_bisect(text: str, parser: argparse.ArgumentParser):
@@ -180,28 +129,14 @@ def main(argv=None) -> int:
         description="Run a scenario x seed x parameter campaign over a process pool.")
     parser.add_argument("--grid", default="scenarios=all;seeds=0",
                         help='grid spec, e.g. "scenarios=all;seeds=0..3;value_size=256,1024"')
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="pool size (default: usable cores, capped at 8)")
-    parser.add_argument("--chunk", type=int, default=None, metavar="N",
-                        help="cells per worker task (default: auto-sized from "
-                             "the measured cost of the first cell)")
-    parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="journal every completed cell to this JSONL file")
-    parser.add_argument("--resume", action="store_true",
-                        help="with --checkpoint: skip cells already journaled "
-                             "for this exact grid instead of re-running them")
-    parser.add_argument("--stop-after", type=int, default=None, metavar="N",
-                        help="stop after N not-yet-journaled cells (exit 3 if "
-                             "that leaves the campaign incomplete; resume to "
-                             "finish)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (default 1: serial)")
     parser.add_argument("--output", default=None,
                         help="write the JSON report here")
-    parser.add_argument("--check-serial", nargs="?", const=str(DEFAULT_SERIAL_SAMPLE),
-                        default=None, metavar="N|all",
-                        help="re-run N seed-deterministically sampled cells "
-                             f"(default {DEFAULT_SERIAL_SAMPLE}; 'all' for the "
-                             "whole grid) serially and fail unless every "
-                             "history signature matches the pooled run")
+    parser.add_argument("--check-serial", action="store_true",
+                        help="re-run the whole grid serially in batch mode and "
+                             "fail unless every history signature matches the "
+                             "campaign's")
     parser.add_argument("--streaming", action="store_true",
                         help="verify each cell online with a bounded open "
                              "window (O(open window) worker memory; cell "
@@ -209,9 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics", action="store_true",
                         help="instrument every cell with the virtual-time "
                              "metrics registry: per-cell reports and SLO "
-                             "verdicts land in the JSON output and the "
-                             "checkpoint journal (SLO failures are reported, "
-                             "not gated)")
+                             "verdicts land in the JSON output (SLO failures "
+                             "are reported, not gated)")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write a self-contained HTML campaign report "
                              "(pass/fail matrix, degradation curves, per-cell "
@@ -220,28 +154,15 @@ def main(argv=None) -> int:
                         help="adaptive mode: bisect this grid axis to the "
                              "pass/fail frontier for each grid scenario "
                              "instead of enumerating cells")
-    parser.add_argument("--list", action="store_true",
-                        help="list registered scenarios and exit")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress lines")
     args = parser.parse_args(argv)
 
-    if args.list:
-        from repro.workloads.scenarios import SCENARIOS
-
-        for name, scenario in SCENARIOS.items():
-            print(f"{name:<28} {scenario.description}")
-        return 0
-
-    if args.resume and args.checkpoint is None:
-        parser.error("--resume needs --checkpoint PATH")
     if args.bisect is not None:
-        for flag in ("checkpoint", "stop_after", "check_serial", "report"):
-            if getattr(args, flag) is not None:
+        for flag in ("check_serial", "metrics", "report"):
+            if getattr(args, flag):
                 parser.error(f"--bisect is probe-driven; "
                              f"--{flag.replace('_', '-')} does not apply")
-        if args.metrics:
-            parser.error("--bisect is probe-driven; --metrics does not apply")
     if args.report is not None:
         args.metrics = True
 
@@ -249,36 +170,20 @@ def main(argv=None) -> int:
     if args.bisect is not None:
         return _run_bisect(args, grid, parser)
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    specs = grid.expand()
-    print(f"sweep: {len(specs)} cells "
+    print(f"sweep: {len(grid.expand())} cells "
           f"({len(grid.scenarios)} scenarios x {len(grid.seeds)} seeds"
-          f"{' x params' if grid.params else ''}), jobs={jobs}")
+          f"{' x params' if grid.params else ''}), jobs={args.jobs}")
 
     progress = None if args.quiet else _print_progress
-    try:
-        result = campaign(grid, jobs=jobs, progress=progress,
-                          streaming=args.streaming, chunk=args.chunk,
-                          checkpoint=args.checkpoint, resume=args.resume,
-                          max_cells=args.stop_after, metrics=args.metrics)
-    except CheckpointError as error:
-        print(f"checkpoint error: {error}", file=sys.stderr)
-        return 2
+    result = campaign(grid, jobs=args.jobs, progress=progress,
+                      streaming=args.streaming, metrics=args.metrics)
 
     print()
     print(result.render_matrix())
-    resumed = f", {result.resumed_cells} resumed from checkpoint" \
-        if result.resumed_cells else ""
-    capped = f" (capped from jobs={result.jobs})" \
-        if result.workers < result.jobs else ""
     print(f"\n{result.passed}/{len(result.records)} cells passed in "
           f"{result.wall_clock_sec:.2f}s wall "
           f"(cell time sum {sum(r.wall_clock_sec for r in result.records):.2f}s, "
-          f"workers={result.workers}{capped}, chunk={result.chunk}{resumed}, "
           f"checker methods {result.checker_method_counts()})")
-    if not result.complete:
-        print(f"campaign INCOMPLETE: {len(result.records)}/{len(specs)} cells "
-              "have records; resume with --checkpoint ... --resume to finish")
     for record in result.failures():
         print(f"\nFAILED {record.cell_id}:\n{record.failure}")
     if args.metrics:
@@ -300,39 +205,24 @@ def main(argv=None) -> int:
     exit_code = 0 if result.ok else 1
 
     report = result.to_json()
-    if args.check_serial is not None:
-        if args.check_serial == "all":
-            # The serial leg always runs in batch mode: with --streaming the
-            # gate therefore checks streaming-pooled against batch-serial,
-            # i.e. both the pool layout AND the streaming fold are
-            # byte-identical.
-            print("\nre-running the whole grid serially for the signature "
-                  "gate...")
-            serial = campaign(grid, jobs=1)
-            mismatches = _compare_signatures(result, serial)
-            report["serial_check"] = {
-                "mode": "all",
-                "serial_wall_clock_sec": round(serial.wall_clock_sec, 4),
-                "mismatches": mismatches,
-            }
-            if not mismatches and serial.wall_clock_sec > 0 and jobs > 1:
-                speedup = serial.wall_clock_sec / result.wall_clock_sec
-                report["serial_check"]["speedup"] = round(speedup, 2)
-                print(f"parallel speedup at jobs={jobs}: {speedup:.2f}x")
-        else:
-            try:
-                sample = int(args.check_serial)
-                if sample < 1:
-                    raise ValueError
-            except ValueError:
-                parser.error(f"--check-serial wants a positive cell count or "
-                             f"'all', got {args.check_serial!r}")
-            report["serial_check"] = _sampled_serial_check(result, grid, sample)
-        if report["serial_check"]["mismatches"]:
+    if args.check_serial:
+        # The serial leg always runs in batch mode: with --streaming the
+        # gate therefore checks streaming-pooled against batch-serial, i.e.
+        # both the process boundary AND the streaming fold are
+        # byte-identical.
+        print("\nre-running the whole grid serially for the signature gate...")
+        serial = campaign(grid, jobs=1)
+        mismatches = _compare_signatures(result, serial)
+        report["serial_check"] = {
+            "serial_wall_clock_sec": round(serial.wall_clock_sec, 4),
+            "mismatches": mismatches,
+        }
+        if not mismatches and serial.wall_clock_sec > 0 and args.jobs > 1:
+            speedup = serial.wall_clock_sec / result.wall_clock_sec
+            report["serial_check"]["speedup"] = round(speedup, 2)
+            print(f"parallel speedup at jobs={args.jobs}: {speedup:.2f}x")
+        if mismatches:
             exit_code = 1
-
-    if exit_code == 0 and not result.complete:
-        exit_code = 3
 
     if args.output is not None:
         path = pathlib.Path(args.output)

@@ -1,114 +1,31 @@
-"""The campaign engine: fan sweep cells out over a warm process pool.
+"""The campaign engine: run and verify sweep cells, serially or pooled.
 
-Each worker executes *batches* of ``(scenario, seed, params)`` cells
-end-to-end -- run *and* verify -- and streams compact
-:class:`~repro.sweep.result.RunRecord` lists back as the batches complete.
+A worker executes one ``(scenario, seed, params)`` cell end-to-end -- run
+*and* verify -- and returns a compact :class:`~repro.sweep.result.RunRecord`.
 Histories, deployments and simulators never cross the process boundary;
 only scalars, small dicts and the SHA-256 signature hash do.
-
-Three things make campaigns scale past the 0.67x pooled regression the
-pre-chunking engine recorded on small cells:
-
-* **Chunking.**  Cells are milliseconds long but a pool task costs a
-  pickle/unpickle round trip, so the engine batches many cells per task.
-  The batch size is auto-sized from the *measured* cost of the first cell
-  (targeting :data:`TARGET_TASK_SECONDS` of compute per task) and can be
-  pinned with ``chunk=N``.
-* **Warm workers.**  One persistent pool serves the whole campaign; each
-  worker runs :func:`_warm_worker` exactly once (scenario registry,
-  checker and value-interning imports), so per-batch work is pure compute.
-* **Streaming results.**  Batches return via ``imap_unordered`` the moment
-  they finish; checkpoint journaling, progress reporting and aggregation
-  are incremental, not end-of-campaign.
 
 Determinism: a cell is a pure function of its
 :class:`~repro.sweep.grid.RunSpec` (``run_scenario_instance`` derives every
 RNG stream from the scenario name and seed, and nothing in this module
 shares mutable state between cells), so a cell's history signature is
-byte-identical whether it runs in the parent process, any pool worker, any
-batch layout, or another machine.  ``campaign(grid, jobs=1)`` and
-``campaign(grid, jobs=N, chunk=M)`` therefore agree hash-for-hash on every
-cell -- CI gates on exactly that -- and a checkpoint-resumed campaign
-merges to the identical result.
+byte-identical whether it runs in the parent process, any pool worker or
+another machine.  ``campaign(grid, jobs=1)`` and ``campaign(grid, jobs=N)``
+therefore agree hash-for-hash on every cell -- CI gates on exactly that.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import gc
 import multiprocessing
-import os
-import pathlib
 import time
 import traceback
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional
 
-from repro.sweep.checkpoint import Checkpoint
 from repro.sweep.grid import RunSpec, SweepGrid
 from repro.sweep.result import RunRecord, SweepResult, latency_summary
-
-#: Auto-chunking aims for this much *compute* per pool task: large enough
-#: to amortize the per-task pickle/dispatch cost (tens of microseconds)
-#: down to noise, small enough that a campaign still streams progress and
-#: balances across workers.
-TARGET_TASK_SECONDS = 0.25
-
-#: Upper bound on the auto-sized chunk so a pathological probe measurement
-#: (e.g. a first cell that is 1000x cheaper than the rest) cannot serialise
-#: the whole campaign into one task.
-MAX_AUTO_CHUNK = 64
-
-
-def _cgroup_cpu_quota(root: Union[str, pathlib.Path] = "/sys/fs/cgroup"
-                      ) -> Optional[float]:
-    """The container's CPU quota in cores, or ``None`` when unlimited.
-
-    Reads cgroup v2 (``cpu.max``: ``"<quota> <period>"`` or ``"max ..."``)
-    first, then cgroup v1 (``cpu/cpu.cfs_quota_us`` / ``cpu.cfs_period_us``,
-    where ``-1`` means unlimited).  Errors and absent files mean "no quota".
-    """
-    root = pathlib.Path(root)
-    try:
-        parts = (root / "cpu.max").read_text().split()
-        if parts and parts[0] != "max":
-            quota = float(parts[0])
-            period = float(parts[1]) if len(parts) > 1 else 100000.0
-            if quota > 0 and period > 0:
-                return quota / period
-    except (OSError, ValueError):
-        pass
-    try:
-        quota = float((root / "cpu" / "cpu.cfs_quota_us").read_text())
-        period = float((root / "cpu" / "cpu.cfs_period_us").read_text())
-        if quota > 0 and period > 0:
-            return quota / period
-    except (OSError, ValueError):
-        pass
-    return None
-
-
-def usable_cores() -> int:
-    """Cores this process may actually use: affinity AND cgroup quota aware.
-
-    ``os.cpu_count()`` reports the host; a containerised campaign is
-    bounded by its CPU affinity mask *and* its cgroup CPU quota (a 16-core
-    host with a 2-CPU quota can only ever deliver 2x).  ``default_jobs``
-    and the benchmark speedup-floor arming logic both follow this number.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux hosts
-        cores = multiprocessing.cpu_count() or 1
-    quota = _cgroup_cpu_quota()
-    if quota is not None:
-        cores = min(cores, max(1, int(quota)))
-    return max(1, cores)
-
-
-def default_jobs() -> int:
-    """A sensible worker count: the usable cores, capped at 8."""
-    return max(1, min(8, usable_cores()))
 
 
 def execute_run(spec: RunSpec, streaming: bool = False,
@@ -122,8 +39,8 @@ def execute_run(spec: RunSpec, streaming: bool = False,
     ``streaming=True`` runs the cell's history in bounded open-window mode:
     verification happens online, the worker never holds the full history,
     and the recorded ``signature_hash`` is byte-identical to the batch one
-    (the ``--check-serial`` gate holds across modes, not just across pool
-    layouts).
+    (the ``--check-serial`` gate holds across modes, not just across
+    processes).
 
     ``metrics=True`` instruments the cell with a virtual-time metrics
     registry (see :mod:`repro.obs`) and attaches the exported
@@ -135,8 +52,8 @@ def execute_run(spec: RunSpec, streaming: bool = False,
     signatures are byte-identical with metrics on or off (the differential
     tier-1 gate).
     """
-    # Imported here so a spawn-start worker pays the import in its own
-    # process and the module stays import-light for the CLI --list path.
+    # Imported here so the package stays import-light: the scenario
+    # registry loads only once a cell actually runs.
     from repro.sweep.grid import SCENARIO_PARAM_FIELDS
     from repro.workloads.scenarios import get_scenario, run_scenario_instance
 
@@ -228,190 +145,42 @@ def execute_run(spec: RunSpec, streaming: bool = False,
             history_ops=0, events=0, messages=0, checker_method="")
 
 
-def _warm_worker() -> None:
-    """One-time per-worker initialisation (the warm-worker half of chunking).
-
-    Imports the scenario registry, the linearizability checkers and the
-    value-interning caches exactly once per worker process, so batch
-    execution never pays import cost -- relevant under the ``spawn`` start
-    method, and harmless under ``fork`` (the imports are already resolved
-    and return instantly).
-    """
-    import repro.spec.linearizability  # noqa: F401
-    import repro.workloads.scenarios  # noqa: F401
-
-
-def _execute_batch(indexed_batch: Tuple[int, Sequence[RunSpec]],
-                   streaming: bool = False,
-                   metrics: bool = False) -> Tuple[int, List[RunRecord]]:
-    """Worker task: run one batch of cells, return its index and records.
-
-    The index lets the parent stream batches back out of completion order
-    (``imap_unordered``) while still reassembling grid-expansion order.
-    """
-    index, batch = indexed_batch
-    return index, [execute_run(spec, streaming=streaming, metrics=metrics)
-                   for spec in batch]
-
-
-def auto_chunk(per_cell_sec: float, pending_cells: int, jobs: int) -> int:
-    """Batch size from a measured per-cell cost.
-
-    Targets :data:`TARGET_TASK_SECONDS` of compute per task, keeps at least
-    ~2 tasks per worker for dynamic load balance, and never exceeds
-    :data:`MAX_AUTO_CHUNK`.
-    """
-    per_cell = max(per_cell_sec, 1e-5)
-    by_cost = int(TARGET_TASK_SECONDS / per_cell)
-    by_balance = -(-pending_cells // (2 * max(1, jobs)))  # ceil division
-    return max(1, min(by_cost, by_balance, MAX_AUTO_CHUNK))
-
-
-def _chunked(specs: Sequence[RunSpec], size: int) -> List[List[RunSpec]]:
-    """Split ``specs`` into consecutive batches of at most ``size`` cells."""
-    return [list(specs[start:start + size])
-            for start in range(0, len(specs), size)]
-
-
-def _pool_context():
-    """Prefer fork (no re-import, no pickling of module state); fall back to
-    the platform default where fork is unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
 def campaign(grid: SweepGrid, jobs: int = 1,
              progress: Optional[Callable[[RunRecord], None]] = None,
              streaming: bool = False,
-             chunk: Optional[int] = None,
-             checkpoint: Optional[Union[str, pathlib.Path]] = None,
-             resume: bool = False,
-             max_cells: Optional[int] = None,
              metrics: bool = False) -> SweepResult:
     """Execute every cell of ``grid`` and aggregate into a :class:`SweepResult`.
 
     ``jobs=1`` runs serially in-process (no pool, no pickling); ``jobs>1``
-    fans *batches* of cells out over a persistent ``multiprocessing`` pool
-    of warm workers, sized ``min(jobs, pending cells, usable_cores())`` and
-    recorded as ``SweepResult.workers`` so reports reflect the pool that
-    actually ran.  ``chunk`` pins the cells-per-task batch size; the
-    default measures the first cell (run through the pool, so the timing is
-    a real warm-worker number) and sizes batches via :func:`auto_chunk`.
-    Batches stream back through ``imap_unordered``, so journaling, progress
-    and aggregation are incremental; the final record list is reassembled
-    in grid-expansion order, making the aggregate report deterministic
-    regardless of completion order.
+    maps the cells over a ``multiprocessing.Pool`` of ``min(jobs, cells)``
+    workers with an ordered ``imap``, so records -- and ``progress`` calls
+    -- arrive in grid-expansion order either way.  Even one cell goes
+    through a real pool when ``jobs>1``, so a ``--check-serial`` gate
+    genuinely compares pooled against serial execution.
 
-    ``checkpoint=PATH`` journals every completed cell to a JSONL file (see
-    :mod:`repro.sweep.checkpoint`); with ``resume=True`` previously
-    journaled cells are replayed instead of re-run, and the merged result
-    is identical to an uninterrupted campaign.  ``max_cells=N`` stops after
-    the first ``N`` not-yet-journaled cells (the scriptable "interrupt at
-    50%%" used by the CI resume gate); the partial result has
-    ``complete=False``.
-
-    ``streaming=True`` makes every worker verify its cell online with a
-    bounded open window (see :func:`execute_run`); cell hashes stay
-    byte-identical to batch-mode runs of the same grid.
-
-    ``metrics=True`` collects a per-cell virtual-time metrics report and
-    the scenario SLO verdicts (see :func:`execute_run`); the reports ride
-    the checkpoint journal, so an interrupted-and-resumed metrics campaign
-    merges its per-cell reports byte-identically with an uninterrupted one.
+    ``streaming=True`` makes every cell verify online with a bounded open
+    window, and ``metrics=True`` collects a per-cell virtual-time metrics
+    report plus the scenario SLO verdicts (see :func:`execute_run`).
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if chunk is not None and chunk < 1:
-        raise ValueError("chunk must be >= 1")
     specs = grid.expand()
     start = time.perf_counter()
-
-    journal: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        journal = Checkpoint.open(checkpoint, grid, streaming=streaming,
-                                  metrics=metrics, resume=resume)
-
-    try:
-        records_by_cell = {}
-        if journal is not None:
-            # Only journaled cells that belong to this grid count; the grid
-            # fingerprint already guarantees they all do.
-            records_by_cell = {spec.cell_id: journal.records[spec.cell_id]
-                               for spec in specs
-                               if spec.cell_id in journal.records}
-        resumed = len(records_by_cell)
-        pending = [spec for spec in specs
-                   if spec.cell_id not in records_by_cell]
-        if max_cells is not None:
-            pending = pending[:max(0, max_cells)]
-
-        def emit(record: RunRecord) -> None:
-            # Journal first: a progress callback that raises (or a user
-            # interrupt delivered inside it) must not lose the cell.
-            if journal is not None:
-                journal.append(record)
-            records_by_cell[record.cell_id] = record
+    run = functools.partial(execute_run, streaming=streaming, metrics=metrics)
+    records: List[RunRecord] = []
+    with contextlib.ExitStack() as stack:
+        if jobs == 1:
+            stream = map(run, specs)
+        else:
+            workers = min(jobs, len(specs))
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            # Pool.map's own chunking heuristic, capped so a small grid
+            # still spreads across the workers.
+            chunksize = max(1, min(32, len(specs) // (4 * workers)))
+            stream = pool.imap(run, specs, chunksize=chunksize)
+        for record in stream:
+            records.append(record)
             if progress is not None:
                 progress(record)
-
-        pool_spinup = 0.0
-        used_chunk = chunk if chunk is not None else 1
-        used_workers = 1
-        if jobs == 1 or not pending:
-            for spec in pending:
-                emit(execute_run(spec, streaming=streaming, metrics=metrics))
-        else:
-            run_batch = functools.partial(_execute_batch, streaming=streaming,
-                                          metrics=metrics)
-            ctx = _pool_context()
-            spinup_start = time.perf_counter()
-            # Forked workers inherit the parent heap copy-on-write; without
-            # this, the children's refcount/GC traffic over inherited pages
-            # faults-and-copies them and every cell runs measurably slower
-            # than serial.  Collect first (smaller inheritance), then freeze
-            # survivors into the permanent generation so child GC passes
-            # stop rewriting them; the parent unfreezes once workers exist.
-            gc.collect()
-            gc.freeze()
-            try:
-                # jobs > 1 always goes through a real pool -- even for one
-                # cell -- so a --check-serial gate genuinely compares pooled
-                # against serial execution.  Worker processes are capped at
-                # usable_cores(): cells are pure CPU, so oversubscribing a
-                # host buys scheduler contention, not parallelism.  The cap
-                # is recorded as SweepResult.workers so a --jobs 16 report
-                # on an 8-core host says which pool size actually ran.
-                used_workers = max(1, min(jobs, len(pending), usable_cores()))
-                pool_ctx = ctx.Pool(processes=used_workers,
-                                    initializer=_warm_worker)
-            finally:
-                gc.unfreeze()
-            with pool_ctx as pool:
-                pool_spinup = time.perf_counter() - spinup_start
-                remaining = pending
-                if chunk is None:
-                    # Probe: the first cell runs alone (through the pool, so
-                    # the measurement is warm-worker compute) and its cost
-                    # sizes the batches for the rest of the campaign.
-                    _, probe_records = pool.apply(run_batch,
-                                                  ((0, remaining[:1]),))
-                    emit(probe_records[0])
-                    remaining = remaining[1:]
-                    used_chunk = auto_chunk(probe_records[0].wall_clock_sec,
-                                            len(remaining), jobs)
-                batches = list(enumerate(_chunked(remaining, used_chunk)))
-                for _, batch_records in pool.imap_unordered(run_batch, batches):
-                    for record in batch_records:
-                        emit(record)
-
-        ordered = [records_by_cell[spec.cell_id] for spec in specs
-                   if spec.cell_id in records_by_cell]
-        return SweepResult(grid=grid.describe(), jobs=jobs, records=ordered,
-                           wall_clock_sec=time.perf_counter() - start,
-                           chunk=used_chunk, workers=used_workers,
-                           pool_spinup_sec=pool_spinup,
-                           resumed_cells=resumed,
-                           complete=len(ordered) == len(specs))
-    finally:
-        if journal is not None:
-            journal.close()
+    return SweepResult(grid=grid.describe(), jobs=jobs, records=records,
+                       wall_clock_sec=time.perf_counter() - start)

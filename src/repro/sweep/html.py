@@ -141,20 +141,15 @@ def _summary_section(report: Dict[str, object]) -> str:
     failed = report.get("cells_failed", 0)
     verdict = ('<span class="ok">PASS</span>' if not failed
                else f'<span class="fail">{failed} FAILED</span>')
-    incomplete = "" if report.get("complete", True) else \
-        ' <span class="fail">(incomplete campaign)</span>'
     grid = _esc(json.dumps(report.get("grid", {}), sort_keys=True))
     return (
         f"<h1>Sweep campaign report</h1>"
         f'<p><code>{grid}</code></p>'
-        f'<p class="summary">{verdict}{incomplete} '
+        f'<p class="summary">{verdict} '
         f'<span>{report.get("cells_passed", 0)}/{report.get("cells_total", 0)}'
         f" cells passed</span>"
         f'<span>{_fmt(float(report.get("wall_clock_sec", 0.0)), 2)}s wall'
-        f" clock</span>"
-        f'<span>workers={report.get("workers", 1)}</span>'
-        f'<span>chunk={report.get("chunk", 1)}</span>'
-        f'<span>resumed={report.get("resumed_cells", 0)}</span></p>')
+        f" clock</span></p>")
 
 
 def _matrix_section(cells: Sequence[Dict[str, object]]) -> str:

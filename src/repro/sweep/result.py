@@ -74,46 +74,14 @@ class RunRecord:
     def cell_id(self) -> str:
         return format_cell_id(self.scenario, self.seed, self.params)
 
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "RunRecord":
-        """Rebuild a record from its :meth:`to_json` rendering.
-
-        The round-trip is exact for everything the checkpoint/resume gate
-        compares (scenario, seed, canonically ordered params, ok flag,
-        signature hash, checker method); ``wall_clock_sec`` keeps the
-        original cell's measured time, not the resumed campaign's.
-        """
-        return cls(
-            scenario=payload["scenario"],
-            seed=payload["seed"],
-            params=tuple(sorted(payload.get("params", {}).items())),
-            ok=payload["ok"],
-            failure=payload.get("failure"),
-            signature_hash=payload["signature_hash"],
-            wall_clock_sec=payload["wall_clock_sec"],
-            history_ops=payload["history_ops"],
-            events=payload["events"],
-            messages=payload["messages"],
-            checker_method=payload["checker_method"],
-            read_latency=dict(payload.get("read_latency", {})),
-            write_latency=dict(payload.get("write_latency", {})),
-            metrics=payload.get("metrics"),
-        )
-
     def to_json(self) -> Dict[str, object]:
         """JSON-serialisable rendering of this cell's record.
 
         The ``metrics`` key is present only when the cell collected
         metrics, so metrics-free renderings stay byte-identical to older
-        journals and reports.
+        reports.
         """
-        payload = self._base_json()
-        if self.metrics is not None:
-            payload["metrics"] = self.metrics
-        return payload
-
-    def _base_json(self) -> Dict[str, object]:
-        return {
+        payload = {
             "cell": self.cell_id,
             "scenario": self.scenario,
             "seed": self.seed,
@@ -129,32 +97,23 @@ class RunRecord:
             "read_latency": self.read_latency,
             "write_latency": self.write_latency,
         }
+        if self.metrics is not None:
+            payload["metrics"] = self.metrics
+        return payload
 
 
 @dataclass
 class SweepResult:
     """The aggregated outcome of one campaign.
 
-    ``jobs`` is the worker count the caller *asked* for; ``workers`` the
-    pool size the engine actually used (capped at ``usable_cores()`` and
-    the pending-cell count; 1 when the campaign ran serially), so a report
-    for ``--jobs 16`` on an 8-core host honestly says 8.  ``chunk`` is the
-    cells-per-worker-task batch size the engine used (1 when serial),
-    ``pool_spinup_sec`` the measured pool start-up cost, ``resumed_cells``
-    how many cells were replayed from a checkpoint journal instead of
-    executed, and ``complete`` whether every cell of the grid has a record
-    (``False`` after an interrupted / ``max_cells``-truncated campaign).
+    ``jobs`` is the worker count the campaign was asked for; ``records``
+    hold one :class:`RunRecord` per grid cell, in grid-expansion order.
     """
 
     grid: Dict[str, object]
     jobs: int
     records: List[RunRecord]
     wall_clock_sec: float
-    chunk: int = 1
-    workers: int = 1
-    pool_spinup_sec: float = 0.0
-    resumed_cells: int = 0
-    complete: bool = True
 
     # ----------------------------------------------------------- aggregates
     @property
@@ -209,15 +168,10 @@ class SweepResult:
         return {
             "grid": self.grid,
             "jobs": self.jobs,
-            "workers": self.workers,
-            "chunk": self.chunk,
-            "complete": self.complete,
-            "resumed_cells": self.resumed_cells,
             "cells_total": len(self.records),
             "cells_passed": self.passed,
             "cells_failed": self.failed,
             "wall_clock_sec": round(self.wall_clock_sec, 4),
-            "pool_spinup_sec": round(self.pool_spinup_sec, 4),
             "cell_wall_clock_sum_sec": round(
                 sum(record.wall_clock_sec for record in self.records), 4),
             "slowest_cell": None if slowest is None else slowest.cell_id,

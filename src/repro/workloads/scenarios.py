@@ -341,8 +341,8 @@ def run_scenario_instance(scenario: ChaosScenario, seed: int = 0,
     registry = None
     if metrics:
         # Clear the process-global perf caches first so the exported hit
-        # rates are a pure function of this cell -- required for the
-        # byte-identical checkpoint/resume guarantee (a warm worker's cache
+        # rates are a pure function of this cell -- required for pooled and
+        # serial campaigns to report byte-identically (a pool worker's cache
         # state must not leak into the report).  The caches are performance
         # only; clearing them cannot change the execution.
         from repro.common.values import payload_cache_clear

@@ -257,9 +257,8 @@ class TestReadme:
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         flags = set(re.findall(r"--[a-z-]+", readme.split("## Scale-out sweeps")[1]
                                .split("## Tests")[0]))
-        known = {"--grid", "--jobs", "--chunk", "--checkpoint", "--resume",
-                 "--stop-after", "--check-serial", "--streaming", "--bisect",
-                 "--output", "--list", "--quiet", "--metrics", "--report"}
+        known = {"--grid", "--jobs", "--check-serial", "--streaming",
+                 "--bisect", "--output", "--quiet", "--metrics", "--report"}
         assert flags <= known, f"README documents unknown sweep flags: {flags - known}"
-        assert {"--grid", "--jobs", "--chunk", "--checkpoint", "--resume",
-                "--check-serial", "--bisect"} <= flags
+        assert {"--grid", "--jobs", "--check-serial", "--streaming",
+                "--bisect", "--metrics", "--report"} <= flags

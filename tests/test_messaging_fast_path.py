@@ -176,7 +176,8 @@ def constructed(monkeypatch):
 
 
 class TestExactCounts:
-    """Deterministic cost gates (ROADMAP item 1): exact, so noise-free."""
+    """Deterministic cost gates of the fused quorum-round fast path: exact,
+    so noise-free."""
 
     def _round(self, scatter):
         sim = Simulator(seed=0)

@@ -326,7 +326,7 @@ def test_sweep_streaming_cell_matches_batch_cell():
     from repro.sweep.grid import parse_grid
 
     grid = parse_grid("scenarios=abd_crash_minority;seeds=0")
-    pooled = campaign(grid, jobs=1, streaming=True)
+    pooled = campaign(grid, jobs=2, streaming=True)
     serial = campaign(grid, jobs=1)
     assert pooled.ok and serial.ok
     assert pooled.signature_map() == serial.signature_map()

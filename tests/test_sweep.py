@@ -2,23 +2,27 @@
 
 The heavyweight guarantee -- a cell's history signature is byte-identical
 whether it runs serially or in a pool worker -- is asserted here on a small
-grid; CI re-asserts it with ``--check-serial=all`` on every push and over the
-full registry nightly.
+grid and, against the committed goldens, for every registered scenario at
+seed 0 in batch and streaming mode; CI re-asserts it with ``--check-serial``
+on every push and over the full registry nightly.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
-from repro.sweep import (RunSpec, SweepGrid, auto_chunk, campaign,
-                         default_jobs, execute_run, latency_summary,
-                         parse_grid, parse_seeds, resolve_scenarios,
-                         usable_cores)
+from repro.sweep import (RunSpec, SweepGrid, campaign, execute_run,
+                         latency_summary, parse_grid, parse_seeds,
+                         resolve_scenarios)
 from repro.sweep.__main__ import main as sweep_main
-from repro.sweep.engine import MAX_AUTO_CHUNK, _cgroup_cpu_quota
 from repro.workloads.scenarios import scenario_names
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "golden_signatures.json")
+    .read_text())
 
 
 class TestGridParsing:
@@ -45,6 +49,39 @@ class TestGridParsing:
         assert parse_seeds("4,2,9") == (4, 2, 9)
         with pytest.raises(ValueError):
             parse_seeds("3..1")
+
+    def test_single_seed_forms(self):
+        assert parse_seeds(" 7 ") == (7,)
+        assert parse_seeds("5..5") == (5,)
+        assert parse_seeds("3,,4,") == (3, 4)
+
+    @pytest.mark.parametrize("text", ["", " , ", "x", "1..x", "1.5"])
+    def test_bad_seed_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_seeds(text)
+
+    def test_seeds_default_to_zero(self):
+        assert parse_grid("scenarios=abd_crash_minority").seeds == (0,)
+
+    def test_empty_clauses_are_ignored(self):
+        grid = parse_grid(" scenarios=abd_crash_minority ; ;seeds=1;")
+        assert grid.scenarios == ("abd_crash_minority",)
+        assert grid.seeds == (1,)
+
+    def test_clause_without_equals_rejected(self):
+        with pytest.raises(ValueError, match="not key=value"):
+            parse_grid("scenarios=all;seeds")
+
+    def test_axis_values_use_the_field_parser(self):
+        grid = parse_grid("scenarios=abd_crash_minority;think_time=2;value_size=64")
+        assert dict(grid.params) == {"think_time": (2.0,), "value_size": (64,)}
+        assert isinstance(dict(grid.params)["think_time"][0], float)
+        with pytest.raises(ValueError):
+            parse_grid("scenarios=abd_crash_minority;value_size=1.5")
+
+    def test_axis_without_values_rejected(self):
+        with pytest.raises(ValueError, match="has no values"):
+            parse_grid("scenarios=abd_crash_minority;value_size=")
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="matches nothing"):
@@ -105,6 +142,12 @@ class TestGridExpansion:
         grid = SweepGrid(scenarios=("a", "b"), seeds=(0, 1, 2),
                          params=(("value_size", (1, 2)),))
         assert grid.describe()["cells"] == 12
+
+    def test_empty_scenarios_or_seeds_rejected(self):
+        with pytest.raises(ValueError, match="at least one scenario"):
+            SweepGrid(scenarios=(), seeds=(0,))
+        with pytest.raises(ValueError, match="at least one seed"):
+            SweepGrid(scenarios=("s",), seeds=())
 
 
 class TestExecuteRun:
@@ -177,11 +220,26 @@ class TestCampaign:
         # Records come back in expansion order regardless of completion order.
         assert [r.cell_id for r in pooled.records] == [r.cell_id for r in serial.records]
 
-    def test_progress_callback_sees_every_cell(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_callback_sees_every_cell(self, jobs):
+        # Pooled results arrive through an ordered imap, so progress fires
+        # in grid-expansion order at any pool size.
         seen = []
-        campaign(self.GRID, jobs=1, progress=seen.append)
+        campaign(self.GRID, jobs=jobs, progress=seen.append)
         assert [record.cell_id for record in seen] == [
             spec.cell_id for spec in self.GRID.expand()]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crashed_cell_fails_and_campaign_finishes(self, jobs):
+        # A worker exception becomes a failed record; the remaining cells
+        # still run and the campaign returns normally.
+        grid = SweepGrid(scenarios=("abd_crash_minority",), seeds=(0, 1),
+                         params=(("value_size", (-1, 64)),))
+        result = campaign(grid, jobs=jobs)
+        assert len(result.records) == 4 and result.passed == 2
+        assert [dict(r.params)["value_size"] for r in result.failures()] == [-1, -1]
+        assert all("value size must be non-negative" in r.failure
+                   for r in result.failures())
 
     def test_pass_matrix_and_render(self):
         result = campaign(self.GRID, jobs=1)
@@ -206,44 +264,6 @@ class TestCampaign:
         with pytest.raises(ValueError):
             campaign(self.GRID, jobs=0)
 
-    def test_default_jobs_is_positive(self):
-        assert default_jobs() >= 1
-
-    def test_pinned_chunk_matches_serial_hash_for_hash(self):
-        serial = campaign(self.GRID, jobs=1)
-        chunked = campaign(self.GRID, jobs=2, chunk=3)
-        assert chunked.chunk == 3
-        assert chunked.signature_map() == serial.signature_map()
-        assert [r.cell_id for r in chunked.records] == \
-            [r.cell_id for r in serial.records]
-
-    def test_auto_chunk_is_recorded(self):
-        result = campaign(self.GRID, jobs=2)
-        assert result.chunk >= 1
-        assert result.pool_spinup_sec >= 0.0
-
-    def test_workers_records_effective_pool_size(self):
-        # A --jobs 16 request on a smaller host must not report 16: the
-        # engine caps the pool at usable_cores() (and the pending cells)
-        # and records what it actually started.
-        serial = campaign(self.GRID, jobs=1)
-        assert serial.workers == 1
-        pooled = campaign(self.GRID, jobs=16)
-        assert pooled.jobs == 16
-        assert pooled.workers == \
-            min(16, len(self.GRID.expand()), usable_cores())
-        assert pooled.to_json()["workers"] == pooled.workers
-
-    def test_invalid_chunk_rejected(self):
-        with pytest.raises(ValueError, match="chunk"):
-            campaign(self.GRID, jobs=2, chunk=0)
-
-    def test_max_cells_truncates_deterministically(self):
-        partial = campaign(self.GRID, jobs=1, max_cells=2)
-        assert not partial.complete
-        assert [r.cell_id for r in partial.records] == \
-            [spec.cell_id for spec in self.GRID.expand()[:2]]
-
     def test_max_events_axis_is_a_livelock_frontier(self):
         # A starved event budget fails the cell (the adaptive campaigns
         # bisect exactly this), a generous one verifies.
@@ -255,67 +275,29 @@ class TestCampaign:
         assert by_budget[60000].ok
 
 
-class TestAutoChunk:
-    def test_cheap_cells_get_big_batches(self):
-        # 5ms cells: ~50 cells per 0.25s task, but load balance caps first.
-        assert auto_chunk(0.005, 1000, 4) == 50
+class TestPooledRegistry:
+    """Every registered scenario, run in a pool worker, verifies and
+    reproduces its golden batch signature: the tier-1 share of nightly's
+    full-registry ``--check-serial`` gate, in both verification modes."""
 
-    def test_expensive_cells_get_single_batches(self):
-        assert auto_chunk(0.5, 1000, 4) == 1
+    @pytest.fixture(scope="class", params=[False, True],
+                    ids=["batch", "streaming"])
+    def pooled(self, request):
+        result = campaign(parse_grid("scenarios=all;seeds=0"), jobs=2,
+                          streaming=request.param)
+        assert [r.cell_id for r in result.records] == [
+            f"{name}/s0" for name in scenario_names()]
+        return request.param, {r.scenario: r for r in result.records}
 
-    def test_load_balance_keeps_two_tasks_per_worker(self):
-        # 16 pending cells over 4 workers: never more than 2 cells per task
-        # even though the cost target would allow far larger batches.
-        assert auto_chunk(0.001, 16, 4) == 2
-
-    def test_capped_and_floored(self):
-        assert auto_chunk(0.0, 100_000, 1) == MAX_AUTO_CHUNK
-        assert auto_chunk(100.0, 10, 1) == 1
-
-
-class TestUsableCores:
-    def test_positive_and_at_most_affinity(self):
-        import os
-
-        assert 1 <= usable_cores() <= len(os.sched_getaffinity(0))
-
-    def test_cgroup_quota_caps_cores(self, monkeypatch):
-        import repro.sweep.engine as engine
-
-        monkeypatch.setattr(engine.os, "sched_getaffinity",
-                            lambda pid: set(range(16)))
-        monkeypatch.setattr(engine, "_cgroup_cpu_quota", lambda: 2.0)
-        assert usable_cores() == 2
-        monkeypatch.setattr(engine, "_cgroup_cpu_quota", lambda: None)
-        assert usable_cores() == 16
-        # A sub-core quota still leaves one usable core.
-        monkeypatch.setattr(engine, "_cgroup_cpu_quota", lambda: 0.5)
-        assert usable_cores() == 1
-
-    def test_cgroup_v2_parsing(self, tmp_path):
-        (tmp_path / "cpu.max").write_text("200000 100000\n")
-        assert _cgroup_cpu_quota(tmp_path) == 2.0
-        (tmp_path / "cpu.max").write_text("max 100000\n")
-        assert _cgroup_cpu_quota(tmp_path) is None
-
-    def test_cgroup_v1_parsing(self, tmp_path):
-        (tmp_path / "cpu").mkdir()
-        (tmp_path / "cpu" / "cpu.cfs_quota_us").write_text("150000\n")
-        (tmp_path / "cpu" / "cpu.cfs_period_us").write_text("100000\n")
-        assert _cgroup_cpu_quota(tmp_path) == 1.5
-        (tmp_path / "cpu" / "cpu.cfs_quota_us").write_text("-1\n")
-        assert _cgroup_cpu_quota(tmp_path) is None
-
-    def test_missing_cgroup_means_no_quota(self, tmp_path):
-        assert _cgroup_cpu_quota(tmp_path / "nope") is None
-
-    def test_default_jobs_follows_usable_cores(self, monkeypatch):
-        import repro.sweep.engine as engine
-
-        monkeypatch.setattr(engine, "usable_cores", lambda: 32)
-        assert default_jobs() == 8
-        monkeypatch.setattr(engine, "usable_cores", lambda: 3)
-        assert default_jobs() == 3
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_pooled_cell_matches_golden(self, pooled, name):
+        streaming, records = pooled
+        record = records[name]
+        assert record.ok, record.failure
+        assert record.signature_hash == GOLDEN[name], (
+            f"{name} diverged from its golden signature in a pool worker")
+        method = "streaming" if streaming else "fast"
+        assert record.checker_method in (method, f"per-key({method})")
 
 
 class TestLatencySummary:
@@ -346,71 +328,52 @@ class TestCli:
         assert report["cells_total"] == 2 and report["cells_failed"] == 0
         assert "pass" in capsys.readouterr().out
 
-    def test_cli_check_serial_gate(self, tmp_path):
+    def test_cli_check_serial_gate(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
-        code = sweep_main(["--grid", "scenarios=treas_crash_server;seeds=0",
+        code = sweep_main(["--grid", "scenarios=treas_crash_server;seeds=0..1",
                            "--jobs", "2", "--check-serial",
                            "--output", str(out), "--quiet"])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["serial_check"]["mismatches"] == 0
+        # The bare flag re-runs the whole grid, not a sample.
+        assert "all 2 cells byte-identical" in capsys.readouterr().out
 
-    def test_cli_list(self, capsys):
-        assert sweep_main(["--list"]) == 0
+    def test_cli_streaming_check_serial_leg(self, tmp_path, capsys):
+        # CI's push-time smoke: streaming-pooled cells against batch-serial.
+        out = tmp_path / "sweep.json"
+        code = sweep_main(["--grid", "scenarios=abd_crash_minority,"
+                           "treas_crash_server;seeds=0..1",
+                           "--jobs", "2", "--streaming", "--check-serial",
+                           "--output", str(out), "--quiet"])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["cells_total"] == 4 and report["cells_failed"] == 0
+        assert report["serial_check"]["mismatches"] == 0
+        assert "speedup" in report["serial_check"]
+        assert {cell["checker_method"] for cell in report["cells"]} == {"streaming"}
+        assert "all 4 cells byte-identical" in capsys.readouterr().out
+
+    def test_cli_failing_cell_exits_1(self, capsys):
+        code = sweep_main(["--grid",
+                           "scenarios=abd_crash_minority;seeds=0;value_size=-1",
+                           "--quiet"])
+        assert code == 1
         out = capsys.readouterr().out
-        for name in scenario_names():
-            assert name in out
+        assert "0/1 cells passed" in out
+        assert "FAILED abd_crash_minority/s0[value_size=-1]" in out
+
+    def test_cli_report_implies_metrics(self, tmp_path, capsys):
+        out, html = tmp_path / "sweep.json", tmp_path / "campaign.html"
+        code = sweep_main(["--grid", "scenarios=ldr_gray_degradation;seeds=0",
+                           "--output", str(out), "--report", str(html),
+                           "--quiet"])
+        assert code == 0
+        cell = json.loads(out.read_text())["cells"][0]
+        assert cell["metrics"]["slo"]
+        assert html.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
+        assert "SLO verdicts: 0 failed across 1 cells" in capsys.readouterr().out
 
     def test_cli_bad_grid_raises(self):
         with pytest.raises(ValueError):
             sweep_main(["--grid", "scenarios=nope;seeds=0"])
-
-    def test_cli_chunk_flag(self, tmp_path):
-        out = tmp_path / "sweep.json"
-        code = sweep_main(["--grid", "scenarios=abd_crash_minority;seeds=0..1",
-                           "--jobs", "2", "--chunk", "2",
-                           "--output", str(out), "--quiet"])
-        assert code == 0
-        assert json.loads(out.read_text())["chunk"] == 2
-
-    def test_cli_check_serial_all(self, tmp_path):
-        out = tmp_path / "sweep.json"
-        code = sweep_main(["--grid", "scenarios=treas_crash_server;seeds=0",
-                           "--jobs", "2", "--check-serial=all",
-                           "--output", str(out), "--quiet"])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["serial_check"]["mode"] == "all"
-        assert report["serial_check"]["mismatches"] == 0
-
-    def test_cli_check_serial_bad_value(self):
-        with pytest.raises(SystemExit):
-            sweep_main(["--grid", "scenarios=treas_crash_server;seeds=0",
-                        "--check-serial=zero", "--quiet"])
-
-    def test_cli_stop_after_then_resume(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt"
-        out = tmp_path / "sweep.json"
-        code = sweep_main(["--grid", "scenarios=abd_crash_minority;seeds=0..3",
-                           "--jobs", "1", "--checkpoint", str(ckpt),
-                           "--stop-after", "2", "--quiet"])
-        assert code == 3  # incomplete but failure-free
-        code = sweep_main(["--grid", "scenarios=abd_crash_minority;seeds=0..3",
-                           "--jobs", "1", "--checkpoint", str(ckpt),
-                           "--resume", "--output", str(out), "--quiet"])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["complete"] and report["resumed_cells"] == 2
-        assert report["cells_total"] == 4
-
-    def test_cli_existing_checkpoint_without_resume_exits_2(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt"
-        args = ["--grid", "scenarios=abd_crash_minority;seeds=0",
-                "--jobs", "1", "--checkpoint", str(ckpt), "--quiet"]
-        assert sweep_main(args) == 0
-        assert sweep_main(args) == 2
-
-    def test_cli_resume_requires_checkpoint(self):
-        with pytest.raises(SystemExit):
-            sweep_main(["--grid", "scenarios=abd_crash_minority;seeds=0",
-                        "--resume", "--quiet"])

@@ -174,11 +174,24 @@ class TestCliBisect:
             sweep_main(["--grid", "scenarios=abd_crash_minority;seeds=0",
                         "--bisect", "bogus=1..2"])
 
-    def test_cli_bisect_rejects_campaign_flags(self, tmp_path):
+    def test_cli_bisect_rejects_campaign_flags(self):
         with pytest.raises(SystemExit):
             sweep_main(["--grid", "scenarios=abd_crash_minority;seeds=0",
-                        "--bisect", "max_events=200..400",
-                        "--checkpoint", str(tmp_path / "x.ckpt")])
+                        "--bisect", "max_events=200..400", "--check-serial"])
+
+    @pytest.mark.parametrize("flags", [["--metrics"], ["--report", "r.html"]],
+                             ids=["metrics", "report"])
+    def test_cli_bisect_rejects_metrics_flags(self, flags):
+        with pytest.raises(SystemExit):
+            sweep_main(["--grid", "scenarios=abd_crash_minority;seeds=0",
+                        "--bisect", "max_events=200..400", *flags])
+
+    @pytest.mark.parametrize("bisect", ["max_events=500", "max_events=a..b",
+                                        "max_events"])
+    def test_cli_bisect_rejects_bad_bracket(self, bisect):
+        with pytest.raises(SystemExit):
+            sweep_main(["--grid", "scenarios=abd_crash_minority;seeds=0",
+                        "--bisect", bisect])
 
     def test_cli_bisect_rejects_multi_value_axes(self):
         with pytest.raises(SystemExit):

@@ -1,14 +1,13 @@
-"""Metrics through the sweep plane: records, journals, resume, HTML.
+"""Metrics through the sweep plane: records, pooled campaigns, HTML.
 
 The sweep carries each cell's exported :class:`~repro.obs.report.MetricsReport`
-dict (plus SLO verdicts) across the process boundary, through the JSON
-report and through the checkpoint journal.  These tests pin the contracts
-the tentpole depends on:
+dict (plus SLO verdicts) across the process boundary and through the JSON
+report.  These tests pin the contracts the campaign report depends on:
 
 * metrics-free records render byte-identically to the pre-metrics schema
-  (old journals resume, old reports re-parse);
-* an interrupted-and-resumed metrics campaign merges per-cell reports
-  byte-identically with an uninterrupted one;
+  (old reports re-parse);
+* a pooled metrics campaign reports per-cell bytes identical to a serial
+  one (no cache state leaks between the cells a worker runs);
 * SLO failures are reported in the record but never flip ``RunRecord.ok``;
 * the HTML campaign report is self-contained, well-formed and renders the
   matrix, degradation curves and sparklines from the same JSON.
@@ -21,7 +20,6 @@ from html.parser import HTMLParser
 
 import pytest
 
-from repro.sweep.checkpoint import CheckpointError, grid_fingerprint
 from repro.sweep.engine import campaign, execute_run
 from repro.sweep.grid import RunSpec, parse_grid
 from repro.sweep.html import render_campaign_html
@@ -54,14 +52,6 @@ def test_metrics_free_record_json_has_no_metrics_key():
     assert "metrics" not in record.to_json()
 
 
-def test_record_json_round_trip_preserves_metrics_bytes():
-    spec = RunSpec(scenario="abd_gray_degradation", seed=1, params=())
-    record = execute_run(spec, metrics=True)
-    rebuilt = RunRecord.from_json(json.loads(json.dumps(record.to_json())))
-    assert json.dumps(rebuilt.to_json()["metrics"], sort_keys=True) == \
-        json.dumps(record.to_json()["metrics"], sort_keys=True)
-
-
 def test_slo_failures_do_not_flip_record_ok():
     """A cell past the calibrated envelope reports the broken SLO but stays
     ``ok``: correctness and SLO verdicts are separate axes by design."""
@@ -81,7 +71,7 @@ def test_metrics_agree_between_serial_and_identical_rerun():
         json.dumps(b.metrics, sort_keys=True)
 
 
-# ------------------------------------------------------ checkpoint / resume
+# ---------------------------------------------------------- pooled campaign
 def _stable(records):
     """Record JSON with the only legitimately varying field masked."""
     return json.dumps(
@@ -89,33 +79,9 @@ def _stable(records):
         sort_keys=True)
 
 
-def test_resumed_metrics_campaign_merges_byte_identically(tmp_path):
-    grid = parse_grid(GRID)
-    journal = tmp_path / "campaign.jsonl"
-    interrupted = campaign(grid, jobs=1, metrics=True, checkpoint=journal,
-                           max_cells=2)
-    assert not interrupted.complete
-    resumed = campaign(grid, jobs=1, metrics=True, checkpoint=journal,
-                       resume=True)
-    uninterrupted = campaign(grid, jobs=1, metrics=True)
-    assert resumed.complete
-    assert _stable(resumed.records) == _stable(uninterrupted.records)
-
-
-def test_metrics_flag_changes_fingerprint_but_default_is_unchanged():
-    grid = parse_grid(GRID)
-    assert grid_fingerprint(grid) == grid_fingerprint(grid, metrics=False)
-    assert grid_fingerprint(grid) != grid_fingerprint(grid, metrics=True)
-    assert grid_fingerprint(grid, streaming=True) != \
-        grid_fingerprint(grid, streaming=True, metrics=True)
-
-
-def test_resuming_a_metrics_journal_without_metrics_is_refused(tmp_path):
-    grid = parse_grid(GRID)
-    journal = tmp_path / "campaign.jsonl"
-    campaign(grid, jobs=1, metrics=True, checkpoint=journal, max_cells=1)
-    with pytest.raises(CheckpointError, match="metrics"):
-        campaign(grid, jobs=1, checkpoint=journal, resume=True)
+def test_pooled_metrics_campaign_matches_serial_byte_identically(metrics_result):
+    pooled = campaign(parse_grid(GRID), jobs=2, metrics=True)
+    assert _stable(pooled.records) == _stable(metrics_result.records)
 
 
 # -------------------------------------------------------------------- HTML

@@ -28,11 +28,11 @@ def run_reconfiguration(direct: bool, value_size: int, seed: int = 0):
     deployment.write(Value.of_size(value_size, label="payload"), 0)
     reconfigurer = deployment.reconfigurers[0]
     stats = deployment.stats
-    client_before = stats.to_and_from(reconfigurer.pid).data_bytes
+    client_scope = stats.open_scope("reconfig", reconfigurer.pid)
     total_before = stats.global_record.data_bytes
     configuration = deployment.make_configuration(dap="treas", fresh_servers=9, k=5)
     deployment.reconfig(configuration, 0)
-    client_bytes = stats.to_and_from(reconfigurer.pid).data_bytes - client_before
+    client_bytes = stats.close_scope(client_scope).data_bytes
     total_bytes = stats.global_record.data_bytes - total_before
     latency = deployment.history.reconfigs()[-1].latency
     # The value must be readable from the new configuration afterwards.

@@ -41,6 +41,8 @@ def run(direct_state_transfer: bool):
         num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=11,
         direct_state_transfer=direct_state_transfer))
     reconfigurer = deployment.reconfigurers[0]
+    # Everything the reconfigurer sends or receives from here on.
+    reconfigurer_scope = deployment.stats.open_scope("rolling-upgrade", reconfigurer.pid)
 
     def rolling_upgrade():
         for dap, fresh, k in UPGRADE_PLAN:
@@ -54,7 +56,7 @@ def run(direct_state_transfer: bool):
         value_size=OBJECT_SIZE, think_time=3.0))
     result = workload.run()
 
-    reconfigurer_bytes = deployment.stats.to_and_from(reconfigurer.pid).data_bytes
+    reconfigurer_bytes = deployment.stats.close_scope(reconfigurer_scope).data_bytes
     return deployment, result, reconfigurer_bytes
 
 

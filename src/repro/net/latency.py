@@ -58,13 +58,13 @@ class UniformLatency(LatencyModel):
             raise ValueError(f"invalid latency bounds [{d}, {D}]")
         self.d = d
         self.D = D
+        self._span = D - d
 
     def sample(self, sim: Simulator, src: ProcessId, dest: ProcessId) -> float:
         # The expression random.uniform evaluates, and (like sim.uniform) no
         # draw for a degenerate range: same floats, same RNG stream.
-        d = self.d
-        span = self.D - d
-        return d + span * sim.rng.random() if span else d
+        span = self._span
+        return self.d + span * sim.rng.random() if span else self.d
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UniformLatency(d={self.d}, D={self.D})"

@@ -32,8 +32,12 @@ class Network:
     broadcast is one call -- and treats each destination exactly as a
     separate :meth:`send` would: same accounting at send time, same RNG
     draws in the same order, same event sequence numbers, hooks consulted
-    per destination.  Delivery hands the message to
-    :meth:`Process.deliver <repro.sim.process.Process.deliver>`.
+    per destination.  A delivery event calls the destination's
+    :meth:`Process.deliver <repro.sim.process.Process.deliver>` directly,
+    which bumps :attr:`messages_delivered` / :attr:`messages_dropped`.
+    :attr:`stats` keeps network-wide and per-kind traffic; the traffic of
+    one process comes from a scope opened on it
+    (:meth:`TrafficStats.open_scope <repro.net.stats.TrafficStats.open_scope>`).
 
     Parameters
     ----------
@@ -184,7 +188,6 @@ class Network:
         processes = self.processes
         record = self.stats.record
         sample = self.latency.sample
-        deliver = self._deliver
         quiet = self._quiet
         traced = sim.trace_enabled
         label = ""
@@ -192,8 +195,10 @@ class Network:
             self.messages_sent += 1
             record(src, dest, message.kind, message.data_bytes, message.metadata_bytes)
             process = processes.get(dest)
-            args = (src, dest, message, process,
-                    process is not None and process.crashed)
+            if process is None:     # may register before the message arrives
+                deliver, args = self._deliver_late, (src, dest, message)
+            else:
+                deliver, args = process.deliver, (src, message, process.crashed)
             extra_copies = 0
             if not quiet:
                 dropped = False
@@ -229,15 +234,13 @@ class Network:
                     break
                 copy_index += 1
 
-    def _deliver(self, src: ProcessId, dest: ProcessId, message: Message,
-                 process: Optional[Process], sent_while_down: bool) -> None:
-        if process is None:  # unknown when sent; may have registered since
-            process = self.processes.get(dest)
-        if process is None or process.crashed or sent_while_down:
+    def _deliver_late(self, src: ProcessId, dest: ProcessId, message: Message) -> None:
+        """Deliver to ``dest``, unregistered when ``message`` was sent."""
+        process = self.processes.get(dest)
+        if process is None:
             self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        process.deliver(src, message)
+        else:
+            process.deliver(src, message)
 
     # -------------------------------------------------------------- lifecycle
     def crash(self, pid: ProcessId) -> None:

@@ -1,10 +1,11 @@
 """Traffic accounting.
 
 The communication-cost experiments (E2, E7) need to attribute bytes on the
-wire to individual operations.  The network reports every delivered message
-to a :class:`TrafficStats` instance; protocol code can open *accounting
-scopes* (one per client operation) so that all traffic generated while an
-operation is in flight is attributed to it.
+wire to individual operations.  The network reports every message it puts
+on the wire to a :class:`TrafficStats` instance; protocol code can open
+*accounting scopes* (one per client operation) so that all traffic
+generated while an operation is in flight is attributed to it.  A scope
+held open across a whole phase is how one process's traffic is read.
 
 Two figures are kept for every record, mirroring the paper's cost model:
 
@@ -19,7 +20,7 @@ Two figures are kept for every record, mirroring the paper's cost model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.common.ids import ProcessId
 
@@ -49,13 +50,6 @@ class TrafficRecord:
             return 0.0
         return self.data_bytes / value_size
 
-    def __add__(self, other: "TrafficRecord") -> "TrafficRecord":
-        return TrafficRecord(
-            messages=self.messages + other.messages,
-            data_bytes=self.data_bytes + other.data_bytes,
-            metadata_bytes=self.metadata_bytes + other.metadata_bytes,
-        )
-
 
 @dataclass
 class OperationScope:
@@ -70,11 +64,10 @@ class OperationScope:
 class TrafficStats:
     """Network-wide traffic accounting.
 
-    Every message is charged to two ledgers -- one row per message kind and
-    one per directed link, each ``[messages, data_bytes, metadata_bytes]`` --
-    and :attr:`global_record`, :attr:`per_kind` and :attr:`per_link` are
-    derived from them on read, so the per-message path touches two rows
-    instead of three record objects.  Per-operation attribution works by
+    Every message is charged to one ledger row per message kind,
+    ``[messages, data_bytes, metadata_bytes]``; :attr:`global_record` and
+    :attr:`per_kind` are derived from it on read, so the per-message path
+    touches one row.  Traffic of one process (or one operation) comes from a
     scope: :meth:`open_scope` returns a handle; every message whose *sender
     or receiver* is the scope owner is charged to the scope while it is
     open.  Scopes are cheap, multiple concurrent scopes (one per in-flight
@@ -85,8 +78,6 @@ class TrafficStats:
 
     def __init__(self) -> None:
         self._kinds: Dict[str, List[int]] = {}
-        # Nested (src -> dest -> row): no key tuple is built per message.
-        self._links: Dict[ProcessId, Dict[ProcessId, List[int]]] = {}
         self._scopes: Dict[ProcessId, List[OperationScope]] = {}
 
     # -------------------------------------------------------------- recording
@@ -96,15 +87,6 @@ class TrafficStats:
         row = self._kinds.get(kind)
         if row is None:
             row = self._kinds[kind] = [0, 0, 0]
-        row[0] += 1
-        row[1] += data_bytes
-        row[2] += metadata_bytes
-        links = self._links.get(src)
-        if links is None:
-            links = self._links[src] = {}
-        row = links.get(dest)
-        if row is None:
-            row = links[dest] = [0, 0, 0]
         row[0] += 1
         row[1] += data_bytes
         row[2] += metadata_bytes
@@ -143,32 +125,13 @@ class TrafficStats:
         """Traffic by message kind (a snapshot; first-sent order)."""
         return {kind: TrafficRecord(*row) for kind, row in self._kinds.items()}
 
-    @property
-    def per_link(self) -> Dict[Tuple[ProcessId, ProcessId], TrafficRecord]:
-        """Traffic by directed ``(src, dest)`` link (a snapshot)."""
-        return {(src, dest): TrafficRecord(*row)
-                for src, links in self._links.items() for dest, row in links.items()}
-
     def by_kind(self, kind: str) -> TrafficRecord:
         """Traffic for one message kind (e.g. ``"PUT-DATA"``)."""
         return TrafficRecord(*self._kinds.get(kind, ()))
 
-    def link(self, src: ProcessId, dest: ProcessId) -> TrafficRecord:
-        """Traffic on one directed link."""
-        return TrafficRecord(*self._links.get(src, {}).get(dest, ()))
-
-    def to_and_from(self, pid: ProcessId) -> TrafficRecord:
-        """All traffic sent or received by ``pid``."""
-        total = TrafficRecord()
-        for (src, dest), record in self.per_link.items():
-            if src == pid or dest == pid:
-                total = total + record
-        return total
-
     def reset(self) -> None:
         """Zero all counters (open scopes are preserved but also reset)."""
         self._kinds.clear()
-        self._links.clear()
         for owner_scopes in self._scopes.values():
             for scope in owner_scopes:
                 scope.record = TrafficRecord()

@@ -23,13 +23,16 @@ uniformity for speed:
   ordering is decided by native tuple comparison (``seq`` is unique, so it
   never looks past the second field) and the run loop unpacks what it needs
   without touching an object.  ``handle`` is the cancellable :class:`Event`
-  (a ``__slots__`` class) that :meth:`Simulator.schedule` returned, or
-  ``None`` for an entry queued by :meth:`Simulator.post` -- message
-  deliveries, which nobody ever cancels, allocate no handle at all.
-* :meth:`Simulator.call_soon` bypasses the heap entirely: same-time events
-  go through a FIFO lane (a deque) that is merged with the heap by
-  ``(time, seq)`` at pop time.  Coroutine resumptions therefore cost an
-  append/popleft instead of a heap push/pop.
+  (a ``__slots__`` class) that :meth:`Simulator.schedule` /
+  :meth:`Simulator.call_soon` returned, or ``None`` for an entry queued by
+  :meth:`Simulator.post` -- message deliveries and coroutine resumptions,
+  which nobody ever cancels, allocate no handle at all.
+* Same-time events bypass the heap entirely: a zero-delay
+  :meth:`Simulator.post` (every coroutine resumption) goes through a FIFO
+  lane (a deque) that is merged with the heap by ``(time, seq)`` at pop
+  time, so it costs an append/popleft instead of a heap push/pop.
+  :meth:`Simulator.call_soon` uses the same lane and is only for callers
+  that need the cancellable handle.
 * Cancellation is lazy: a cancelled event stays queued and is skipped when
   popped.  The simulator counts cancelled-but-queued events (so
   :attr:`Simulator.pending_events` is exact) and compacts the heap when the
@@ -204,12 +207,16 @@ class Simulator:
              args: tuple = ()) -> None:
         """:meth:`schedule` without a handle: the event cannot be cancelled.
 
-        The network's per-message path, so ``delay`` is trusted to be
-        non-negative and nothing is allocated beyond the queue entry.
+        The per-message and per-resume path, so ``delay`` is trusted to be
+        non-negative and nothing is allocated beyond the queue entry.  A
+        zero delay rides the same-time FIFO lane, like :meth:`call_soon`.
         """
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, callback, args, label, None))
+        if delay:
+            heapq.heappush(self._queue, (self._now + delay, seq, callback, args, label, None))
+        else:
+            self._soon.append((self._now, seq, callback, args, label, None))
 
     def call_soon(self, callback: Callable[..., None], label: str = "",
                   args: tuple = ()) -> Event:
@@ -217,7 +224,8 @@ class Simulator:
 
         Same-time events take the FIFO fast lane instead of the heap; the
         two queues are merged by ``(time, seq)`` when events are popped, so
-        ordering is exactly as if everything went through the heap.
+        ordering is exactly as if everything went through the heap.  Use
+        ``post(0.0, ...)`` instead unless the returned handle is needed.
         """
         seq = self._seq
         self._seq = seq + 1

@@ -131,9 +131,15 @@ class QuorumFuture(SimFuture):
 
     def __init__(self, sim: Simulator, threshold: int, label: str = "",
                  expected: Optional[int] = None) -> None:
-        super().__init__(sim, label=label)
         if threshold < 0:
             raise SimulationError("quorum threshold must be non-negative")
+        # SimFuture's slots, set here: one frame less on every quorum round.
+        self._sim = sim
+        self._done = False
+        self._result = None
+        self._exception = None
+        self._callbacks = []
+        self.label = label
         self.threshold = threshold
         self.responses: List[Any] = []
         self.duplicates_ignored = 0
@@ -283,7 +289,7 @@ class Coroutine:
             self.completion.set_exception(OperationAborted(reason))
 
     def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.completion.done():
+        if self.completion._done:
             return
         try:
             if exc is not None:
@@ -320,20 +326,23 @@ class Coroutine:
 
         Resumes on a fresh event so that deep chains do not recurse and all
         resumptions are ordered by the simulator.  This is a bound method
-        (not a per-yield closure) and the resume event rides the simulator's
-        same-time FIFO lane, because one resumption happens per awaited
-        future of every operation -- it is among the hottest paths there are.
+        (not a per-yield closure) and the resume event is a zero-delay
+        ``post`` -- no cancellable handle, the simulator's same-time FIFO
+        lane -- because one resumption happens per awaited future of every
+        operation: it is among the hottest paths there are.
         """
-        if self._aborted or self.completion.done():
+        if self._aborted or self.completion._done:
             return
         sim = self.sim
         exc = fut._exception
         if exc is not None:
-            sim.call_soon(self._advance, args=(None, exc),
-                          label=f"{self.label}:resume-exc" if sim.trace_enabled else "")
+            sim.post(0.0, self._advance,
+                     f"{self.label}:resume-exc" if sim.trace_enabled else "",
+                     (None, exc))
         else:
-            sim.call_soon(self._advance, args=(fut._result, None),
-                          label=f"{self.label}:resume" if sim.trace_enabled else "")
+            sim.post(0.0, self._advance,
+                     f"{self.label}:resume" if sim.trace_enabled else "",
+                     (fut._result, None))
 
     # ------------------------------------------------------------ future API
     def done(self) -> bool:

@@ -131,7 +131,7 @@ class _RetriedRound(SimFuture):
     done-callback of each attempt's gather, so a round that succeeds first
     time -- all but a percent or two of them, even under loss -- costs this
     one object: success hands the gather's result over synchronously, and
-    the awaiting coroutine resumes through the same single ``call_soon`` as
+    the awaiting coroutine resumes through the same single resume event as
     on the plain path.  A retriable failure (a refusal that is not a
     retirement refusal, too few live servers at open, a timeout reported by
     :meth:`Process._sweep_deadlines`) draws the backoff at once and
@@ -299,10 +299,19 @@ class Process:
         if not self.crashed:
             self.network.send_many(self.pid, ((dest, message),))
 
-    def deliver(self, src: ProcessId, message: "Message") -> None:
-        """Entry point called by the network when a message arrives."""
-        if self.crashed:
+    def deliver(self, src: ProcessId, message: "Message",
+                sent_while_down: bool = False) -> None:
+        """Entry point called by the network when a message arrives.
+
+        The network's delivery event itself: a message is dropped if this
+        process is down now or was down when it was sent (a rebooted machine
+        never sees requests sent during its outage), and either outcome is
+        counted on the network.
+        """
+        if self.crashed or sent_while_down:
+            self.network.messages_dropped += 1
             return
+        self.network.messages_delivered += 1
         # A reply goes straight to the pending gather that asked for it,
         # keyed by its sender: one server fills one slot of the quorum.
         request_id = message.in_reply_to
@@ -429,7 +438,7 @@ class Process:
         """
         request_id = self.new_request_id()
         gather = QuorumFuture(self.sim, threshold=threshold,
-                              label=f"{self.pid}:{label}#{request_id}",
+                              label=f"{self.pid.name}:{label}#{request_id}",
                               expected=len(servers))
         alive = self.network.alive_count(servers)
         if alive < threshold:
@@ -481,7 +490,7 @@ class Process:
         """
         request_id = self.new_request_id()
         gather = QuorumFuture(self.sim, threshold=threshold,
-                              label=f"{self.pid}:{label}#{request_id}")
+                              label=f"{self.pid.name}:{label}#{request_id}")
         self._pending_gathers[request_id] = gather
         gather.add_done_callback(_RoundDone(self, request_id))
         return request_id, gather

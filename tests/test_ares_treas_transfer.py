@@ -64,26 +64,26 @@ class TestDirectTransfer:
         value_size = 20_000
         dep.write(Value.of_size(value_size, label="big"), 0)
         reconfigurer = dep.reconfigurers[0]
-        before = dep.stats.to_and_from(reconfigurer.pid).data_bytes
+        scope = dep.stats.open_scope("reconfig", reconfigurer.pid)
         new_cfg = dep.make_configuration(dap="treas", fresh_servers=9, k=5)
         dep.reconfig(new_cfg, 0)
-        after = dep.stats.to_and_from(reconfigurer.pid).data_bytes
+        carried = dep.stats.close_scope(scope).data_bytes
         # Direct transfer: the reconfigurer exchanges only metadata (tags,
         # config records, acks); it never transports fragments of the object.
-        assert after - before == 0
+        assert carried == 0
 
     def test_baseline_reconfigurer_carries_the_object(self):
         dep = make_deployment(direct=False)
         value_size = 20_000
         dep.write(Value.of_size(value_size, label="big"), 0)
         reconfigurer = dep.reconfigurers[0]
-        before = dep.stats.to_and_from(reconfigurer.pid).data_bytes
+        scope = dep.stats.open_scope("reconfig", reconfigurer.pid)
         new_cfg = dep.make_configuration(dap="treas", fresh_servers=9, k=5)
         dep.reconfig(new_cfg, 0)
-        after = dep.stats.to_and_from(reconfigurer.pid).data_bytes
+        carried = dep.stats.close_scope(scope).data_bytes
         # Baseline ARES: the reconfigurer reads at least one full value worth
         # of fragments and writes n'/k' fragments out again.
-        assert after - before >= value_size
+        assert carried >= value_size
 
     def test_transfer_messages_flow_between_server_sets(self):
         dep = make_deployment()

@@ -3,9 +3,10 @@
 ``Network.send_many`` is the one entry point onto the wire; ``send`` is its
 one-element case.  These tests pin what lets it replace the old
 per-destination body without moving a single golden signature: a batch
-leaves the simulator, the counters and the traffic ledgers exactly as the
-same messages sent one at a time would, on every hook configuration; and a
-quorum round costs exactly the events, messages and ``Message`` objects the
+leaves the simulator, the counters and the traffic ledger exactly as the
+same messages sent one at a time would, on every hook configuration; every
+message put on the wire is delivered or dropped exactly once; and a quorum
+round costs exactly the events, messages and ``Message`` objects the
 protocol needs -- deterministic counts, so the gate is exact.
 """
 
@@ -23,11 +24,12 @@ from repro.net.latency import UniformLatency
 from repro.net.message import Message, reply, request
 from repro.net.network import Network
 from repro.net.stats import TrafficStats
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.process import Process, RetryPolicy
 from repro.store import ShardSpec, StoreDeployment, StoreSpec
 from repro.workloads.generator import WorkloadSpec
-from repro.workloads.scenarios import ChaosScenario, run_scenario_instance
+from repro.workloads.scenarios import (ChaosScenario, run_scenario,
+                                       run_scenario_instance, scenario_names)
 from repro.chaos.schedule import Schedule
 
 SERVERS = 6
@@ -71,7 +73,9 @@ def _send_and_snapshot(seed, deliveries, mode, batched):
         servers[0].crash()
     elif mode == "traced":
         sim.enable_trace()
-    scope = network.stats.open_scope("op", sender.pid)
+    # One open scope per endpoint: the per-process view of the traffic.
+    scopes = [network.stats.open_scope("op", process.pid)
+              for process in (sender, *servers)]
     # Equal sizes share one Message object, as a quorum broadcast does.
     messages = {size: Message(kind=f"K{size % 4}", data_bytes=size)
                 for _, size in deliveries}
@@ -81,7 +85,7 @@ def _send_and_snapshot(seed, deliveries, mode, batched):
     else:
         for dest, message in pairs:
             network.send(sender.pid, dest, message)
-    queued = sorted(entry[:2] for entry in sim._queue)
+    queued = sorted(entry[:2] for entry in (*sim._queue, *sim._soon))
     rng_state = sim.rng.getstate()
     servers[0].restart()        # before delivery: sent_while_down still loses it
     sim.run()
@@ -93,8 +97,7 @@ def _send_and_snapshot(seed, deliveries, mode, batched):
                      network.messages_dropped, network.messages_duplicated),
         "global": stats.global_record,
         "per_kind": stats.per_kind,
-        "per_link": stats.per_link,
-        "scope": stats.close_scope(scope),
+        "scopes": [stats.close_scope(scope) for scope in scopes],
         "observed": observed,
         "received": [server.received for server in servers],
         "trace": sim.trace,
@@ -117,7 +120,8 @@ class TestSendManyEquivalence:
                       enumerate([0, 2, 3, 5, 8, 8, 11, 24])]
         quiet = _send_and_snapshot(1, deliveries, "quiet", batched=True)
         assert quiet["counters"] == (8, 8, 0, 0)
-        assert quiet["scope"].messages == quiet["global"].messages == 8
+        assert quiet["scopes"][0].messages == quiet["global"].messages == 8
+        assert sum(scope.messages for scope in quiet["scopes"][1:]) == 8
         hooked = _send_and_snapshot(1, deliveries, "hooked", batched=True)
         sent, delivered, dropped, duplicated = hooked["counters"]
         assert sent == 8 and dropped == 2 and duplicated == 5
@@ -133,6 +137,29 @@ class TestSendManyEquivalence:
         assert traced["queued"] == quiet["queued"] and traced["rng"] == quiet["rng"]
 
 
+class TestConservation:
+    """Every copy put on the wire is charged once and ends exactly once.
+
+    ``send_many`` counts a message as sent and charges every copy;
+    ``Process.deliver`` (or a drop rule, or the fallback for a destination
+    that never registered) counts each copy as delivered or dropped.  After
+    the drain nothing is in flight, so the three tallies must agree, on
+    every registered scenario, with the metrics plane off and on.
+    """
+
+    @pytest.mark.parametrize("metrics", (False, True), ids=("plain", "metrics"))
+    @pytest.mark.parametrize("seed", (0, 41, 97))
+    def test_sent_equals_delivered_plus_dropped(self, seed, metrics):
+        for name in scenario_names():
+            deployment = run_scenario(name, seed, metrics=metrics).deployment
+            network = deployment.network
+            assert deployment.sim.pending_events == 0, name
+            on_wire = network.messages_sent + network.messages_duplicated
+            assert (on_wire
+                    == network.messages_delivered + network.messages_dropped
+                    == network.stats.global_record.messages), name
+
+
 class TestTrafficScopes:
     def test_closed_scopes_leave_nothing_behind(self):
         stats = TrafficStats()
@@ -146,7 +173,7 @@ class TestTrafficScopes:
         assert not stats._scopes        # record() is back on the no-scope path
         stats.record(a, b, "PUT", 10, 16)
         assert scope.record.messages == 1
-        assert stats.global_record.messages == stats.link(a, b).messages == 1001
+        assert stats.global_record.messages == stats.by_kind("PUT").messages == 1001
 
     def test_reset_zeroes_ledgers_and_open_scopes(self):
         stats = TrafficStats()
@@ -155,24 +182,35 @@ class TestTrafficScopes:
         stats.record(a, b, "PUT", 10, 16)
         stats.reset()
         assert stats.global_record.messages == scope.record.messages == 0
-        assert stats.per_kind == {} and stats.per_link == {}
+        assert stats.per_kind == {}
         stats.record(a, b, "GET", 0, 16)
         assert scope.record.messages == stats.by_kind("GET").messages == 1
-        assert stats.to_and_from(b).metadata_bytes == 16
+        assert stats.global_record.metadata_bytes == scope.record.metadata_bytes == 16
 
 
-@pytest.fixture
-def constructed(monkeypatch):
-    """Counts ``Message`` objects constructed while the test runs."""
+def _record_constructions(monkeypatch, cls):
+    """Collect every ``cls`` object constructed until the test ends."""
     built = []
-    init = Message.__init__
+    init = cls.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Message, "__init__", counting_init)
+    monkeypatch.setattr(cls, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts ``Message`` objects constructed while the test runs."""
+    return _record_constructions(monkeypatch, Message)
+
+
+@pytest.fixture
+def handles(monkeypatch):
+    """Counts cancellable ``Event`` handles constructed while the test runs."""
+    return _record_constructions(monkeypatch, Event)
 
 
 class TestExactCounts:
@@ -219,7 +257,7 @@ class TestExactCounts:
                 operations_per_writer=ops // 16, operations_per_reader=ops // 16,
                 value_size=64, think_time=0.0, num_keys=256, batch_size=2))
 
-    def test_abd_store_costs_per_operation(self, constructed):
+    def test_abd_store_costs_per_operation(self, constructed, handles):
         ops = 320
         scenario = self._abd_store(ops)
         profiler = cProfile.Profile()
@@ -235,19 +273,43 @@ class TestExactCounts:
         assert len(constructed) == 24 * ops
         assert sim.events_processed == 14_240      # 44.5 per operation
         assert sim.cancelled_events == 0
+        # Deliveries and coroutine resumptions are never cancelled, so none
+        # of the 14 240 events allocates a handle.
+        assert handles == []
+        calls = {"ids": collections.Counter(), "net": collections.Counter()}
+        ids_py = os.path.join("repro", "common", "ids.py")
+        net_dir = os.path.join("repro", "net", "")
+        for entry in profiler.getstats():
+            filename = getattr(entry.code, "co_filename", "")
+            if filename.endswith(ids_py):
+                calls["ids"][entry.code.co_name] += entry.callcount
+            elif net_dir in filename:
+                module = os.path.basename(filename)[:-3]
+                calls["net"][f"{module}.{entry.code.co_name}"] += entry.callcount
         # Identifiers hash and compare in C, so the only Python-level calls
         # into common/ids.py are the 24 + 178 constructions (processes, one
-        # ConfigId per key touched) and the names rendered into coroutine and
-        # gather labels: 7 per operation.  Every one of the 40 messages is
-        # looked up by id in four to six dicts and sets; when ``__hash__``
-        # was a Python method that alone was 68 734 calls here (215 per op).
-        ids_py = os.path.join("repro", "common", "ids.py")
-        calls = collections.Counter()
-        for entry in profiler.getstats():
-            if getattr(entry.code, "co_filename", "").endswith(ids_py):
-                calls[entry.code.co_name] += entry.callcount
-        assert calls == {"__new__": 202, "__str__": 2012, "server_id": 15,
-                         "writer_id": 4, "reader_id": 4, "reconfigurer_id": 1}
+        # ConfigId per key touched) and the names rendered by ``str()``: the
+        # store client's get/put and multi_get/multi_put coroutine labels
+        # (480), the history's signature entries (244) and the 8 workload
+        # sessions; gather labels read ``pid.name`` and cost none.  Every
+        # one of the 40 messages is looked up by id in two to four dicts and
+        # sets, so a Python ``__hash__`` would cost thousands of calls here.
+        assert calls["ids"] == {"__new__": 202, "__str__": 732, "server_id": 15,
+                                "writer_id": 4, "reader_id": 4,
+                                "reconfigurer_id": 1}
+        # Per message the network layer runs one ledger row (``record``) and
+        # one latency draw, and nothing at all on arrival: the delivery
+        # event calls ``Process.deliver`` directly.  The rest is per round
+        # (``send_many``, ``alive_count``, ``request``) or per reply.
+        messages = network.messages_sent
+        assert calls["net"] == {
+            "stats.record": messages, "latency.sample": messages,
+            "network.send_many": 7_680, "message.__init__": 7_680,
+            "message.reply": 6_400, "message.__getitem__": 5_748,
+            "message.request": 1_280, "network.alive_count": 1_280,
+            "network.register": 24, "network.__init__": 1, "stats.__init__": 1,
+            "latency.__init__": 1}
+        assert sum(calls["net"].values()) == 55_695     # 4.35 per message
 
     def test_armed_retry_costs_a_sweep_per_timeout_not_a_timer_per_round(
             self, constructed):

@@ -208,6 +208,69 @@ class TestQuorumGathering:
         assert handle.exception() is not None
 
 
+class TestDeliveryEdgeCases:
+    """Each delivery outcome is seen by the process and counted exactly once."""
+
+    def _counters(self, network):
+        return (network.messages_sent, network.messages_delivered,
+                network.messages_dropped)
+
+    def test_destination_registered_after_send_is_delivered(self, sim):
+        network = Network(sim, latency=FixedLatency(1.0))
+        sender = Collector(writer_id(0), network)
+        sender.send(server_id(0), Message(kind="EARLY"))
+        late = Collector(server_id(0), network)
+        sim.run()
+        assert [message.kind for _, message in late.received] == ["EARLY"]
+        assert self._counters(network) == (1, 1, 0)
+
+    def test_destination_never_registered_is_dropped(self, sim):
+        network = Network(sim, latency=FixedLatency(1.0))
+        sender = Collector(writer_id(0), network)
+        sender.send(server_id(0), Message(kind="NOWHERE"))
+        sim.run()
+        assert self._counters(network) == (1, 0, 1)
+
+    def test_destination_crashing_in_flight_drops_the_message(self, sim):
+        network = Network(sim, latency=FixedLatency(2.0))
+        sender = Collector(writer_id(0), network)
+        receiver = Collector(server_id(0), network)
+        sender.send(receiver.pid, Message(kind="HELLO"))
+        sim.run_until(1.0)
+        receiver.crash()
+        sim.run()
+        assert receiver.received == []
+        assert self._counters(network) == (1, 0, 1)
+
+    def test_restart_before_arrival_does_not_revive_the_message(self, sim):
+        network = Network(sim, latency=FixedLatency(2.0))
+        sender = Collector(writer_id(0), network)
+        receiver = Collector(server_id(0), network)
+        receiver.crash()
+        sender.send(receiver.pid, Message(kind="DURING-OUTAGE"))
+        sim.run_until(1.0)
+        receiver.restart()
+        sim.run()
+        assert receiver.received == []
+        assert self._counters(network) == (1, 0, 1)
+        sender.send(receiver.pid, Message(kind="AFTER"))
+        sim.run()
+        assert [message.kind for _, message in receiver.received] == ["AFTER"]
+        assert self._counters(network) == (2, 1, 1)
+
+    def test_direct_two_argument_deliver(self, sim):
+        network = Network(sim, latency=FixedLatency(1.0))
+        receiver = Collector(server_id(0), network)
+        receiver.deliver(writer_id(0), Message(kind="DIRECT"))
+        assert [(src, message.kind) for src, message in receiver.received] == \
+            [(writer_id(0), "DIRECT")]
+        assert self._counters(network) == (0, 1, 0)
+        receiver.crash()
+        receiver.deliver(writer_id(0), Message(kind="DIRECT"))
+        assert len(receiver.received) == 1
+        assert self._counters(network) == (0, 1, 1)
+
+
 class TestFailureInjection:
     def test_crash_at_scheduled_time(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
@@ -293,16 +356,19 @@ class TestTrafficScopes:
         record = network.stats.close_scope(scope)
         assert (record.messages, record.data_bytes, record.metadata_bytes) == (1, 10, 16)
         assert network.stats.global_record == record
-        assert network.stats.to_and_from(a.pid) == record
+        assert network.stats.by_kind("X") == record
 
-    def test_to_and_from(self, sim):
+    def test_scopes_charge_sender_and_receiver(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         a = Collector(writer_id(0), network)
         b = Collector(server_id(0), network)
+        other = Collector(reader_id(0), network)
+        scopes = [network.stats.open_scope("peer", pid) for pid in (a.pid, b.pid, other.pid)]
         a.send(b.pid, Message(kind="PUT", data_bytes=10))
         sim.run()
-        assert network.stats.to_and_from(a.pid).data_bytes == 10
-        assert network.stats.to_and_from(b.pid).data_bytes == 10
+        records = [network.stats.close_scope(scope) for scope in scopes]
+        assert [record.data_bytes for record in records] == [10, 10, 0]
+        assert [record.messages for record in records] == [1, 1, 0]
 
     def test_summary_mentions_kinds(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
@@ -365,6 +431,7 @@ class TestFastPathAndDuplicateAccounting:
     def test_duplicated_copies_consume_bandwidth(self, sim):
         network, a, b = self._pair(sim)
         network.add_duplicator(lambda src, dest, message: 2)
+        scope = network.stats.open_scope("op", a.pid)
         a.send(b.pid, Message(kind="PUT", data_bytes=100, metadata_bytes=16))
         sim.run()
         # 1 original + 2 copies: all delivered, all on the wire.
@@ -374,7 +441,7 @@ class TestFastPathAndDuplicateAccounting:
         assert network.stats.global_record.data_bytes == 300
         assert network.stats.global_record.metadata_bytes == 48
         assert network.stats.by_kind("PUT").messages == 3
-        assert network.stats.link(a.pid, b.pid).messages == 3
+        assert network.stats.close_scope(scope).messages == 3
 
     def test_dropped_message_still_charged_once(self, sim):
         network, a, b = self._pair(sim)

@@ -64,9 +64,10 @@ class QuorumUnavailableError(ReproError):
 
 
 #: Refusal reason servers attach when NACKing a request addressed to a
-#: configuration they have retired (see ``AresServer``); clients recognise
-#: it via :func:`is_retirement_refusal` and restart from ``read-config``
-#: instead of retrying a gather that can never succeed.
+#: configuration they have retired (see ``AresServer``), together with the
+#: retirement tombstone; clients recognise it via
+#: :func:`is_retirement_refusal` and re-base on the tombstone instead of
+#: retrying a gather that can never succeed.
 RETIRED_CONFIG_REASON = "retired-config"
 
 
@@ -78,17 +79,22 @@ class QuorumRefusedError(ReproError):
     silently dropping the request.  When the refusals leave fewer than
     ``threshold`` potential acceptances among the processes contacted, the
     phase fails fast with this error -- a *retriable* condition, unlike
-    :class:`QuorumUnavailableError` which reflects fail-stop crashes.
+    :class:`QuorumUnavailableError` which reflects fail-stop crashes.  One
+    retired-configuration refusal is conclusive on its own.
 
     ``reasons`` carries the distinct refusal reason strings collected from
     the NACKs (empty when the refusals carried none), so callers can treat
     e.g. retirement refusals differently from resource pressure without
-    parsing the message text.
+    parsing the message text.  ``refusals`` holds the refusing reply of a
+    retirement refusal, as a ``(sender, message)`` pair: its NACK carries
+    the tombstone the operation re-bases on.
     """
 
-    def __init__(self, message: str, reasons: "tuple[str, ...]" = ()) -> None:
+    def __init__(self, message: str, reasons: "tuple[str, ...]" = (),
+                 refusals: tuple = ()) -> None:
         super().__init__(message)
         self.reasons = tuple(reasons)
+        self.refusals = tuple(refusals)
 
 
 def is_retirement_refusal(error: BaseException) -> bool:
@@ -98,7 +104,7 @@ def is_retirement_refusal(error: BaseException) -> bool:
     a gather refused partly for resource pressure keeps its ordinary
     retriable semantics (backoff may find the server drained), whereas a
     pure retirement refusal is permanent for that configuration and the
-    operation must re-run ``read-config`` to jump past it.
+    operation must re-base past it.
     """
     reasons = getattr(error, "reasons", ())
     return (isinstance(error, QuorumRefusedError) and bool(reasons)
@@ -109,7 +115,8 @@ class RetriesExhaustedError(ReproError):
     """A client exhausted its retry budget without completing a quorum phase.
 
     Raised by a retry-armed quorum round (``_RetriedRound`` in
-    :mod:`repro.sim.process`) after ``RetryPolicy.attempts`` attempts each
+    :mod:`repro.sim.process`, the future a protocol coroutine awaits when
+    its process has a ``RetryPolicy``) after ``RetryPolicy.attempts`` attempts each
     either timed out or were refused by the contacted quorum.  Surfaces
     through the workload driver as an operation error, so liveness checks
     report a clean failure instead of a stalled session.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -228,6 +229,21 @@ class Configuration:
     def quorum_size(self) -> int:
         """The DAP's reply threshold for this configuration."""
         return self.quorums.quorum_size
+
+    @cached_property
+    def discovering(self) -> bool:
+        """Whether the DAP's first round can stand in for ``read-next-config``.
+
+        Every DAP's first quorum round goes to its quorum system.  When that
+        system spans all of ``servers`` with a threshold of at least the
+        consensus quorum size, the round's replies come from a set that
+        contains a consensus quorum, so the ``nextC`` records servers attach
+        to them are what ``read-next-config`` would have returned.  True for
+        ABD (majorities) and TREAS (``⌈(n+k)/2⌉``); false for LDR, whose
+        first round reads a majority of the directories only.
+        """
+        return (set(self.quorums.servers) == set(self.servers)
+                and self.quorum_size >= self.consensus_quorums.quorum_size)
 
     @property
     def ldr_f(self) -> int:

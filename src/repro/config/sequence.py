@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.config.configuration import Configuration
@@ -55,6 +55,22 @@ class ConfigRecord:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.config.cfg_id}, {self.status.value}>"
+
+
+def next_link(records: Iterable[Optional[ConfigRecord]]) -> Optional[ConfigRecord]:
+    """The ``nextC`` a quorum reported (Algorithm 4 lines 16-21).
+
+    The first finalized record, else the first pending one, else ``None``
+    (the paper's ``⊥``).
+    """
+    pending = None
+    for record in records:
+        if record is not None:
+            if record.status is Status.FINALIZED:
+                return record
+            if pending is None:
+                pending = record
+    return pending
 
 
 class ConfigSequence:

@@ -14,6 +14,15 @@ A write (read) operation:
    appears -- this is the "catch up with ongoing reconfigurations" loop whose
    termination the latency analysis (Section 4.4) studies.
 
+Steps 1 and 2 share their quorum rounds whenever every configuration in
+``[µ, ν]`` is ABD or TREAS: servers attach their ``nextC`` record to every
+first-round reply, and those replies come from a consensus quorum, so the
+walk of step 1 reads the same links from them (``docs/ARCHITECTURE.md``,
+"Fused discovery").  A steady-state read or write is then three quorum
+rounds, not four.  The ``read-config`` of step 4 is never fused: a
+``put-data`` can reach a server before the ``put-config`` of a concurrent
+reconfiguration does.
+
 The client records every high-level operation in a
 :class:`~repro.spec.history.History` so atomicity can be checked and the
 latency benchmarks can measure operation intervals.
@@ -21,14 +30,15 @@ latency benchmarks can measure operation intervals.
 
 from __future__ import annotations
 
-from typing import Optional
+from operator import methodcaller
+from typing import Optional, Tuple
 
 from repro.common.errors import QuorumRefusedError, is_retirement_refusal
 from repro.common.ids import ProcessId
-from repro.common.tags import BOTTOM_TAG, TagValue
-from repro.common.values import BOTTOM_VALUE, Value
+from repro.common.tags import TagValue, max_tag, max_tag_value
+from repro.common.values import Value
 from repro.config.configuration import Configuration
-from repro.config.sequence import ConfigSequence
+from repro.config.sequence import ConfigRecord, ConfigSequence
 from repro.core.directory import ConfigurationDirectory
 from repro.core.traversal import RegisterState, SequenceTraversalMixin
 from repro.dap.interface import DapClient
@@ -36,6 +46,18 @@ from repro.net.network import Network
 from repro.sim.process import Process
 from repro.spec.history import History, OperationType
 from repro.spec.properties import DapRecorder
+
+_GET_TAG = methodcaller("get_tag")
+_GET_DATA = methodcaller("get_data")
+
+
+def _tombstone(error: QuorumRefusedError) -> Optional[Tuple[ConfigRecord, int]]:
+    """The ``(record, index)`` tombstone a retirement refusal carries, if any."""
+    if not is_retirement_refusal(error) or not error.refusals:
+        return None
+    _, message = error.refusals[0]
+    jump = message.get("jump")
+    return None if jump is None else (message["record"], jump)
 
 
 class RegisterOpsMixin(SequenceTraversalMixin):
@@ -51,22 +73,24 @@ class RegisterOpsMixin(SequenceTraversalMixin):
     both data paths at once.
     """
 
-    #: Cap on retirement-refusal restarts of one operation.  Each restart
-    #: re-runs ``read-config``, whose tombstone jump lands at the latest
-    #: finalized index known to the refusing servers, so in practice one
-    #: restart converges; the cap guards against a pathological schedule
-    #: where reconfigurations outrun the client indefinitely.
+    #: Cap on retirement-refusal restarts of one operation.  A restart
+    #: happens when a ``put-data`` (or an LDR round) is refused; the body
+    #: re-runs and its first round re-bases on the refusing server's
+    #: tombstone, so in practice one restart converges; the cap guards
+    #: against a pathological schedule where reconfigurations outrun the
+    #: client indefinitely.
     _MAX_RETIREMENT_RESTARTS = 64
 
     def _register_write(self, cseq: ConfigSequence, dap_for, value: Value,
                         key: Optional[str] = None):
         """Coroutine: the ARES write (Algorithm 7) against one register.
 
-        A quorum gather refused purely because the configuration it targeted
-        was retired (a reconfigurer garbage-collected it mid-operation)
-        restarts the operation body from ``read-config``: the refusing
-        servers' tombstones redirect the next traversal past the reclaimed
-        prefix, so the retry gathers over live configurations only.
+        A first-round query refused because its configuration was retired
+        re-bases on the tombstone and goes on (see :meth:`_query_sequence`).
+        Any other quorum gather refused purely for retirement (a
+        reconfigurer garbage-collected the configuration mid-operation)
+        restarts the operation body, which converges the same way, so the
+        retry gathers over live configurations only.
         """
         record = None
         started = self.now
@@ -91,16 +115,8 @@ class RegisterOpsMixin(SequenceTraversalMixin):
 
     def _write_body(self, cseq: ConfigSequence, dap_for, value: Value):
         """Coroutine: one attempt at the Algorithm 7 write body."""
-        yield from self.read_config(cseq)
-        mu = cseq.mu
-        nu = cseq.nu
-        tag_max = BOTTOM_TAG
-        for index in range(mu, nu + 1):
-            configuration = cseq.config_at(index)
-            tag = yield from dap_for(configuration).get_tag()
-            if tag > tag_max:
-                tag_max = tag
-        new_pair = TagValue(tag=tag_max.increment(self.pid), value=value)
+        tags = yield from self._query_sequence(cseq, dap_for, _GET_TAG)
+        new_pair = TagValue(tag=max_tag(tags).increment(self.pid), value=value)
         yield from self._register_propagate(cseq, dap_for, new_pair)
         return new_pair
 
@@ -134,17 +150,69 @@ class RegisterOpsMixin(SequenceTraversalMixin):
 
     def _read_body(self, cseq: ConfigSequence, dap_for):
         """Coroutine: one attempt at the Algorithm 7 read body."""
-        yield from self.read_config(cseq)
-        mu = cseq.mu
-        nu = cseq.nu
-        best = TagValue(tag=BOTTOM_TAG, value=BOTTOM_VALUE)
-        for index in range(mu, nu + 1):
-            configuration = cseq.config_at(index)
-            pair = yield from dap_for(configuration).get_data()
-            if pair.tag > best.tag:
-                best = pair
+        pairs = yield from self._query_sequence(cseq, dap_for, _GET_DATA)
+        best = max_tag_value(pairs)
         yield from self._register_propagate(cseq, dap_for, best)
         return best
+
+    def _query_sequence(self, cseq: ConfigSequence, dap_for, primitive):
+        """Coroutine: ``read-config``, then ``primitive`` on every entry of ``[µ, ν]``.
+
+        Returns the primitive's results in sequence order.  When every
+        configuration of ``[µ, ν]`` is discovering
+        (:attr:`~repro.config.configuration.Configuration.discovering`) the
+        ``read-config`` rides the primitive's first round: each reply names
+        its server's ``nextC``, so one round per configuration both reads it
+        and walks past it.  News is followed at once
+        (:meth:`_follow_link`: ``put-config`` backwards, then the new entry
+        is queried in turn), and a round refused because the configuration
+        was retired re-bases on the tombstone its NACK carries
+        (:meth:`_rebase_target`).  Otherwise
+        -- an LDR configuration in the range -- the separate ``read-config``
+        runs first, as in the paper; so does the rest of the walk from an
+        LDR configuration the fused walk reaches.
+        """
+        results = []
+        fused = all(entry.config.discovering for entry in cseq.pending_suffix())
+        if not fused:
+            yield from self.read_config(cseq)
+        index = cseq.mu
+        while fused and index <= cseq.nu:
+            configuration = cseq.config_at(index)
+            if not configuration.discovering:
+                # Reached through a link or a tombstone: from here on the
+                # walk goes through read-next-config rounds.
+                yield from self._walk(cseq, index)
+                index = max(index, cseq.mu)
+                break
+            dap = dap_for(configuration)
+            try:
+                results.append((yield from primitive(dap)))
+            except QuorumRefusedError as error:
+                tombstone = _tombstone(error)
+                if tombstone is None or tombstone[1] <= index:
+                    raise
+                record, index = self._rebase_target(configuration, tombstone)
+                self._jump(cseq, index, record)
+                continue
+            if dap.next_config is not None:
+                yield from self._follow_link(cseq, index, dap.next_config)
+            index += 1
+        for index in range(index, cseq.nu + 1):
+            results.append((yield from primitive(dap_for(cseq.config_at(index)))))
+        return results
+
+    def _rebase_target(self, configuration: Configuration,
+                       tombstone: Tuple[ConfigRecord, int]) -> Tuple[ConfigRecord, int]:
+        """Where a first round refused by retired ``configuration`` re-bases.
+
+        ``tombstone`` is the ``(record, index)`` the refusing server holds:
+        the successor that was finalized when ``configuration`` retired.  A
+        host that knows a farther finalized entry of the same sequence may
+        return it instead (the store's per-key entry point); by default the
+        tombstone is the target.
+        """
+        return tombstone
 
     def _register_propagate(self, cseq: ConfigSequence, dap_for, pair: TagValue):
         """Algorithm 7 lines 15-21 / 37-43: put-data until the sequence stops growing."""

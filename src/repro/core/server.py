@@ -12,7 +12,9 @@ Each ARES server keeps, for every configuration it is a member of:
 The ``nextC`` update rule follows Algorithm 6: a WRITE-CONFIG installs the
 incoming record if the current value is ``⊥`` or still pending; a finalized
 record is never overwritten (and by consensus Agreement the configuration
-member never changes).
+member never changes).  ``nextC`` is read by READ-CONFIG and also rides on
+every reply to a first-round ABD / TREAS query, which is how readers and
+writers discover the sequence (see :mod:`repro.core.client`).
 
 Retirement
 ----------
@@ -27,7 +29,8 @@ retired configuration for its ``nextC`` and receives the tombstone as a
 redirect, converging in one hop (the mirror of
 :meth:`repro.store.shardmap.ShardMap.forward`) instead of replaying the
 chain; DAP and consensus traffic for a retired configuration is refused
-with an explicit NACK so quorum gathers fail fast rather than stall.
+with an explicit NACK carrying the same tombstone, so quorum gathers fail
+fast rather than stall and the refused client re-bases in the same hop.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from repro.consensus.paxos import (
     PaxosAcceptorState,
 )
 from repro.core.directory import ConfigurationDirectory
-from repro.dap import make_dap_server_state
+from repro.dap import abd, make_dap_server_state, treas
 from repro.dap.interface import DapServerState
-from repro.net.message import Message, reply
+from repro.net.message import METADATA_FIELD_BYTES, Message, reply
 from repro.net.network import Network
 from repro.sim.process import Process
 
@@ -66,6 +69,14 @@ RETIRE_CONFIG = "ARES-RETIRE-CONFIG"
 #: kind belongs to the DAP state of the configuration the message names.
 _CONTROL_KINDS = frozenset({READ_CONFIG, WRITE_CONFIG, CONFIRM_CONFIG,
                             RETIRE_CONFIG, PREPARE, ACCEPT, DECIDED})
+
+#: First-round DAP queries whose replies carry the server's ``nextC`` record
+#: for the configuration (under ``"next"``), so readers and writers discover
+#: the sequence without a ``read-config`` round of their own.  Charged as
+#: the two metadata fields an ``ARES-NEXT-CONFIG`` reply carries.
+_DISCOVERY_KINDS = frozenset({abd.QUERY_TAG, abd.QUERY_DATA,
+                              treas.QUERY_TAG, treas.QUERY_LIST})
+_NEXT_BYTES = 2 * METADATA_FIELD_BYTES
 
 #: Factory signature for per-configuration DAP server state.
 DapStateFactory = Callable[[Configuration, ProcessId], DapServerState]
@@ -214,21 +225,29 @@ class AresServer(Process):
                     self.metrics.inc("bytes_reclaimed", reclaimed)
         self.send(src, reply(message, kind="ARES-RETIRE-ACK"))
 
-    def _refuse_retired(self, src: ProcessId, message: Message) -> None:
-        """NACK traffic addressed to a retired configuration (fail fast)."""
+    def _refuse_retired(self, src: ProcessId, message: Message,
+                        tombstone: Tuple[ConfigRecord, int]) -> None:
+        """NACK traffic addressed to a retired configuration (fail fast).
+
+        The NACK carries the tombstone, so a client re-bases on the
+        finalized successor without a ``read-config`` round.
+        """
         if self.metrics is not None:
             self.metrics.inc("srv_nacks")
         if message.request_id is not None:
-            self.send(src, reply(message, kind="SRV-NACK", nack=True,
-                                 error=RETIRED_CONFIG_REASON))
+            record, index = tombstone
+            self.send(src, reply(message, kind="SRV-NACK", metadata_fields=3,
+                                 nack=True, error=RETIRED_CONFIG_REASON,
+                                 record=record, jump=index))
 
     # ---------------------------------------------------------------- Paxos
     def _on_paxos(self, src: ProcessId, message: Message) -> None:
         instance: ConfigId = message["instance"]
-        if instance in self.retired:
+        tombstone = self.retired.get(instance)
+        if tombstone is not None:
             # The instance's configuration is retired; never resurrect its
             # acceptor state (the decision it reached is finalized history).
-            self._refuse_retired(src, message)
+            self._refuse_retired(src, message, tombstone)
             return
         acceptor = self.acceptors.setdefault(instance, PaxosAcceptorState())
         response = acceptor.handle(message)
@@ -244,14 +263,18 @@ class AresServer(Process):
         if state is None:
             if cfg_id is None:
                 return
-            if cfg_id in self.retired:
-                self._refuse_retired(src, message)
+            tombstone = self.retired.get(cfg_id)
+            if tombstone is not None:
+                self._refuse_retired(src, message, tombstone)
                 return
             state = self.dap_state_for(cfg_id)
             if state is None:
                 return
         response = state.handle(src, message)
         if response is not None:
+            if message.kind in _DISCOVERY_KINDS:
+                response.body["next"] = self.next_config.get(cfg_id)
+                response.metadata_bytes += _NEXT_BYTES
             self.send(src, response)
 
     def dap_state_for(self, cfg_id: ConfigId) -> Optional[DapServerState]:

@@ -23,6 +23,11 @@ onto the redirect target and resuming the walk from there, so a client whose
 ``cseq`` starts at a retired configuration converges in one hop rather than
 replaying reclaimed links.
 
+Readers and writers of ABD / TREAS configurations read ``nextC`` off their
+first DAP round instead (see :mod:`repro.core.client`) and take each step of
+the walk with :meth:`SequenceTraversalMixin._follow_link`; a tombstone
+reaches them on the refusing server's NACK.
+
 The helper is written as a mixin so the ARES clients and the reconfigurer
 share one implementation; :class:`RegisterState` is the per-register state
 (``cseq`` plus DAP clients) every one of those clients keeps.
@@ -34,7 +39,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.ids import ConfigId
 from repro.config.configuration import Configuration
-from repro.config.sequence import ConfigRecord, ConfigSequence, Status
+from repro.config.sequence import ConfigRecord, ConfigSequence, Status, next_link
 from repro.dap import make_dap_client
 from repro.dap.interface import DapClient
 from repro.net.message import request
@@ -120,12 +125,7 @@ class SequenceTraversalMixin:
                 records.append(record)
         if best_jump is not None:
             return best_jump
-        if not records:
-            return None, None
-        for record in records:
-            if record.status is Status.FINALIZED:
-                return record, None
-        return records[0], None
+        return next_link(records), None
 
     def put_config(self, configuration: Configuration, record: ConfigRecord):
         """Coroutine: write ``record`` to the ``nextC`` of a quorum of ``configuration``."""
@@ -151,30 +151,55 @@ class SequenceTraversalMixin:
         to and nothing left to discover through them).
         """
         self.read_config_count += 1
-        index = seq.mu
+        yield from self._walk(seq, seq.mu)
+        return seq
+
+    def _walk(self, seq: ConfigSequence, index: int):
+        """Coroutine: :meth:`read_config`'s traversal, from the entry at ``index``."""
         current = seq.config_at(index)
         while True:
             record, jump = yield from self._read_next_config_entry(current)
             if record is None:
-                break
-            self._register_record(record)
+                return
             if jump is not None:
                 if jump <= index:
                     # A tombstone can only point forwards (it names the
                     # finalized successor of a retired predecessor); one at
                     # or behind our position carries nothing new.
-                    break
-                seq.jump_to(jump, record)
-                self.tombstone_jumps += 1
-                if self.metrics is not None:
-                    self.metrics.inc("tombstone_jumps")
+                    return
+                self._jump(seq, jump, record)
                 index = jump
             else:
+                self._register_record(record)
                 index += 1
                 seq.set_record(index, record)
                 yield from self.put_config(seq.config_at(index - 1), record)
             current = record.config
-        return seq
+
+    def _follow_link(self, seq: ConfigSequence, index: int, link: ConfigRecord):
+        """Coroutine: one step of the walk over a ``nextC`` read elsewhere.
+
+        ``link`` is the record a consensus quorum of the configuration at
+        ``index`` reported on a first-round DAP reply.  News -- a successor
+        of ``ν``, or the finalized status of a pending entry -- is installed
+        and ``put-config`` backwards, as :meth:`read_config` does.  A link
+        the sequence already holds is not written again: it reached a quorum
+        when this client learned it, and ``nextC`` never regresses.
+        """
+        if index < seq.nu and (link.status is Status.PENDING
+                               or seq[index + 1].status is Status.FINALIZED):
+            return
+        self._register_record(link)
+        seq.set_record(index + 1, link)
+        yield from self.put_config(seq.config_at(index), link)
+
+    def _jump(self, seq: ConfigSequence, index: int, record: ConfigRecord) -> None:
+        """Re-base ``seq`` on a tombstone: ``record`` is finalized at ``index``."""
+        self._register_record(record)
+        seq.jump_to(index, record)
+        self.tombstone_jumps += 1
+        if self.metrics is not None:
+            self.metrics.inc("tombstone_jumps")
 
     # --------------------------------------------------------------- helpers
     def _register_record(self, record: ConfigRecord) -> None:

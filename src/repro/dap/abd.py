@@ -9,6 +9,9 @@ tag.  The primitives are:
 * ``put-data(⟨τ, v⟩)`` -- send the full pair to all servers, await a majority
   of acks; a server overwrites its local pair iff the incoming tag is larger.
 
+``get-tag`` and ``get-data`` also note the ``nextC`` record their replies
+carry (:attr:`~repro.dap.interface.DapClient.next_config`).
+
 Communication cost (normalised by the value size): 1·n for ``put-data``,
 up to 1·n for ``get-data`` replies, which is what makes ABD's read/write
 costs ``2n`` / ``n`` in the paper's comparison, against TREAS's ``(δ+2)n/k``
@@ -23,6 +26,7 @@ from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, Tag, TagValue, max_tag
 from repro.common.values import BOTTOM_VALUE
 from repro.config.configuration import Configuration
+from repro.config.sequence import next_link
 from repro.dap.interface import DapClient, DapServerState
 from repro.net.message import Message, reply, request
 
@@ -45,6 +49,7 @@ class AbdDapClient(DapClient):
             label="abd-get-tag",
         )
         tag = max_tag([msg["tag"] for _, msg in replies])
+        self.next_config = next_link([msg.get("next") for _, msg in replies])
         self._record_end(token, tag)
         return tag
 
@@ -64,6 +69,7 @@ class AbdDapClient(DapClient):
             if best is None or pair.tag > best.tag:
                 best = pair
         assert best is not None  # threshold >= 1
+        self.next_config = next_link([msg.get("next") for _, msg in replies])
         self._record_end(token, best)
         return best
 

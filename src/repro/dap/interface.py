@@ -18,6 +18,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.common.ids import ProcessId
 from repro.common.tags import Tag, TagValue
 from repro.config.configuration import Configuration
+from repro.config.sequence import ConfigRecord
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,6 +28,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class DapClient:
     """Client-side DAP bound to ``(process, configuration)``."""
+
+    #: The ``nextC`` record the replies to this client's last first-round
+    #: query reported (servers attach theirs; see ``AresServer``), or
+    #: ``None``.  For a discovering configuration
+    #: (:attr:`~repro.config.configuration.Configuration.discovering`) this
+    #: is what ``read-next-config`` would have returned; DAPs whose first
+    #: round carries no record leave it ``None``.
+    next_config: Optional[ConfigRecord] = None
 
     def __init__(self, process: "Process", configuration: Configuration) -> None:
         self.process = process

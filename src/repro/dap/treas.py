@@ -24,6 +24,9 @@ Client primitives:
 * ``put-data(⟨τ, v⟩)`` -- send ``(τ, Φ_i(v))`` to each server ``s_i``, await
   ``⌈(n+k)/2⌉`` acks.  A read's write-back takes the ``Φ_i(v)`` it was sent
   from the ``get-data`` that decoded ``v`` and computes only the others.
+
+``get-tag`` and ``get-data`` also note the ``nextC`` record their replies
+carry (:attr:`~repro.dap.interface.DapClient.next_config`).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, Tag, TagValue, max_tag
 from repro.common.values import BOTTOM_VALUE
 from repro.config.configuration import Configuration
+from repro.config.sequence import next_link
 from repro.dap.interface import DapClient, DapServerState
 from repro.erasure.interface import CodedElement
 from repro.net.message import Message, reply, request
@@ -75,6 +79,7 @@ class TreasDapClient(DapClient):
             label="treas-get-tag",
         )
         tag = max_tag([msg["tag"] for _, msg in replies])
+        self.next_config = next_link([msg.get("next") for _, msg in replies])
         self._record_end(token, tag)
         return tag
 
@@ -100,6 +105,7 @@ class TreasDapClient(DapClient):
             )
             result = self._select_decodable(replies)
             if result is not None:
+                self.next_config = next_link([msg.get("next") for _, msg in replies])
                 self._record_end(token, result)
                 return result
             if attempts >= self.max_get_data_attempts:

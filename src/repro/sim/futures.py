@@ -27,7 +27,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.common.errors import OperationAborted, QuorumRefusedError, SimulationError
+from repro.common.errors import (
+    RETIRED_CONFIG_REASON,
+    OperationAborted,
+    QuorumRefusedError,
+    SimulationError,
+)
 from repro.sim.core import Simulator
 
 
@@ -123,7 +128,8 @@ class QuorumFuture(SimFuture):
     number of processes contacted) is given and the refusals leave fewer
     than ``threshold`` possible acceptances, the future fails fast with
     :class:`~repro.common.errors.QuorumRefusedError` -- a retriable
-    condition -- rather than hanging until a timeout.
+    condition -- rather than hanging until a timeout.  Servers that retired
+    the configuration NACK too, and one such refusal fails the future.
     """
 
     __slots__ = ("threshold", "responses", "duplicates_ignored",
@@ -172,10 +178,18 @@ class QuorumFuture(SimFuture):
         """Record one explicit refusal; may fail the future fast.
 
         Refusals dedupe through the same key space as acceptances (one
-        process occupies one slot, whichever way it answers).  With
-        ``expected`` known, the future fails with
-        :class:`~repro.common.errors.QuorumRefusedError` as soon as the
-        remaining non-refusing processes cannot reach the threshold.
+        process occupies one slot, whichever way it answers).  The first
+        retired-configuration refusal fails the future with
+        :class:`~repro.common.errors.QuorumRefusedError` at once: a server
+        retires a configuration only behind a tombstone naming a finalized
+        successor, so the round has nothing left to gather.  Any other
+        refusal counts: with ``expected`` known, the future fails as soon as
+        the remaining non-refusing processes cannot reach the threshold.
+
+        ``expected`` is the number of processes contacted, fixed when the
+        round opens; a destination that crashes afterwards still counts
+        toward it.  Whether a silent destination is down is the emulator's
+        knowledge, not the protocol's, and no refusal rule needs it.
         """
         if key is not None:
             if key in self._seen_keys:
@@ -183,7 +197,14 @@ class QuorumFuture(SimFuture):
                 return
             self._seen_keys.add(key)
         self.nacks.append(response)
-        if (not self._done and self.expected is not None
+        if self._done:
+            return
+        if _nack_reason(response) == RETIRED_CONFIG_REASON:
+            self.set_exception(QuorumRefusedError(
+                f"{self.label or 'quorum'}: contacted process refused a retired "
+                f"configuration", reasons=(RETIRED_CONFIG_REASON,),
+                refusals=(response,)))
+        elif (self.expected is not None
                 and self.expected - len(self.nacks) < self.threshold):
             self.set_exception(QuorumRefusedError(
                 f"{self.label or 'quorum'}: {len(self.nacks)} of {self.expected} "
@@ -193,19 +214,26 @@ class QuorumFuture(SimFuture):
     def _nack_reasons(self) -> tuple:
         """Distinct refusal reasons collected so far, in first-seen order.
 
-        NACKs arrive as ``(sender, message)`` pairs from the process layer
-        (duck-typed: anything with ``.get("error")`` works), so the error
-        can carry *why* the quorum refused -- resource pressure vs retired
-        configuration -- without changing its message text.
+        The error can so carry *why* the quorum refused -- resource pressure
+        vs retired configuration -- without changing its message text.
         """
         reasons: List[str] = []
         for nack in self.nacks:
-            message = nack[1] if isinstance(nack, tuple) and len(nack) == 2 else nack
-            getter = getattr(message, "get", None)
-            reason = getter("error") if getter is not None else None
+            reason = _nack_reason(nack)
             if reason and reason not in reasons:
                 reasons.append(reason)
         return tuple(reasons)
+
+
+def _nack_reason(nack: Any) -> Optional[str]:
+    """The ``error`` a refusal carries, or ``None``.
+
+    NACKs arrive as ``(sender, message)`` pairs from the process layer
+    (duck-typed: anything with ``.get("error")`` works).
+    """
+    message = nack[1] if isinstance(nack, tuple) and len(nack) == 2 else nack
+    getter = getattr(message, "get", None)
+    return getter("error") if getter is not None else None
 
 
 class Timer(SimFuture):

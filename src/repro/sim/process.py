@@ -184,8 +184,8 @@ class _RetriedRound(SimFuture):
             # Not retriable.  In particular a retired configuration stays
             # retired (it is not pressure that drains): re-broadcasting the
             # same gather can never succeed, so the protocol layer must see
-            # the refusal now, restart from read-config and converge through
-            # the tombstone instead of burning the budget.
+            # the refusal now and converge through the tombstone it carries
+            # instead of burning the budget.
             self.set_exception(error)
 
     def timed_out(self) -> None:

@@ -18,10 +18,12 @@ so batches are checked exactly like loose operations.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.ids import ProcessId
 from repro.common.values import Value
+from repro.config.configuration import Configuration
+from repro.config.sequence import ConfigRecord
 from repro.core.client import RegisterOpsMixin
 from repro.core.directory import ConfigurationDirectory
 from repro.core.traversal import RegisterState
@@ -83,7 +85,9 @@ class StoreClient(Process, RegisterOpsMixin):
         converges via :meth:`~repro.store.shardmap.ShardMap.forward` and
         re-resolves at the current epoch.  Keys this client already operates
         on are *not* re-resolved -- their configuration sequences follow
-        reconfigurations through the ARES traversal itself.
+        reconfigurations through the ARES traversal itself, and only a
+        retired configuration's refusal sends them to the key's entry point
+        (:meth:`_rebase_target`).
         """
         register = self._registers.get(key)
         if register is None:
@@ -99,6 +103,20 @@ class StoreClient(Process, RegisterOpsMixin):
             register = RegisterState(self, configuration)
             self._registers[key] = register
         return register
+
+    def _rebase_target(self, configuration: Configuration,
+                       tombstone: Tuple[ConfigRecord, int]) -> Tuple[ConfigRecord, int]:
+        """The farther of ``tombstone`` and the key's shard-map entry point.
+
+        A retired configuration's tombstone names the successor finalized
+        when it retired, so a client that missed several migrations of a key
+        would be refused once per migration; the entry point is the key's
+        latest finalized configuration, so one refusal re-bases it.
+        """
+        entry = self.shard_map.entry_point(self.shard_map.key_of(configuration.cfg_id))
+        if entry is not None and entry[1] > tombstone[1]:
+            return entry
+        return tombstone
 
     def next_value(self, size: int) -> Value:
         """A fresh uniquely-labelled value for workload generation."""

@@ -26,7 +26,9 @@ Safety never depends on the shard map: clients with in-flight operations
 discover the new configurations through the ARES sequence traversal exactly
 as in the single-register protocol (Algorithm 7's catch-up loop), and every
 migrated key's finalized configuration is installed as the key's *entry
-point* so fresh clients join the sequence at its tail.
+point* so fresh clients join the sequence at its tail and a client refused
+by a retired configuration re-bases there (a finalized configuration, like
+the tombstone it stands in for).
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         state = self._state_for(key)
         installed = yield from self._register_reconfig(
             state.cseq, state.dap_for, proposed, key=key)
-        self.shard_map.install_entry_point(key, state.cseq.last_finalized())
+        mu = state.cseq.mu
+        self.shard_map.install_entry_point(key, state.cseq[mu], mu)
         return installed
 
     def _migrate_keys(self, keys: Sequence[str], target_shard_index: int,

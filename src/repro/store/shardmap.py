@@ -30,7 +30,8 @@ in one step.  Keys whose register was migrated keep a per-key *entry point*:
 the finalized configuration installed by the latest migration, which is
 where fresh clients join the key's configuration sequence (joining the
 original configuration would also converge via the ARES traversal, just more
-slowly -- and not at all once the old servers are retired).
+slowly -- and not at all once the old servers are retired), and where a
+client refused by one of the key's retired configurations re-bases.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import ConfigurationError
 from repro.common.ids import ConfigId, ProcessId
 from repro.config.configuration import Configuration, DapKind
+from repro.config.sequence import ConfigRecord
 from repro.core.directory import ConfigurationDirectory
 
 #: DAP kinds a shard may run (the string forms of :class:`DapKind`).
@@ -225,9 +227,9 @@ class ShardMap:
         #: Per-epoch placement overrides: ``_overrides[e]`` maps keys whose
         #: placement differs from the hash assignment at epoch ``e``.
         self._overrides: List[Dict[str, int]] = [{}]
-        #: Finalized entry-point configuration per migrated key: where fresh
-        #: clients join the key's configuration sequence.
-        self._entry_points: Dict[str, Configuration] = {}
+        #: Finalized entry-point record and its sequence index per migrated
+        #: key: where fresh clients join the key's configuration sequence.
+        self._entry_points: Dict[str, Tuple[ConfigRecord, int]] = {}
         #: Migration-created configuration ids back to their object keys.
         self._migrated_cfg_keys: Dict[ConfigId, str] = {}
 
@@ -288,15 +290,22 @@ class ShardMap:
         self._overrides.append(overrides)
         return self.epoch
 
-    def install_entry_point(self, key: str, configuration: Configuration) -> None:
+    def install_entry_point(self, key: str, record: ConfigRecord, index: int) -> None:
         """Record the finalized configuration a migration installed for ``key``.
 
-        Fresh clients join the key's configuration sequence here instead of
-        at the original (possibly retired) configuration; the id is also
-        indexed so :meth:`key_of` resolves migration-created configurations.
+        ``record`` is finalized at sequence index ``index``.  Fresh clients
+        join the key's configuration sequence here instead of at the
+        original (possibly retired) configuration, and a client refused by a
+        retired configuration of the key re-bases here (:meth:`entry_point`);
+        the id is also indexed so :meth:`key_of` resolves migration-created
+        configurations.
         """
-        self._entry_points[key] = configuration
-        self._migrated_cfg_keys[configuration.cfg_id] = key
+        self._entry_points[key] = (record, index)
+        self._migrated_cfg_keys[record.config.cfg_id] = key
+
+    def entry_point(self, key: Optional[str]) -> Optional[Tuple[ConfigRecord, int]]:
+        """The latest migration's finalized ``(record, index)`` for ``key``, if any."""
+        return self._entry_points.get(key)
 
     # --------------------------------------------------------------- lookups
     @property
@@ -333,7 +342,7 @@ class ShardMap:
         self._check_epoch(key, epoch)
         entry = self._entry_points.get(key)
         if entry is not None:
-            return entry
+            return entry[0].config
         for shard in self.shards:
             existing = shard.existing_configuration(key)
             if existing is not None:
@@ -364,7 +373,7 @@ class ShardMap:
         self._check_epoch(key, epoch)
         entry = self._entry_points.get(key)
         if entry is not None:
-            return list(entry.servers)
+            return list(entry[0].config.servers)
         for shard in self.shards:
             existing = shard.existing_configuration(key)
             if existing is not None:

@@ -12,9 +12,9 @@ from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, Status
 from repro.core.directory import ConfigurationDirectory
 from repro.core.server import READ_CONFIG, WRITE_CONFIG, AresServer
-from repro.dap.treas import PUT_DATA
+from repro.dap.treas import PUT_DATA, QUERY_LIST, QUERY_TAG
 from repro.net.latency import FixedLatency
-from repro.net.message import request
+from repro.net.message import METADATA_FIELD_BYTES, request
 from repro.net.network import Network
 from repro.sim.core import Simulator
 from repro.sim.process import Process
@@ -92,6 +92,26 @@ class TestAresServerRouting:
         returned = probe.replies[-1][1]["record"]
         assert returned.config.cfg_id == config_id(1)
         assert returned.status is Status.PENDING
+
+    def test_first_round_replies_carry_next_config_and_put_data_acks_do_not(self):
+        sim, network, directory, servers, cfg, probe = build()
+        record = ConfigRecord(Configuration.abd(config_id(1), [server_id(10)]),
+                              Status.FINALIZED)
+        probe.send(servers[0].pid, request(WRITE_CONFIG, 1, config_id=cfg.cfg_id,
+                                           record=record))
+        probe.send(servers[1].pid, request(QUERY_LIST, 2, config_id=cfg.cfg_id))
+        for rid, kind in ((3, QUERY_TAG), (4, QUERY_LIST)):
+            probe.send(servers[0].pid, request(kind, rid, config_id=cfg.cfg_id))
+        element = cfg.code.encode(Value.of_size(20, label="x"))[0]
+        probe.send(servers[0].pid, request(PUT_DATA, 5, config_id=cfg.cfg_id,
+                                           tag=Tag(1, writer_id(0)), element=element))
+        sim.run()
+        replies = {message.in_reply_to: message for _, message in probe.replies}
+        assert replies[2]["next"] is None            # server 1 knows no successor
+        assert replies[3]["next"] is replies[4]["next"] is record
+        # The link costs the two metadata fields of an ARES-NEXT-CONFIG reply.
+        assert replies[3].metadata_bytes == 3 * METADATA_FIELD_BYTES
+        assert "next" not in replies[5].body
 
     def test_finalized_record_not_overwritten_by_pending(self):
         sim, network, directory, servers, cfg, probe = build()

@@ -101,13 +101,15 @@ class _Client(Process):
 
 
 def bare_round(policy, answers, latency=1.0, seed=0):
-    """A retrying client and one ``_Server`` per answer; no deployment."""
+    """A client retrying under ``policy`` (``None``: not at all) and one
+    ``_Server`` per answer; no deployment."""
     sim = Simulator(seed=seed)
     network = Network(sim, latency=FixedLatency(latency))
     servers = [_Server(server_id(index), network, answer)
                for index, answer in enumerate(answers)]
     client = _Client(reader_id(0), network)
-    client.enable_retries(policy, seed=seed)
+    if policy is not None:
+        client.enable_retries(policy, seed=seed)
     return sim, client, servers
 
 
@@ -457,6 +459,26 @@ class TestRetryBackoff:
         assert client.nacks_received == 8       # the second refusal decides
         assert isinstance(round.exception(), RetriesExhaustedError)
         assert "QuorumRefusedError" in str(round.exception())
+
+    @pytest.mark.parametrize("policy", [None, NO_JITTER], ids=["plain", "retry"])
+    def test_one_retired_refusal_ends_a_round_a_crash_left_short(self, policy):
+        # ROADMAP item 1's round: threshold 3 of 5, two replies, two
+        # retired-config refusals, and the fifth server crashed with the
+        # request in flight.  Counted as refusals, 5 - 2 = 3 acceptances
+        # stayed possible, so the round hung (plain) or burnt its retries on
+        # timeouts.  The first retirement refusal ends it instead, and the
+        # operation restarts past the retired configuration.
+        sim, client, servers = bare_round(
+            policy, ["echo", "echo", RETIRED_CONFIG_REASON, RETIRED_CONFIG_REASON,
+                     "echo"])
+        round, finished = open_round(client, servers, threshold=3)
+        sim.schedule(0.5, servers[4].crash)
+        sim.run()
+        assert finished == [2.0] and client.retries == 0
+        assert is_retirement_refusal(round.exception())
+        # The second refusal arrives after the round is gone: unsolicited.
+        assert client.nacks_received == 1 and client.unsolicited == [1]
+        assert len(client.opened) == 1
 
     def test_too_few_live_servers_on_every_attempt_exhausts_the_budget(self):
         sim, client, servers = bare_round(self.NO_JITTER, ["echo"] * 3)

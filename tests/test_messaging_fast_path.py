@@ -267,14 +267,18 @@ class TestExactCounts:
         profiler.disable()
         assert failure is None
         sim, network = result.deployment.sim, result.deployment.network
-        # Every operation is four quorum rounds of 5 requests + 5 replies,
-        # each round one request object and five reply objects.
-        assert network.messages_sent == 40 * ops
-        assert len(constructed) == 24 * ops
-        assert sim.events_processed == 14_240      # 44.5 per operation
+        # Every operation is three quorum rounds of 5 requests + 5 replies
+        # (get-tag / get-data with the nextC link riding its replies,
+        # put-data, read-config), each round one request object and five
+        # reply objects.
+        assert network.messages_sent == 30 * ops
+        assert len(constructed) == 18 * ops
+        # Per round 10 deliveries + 1 resume, plus half an event per
+        # operation for the batch coroutines: 3 x 11 + 0.5 = 33.5.
+        assert sim.events_processed == 10_720
         assert sim.cancelled_events == 0
         # Deliveries and coroutine resumptions are never cancelled, so none
-        # of the 14 240 events allocates a handle.
+        # of the 10 720 events allocates a handle.
         assert handles == []
         calls = {"ids": collections.Counter(), "net": collections.Counter()}
         ids_py = os.path.join("repro", "common", "ids.py")
@@ -292,7 +296,7 @@ class TestExactCounts:
         # store client's get/put and multi_get/multi_put coroutine labels
         # (480), the history's signature entries (244) and the 8 workload
         # sessions; gather labels read ``pid.name`` and cost none.  Every
-        # one of the 40 messages is looked up by id in two to four dicts and
+        # one of the 30 messages is looked up by id in two to four dicts and
         # sets, so a Python ``__hash__`` would cost thousands of calls here.
         assert calls["ids"] == {"__new__": 202, "__str__": 732, "server_id": 15,
                                 "writer_id": 4, "reader_id": 4,
@@ -300,16 +304,19 @@ class TestExactCounts:
         # Per message the network layer runs one ledger row (``record``) and
         # one latency draw, and nothing at all on arrival: the delivery
         # event calls ``Process.deliver`` directly.  The rest is per round
-        # (``send_many``, ``alive_count``, ``request``) or per reply.
+        # (``send_many``, ``alive_count``, ``request``) or per reply; the
+        # first round reads the link off its three quorum replies
+        # (``message.get``).
         messages = network.messages_sent
         assert calls["net"] == {
             "stats.record": messages, "latency.sample": messages,
-            "network.send_many": 7_680, "message.__init__": 7_680,
-            "message.reply": 6_400, "message.__getitem__": 5_748,
-            "message.request": 1_280, "network.alive_count": 1_280,
+            "network.send_many": 5_760, "message.__init__": 5_760,
+            "message.reply": 4_800, "message.__getitem__": 4_800,
+            "message.request": 960, "network.alive_count": 960,
+            "message.get": 960,
             "network.register": 24, "network.__init__": 1, "stats.__init__": 1,
             "latency.__init__": 1}
-        assert sum(calls["net"].values()) == 55_695     # 4.35 per message
+        assert sum(calls["net"].values()) == 43_227     # 4.50 per message
 
     def test_armed_retry_costs_a_sweep_per_timeout_not_a_timer_per_round(
             self, constructed):
@@ -325,18 +332,18 @@ class TestExactCounts:
         clients = armed.deployment.writers + armed.deployment.readers
         # Arming retry without a fault changes nothing a client can see.
         assert armed.signature_hash() == plain.signature_hash()
-        assert network.messages_sent == 40 * ops
-        assert len(constructed) == 24 * ops
+        assert network.messages_sent == 30 * ops        # three rounds, as plain
+        assert len(constructed) == 18 * ops
         assert sum(client.retries for client in clients) == 0
-        assert sim.now == plain.deployment.sim.now == 247.6831438197282
+        assert sim.now == plain.deployment.sim.now == 188.21314683404518
         # Every extra event is one firing of a client's deadline sweep: it
         # finds the attempts queued over the last 30 vt completed, drops
         # them and re-arms at the deadline of the one in flight -- once per
-        # client per ``timeout`` of virtual time (8 clients x 247 vt / 30),
+        # client per ``timeout`` of virtual time (8 clients x 188 vt / 30),
         # where a Timer per attempt cost one extra resume hop *and* one
-        # cancelled heap entry per round (1 280 of each).  The cancelled
+        # cancelled heap entry per round (960 of each).  The cancelled
         # events are the clients' last armed sweeps, dropped when their
         # session coroutine ends so that the final clock above is the plain
         # run's, not the last deadline.
-        assert 0 < sim.events_processed - 14_240 <= ops // 2
+        assert 0 < sim.events_processed - 10_720 <= ops // 2
         assert 0 < sim.cancelled_events <= len(clients) == 8

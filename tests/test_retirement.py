@@ -167,6 +167,8 @@ class TestServerRetirement:
         reply = probe.last_reply()
         assert reply.kind == "SRV-NACK"
         assert reply["error"] == RETIRED_CONFIG_REASON
+        # The refusal carries the tombstone the client re-bases on.
+        assert (reply["record"], reply["jump"]) == (record, 1)
         # No resurrection: the refused message created no DAP state.
         assert servers[0].dap_states == {}
         assert servers[0].dap_state_for(cfg.cfg_id) is None
@@ -181,6 +183,7 @@ class TestServerRetirement:
         reply = probe.last_reply()
         assert reply.kind == "SRV-NACK"
         assert reply["error"] == RETIRED_CONFIG_REASON
+        assert (reply["record"], reply["jump"]) == (record, 1)
         assert servers[0].acceptors == {}
 
     def test_confirm_config_stores_the_finalized_record(self):
@@ -382,6 +385,25 @@ class TestRetirementEndToEnd:
         assert stale.tombstone_jumps == 2
         assert stale.cseq.base == 2
 
+    def test_stale_reader_jumping_onto_an_ldr_configuration_walks_on(self):
+        # The retired ABD configuration's tombstone names an LDR one, whose
+        # first round carries no nextC: from there the reader must walk
+        # with read-next-config rounds to find the live ABD successor that
+        # holds the latest write.
+        dep = make_deployment(num_servers=14)
+        pool = sorted(dep.servers)
+        dep.write(Value.of_size(64, label="v0"), 0)
+        dep.reconfig(dep.make_configuration(dap="ldr", servers=pool[4:10]), 0)
+        dep.reconfigurers[0].gc_enabled = False         # the LDR one stays live
+        dep.reconfig(dep.make_configuration(dap="abd", servers=pool[10:14]), 0)
+        dep.write(Value.of_size(64, label="w1"), 0)     # the writer learns c2
+        dep.write(Value.of_size(64, label="fresh"), 0)  # lands in c2 only
+        stale = dep.readers[2]
+        assert stale.cseq.base == 0
+        assert dep.read(2).label == "fresh"
+        assert stale.tombstone_jumps == 1
+        assert (stale.cseq.base, stale.cseq.mu) == (1, 2)
+
     def test_stale_writer_converges_and_its_write_is_read(self):
         dep = make_deployment(num_servers=12)
         pool = sorted(dep.servers)
@@ -501,6 +523,30 @@ class TestStoreRetirement:
         # source servers answer with tombstones, never stale data.
         value = store.get("k0", reader_index=1)
         assert value.size == 64
+
+    def test_stale_store_clients_rebase_on_the_entry_point_in_one_refusal(self):
+        # Both clients last saw k0 before three migrations of its shard.  The
+        # tombstone of the configuration they hold names only its immediate
+        # successor (itself retired since), so following tombstones costs
+        # one refusal per migration; the shard map's entry point is the
+        # latest finalized configuration, so each client is refused once.
+        store = make_store()
+        store.put("k0", store.writers[0].next_value(64))
+        assert store.get("k0", reader_index=1).size == 64
+        shard = store.shard_map.shard_index("k0")
+        for _ in range(3):
+            store.migrate_shard(shard, fresh_servers=5)
+        writer, reader = store.writers[0], store.readers[1]
+        assert (writer.tombstone_jumps, reader.tombstone_jumps) == (0, 0)
+        _, entry_index = store.shard_map.entry_point("k0")
+        assert entry_index == 3
+
+        late = store.writers[0].next_value(64)
+        store.put("k0", late)
+        assert store.get("k0", reader_index=1).label == late.label
+        for client in (writer, reader):
+            assert client.tombstone_jumps == 1
+            assert client.register_for("k0").cseq.mu == entry_index
 
     def test_gc_scenario_history_is_tag_monotone_per_key(self):
         scenario = get_scenario("store_migration_gc")

@@ -194,10 +194,10 @@ class TestStoreOperations:
     def test_shard_fan_out_sets_message_cost(self, num_shards):
         """One 20-server fleet carved into shards: a round addresses one shard.
 
-        Every operation is four quorum rounds (read-config, get-tag or
-        get-data, put-data, read-config), each a request to and a reply from
-        every server of the key's shard: 8 messages per operation per server
-        of a shard.
+        Every operation is three quorum rounds (get-tag or get-data carrying
+        the nextC link, put-data, read-config), each a request to and a reply
+        from every server of the key's shard: 6 messages per operation per
+        server of a shard.
         """
         per_shard = 20 // num_shards
         store = StoreDeployment(StoreSpec(
@@ -211,7 +211,7 @@ class TestStoreOperations:
         assert result.errors == []
         assert check_linearizability_per_key(store.history).ok
         assert result.total_operations == 12
-        assert store.network.messages_sent == 8 * per_shard * 12
+        assert store.network.messages_sent == 6 * per_shard * 12
 
     def test_client_tracks_known_keys(self):
         store = mixed_store()

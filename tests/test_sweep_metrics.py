@@ -56,7 +56,7 @@ def test_slo_failures_do_not_flip_record_ok():
     """A cell past the calibrated envelope reports the broken SLO but stays
     ``ok``: correctness and SLO verdicts are separate axes by design."""
     spec = RunSpec(scenario="abd_gray_degradation", seed=1,
-                   params=(("fault_rate", 0.05),))
+                   params=(("fault_rate", 0.0625),))
     record = execute_run(spec, metrics=True)
     assert record.ok
     assert any(not entry["ok"] for entry in record.metrics["slo"])

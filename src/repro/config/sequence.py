@@ -22,7 +22,7 @@ and all existing index arithmetic keep their paper meaning) while the backing
 list shrinks.  :meth:`ConfigSequence.jump_to` is the client-side half of the
 server's retirement tombstone -- a stale sequence whose retained window lies
 entirely before a finalized successor re-bases onto that successor in one
-step, mirroring :meth:`repro.store.shardmap.ShardMap.forward`.
+step.
 """
 
 from __future__ import annotations

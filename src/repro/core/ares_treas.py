@@ -30,6 +30,7 @@ from typing import Dict, Optional, Set, Tuple
 from repro.common.ids import ConfigId, ProcessId
 from repro.common.tags import BOTTOM_TAG, Tag
 from repro.config.configuration import Configuration, DapKind
+from repro.config.sequence import ConfigSequence
 from repro.core.reconfig import AresReconfigurer
 from repro.dap.treas import TreasServerState
 from repro.erasure.interface import CodedElement
@@ -177,18 +178,18 @@ class DirectTransferReconfigurer(AresReconfigurer):
     #: Count of reconfigurations that used the direct path (diagnostics/benchmarks).
     direct_transfers: int = 0
 
-    def update_config(self):
+    def _update_config(self, cseq: ConfigSequence, dap_for):
         """Coroutine: Algorithm 8's tag-only state transfer."""
-        mu = self.cseq.mu
-        nu = self.cseq.nu
-        target = self.cseq.config_at(nu)
+        mu = cseq.mu
+        nu = cseq.nu
+        target = cseq.config_at(nu)
 
         # Gather only tags; remember which configuration produced the maximum.
         best_tag = BOTTOM_TAG
-        best_source: Configuration = self.cseq.config_at(mu)
+        best_source: Configuration = cseq.config_at(mu)
         for index in range(mu, nu + 1):
-            configuration = self.cseq.config_at(index)
-            tag = yield from self.dap_for(configuration).get_tag()
+            configuration = cseq.config_at(index)
+            tag = yield from dap_for(configuration).get_tag()
             if tag > best_tag or index == mu:
                 best_tag = tag
                 best_source = configuration
@@ -199,8 +200,7 @@ class DirectTransferReconfigurer(AresReconfigurer):
             # The newest value already lives in the target configuration.
             return None
         if best_source.dap is not DapKind.TREAS or target.dap is not DapKind.TREAS:
-            result = yield from super().update_config()
-            return result
+            return (yield from super()._update_config(cseq, dap_for))
 
         yield from self.forward_code_element(best_tag, best_source, target)
         self.direct_transfers += 1

@@ -97,16 +97,9 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         if self.history is not None:
             record = self.history.invoke(self.pid, OperationType.WRITE, self.now,
                                          value_label=value.label, key=key)
-        for restart in range(self._MAX_RETIREMENT_RESTARTS + 1):
-            try:
-                new_pair = yield from self._write_body(cseq, dap_for, value)
-                break
-            except QuorumRefusedError as error:
-                if restart == self._MAX_RETIREMENT_RESTARTS or \
-                        not is_retirement_refusal(error):
-                    raise
-                if self.metrics is not None:
-                    self.metrics.inc("retirement_restarts")
+        new_pair = yield from self._restart_on_retirement(
+            self._write_body, (cseq, dap_for, value),
+            self._MAX_RETIREMENT_RESTARTS, "retirement_restarts")
         if record is not None:
             self.history.respond(record, self.now, tag=new_pair.tag)
         if self.metrics is not None:
@@ -131,16 +124,9 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         if self.history is not None:
             record = self.history.invoke(self.pid, OperationType.READ, self.now,
                                          key=key)
-        for restart in range(self._MAX_RETIREMENT_RESTARTS + 1):
-            try:
-                best = yield from self._read_body(cseq, dap_for)
-                break
-            except QuorumRefusedError as error:
-                if restart == self._MAX_RETIREMENT_RESTARTS or \
-                        not is_retirement_refusal(error):
-                    raise
-                if self.metrics is not None:
-                    self.metrics.inc("retirement_restarts")
+        best = yield from self._restart_on_retirement(
+            self._read_body, (cseq, dap_for),
+            self._MAX_RETIREMENT_RESTARTS, "retirement_restarts")
         if record is not None:
             self.history.respond(record, self.now, value_label=best.value.label,
                                  tag=best.tag)
@@ -246,17 +232,11 @@ class AresClient(Process, RegisterOpsMixin):
         self._state = RegisterState(self, initial_configuration)
         #: The client's local configuration sequence ``cseq`` (Algorithm 7 state).
         self.cseq = self._state.cseq
-        self._write_counter = 0
 
     # --------------------------------------------------------------- plumbing
     def dap_for(self, configuration: Configuration) -> DapClient:
         """The (cached) DAP client for ``configuration``."""
         return self._state.dap_for(configuration)
-
-    def next_value(self, size: int) -> Value:
-        """A fresh uniquely-labelled value for workload generation."""
-        self._write_counter += 1
-        return Value.of_size(size, label=f"{self.pid.name}:{self._write_counter}")
 
     # ------------------------------------------------------------- operations
     def write(self, value: Value):

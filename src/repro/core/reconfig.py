@@ -50,13 +50,9 @@ implementation.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.common.errors import (
-    QuorumRefusedError,
-    QuorumUnavailableError,
-    is_retirement_refusal,
-)
+from repro.common.errors import QuorumRefusedError, QuorumUnavailableError
 from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, TagValue
 from repro.common.values import BOTTOM_VALUE
@@ -67,7 +63,6 @@ from repro.core.directory import ConfigurationDirectory
 from repro.core.server import CONFIRM_CONFIG, RETIRE_CONFIG
 from repro.core.traversal import RegisterState, SequenceTraversalMixin
 from repro.net.message import request
-from repro.dap.interface import DapClient
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.spec.history import History, OperationType
@@ -99,15 +94,13 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
     _MAX_RETIREMENT_RESTARTS = 16
 
     def _register_reconfig(self, cseq: ConfigSequence, dap_for, proposed: Configuration,
-                           key: Optional[str] = None,
-                           update: Optional[Callable] = None):
+                           key: Optional[str] = None):
         """Coroutine: run all phases against one register's sequence.
 
         Returns the configuration that was actually installed at the index
         the proposal targeted (the decided one, which may differ from
-        ``proposed`` under contention).  ``update`` optionally overrides the
-        update-config phase (the Section 5 direct-transfer path); ``key``
-        tags the history record for keyed (store) registers.
+        ``proposed`` under contention).  ``key`` tags the history record for
+        keyed (store) registers.
 
         A phase whose quorum gather is refused purely because a contending
         reconfigurer retired the configuration underneath it restarts the
@@ -122,17 +115,9 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         metrics = self.metrics
         started = self.now
 
-        for restart in range(self._MAX_RETIREMENT_RESTARTS + 1):
-            try:
-                installed, index = yield from self._reconfig_phases(
-                    cseq, dap_for, proposed, update, metrics, started)
-                break
-            except QuorumRefusedError as error:
-                if restart == self._MAX_RETIREMENT_RESTARTS or \
-                        not is_retirement_refusal(error):
-                    raise
-                if metrics is not None:
-                    metrics.inc("reconfig_retirement_restarts")
+        installed = yield from self._restart_on_retirement(
+            self._reconfig_phases, (cseq, dap_for, proposed, metrics, started),
+            self._MAX_RETIREMENT_RESTARTS, "reconfig_retirement_restarts")
 
         # Phase 5: gc-config (optional).
         if self.gc_enabled:
@@ -149,8 +134,8 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         return installed
 
     def _reconfig_phases(self, cseq: ConfigSequence, dap_for,
-                         proposed: Configuration, update, metrics, started):
-        """Coroutine: one attempt at phases 1-4; returns ``(installed, index)``."""
+                         proposed: Configuration, metrics, started):
+        """Coroutine: one attempt at phases 1-4; returns the installed configuration."""
         # Phase 1: read-config.
         yield from self.read_config(cseq)
         if metrics is not None:
@@ -164,10 +149,7 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
             phase_started = self.now
 
         # Phase 3: update-config.
-        if update is not None:
-            yield from update()
-        else:
-            yield from self._update_config(cseq, dap_for)
+        yield from self._update_config(cseq, dap_for)
         if metrics is not None:
             metrics.observe("reconfig_phase:update-config", self.now - phase_started)
             phase_started = self.now
@@ -176,7 +158,7 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         yield from self._finalize_config(cseq, index)
         if metrics is not None:
             metrics.observe("reconfig_phase:finalize-config", self.now - phase_started)
-        return installed, index
+        return installed
 
     # ----------------------------------------------------------- add-config
     def _add_config(self, cseq: ConfigSequence, proposed: Configuration):
@@ -217,7 +199,9 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         The baseline ARES transfer: the reconfigurer itself reads the value
         (``get-data``) from every configuration in ``[µ, ν]`` and writes it
         (``put-data``) to the last one -- i.e. object data flows through the
-        reconfiguration client.
+        reconfiguration client.  Subclasses override exactly this method to
+        replace the state transfer (the Section 5 direct server-to-server
+        path of :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
         """
         mu = cseq.mu
         nu = cseq.nu
@@ -232,19 +216,16 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         return best
 
     # ------------------------------------------------------ finalize-config
-    def _finalize_config(self, cseq: ConfigSequence, index: Optional[int] = None):
+    def _finalize_config(self, cseq: ConfigSequence, index: int):
         """Coroutine: finalize the configuration at ``index`` and propagate the record.
 
         ``index`` is the index add-config actually installed.  Recomputing
-        ``cseq.nu`` at phase-4 time instead (the old behaviour, kept as the
-        default for the standalone ``finalize_config()`` wrapper) finalizes
-        the wrong entry when a contending reconfigurer extended the sequence
-        between our update-config and finalize-config -- it would mark the
+        ``cseq.nu`` at phase-4 time instead finalizes the wrong entry when a
+        contending reconfigurer extended the sequence between our
+        update-config and finalize-config -- it would mark the
         *contender's* configuration ``F`` before its state transfer
         completed.
         """
-        if index is None:
-            index = cseq.nu
         cseq.finalize(index)
         finalized = cseq[index]
         previous_index = index - 1 if index > 0 else 0
@@ -343,11 +324,6 @@ class AresReconfigurer(Process, ReconfigOpsMixin):
         self.cseq = self._state.cseq
         self.completed_reconfigs = 0
 
-    # --------------------------------------------------------------- plumbing
-    def dap_for(self, configuration: Configuration) -> DapClient:
-        """The (cached) DAP client for ``configuration``."""
-        return self._state.dap_for(configuration)
-
     # ---------------------------------------------------------------- reconfig
     def reconfig(self, proposed: Configuration):
         """Coroutine: attempt to append ``proposed`` to the global sequence.
@@ -355,27 +331,4 @@ class AresReconfigurer(Process, ReconfigOpsMixin):
         Returns the configuration that was actually installed (the decided
         one, which may differ from ``proposed`` under contention).
         """
-        return self._register_reconfig(self.cseq, self._state.dap_for, proposed,
-                                       update=self.update_config)
-
-    # ---------------------------------------------- overridable phase wrappers
-    def add_config(self, proposed: Configuration):
-        """Coroutine: the add-config phase against this client's ``cseq``.
-
-        Returns ``(installed, index)`` -- the decided configuration and the
-        absolute sequence index it occupies.
-        """
-        return self._add_config(self.cseq, proposed)
-
-    def update_config(self):
-        """Coroutine: the update-config phase against this client's ``cseq``.
-
-        Subclasses override exactly this method to replace the state
-        transfer (the Section 5 direct server-to-server path of
-        :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
-        """
-        return self._update_config(self.cseq, self._state.dap_for)
-
-    def finalize_config(self):
-        """Coroutine: the finalize-config phase against this client's ``cseq``."""
-        return self._finalize_config(self.cseq)
+        return self._register_reconfig(self.cseq, self._state.dap_for, proposed)

@@ -26,11 +26,10 @@ configuration's DAP state, its Paxos acceptor state and its ``nextC``
 record, keeping a compact **tombstone**: the finalized successor's record
 plus its absolute GL index.  A client arriving with a stale ``cseq`` asks a
 retired configuration for its ``nextC`` and receives the tombstone as a
-redirect, converging in one hop (the mirror of
-:meth:`repro.store.shardmap.ShardMap.forward`) instead of replaying the
-chain; DAP and consensus traffic for a retired configuration is refused
-with an explicit NACK carrying the same tombstone, so quorum gathers fail
-fast rather than stall and the refused client re-bases in the same hop.
+redirect, converging in one hop instead of replaying the chain; DAP and
+consensus traffic for a retired configuration is refused with an explicit
+NACK carrying the same tombstone, so quorum gathers fail fast rather than
+stall and the refused client re-bases in the same hop.
 """
 
 from __future__ import annotations

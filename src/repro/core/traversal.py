@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.common.errors import QuorumRefusedError, is_retirement_refusal
 from repro.common.ids import ConfigId
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status, next_link
@@ -80,22 +81,10 @@ class SequenceTraversalMixin:
     configurations referenced by received records can be registered locally.
     """
 
-    #: Number of ``read-config`` invocations performed (diagnostics/benchmarks).
-    read_config_count: int = 0
     #: Number of tombstone redirects followed (stale clients converging).
     tombstone_jumps: int = 0
 
     # ----------------------------------------------------- primitive actions
-    def read_next_config(self, configuration: Configuration):
-        """Coroutine: return the ``nextC`` record after ``configuration`` (or ``None``).
-
-        Awaits replies from a majority (the configuration's consensus
-        quorums) of ``configuration.servers``; prefers finalized records over
-        pending ones, mirroring Algorithm 4 lines 16-21.
-        """
-        record, _ = yield from self._read_next_config_entry(configuration)
-        return record
-
     def _read_next_config_entry(self, configuration: Configuration):
         """Coroutine: the ``nextC`` record plus its tombstone jump index.
 
@@ -150,7 +139,6 @@ class SequenceTraversalMixin:
         backwards (the predecessors are retired -- there is nothing to write
         to and nothing left to discover through them).
         """
-        self.read_config_count += 1
         yield from self._walk(seq, seq.mu)
         return seq
 
@@ -202,6 +190,25 @@ class SequenceTraversalMixin:
             self.metrics.inc("tombstone_jumps")
 
     # --------------------------------------------------------------- helpers
+    def _restart_on_retirement(self, body, args, cap: int, counter: str):
+        """Coroutine: ``body(*args)``, re-run while refused only for retirement.
+
+        A quorum gather refused purely because a reconfigurer retired its
+        configuration mid-operation re-runs the whole body, up to ``cap``
+        times, counting each restart under the metric ``counter``; the
+        re-run's traversal re-bases on the retired servers' tombstones, so
+        it gathers over live configurations only.  Any other refusal, and
+        the one past the cap, propagates.
+        """
+        for restart in range(cap + 1):
+            try:
+                return (yield from body(*args))
+            except QuorumRefusedError as error:
+                if restart == cap or not is_retirement_refusal(error):
+                    raise
+                if self.metrics is not None:
+                    self.metrics.inc(counter)
+
     def _register_record(self, record: ConfigRecord) -> None:
         directory = getattr(self, "directory", None)
         if directory is not None:

@@ -81,7 +81,6 @@ class RegisterClient(Process):
         self.dap_recorder = dap_recorder
         self.use_template_a2 = use_template_a2
         self.dap = make_dap_client(self, configuration)
-        self._write_counter = 0
 
     # ------------------------------------------------------------ operations
     def read(self):
@@ -109,12 +108,6 @@ class RegisterClient(Process):
         if record is not None:
             self.history.respond(record, self.now, tag=new_tag)
         return new_tag
-
-    # --------------------------------------------------------------- helpers
-    def next_value(self, size: int) -> Value:
-        """A fresh uniquely-labelled value of ``size`` bytes (for workloads)."""
-        self._write_counter += 1
-        return Value.of_size(size, label=f"{self.pid.name}:{self._write_counter}")
 
 
 class StaticRegisterDeployment(SingleRegisterDeployment):

@@ -28,6 +28,7 @@ from repro.common.errors import (
     is_retirement_refusal,
 )
 from repro.common.ids import ProcessId
+from repro.common.values import Value
 from repro.sim.core import Event, Simulator
 from repro.sim.futures import Coroutine, QuorumFuture, SimFuture, Timer, spawn
 
@@ -255,6 +256,8 @@ class Process:
         self.metrics = None
         #: Per-label ``round:{label}`` histogram handles (see _observe_round).
         self._round_handles: Dict[str, object] = {}
+        #: Values made by next_value so far.
+        self._write_counter = 0
         network.register(self)
 
     # ----------------------------------------------------------------- state
@@ -262,6 +265,11 @@ class Process:
     def now(self) -> float:
         """Current virtual time."""
         return self.sim.now
+
+    def next_value(self, size: int) -> Value:
+        """A fresh value of ``size`` bytes labelled ``<pid name>:<n>`` (for workloads)."""
+        self._write_counter += 1
+        return Value.of_size(size, label=f"{self.pid.name}:{self._write_counter}")
 
     def crash(self) -> None:
         """Crash the process.

@@ -18,8 +18,8 @@ the ARES client algorithm independently per key.
   system (servers, clients, reconfigurers, shard map, shared keyed history).
 * :mod:`repro.store.reconfigurer` -- :class:`ShardReconfigurer`: live
   per-shard migrations (new servers and/or DAP kind) and key-range
-  rebalances driving the ARES reconfiguration traversal per object key,
-  versioned through the shard map's config epochs.
+  rebalances driving the ARES reconfiguration traversal per object key;
+  clients find a moved register by walking its configuration sequence.
 
 Store histories are keyed: every operation records the object it touched,
 and verification runs **per key** (each object is an independent atomic
@@ -47,22 +47,18 @@ from repro.store.reconfigurer import ShardReconfigurer
 from repro.store.server import StoreServer
 from repro.store.shardmap import (
     SHARD_DAP_KINDS,
-    Placement,
     Shard,
     ShardMap,
     ShardSpec,
-    StaleEpochError,
     shard_index_for,
 )
 
 __all__ = [
     "SHARD_DAP_KINDS",
-    "Placement",
     "Shard",
     "ShardMap",
     "ShardReconfigurer",
     "ShardSpec",
-    "StaleEpochError",
     "StoreClient",
     "StoreDeployment",
     "StoreServer",

@@ -154,6 +154,7 @@ class StoreDeployment(Deployment):
                             delta: Optional[int] = None,
                             reconfigurer_index: int = 0) -> Coroutine:
         """Start a shard migration without driving the simulator."""
+        self.shard_map.shard(shard_index)  # refuse a bad index before recruiting
         servers = self.add_servers(fresh_servers) if fresh_servers else None
         reconfigurer = self.reconfigurers[reconfigurer_index]
         return reconfigurer.spawn(

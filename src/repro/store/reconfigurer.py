@@ -59,7 +59,7 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
     directory:
         The deployment's configuration directory (shared with the servers).
     shard_map:
-        The deployment's versioned :class:`~repro.store.shardmap.ShardMap`;
+        The deployment's :class:`~repro.store.shardmap.ShardMap`;
         migrations mutate it (advancing its epoch) and install per-key
         entry points on it.
     history:
@@ -160,7 +160,7 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         through ARES concurrently with ongoing client traffic.  Returns the
         new epoch.
         """
-        shard = self.shard_map.shards[shard_index]
+        shard = self.shard_map.shard(shard_index)
         target_servers = tuple(shard.servers if servers is None else servers)
         spec = ShardSpec(
             dap=(dap or shard.dap).lower(),
@@ -204,6 +204,8 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         """
         if left_index == right_index:
             raise ConfigurationError("split_shard needs two distinct target shards")
+        for index in (source_index, left_index, right_index):
+            self.shard_map.shard(index)
         keys = self.shard_map.keys_on_shard(source_index)
         if not keys:
             return self.shard_map.epoch

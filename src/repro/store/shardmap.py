@@ -15,23 +15,21 @@ the shared directory, and caches it so all clients and servers of the
 deployment share a single description per object -- exactly the per-object
 configuration-sequence modularity the paper's ARES design argues for.
 
-Config epochs
--------------
-The map is **versioned**: every mutation -- a shard migrating onto new
+Placement and epochs
+--------------------
+The map only decides where a key's register is *created*; a register that
+already exists is found by walking its configuration sequence, so safety
+never depends on the map.  Every mutation -- a shard migrating onto new
 servers or a new DAP kind (:meth:`ShardMap.install_shard`), or a key range
-rebalanced onto another shard (:meth:`ShardMap.move_keys`) -- advances the
-map's *epoch*.  Lookups take an optional ``epoch`` argument: resolving
-against a stale epoch raises :class:`StaleEpochError` instead of silently
-answering from whatever the map currently holds, and
-:meth:`ShardMap.forward` is the explicit convergence path -- it walks the
-placement history from the stale epoch to the present and returns the
-current :class:`Placement`, so a client that cached an old epoch re-resolves
-in one step.  Keys whose register was migrated keep a per-key *entry point*:
-the finalized configuration installed by the latest migration, which is
-where fresh clients join the key's configuration sequence (joining the
-original configuration would also converge via the ARES traversal, just more
-slowly -- and not at all once the old servers are retired), and where a
-client refused by one of the key's retired configurations re-bases.
+rebalanced onto another shard (:meth:`ShardMap.move_keys`) -- bumps the
+map's *epoch*, a plain counter that names the configurations the migration
+proposes (``st<shard>/<key>@e<epoch>``).  Keys whose register was migrated
+keep a per-key *entry point*: the finalized configuration installed by the
+latest migration, which is where fresh clients join the key's configuration
+sequence (joining the original configuration would also converge via the
+ARES traversal, just more slowly -- and not at all once the old servers are
+retired), and where a client refused by one of the key's retired
+configurations re-bases.
 """
 
 from __future__ import annotations
@@ -48,39 +46,6 @@ from repro.core.directory import ConfigurationDirectory
 
 #: DAP kinds a shard may run (the string forms of :class:`DapKind`).
 SHARD_DAP_KINDS: Tuple[str, ...] = tuple(kind.value for kind in DapKind)
-
-
-class StaleEpochError(ConfigurationError):
-    """A lookup named a shard-map epoch older than the current one.
-
-    Carries enough context for the caller to converge: the stale epoch it
-    used and the epoch the map is at now.  Clients handle this by calling
-    :meth:`ShardMap.forward`, which answers from the current placement and
-    tells them the epoch to cache.
-    """
-
-    def __init__(self, key: str, epoch: int, current: int) -> None:
-        super().__init__(
-            f"lookup of key {key!r} used stale shard-map epoch {epoch} "
-            f"(current epoch is {current}); re-resolve with ShardMap.forward")
-        self.key = key
-        self.epoch = epoch
-        self.current = current
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Where a key lives: its shard index at a given map epoch.
-
-    ``path`` records the chain of shard indices the key occupied from the
-    requesting client's stale epoch up to ``epoch`` (inclusive at both
-    ends), so forwarding is observable in tests and diagnostics.
-    """
-
-    key: str
-    shard_index: int
-    epoch: int
-    path: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -213,49 +178,23 @@ class ShardMap:
     :class:`~repro.store.deployment.StoreDeployment`; it owns the per-shard
     :class:`Shard` objects and answers both directions of the mapping
     (key to servers/configuration, configuration id back to key).
-
-    The map is versioned by :attr:`epoch` (see the module docstring):
-    mutations go through :meth:`install_shard` / :meth:`move_keys`, lookups
-    against a stale epoch raise :class:`StaleEpochError`, and
-    :meth:`forward` is the explicit convergence path.
+    Mutations go through :meth:`install_shard` / :meth:`move_keys`, each of
+    which bumps :attr:`epoch` (see the module docstring).
     """
 
     def __init__(self, shards: Sequence[Shard]) -> None:
         if not shards:
             raise ConfigurationError("a shard map needs at least one shard")
         self.shards: Tuple[Shard, ...] = tuple(shards)
-        #: Per-epoch placement overrides: ``_overrides[e]`` maps keys whose
-        #: placement differs from the hash assignment at epoch ``e``.
-        self._overrides: List[Dict[str, int]] = [{}]
+        #: Mutations so far; names the configurations a migration proposes.
+        self.epoch = 0
+        #: Keys whose placement differs from the hash assignment.
+        self._overrides: Dict[str, int] = {}
         #: Finalized entry-point record and its sequence index per migrated
         #: key: where fresh clients join the key's configuration sequence.
         self._entry_points: Dict[str, Tuple[ConfigRecord, int]] = {}
         #: Migration-created configuration ids back to their object keys.
         self._migrated_cfg_keys: Dict[ConfigId, str] = {}
-
-    # ------------------------------------------------------------ epoch state
-    @property
-    def epoch(self) -> int:
-        """The current configuration epoch (0 until the first mutation)."""
-        return len(self._overrides) - 1
-
-    def _check_epoch(self, key: str, epoch: Optional[int]) -> None:
-        if epoch is None:
-            return
-        current = self.epoch
-        if epoch == current:
-            return
-        if 0 <= epoch < current:
-            raise StaleEpochError(key, epoch, current)
-        raise ConfigurationError(
-            f"lookup of key {key!r} used unknown shard-map epoch {epoch} "
-            f"(current epoch is {current})")
-
-    def _shard_index_at(self, key: str, epoch: int) -> int:
-        override = self._overrides[epoch].get(key)
-        if override is not None:
-            return override
-        return shard_index_for(key, len(self.shards))
 
     # ------------------------------------------------------------- mutations
     def install_shard(self, shard_index: int, spec: ShardSpec,
@@ -266,8 +205,8 @@ class ShardMap:
         reconfigurations, so keys materialised during the migration already
         land on the target slice.
         """
-        self.shards[shard_index].install(spec, servers)
-        self._overrides.append(dict(self._overrides[-1]))
+        self.shard(shard_index).install(spec, servers)
+        self.epoch += 1
         return self.epoch
 
     def move_keys(self, keys: Sequence[str], target_index: int) -> int:
@@ -278,16 +217,12 @@ class ShardMap:
         is taken first so fresh keys of the moved range materialise directly
         on the target shard).
         """
-        if not 0 <= target_index < len(self.shards):
-            raise ConfigurationError(
-                f"cannot move keys to shard {target_index}: the map has "
-                f"{len(self.shards)} shards")
+        self.shard(target_index)
         if not keys:
             raise ConfigurationError("move_keys needs at least one key")
-        overrides = dict(self._overrides[-1])
         for key in keys:
-            overrides[key] = target_index
-        self._overrides.append(overrides)
+            self._overrides[key] = target_index
+        self.epoch += 1
         return self.epoch
 
     def install_entry_point(self, key: str, record: ConfigRecord, index: int) -> None:
@@ -313,33 +248,33 @@ class ShardMap:
         """Number of shards."""
         return len(self.shards)
 
-    def shard_index(self, key: str, epoch: Optional[int] = None) -> int:
-        """The shard index ``key`` is placed on.
+    def shard(self, index: int) -> Shard:
+        """The shard at ``index``; :class:`ConfigurationError` if there is none."""
+        if not 0 <= index < len(self.shards):
+            raise ConfigurationError(
+                f"no shard {index}: the map has {len(self.shards)} shards")
+        return self.shards[index]
 
-        ``epoch=None`` answers authoritatively from the current epoch;
-        passing a cached epoch asserts freshness and raises
-        :class:`StaleEpochError` when the map has moved on.
-        """
-        self._check_epoch(key, epoch)
-        return self._shard_index_at(key, self.epoch)
+    def shard_index(self, key: str) -> int:
+        """The shard index ``key`` is placed on."""
+        override = self._overrides.get(key)
+        if override is not None:
+            return override
+        return shard_index_for(key, len(self.shards))
 
-    def shard_for(self, key: str, epoch: Optional[int] = None) -> Shard:
+    def shard_for(self, key: str) -> Shard:
         """The :class:`Shard` hosting ``key``."""
-        return self.shards[self.shard_index(key, epoch)]
+        return self.shards[self.shard_index(key)]
 
-    def configuration_for(self, key: str, epoch: Optional[int] = None) -> Configuration:
-        """The configuration where clients join object ``key``'s sequence.
+    def _existing_configuration(self, key: str) -> Optional[Configuration]:
+        """Where ``key``'s register already lives, or ``None`` if untouched.
 
-        Resolution order: the latest migration's entry point; else the
-        key's already-materialised configuration wherever it lives -- a key
-        whose *placement* moved keeps its existing register until the
-        rebalance finalizes, otherwise a fresh client would join a
-        brand-new empty register on the target shard and read the initial
-        value; else the current shard's lazily created base configuration.
-        Stale-epoch lookups raise :class:`StaleEpochError` (see
-        :meth:`forward`).
+        The latest migration's entry point; else the key's materialised
+        configuration wherever it lives -- a key whose *placement* moved
+        keeps its existing register until the rebalance finalizes, otherwise
+        a fresh client would join a brand-new empty register on the target
+        shard and read the initial value.
         """
-        self._check_epoch(key, epoch)
         entry = self._entry_points.get(key)
         if entry is not None:
             return entry[0].config
@@ -347,37 +282,28 @@ class ShardMap:
             existing = shard.existing_configuration(key)
             if existing is not None:
                 return existing
+        return None
+
+    def configuration_for(self, key: str) -> Configuration:
+        """The configuration where clients join object ``key``'s sequence.
+
+        The register's existing configuration, else the current shard's
+        lazily created base configuration.
+        """
+        existing = self._existing_configuration(key)
+        if existing is not None:
+            return existing
         return self.shard_for(key).configuration_for(key)
 
-    def forward(self, key: str, epoch: int) -> Placement:
-        """Explicit convergence for a client that cached a stale ``epoch``.
-
-        Walks the placement history from ``epoch`` to the current epoch and
-        returns the authoritative :class:`Placement` (with the traversed
-        shard chain in ``path``).  Raises for unknown epochs.
-        """
-        current = self.epoch
-        if not 0 <= epoch <= current:
-            raise ConfigurationError(
-                f"cannot forward key {key!r} from unknown epoch {epoch} "
-                f"(current epoch is {current})")
-        path = tuple(self._shard_index_at(key, e) for e in range(epoch, current + 1))
-        return Placement(key=key, shard_index=path[-1], epoch=current, path=path)
-
-    def servers_for_key(self, key: str, epoch: Optional[int] = None) -> List[ProcessId]:
+    def servers_for_key(self, key: str) -> List[ProcessId]:
         """The server processes storing object ``key``.
 
-        The latest migration's entry-point servers when the key was
-        migrated, else the hosting shard's current slice.
+        Resolves like :meth:`configuration_for`, but never materialises an
+        untouched key: its servers are the hosting shard's current slice.
         """
-        self._check_epoch(key, epoch)
-        entry = self._entry_points.get(key)
-        if entry is not None:
-            return list(entry[0].config.servers)
-        for shard in self.shards:
-            existing = shard.existing_configuration(key)
-            if existing is not None:
-                return list(existing.servers)
+        existing = self._existing_configuration(key)
+        if existing is not None:
+            return list(existing.servers)
         return list(self.shard_for(key).servers)
 
     def key_of(self, cfg_id: ConfigId) -> Optional[str]:
@@ -431,7 +357,7 @@ def shard_index_for(key: str, num_shards: int) -> int:
 
     ``zlib.crc32`` is stable across interpreter runs and platforms (unlike
     ``hash(str)``, which is salted per process), so placement is part of a
-    scenario's reproducible identity.  Epoch overrides (rebalanced key
+    scenario's reproducible identity.  Placement overrides (rebalanced key
     ranges) are layered on top by :class:`ShardMap`.
     """
     if num_shards <= 0:

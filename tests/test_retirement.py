@@ -310,16 +310,6 @@ class TestReconfigEdgeCases:
         assert seq[my_index].status is Status.FINALIZED
         assert seq[their_index].status is Status.PENDING
 
-    def test_finalize_config_defaults_to_nu_for_the_wrapper(self):
-        dep = make_deployment(gc=False)
-        reconfigurer = dep.reconfigurers[0]
-        seq = reconfigurer.cseq
-        mine = dep.make_configuration(dap="abd", fresh_servers=4)
-        index = seq.append(ConfigRecord(mine, Status.PENDING))
-        handle = reconfigurer.spawn(reconfigurer._finalize_config(seq))
-        dep.sim.run_until_complete(handle)
-        assert seq[index].status is Status.FINALIZED
-
     def test_finalize_config_skips_put_config_to_a_pruned_predecessor(self):
         # After gc-config pruned [base..mu), finalizing at base must not
         # try to propagate to the (reclaimed) predecessor's quorum.

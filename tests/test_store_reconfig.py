@@ -1,7 +1,7 @@
-"""Live per-shard reconfiguration: shard map epochs, migrations, scenarios.
+"""Live per-shard reconfiguration: shard map, migrations, scenarios.
 
-Covers the versioned :class:`~repro.store.shardmap.ShardMap` (stale-epoch
-refusal, explicit forwarding, entry points, the ``key_of`` accounting fix),
+Covers the :class:`~repro.store.shardmap.ShardMap` (placement of fresh
+keys, entry points, the ``key_of`` accounting fix, shard-index validation),
 the :class:`~repro.store.reconfigurer.ShardReconfigurer` operations (server
 moves, DAP flips, key-range rebalances, splits -- with traffic in flight),
 the differential/sweep gates for the three PR-5 reconfiguration scenarios,
@@ -19,7 +19,6 @@ from repro.spec.linearizability import (check_linearizability_per_key,
                                         check_tag_monotonicity_per_key)
 from repro.store import (
     ShardSpec,
-    StaleEpochError,
     StoreDeployment,
     StoreSpec,
 )
@@ -47,48 +46,6 @@ def seed_keys(store: StoreDeployment, count: int = 6) -> list:
 
 
 class TestShardMapEpochs:
-    def test_fresh_map_is_epoch_zero_and_resolves(self):
-        store = make_store()
-        assert store.shard_map.epoch == 0
-        cfg = store.shard_map.configuration_for("k0", epoch=0)
-        assert cfg is store.shard_map.configuration_for("k0")
-
-    def test_stale_epoch_lookup_raises_instead_of_silently_resolving(self):
-        """Regression: lookups used to answer from the only epoch they knew;
-        a client holding a pre-migration epoch must be refused explicitly."""
-        store = make_store()
-        seed_keys(store)
-        store.migrate_shard(0, fresh_servers=5)
-        assert store.shard_map.epoch == 1
-        with pytest.raises(StaleEpochError) as excinfo:
-            store.shard_map.configuration_for("k0", epoch=0)
-        assert excinfo.value.epoch == 0
-        assert excinfo.value.current == 1
-        with pytest.raises(StaleEpochError):
-            store.shard_map.shard_index("k0", epoch=0)
-        with pytest.raises(StaleEpochError):
-            store.shard_map.servers_for_key("k0", epoch=0)
-
-    def test_unknown_future_epoch_is_an_error(self):
-        store = make_store()
-        with pytest.raises(ConfigurationError):
-            store.shard_map.configuration_for("k0", epoch=7)
-        with pytest.raises(ConfigurationError):
-            store.shard_map.forward("k0", 7)
-
-    def test_forward_converges_a_stale_client_with_the_placement_path(self):
-        store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
-                                   ShardSpec(dap="abd", num_servers=5),
-                                   ShardSpec(dap="abd", num_servers=5)))
-        seed_keys(store)
-        source = store.shard_map.shard_index("k0")
-        target = (source + 1) % 3
-        store.move_keys(["k0"], target)
-        placement = store.shard_map.forward("k0", 0)
-        assert placement.shard_index == target
-        assert placement.epoch == 1
-        assert placement.path == (source, target)
-
     def test_key_of_resolves_migration_created_configurations(self):
         """Regression: ``key_of`` only consulted the shards, so every
         migrated object's bytes vanished from per-key accounting."""
@@ -128,6 +85,30 @@ class TestShardMapEpochs:
             store.shard_map.move_keys(["k0"], 9)
         with pytest.raises(ConfigurationError):
             store.shard_map.move_keys([], 1)
+
+    @pytest.mark.parametrize("index", [-1, 9])
+    def test_migrate_shard_rejects_a_bad_index_before_recruiting(self, index):
+        store = make_store()
+        seed_keys(store)
+        pool = set(store.servers)
+        with pytest.raises(ConfigurationError):
+            store.migrate_shard(index, fresh_servers=5)
+        with pytest.raises(ConfigurationError):
+            store.shard_map.install_shard(index, ShardSpec(), sorted(pool)[:5])
+        assert set(store.servers) == pool
+        assert store.shard_map.epoch == 0
+
+    @pytest.mark.parametrize("indices", [(-1, 1, 2), (9, 1, 2), (0, 1, 9)])
+    def test_split_shard_rejects_a_bad_index_before_moving_keys(self, indices):
+        store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
+                                   ShardSpec(dap="abd", num_servers=5),
+                                   ShardSpec(dap="abd", num_servers=5)))
+        seed_keys(store)
+        pool = set(store.servers)
+        with pytest.raises(ConfigurationError):
+            store.split_shard(*indices)
+        assert set(store.servers) == pool
+        assert store.shard_map.epoch == 0
 
 
 class TestShardMigration:
@@ -183,7 +164,7 @@ class TestShardMigration:
         assert verdict.ok, verdict.reason
         assert check_tag_monotonicity_per_key(store.history) is None
 
-    def test_move_keys_rebalances_and_forwards_stale_clients(self):
+    def test_move_keys_rebalances_and_fresh_keys_still_work(self):
         store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
                                    ShardSpec(dap="abd", num_servers=5),
                                    ShardSpec(dap="abd", num_servers=5)))
@@ -194,20 +175,38 @@ class TestShardMigration:
         assert epoch == 1
         assert store.shard_map.shard_index("k0") == target
         assert store.shard_map.shard_index("k1") == target
-        # A client whose cached epoch predates the move converges through
-        # the explicit forwarding path on its next fresh resolution.
         reader = store.readers[0]
-        assert reader.known_epoch == 0
         unseen = next(f"n{i}" for i in range(100)
                       if f"n{i}" not in reader.known_keys())
         store.put(unseen, Value.from_text("y", label="vy"))
         assert store.get(unseen).label == "vy"
-        assert reader.known_epoch == 1
-        assert reader.forwarded_lookups == 1
         for key in keys:
             assert store.get(key).label
         verdict = check_linearizability_per_key(store.history)
         assert verdict.ok, verdict.reason
+
+    def test_pre_move_client_joins_untouched_moved_keys_at_the_target(self):
+        store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
+                                   ShardSpec(dap="abd", num_servers=5),
+                                   ShardSpec(dap="abd", num_servers=5)))
+        writer = store.writers[0]
+        store.put("k0", Value.from_text("old", label="v-old"))
+        touched = writer.register_for("k0")
+        source = store.shard_map.shard_index("k0")
+        target = (source + 1) % 3
+        untouched = next(f"n{i}" for i in range(100)
+                         if store.shard_map.shard_index(f"n{i}") != target)
+        store.move_keys(["k0", untouched], target)
+        store.put(untouched, Value.from_text("new", label="v-new"))
+        joined = writer.register_for(untouched).cseq[0].config
+        assert joined.cfg_id.name == f"st{target}/{untouched}"
+        store.put("k0", Value.from_text("moved", label="v-moved"))
+        assert writer.register_for("k0") is touched
+        assert touched.cseq[0].config.cfg_id.name == f"st{source}/k0"
+        assert touched.cseq.config_at(touched.cseq.mu).cfg_id.name == \
+            f"st{target}/k0@e1"
+        assert store.get(untouched).label == "v-new"
+        assert store.get("k0").label == "v-moved"
 
     def test_split_shard_partitions_keys_across_targets(self):
         store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
@@ -298,9 +297,6 @@ class TestReconfigScenarioDifferential:
         targets = {shard_map.shard_index(key) for key in ("k0", "k1", "k2", "k3")}
         assert len(targets) == 1  # the whole range landed on one shard
         assert any("rebalance hot range" in text for _, text in result.chaos_log)
-        # Some client had to converge through the forwarding path.
-        clients = result.deployment.writers + result.deployment.readers
-        assert any(client.forwarded_lookups for client in clients)
 
 
 class TestReconfigRateSweepAxes:

@@ -179,7 +179,11 @@ class DirectTransferReconfigurer(AresReconfigurer):
     direct_transfers: int = 0
 
     def _update_config(self, cseq: ConfigSequence, dap_for):
-        """Coroutine: Algorithm 8's tag-only state transfer."""
+        """Coroutine: Algorithm 8's tag-only state transfer.
+
+        Its ``get-tag`` loop is the transfer query, fenced exactly like the
+        baseline's ``get-data`` (:meth:`~repro.core.reconfig.ReconfigOpsMixin._fence`).
+        """
         mu = cseq.mu
         nu = cseq.nu
         target = cseq.config_at(nu)
@@ -189,7 +193,8 @@ class DirectTransferReconfigurer(AresReconfigurer):
         best_source: Configuration = cseq.config_at(mu)
         for index in range(mu, nu + 1):
             configuration = cseq.config_at(index)
-            tag = yield from dap_for(configuration).get_tag()
+            tag = yield from dap_for(configuration).get_tag(
+                fence=self._fence(cseq, index))
             if tag > best_tag or index == mu:
                 best_tag = tag
                 best_source = configuration

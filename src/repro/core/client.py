@@ -14,14 +14,18 @@ A write (read) operation:
    appears -- this is the "catch up with ongoing reconfigurations" loop whose
    termination the latency analysis (Section 4.4) studies.
 
-Steps 1 and 2 share their quorum rounds whenever every configuration in
-``[µ, ν]`` is ABD or TREAS: servers attach their ``nextC`` record to every
-first-round reply, and those replies come from a consensus quorum, so the
-walk of step 1 reads the same links from them (``docs/ARCHITECTURE.md``,
-"Fused discovery").  A steady-state read or write is then three quorum
-rounds, not four.  The ``read-config`` of step 4 is never fused: a
-``put-data`` can reach a server before the ``put-config`` of a concurrent
-reconfiguration does.
+Whenever every configuration in ``[µ, ν]`` is ABD or TREAS, both walks ride
+DAP rounds.  Servers attach their ``nextC`` record to every first-round
+reply, and those replies come from a consensus quorum, so the walk of step 1
+reads the same links from them (``docs/ARCHITECTURE.md``, "Fused
+discovery").  They attach it to every ``put-data`` reply too, and a
+reconfigurer's transfer query installs the successor as ``nextC`` before it
+is answered, so a ``put-data`` quorum that reports no successor proves that
+every transfer out of ``c_ν`` saw the value: step 4 follows the links
+``put-data`` reports instead of running ``read-config`` (``docs/ARCHITECTURE.md``,
+"The transfer fence").  A steady-state read or write is then two quorum
+rounds.  A range with an LDR configuration in it keeps both ``read-config``
+walks.
 
 The client records every high-level operation in a
 :class:`~repro.spec.history.History` so atomicity can be checked and the
@@ -201,15 +205,27 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         return tombstone
 
     def _register_propagate(self, cseq: ConfigSequence, dap_for, pair: TagValue):
-        """Algorithm 7 lines 15-21 / 37-43: put-data until the sequence stops growing."""
-        nu = cseq.nu
+        """Algorithm 7 lines 15-21 / 37-43: put-data until the sequence stops growing.
+
+        When every configuration of ``[µ, ν]`` is discovering, the links the
+        ``put-data`` replies carry stand in for ``read-config``: ``⊥`` ends
+        the loop, and a successor is followed (:meth:`_follow_link`) and put
+        into in turn.  The fence on every transfer query makes ``⊥`` from a
+        ``put-data`` quorum mean that every transfer out of ``c_ν`` saw the
+        pair.  Otherwise ``read-config`` runs after each ``put-data``.
+        """
         while True:
-            configuration = cseq.config_at(nu)
-            yield from dap_for(configuration).put_data(pair)
-            yield from self.read_config(cseq)
-            if cseq.nu == nu:
-                return
             nu = cseq.nu
+            dap = dap_for(cseq.config_at(nu))
+            yield from dap.put_data(pair)
+            if all(entry.config.discovering for entry in cseq.pending_suffix()):
+                if dap.next_config is None:
+                    return
+                yield from self._follow_link(cseq, nu, dap.next_config)
+            else:
+                yield from self.read_config(cseq)
+                if cseq.nu == nu:
+                    return
 
 
 class AresClient(Process, RegisterOpsMixin):

@@ -15,8 +15,12 @@ A ``reconfig(c)`` operation consists of four consecutively executed phases:
     Transfer the object state: gather the maximum tag-value pair from every
     configuration between the last finalized index ``µ`` and the new index
     ``ν`` with ``get-data`` and ``put-data`` it into the new configuration.
-    (The optimised direct server-to-server transfer of Section 5 overrides
-    exactly this phase; see :mod:`repro.core.ares_treas`.)
+    Each ``get-data`` on ``c_i``, ``i < ν``, carries ``cseq[i+1]`` as a
+    fence that its servers install as ``nextC`` before answering, which is
+    what lets readers and writers drop their trailing ``read-config``
+    (``docs/ARCHITECTURE.md``, "The transfer fence").  (The optimised direct
+    server-to-server transfer of Section 5 overrides exactly this phase; see
+    :mod:`repro.core.ares_treas`.)
 ``finalize-config``
     Mark the new configuration ``F`` and propagate the finalized record to a
     quorum of the previous configuration.
@@ -25,12 +29,10 @@ When garbage collection is enabled (``gc=True``) a fifth phase follows:
 
 ``gc-config``
     Retire the configurations that precede the new last-finalized index
-    ``µ``.  First a ``CONFIRM-CONFIG`` round establishes the finalized
-    record at a quorum of the *new* configuration (so a redirect target is
-    durable before anything is discarded); then each stale configuration's
-    servers receive ``RETIRE-CONFIG`` -- best-effort, per configuration --
-    telling them to reclaim DAP/acceptor/``nextC`` state behind a tombstone
-    pointing at ``µ``; finally the local sequence prunes its dead prefix
+    ``µ``.  Each stale configuration's servers receive ``RETIRE-CONFIG`` --
+    best-effort, per configuration -- telling them to reclaim
+    DAP/acceptor/``nextC`` state behind a tombstone pointing at ``µ``;
+    finally the local sequence prunes its dead prefix
     (:meth:`~repro.config.sequence.ConfigSequence.prune`).  GC is purely an
     optimisation: with it disabled every execution is byte-identical to the
     pre-GC protocol, which the golden-signature suite pins.
@@ -60,7 +62,7 @@ from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status
 from repro.consensus.paxos import PaxosProposer
 from repro.core.directory import ConfigurationDirectory
-from repro.core.server import CONFIRM_CONFIG, RETIRE_CONFIG
+from repro.core.server import RETIRE_CONFIG
 from repro.core.traversal import RegisterState, SequenceTraversalMixin
 from repro.net.message import request
 from repro.net.network import Network
@@ -199,21 +201,33 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         The baseline ARES transfer: the reconfigurer itself reads the value
         (``get-data``) from every configuration in ``[µ, ν]`` and writes it
         (``put-data``) to the last one -- i.e. object data flows through the
-        reconfiguration client.  Subclasses override exactly this method to
-        replace the state transfer (the Section 5 direct server-to-server
-        path of :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
+        reconfiguration client.  Every ``get-data`` but the last is fenced
+        with its configuration's successor record (:meth:`_fence`).
+        Subclasses override exactly this method to replace the state
+        transfer (the Section 5 direct server-to-server path of
+        :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
         """
         mu = cseq.mu
         nu = cseq.nu
         best = TagValue(tag=BOTTOM_TAG, value=BOTTOM_VALUE)
         for index in range(mu, nu + 1):
             configuration = cseq.config_at(index)
-            pair = yield from dap_for(configuration).get_data()
+            pair = yield from dap_for(configuration).get_data(
+                fence=self._fence(cseq, index))
             if pair.tag > best.tag:
                 best = pair
         target = cseq.config_at(nu)
         yield from dap_for(target).put_data(best)
         return best
+
+    @staticmethod
+    def _fence(cseq: ConfigSequence, index: int) -> Optional[ConfigRecord]:
+        """The fence a transfer query on the entry at ``index`` carries.
+
+        ``cseq[index+1]`` for every entry before ``ν``, ``None`` for ``ν``
+        itself: its successor is what the transfer is filling.
+        """
+        return cseq[index + 1] if index < cseq.nu else None
 
     # ------------------------------------------------------ finalize-config
     def _finalize_config(self, cseq: ConfigSequence, index: int):
@@ -241,30 +255,23 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
     def _gc_config(self, cseq: ConfigSequence):
         """Coroutine: retire every configuration strictly before ``µ``.
 
-        Two rounds.  First, ``CONFIRM-CONFIG`` establishes the finalized
-        record at a quorum of the new configuration -- the redirect target
-        must be durable at a live quorum before any predecessor forgets it.
-        Second, each stale configuration's servers receive ``RETIRE-CONFIG``
-        (reclaim state, keep a tombstone to ``µ``); this round is
-        best-effort per configuration: one that already lost too many
-        servers simply stays un-reclaimed, which is safe because traversal
-        never revisits entries before ``µ``.  Finally the local sequence
-        prunes its dead prefix.  Returns the number of configurations whose
-        retirement quorum acked.
+        Each stale configuration's servers receive ``RETIRE-CONFIG``
+        (reclaim state, keep a tombstone to ``µ``).  No round at the new
+        configuration precedes it: update-config's ``put-data`` and
+        finalize-config's ``put-config`` already made the value and the
+        finalized record durable, and every tombstone carries the record
+        itself (``docs/ARCHITECTURE.md``, "Why retirement needs no
+        confirmation round").  The round is best-effort per configuration:
+        one that already lost too many servers simply stays un-reclaimed,
+        which is safe because traversal never revisits entries before
+        ``µ``.  Finally the local sequence prunes its dead prefix.  Returns
+        the number of configurations whose retirement quorum acked.
         """
         mu = cseq.mu
         stale = cseq.records_before(mu)
         if not stale:
             return 0
         final_record = cseq[mu]
-        target = final_record.config
-        yield self.broadcast_and_gather(
-            target.servers,
-            lambda rid: request(CONFIRM_CONFIG, rid, config_id=target.cfg_id,
-                                metadata_fields=2, record=final_record),
-            threshold=target.consensus_quorums.quorum_size,
-            label="confirm-config",
-        )
         retired = 0
         for _, entry in stale:
             old = entry.config

@@ -12,16 +12,19 @@ Each ARES server keeps, for every configuration it is a member of:
 The ``nextC`` update rule follows Algorithm 6: a WRITE-CONFIG installs the
 incoming record if the current value is ``⊥`` or still pending; a finalized
 record is never overwritten (and by consensus Agreement the configuration
-member never changes).  ``nextC`` is read by READ-CONFIG and also rides on
-every reply to a first-round ABD / TREAS query, which is how readers and
-writers discover the sequence (see :mod:`repro.core.client`).
+member never changes).  A reconfigurer's state-transfer query carries the
+successor record as a ``fence``, installed by the same rule before the query
+is answered.  ``nextC`` is read by READ-CONFIG and also rides on every reply
+to an ABD / TREAS query or ``put-data``, which is how readers and writers
+discover the sequence and, after their ``put-data``, every reconfiguration
+whose transfer could have missed the value (see :mod:`repro.core.client`).
 
 Retirement
 ----------
 Configuration retirement (the GC phase of
 :class:`~repro.core.reconfig.ReconfigOpsMixin`) reclaims everything above:
-a ``RETIRE-CONFIG`` message -- sent only after a quorum of the finalized
-successor acked a ``CONFIRM-CONFIG`` round -- makes the server drop the
+a ``RETIRE-CONFIG`` message -- sent only after finalize-config made the
+finalized successor durable -- makes the server drop the
 configuration's DAP state, its Paxos acceptor state and its ``nextC``
 record, keeping a compact **tombstone**: the finalized successor's record
 plus its absolute GL index.  A client arriving with a stale ``cseq`` asks a
@@ -55,26 +58,23 @@ from repro.sim.process import Process
 
 READ_CONFIG = "ARES-READ-CONFIG"
 WRITE_CONFIG = "ARES-WRITE-CONFIG"
-#: GC phase, round 1: the reconfigurer asks a quorum of the *new* (finalized)
-#: configuration to acknowledge the finalized record before anything is
-#: discarded -- the paper's "quorum of the new configuration is established"
-#: precondition for pruning.
-CONFIRM_CONFIG = "ARES-CONFIRM-CONFIG"
-#: GC phase, round 2: reclaim a retired configuration's server state, leaving
-#: a tombstone redirect to the finalized successor.
+#: GC phase: reclaim a retired configuration's server state, leaving a
+#: tombstone redirect to the finalized successor.
 RETIRE_CONFIG = "ARES-RETIRE-CONFIG"
 
 #: Kinds the server answers itself (``nextC``, retirement, Paxos); any other
 #: kind belongs to the DAP state of the configuration the message names.
-_CONTROL_KINDS = frozenset({READ_CONFIG, WRITE_CONFIG, CONFIRM_CONFIG,
-                            RETIRE_CONFIG, PREPARE, ACCEPT, DECIDED})
+_CONTROL_KINDS = frozenset({READ_CONFIG, WRITE_CONFIG, RETIRE_CONFIG,
+                            PREPARE, ACCEPT, DECIDED})
 
-#: First-round DAP queries whose replies carry the server's ``nextC`` record
-#: for the configuration (under ``"next"``), so readers and writers discover
-#: the sequence without a ``read-config`` round of their own.  Charged as
-#: the two metadata fields an ``ARES-NEXT-CONFIG`` reply carries.
-_DISCOVERY_KINDS = frozenset({abd.QUERY_TAG, abd.QUERY_DATA,
-                              treas.QUERY_TAG, treas.QUERY_LIST})
+#: DAP requests whose replies carry the server's ``nextC`` record for the
+#: configuration (under ``"next"``): the first-round queries, so readers and
+#: writers discover the sequence without a ``read-config`` round of their
+#: own, and ``put-data``, so they learn of any reconfiguration whose fenced
+#: transfer this server answered before the value.  Charged as the two
+#: metadata fields an ``ARES-NEXT-CONFIG`` reply carries.
+_DISCOVERY_KINDS = frozenset({abd.QUERY_TAG, abd.QUERY_DATA, abd.WRITE,
+                              treas.QUERY_TAG, treas.QUERY_LIST, treas.PUT_DATA})
 _NEXT_BYTES = 2 * METADATA_FIELD_BYTES
 
 #: Factory signature for per-configuration DAP server state.
@@ -118,9 +118,6 @@ class AresServer(Process):
         #: record and its absolute GL index, replacing the reclaimed
         #: ``nextC``/DAP/acceptor state.
         self.retired: Dict[ConfigId, Tuple[ConfigRecord, int]] = {}
-        #: Finalized records confirmed at this server by the GC phase's
-        #: CONFIRM-CONFIG round (this server as a *successor* member).
-        self.confirmed_final: Dict[ConfigId, ConfigRecord] = {}
         #: Retirement accounting: configurations reclaimed here and the
         #: object-data bytes their DAP states held when reclaimed.
         self.configs_retired = 0
@@ -155,8 +152,6 @@ class AresServer(Process):
             self._on_read_config(src, message)
         elif kind == WRITE_CONFIG:
             self._on_write_config(src, message)
-        elif kind == CONFIRM_CONFIG:
-            self._on_confirm_config(src, message)
         elif kind == RETIRE_CONFIG:
             self._on_retire_config(src, message)
         else:
@@ -180,30 +175,20 @@ class AresServer(Process):
 
     def _on_write_config(self, src: ProcessId, message: Message) -> None:
         cfg_id: ConfigId = message.config_id
-        incoming: ConfigRecord = message["record"]
-        if cfg_id in self.retired:
-            # The configuration is gone and its tombstone already points at
-            # a finalized record at or past the incoming link; ack benignly
-            # so in-flight put-config rounds complete without stalling.
-            self.send(src, reply(message, kind="ARES-CONFIG-ACK"))
-            return
+        # A retired configuration's tombstone already points at a finalized
+        # record at or past the incoming link; ack benignly so in-flight
+        # put-config rounds complete without stalling.
+        if cfg_id not in self.retired:
+            self._install_next(cfg_id, message["record"])
+        self.send(src, reply(message, kind="ARES-CONFIG-ACK"))
+
+    def _install_next(self, cfg_id: ConfigId, incoming: ConfigRecord) -> None:
+        """Algorithm 6's rule: ``nextC`` takes ``incoming`` unless it is finalized."""
         current = self.next_config.get(cfg_id)
         if current is None or current.status is Status.PENDING:
             self.next_config[cfg_id] = incoming
-        self.send(src, reply(message, kind="ARES-CONFIG-ACK"))
 
     # ----------------------------------------------------------- retirement
-    def _on_confirm_config(self, src: ProcessId, message: Message) -> None:
-        """Acknowledge (as a successor member) that a record is finalized.
-
-        The GC phase only retires predecessors once a quorum of the new
-        configuration acked this round, so the finalized record is durable
-        across that quorum before any redirect points at it.
-        """
-        record: ConfigRecord = message["record"]
-        self.confirmed_final[message.config_id] = record
-        self.send(src, reply(message, kind="ARES-CONFIRM-ACK"))
-
     def _on_retire_config(self, src: ProcessId, message: Message) -> None:
         """Reclaim a retired configuration's state, keeping a tombstone."""
         cfg_id: ConfigId = message.config_id
@@ -269,6 +254,13 @@ class AresServer(Process):
             state = self.dap_state_for(cfg_id)
             if state is None:
                 return
+        fence = message.body.get("fence")
+        if fence is not None:
+            # A reconfigurer's transfer query: the successor is installed
+            # before the query is answered, so a put-data this server
+            # handles later reports it (docs/ARCHITECTURE.md, "The transfer
+            # fence").
+            self._install_next(cfg_id, fence)
         response = state.handle(src, message)
         if response is not None:
             if message.kind in _DISCOVERY_KINDS:

@@ -23,10 +23,11 @@ onto the redirect target and resuming the walk from there, so a client whose
 ``cseq`` starts at a retired configuration converges in one hop rather than
 replaying reclaimed links.
 
-Readers and writers of ABD / TREAS configurations read ``nextC`` off their
-first DAP round instead (see :mod:`repro.core.client`) and take each step of
-the walk with :meth:`SequenceTraversalMixin._follow_link`; a tombstone
-reaches them on the refusing server's NACK.
+Readers and writers of ABD / TREAS configurations run no ``read-config``:
+they read ``nextC`` off their first DAP round and off their ``put-data``
+replies instead (see :mod:`repro.core.client`) and take each step of the
+walk with :meth:`SequenceTraversalMixin._follow_link`; a tombstone reaches
+them on the refusing server's NACK.
 
 The helper is written as a mixin so the ARES clients and the reconfigurer
 share one implementation; :class:`RegisterState` is the per-register state
@@ -167,8 +168,8 @@ class SequenceTraversalMixin:
     def _follow_link(self, seq: ConfigSequence, index: int, link: ConfigRecord):
         """Coroutine: one step of the walk over a ``nextC`` read elsewhere.
 
-        ``link`` is the record a consensus quorum of the configuration at
-        ``index`` reported on a first-round DAP reply.  News -- a successor
+        ``link`` is the record a quorum of the configuration at ``index``
+        reported on first-round or ``put-data`` DAP replies.  News -- a successor
         of ``ν``, or the finalized status of a pending entry -- is installed
         and ``put-config`` backwards, as :meth:`read_config` does.  A link
         the sequence already holds is not written again: it reached a quorum

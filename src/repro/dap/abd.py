@@ -9,8 +9,9 @@ tag.  The primitives are:
 * ``put-data(⟨τ, v⟩)`` -- send the full pair to all servers, await a majority
   of acks; a server overwrites its local pair iff the incoming tag is larger.
 
-``get-tag`` and ``get-data`` also note the ``nextC`` record their replies
-carry (:attr:`~repro.dap.interface.DapClient.next_config`).
+Every primitive also notes the ``nextC`` record its replies carry
+(:attr:`~repro.dap.interface.DapClient.next_config`); ``get-tag`` and
+``get-data`` carry a reconfigurer's transfer ``fence``.
 
 Communication cost (normalised by the value size): 1·n for ``put-data``,
 up to 1·n for ``get-data`` replies, which is what makes ABD's read/write
@@ -26,7 +27,7 @@ from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, Tag, TagValue, max_tag
 from repro.common.values import BOTTOM_VALUE
 from repro.config.configuration import Configuration
-from repro.config.sequence import next_link
+from repro.config.sequence import ConfigRecord, next_link
 from repro.dap.interface import DapClient, DapServerState
 from repro.net.message import Message, reply, request
 
@@ -38,13 +39,12 @@ WRITE = "ABD-WRITE"
 class AbdDapClient(DapClient):
     """Client-side ABD primitives."""
 
-    def get_tag(self):
+    def get_tag(self, fence: Optional[ConfigRecord] = None):
         """Return the maximum tag held by some majority of servers."""
         token = self._record_start("get-tag")
         cfg = self.configuration
         replies = yield self.process.broadcast_and_gather(
-            cfg.servers,
-            lambda rid: request(QUERY_TAG, rid, config_id=cfg.cfg_id),
+            cfg.servers, self._query(QUERY_TAG, fence),
             threshold=cfg.quorums.quorum_size,
             label="abd-get-tag",
         )
@@ -53,13 +53,12 @@ class AbdDapClient(DapClient):
         self._record_end(token, tag)
         return tag
 
-    def get_data(self):
+    def get_data(self, fence: Optional[ConfigRecord] = None):
         """Return the ``(tag, value)`` pair with the maximum tag from a majority."""
         token = self._record_start("get-data")
         cfg = self.configuration
         replies = yield self.process.broadcast_and_gather(
-            cfg.servers,
-            lambda rid: request(QUERY_DATA, rid, config_id=cfg.cfg_id),
+            cfg.servers, self._query(QUERY_DATA, fence),
             threshold=cfg.quorums.quorum_size,
             label="abd-get-data",
         )
@@ -78,7 +77,7 @@ class AbdDapClient(DapClient):
         token = self._record_start("put-data", tag_value)
         cfg = self.configuration
         value = tag_value.value
-        yield self.process.broadcast_and_gather(
+        replies = yield self.process.broadcast_and_gather(
             cfg.servers,
             lambda rid: request(
                 WRITE, rid, config_id=cfg.cfg_id, data_bytes=value.size,
@@ -87,6 +86,7 @@ class AbdDapClient(DapClient):
             threshold=cfg.quorums.quorum_size,
             label="abd-put-data",
         )
+        self.next_config = next_link([msg.get("next") for _, msg in replies])
         self._record_end(token, None)
         return None
 

@@ -19,7 +19,7 @@ from repro.common.ids import ProcessId
 from repro.common.tags import Tag, TagValue
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord
-from repro.net.message import Message
+from repro.net.message import Message, request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
@@ -30,11 +30,11 @@ class DapClient:
     """Client-side DAP bound to ``(process, configuration)``."""
 
     #: The ``nextC`` record the replies to this client's last first-round
-    #: query reported (servers attach theirs; see ``AresServer``), or
-    #: ``None``.  For a discovering configuration
-    #: (:attr:`~repro.config.configuration.Configuration.discovering`) this
-    #: is what ``read-next-config`` would have returned; DAPs whose first
-    #: round carries no record leave it ``None``.
+    #: query or ``put-data`` reported (servers attach theirs; see
+    #: ``AresServer``), or ``None``.  For a discovering configuration
+    #: (:attr:`~repro.config.configuration.Configuration.discovering`) a
+    #: query's is what ``read-next-config`` would have returned; DAPs whose
+    #: rounds carry no record leave it ``None``.
     next_config: Optional[ConfigRecord] = None
 
     def __init__(self, process: "Process", configuration: Configuration) -> None:
@@ -42,12 +42,21 @@ class DapClient:
         self.configuration = configuration
 
     # ------------------------------------------------------------ primitives
-    def get_tag(self):
-        """Coroutine returning a :class:`~repro.common.tags.Tag` (primitive D1)."""
+    def get_tag(self, fence: Optional[ConfigRecord] = None):
+        """Coroutine returning a :class:`~repro.common.tags.Tag` (primitive D1).
+
+        ``fence`` is the successor record a reconfigurer's state transfer
+        out of this configuration installs at every server it queries
+        (docs/ARCHITECTURE.md, "The transfer fence"); readers and writers
+        pass none.
+        """
         raise NotImplementedError
 
-    def get_data(self):
-        """Coroutine returning a :class:`~repro.common.tags.TagValue` (primitive D2)."""
+    def get_data(self, fence: Optional[ConfigRecord] = None):
+        """Coroutine returning a :class:`~repro.common.tags.TagValue` (primitive D2).
+
+        ``fence`` as for :meth:`get_tag`.
+        """
         raise NotImplementedError
 
     def put_data(self, tag_value: TagValue):
@@ -55,6 +64,18 @@ class DapClient:
         raise NotImplementedError
 
     # --------------------------------------------------------------- helpers
+    def _query(self, kind: str, fence: Optional[ConfigRecord]):
+        """Request factory for a query of this configuration, ``fence`` attached.
+
+        The fence is charged as the two metadata fields of an
+        ``ARES-WRITE-CONFIG`` record.
+        """
+        cfg_id = self.configuration.cfg_id
+        if fence is None:
+            return lambda rid: request(kind, rid, config_id=cfg_id)
+        return lambda rid: request(kind, rid, config_id=cfg_id,
+                                   metadata_fields=3, fence=fence)
+
     @property
     def recorder(self) -> Optional["DapRecorder"]:
         """The DAP recorder installed on the owning process, if any."""

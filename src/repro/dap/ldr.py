@@ -45,8 +45,14 @@ class LdrDapClient(DapClient):
     """Client-side LDR primitives."""
 
     # ------------------------------------------------------------ primitives
-    def get_tag(self):
-        """Return the maximum tag known to a majority of directory servers."""
+    def get_tag(self, fence=None):
+        """Return the maximum tag known to a majority of directory servers.
+
+        ``fence`` is ignored: ``nextC`` lives at consensus quorums of all
+        ``c.Servers``, which LDR's rounds do not reach, so an LDR range
+        keeps its trailing ``read-config`` instead (docs/ARCHITECTURE.md,
+        "The transfer fence").
+        """
         token = self._record_start("get-tag")
         tag, _location = yield from self._query_directories()
         self._record_end(token, tag)
@@ -79,8 +85,11 @@ class LdrDapClient(DapClient):
         self._record_end(token, None)
         return None
 
-    def get_data(self):
-        """Read the latest tag/location, help propagate it, fetch the value."""
+    def get_data(self, fence=None):
+        """Read the latest tag/location, help propagate it, fetch the value.
+
+        ``fence`` is ignored, as for :meth:`get_tag`.
+        """
         token = self._record_start("get-data")
         cfg = self.configuration
         tag, location = yield from self._query_directories()

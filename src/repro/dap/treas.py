@@ -25,8 +25,9 @@ Client primitives:
   ``⌈(n+k)/2⌉`` acks.  A read's write-back takes the ``Φ_i(v)`` it was sent
   from the ``get-data`` that decoded ``v`` and computes only the others.
 
-``get-tag`` and ``get-data`` also note the ``nextC`` record their replies
-carry (:attr:`~repro.dap.interface.DapClient.next_config`).
+Every primitive also notes the ``nextC`` record its replies carry
+(:attr:`~repro.dap.interface.DapClient.next_config`); ``get-tag`` and
+``get-data`` carry a reconfigurer's transfer ``fence``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, Tag, TagValue, max_tag
 from repro.common.values import BOTTOM_VALUE
 from repro.config.configuration import Configuration
-from repro.config.sequence import next_link
+from repro.config.sequence import ConfigRecord, next_link
 from repro.dap.interface import DapClient, DapServerState
 from repro.erasure.interface import CodedElement
 from repro.net.message import Message, reply, request
@@ -68,13 +69,12 @@ class TreasDapClient(DapClient):
     _decoded_from: Optional[Tuple[Tag, Dict[int, CodedElement], weakref.ref]] = None
 
     # ------------------------------------------------------------ primitives
-    def get_tag(self):
+    def get_tag(self, fence: Optional[ConfigRecord] = None):
         """Return the maximum tag reported by ``⌈(n+k)/2⌉`` servers."""
         token = self._record_start("get-tag")
         cfg = self.configuration
         replies = yield self.process.broadcast_and_gather(
-            cfg.servers,
-            lambda rid: request(QUERY_TAG, rid, config_id=cfg.cfg_id),
+            cfg.servers, self._query(QUERY_TAG, fence),
             threshold=cfg.quorum_size,
             label="treas-get-tag",
         )
@@ -83,7 +83,7 @@ class TreasDapClient(DapClient):
         self._record_end(token, tag)
         return tag
 
-    def get_data(self):
+    def get_data(self, fence: Optional[ConfigRecord] = None):
         """Return the maximal decodable tag-value pair from ``⌈(n+k)/2⌉`` lists.
 
         The elements a non-bottom pair was decoded from are remembered under
@@ -94,12 +94,12 @@ class TreasDapClient(DapClient):
         token = self._record_start("get-data")
         cfg = self.configuration
         self._decoded_from = None
+        factory = self._query(QUERY_LIST, fence)
         attempts = 0
         while True:
             attempts += 1
             replies = yield self.process.broadcast_and_gather(
-                cfg.servers,
-                lambda rid: request(QUERY_LIST, rid, config_id=cfg.cfg_id),
+                cfg.servers, factory,
                 threshold=cfg.quorum_size,
                 label="treas-get-data",
             )
@@ -141,9 +141,10 @@ class TreasDapClient(DapClient):
             )
 
         messages = {cfg.servers[i]: make_factory(elements[i]) for i in range(cfg.n)}
-        yield self.process.scatter_and_gather(
+        replies = yield self.process.scatter_and_gather(
             messages, threshold=cfg.quorum_size, label="treas-put-data",
         )
+        self.next_config = next_link([msg.get("next") for _, msg in replies])
         self._record_end(token, None)
         return None
 

@@ -7,6 +7,7 @@ import pytest
 from repro.common.ids import server_id
 from repro.common.values import Value
 from repro.core.deployment import AresDeployment, DeploymentSpec
+from repro.core.server import READ_CONFIG
 from repro.net.latency import UniformLatency
 from repro.spec.history import OperationType
 from repro.spec.linearizability import check_linearizability, check_tag_monotonicity
@@ -19,6 +20,30 @@ def make_deployment(**overrides):
                     latency=UniformLatency(1.0, 2.0), record_dap=True)
     defaults.update(overrides)
     return AresDeployment(DeploymentSpec(**defaults))
+
+
+class TestRounds:
+    @pytest.mark.parametrize("dap, rounds", [
+        ("abd", ["ABD-QUERY-TAG", "ABD-WRITE"]),
+        ("treas", ["TREAS-QUERY-TAG", "TREAS-PUT-DATA"]),
+        ("ldr", [READ_CONFIG, "LDR-QUERY-TAG-LOCATION", "LDR-PUT-DATA",
+                 "LDR-PUT-METADATA", READ_CONFIG]),
+    ])
+    def test_only_an_ldr_range_runs_read_config_around_its_rounds(self, dap, rounds):
+        # ABD and TREAS read nextC off the get-tag and put-data replies; an
+        # LDR range keeps both read-config walks.
+        dep = make_deployment(initial_dap=dap)
+        writer = dep.writers[0]
+        kinds = []
+
+        def note(src, dest, message, delay):
+            if src == writer.pid and (not kinds or kinds[-1] != message.kind):
+                kinds.append(message.kind)
+            return delay
+
+        dep.network.add_delay_adjuster(note)
+        dep.write(Value.of_size(10, label="x"), 0)
+        assert kinds == rounds
 
 
 class TestBasicOperations:

@@ -11,8 +11,9 @@ import pytest
 
 from repro.common.ids import config_id, server_id
 from repro.common.values import Value
-from repro.config.sequence import Status
+from repro.config.sequence import ConfigRecord, ConfigSequence, Status
 from repro.core.deployment import AresDeployment, DeploymentSpec
+from repro.dap import abd, treas
 from repro.net.latency import UniformLatency
 from repro.spec.history import OperationType
 from repro.spec.linearizability import check_linearizability
@@ -125,6 +126,39 @@ class TestReconfigOperation:
         assert len(recs) == 1
         assert recs[0].latency > 0
         assert recs[0].config_id == cfg.cfg_id
+
+
+class TestTransferFence:
+    def test_update_config_fences_every_entry_but_the_last(self):
+        # [c0 F, c1 P, c2 P]: get-data on c0 carries <c1, P>, on c1 <c2, P>,
+        # and on c2, the configuration being filled, nothing.
+        dep = make_deployment(initial_dap="abd")
+        c0 = dep.initial_configuration
+        c1 = dep.make_configuration(dap="abd", fresh_servers=3)
+        c2 = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
+        records = [ConfigRecord(c1, Status.PENDING), ConfigRecord(c2, Status.PENDING)]
+        cseq = ConfigSequence(c0)
+        reconfigurer = dep.reconfigurers[0]
+        for record in records:
+            reconfigurer.directory.register(record.config)
+            cseq.append(record)
+        fences = {}
+
+        def note(src, dest, message, delay):
+            if src == reconfigurer.pid and message.kind in (abd.QUERY_DATA,
+                                                            treas.QUERY_LIST):
+                fences[message.config_id] = message.get("fence")
+            return delay
+
+        dep.network.add_delay_adjuster(note)
+        dep.sim.run_until_complete(reconfigurer.spawn(
+            reconfigurer._update_config(cseq, reconfigurer._state.dap_for)))
+        assert fences == {c0.cfg_id: records[0], c1.cfg_id: records[1],
+                          c2.cfg_id: None}
+        for configuration, record in ((c0, records[0]), (c1, records[1])):
+            holders = [pid for pid in configuration.servers
+                       if dep.servers[pid].next_config.get(configuration.cfg_id) is record]
+            assert len(holders) >= configuration.quorums.quorum_size
 
 
 class TestConcurrentReconfigurations:

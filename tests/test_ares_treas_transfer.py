@@ -7,6 +7,7 @@ import pytest
 from repro.common.ids import server_id
 from repro.common.values import Value
 from repro.config.configuration import DapKind
+from repro.config.sequence import Status
 from repro.core.ares_treas import (
     FWD_CODE_ELEM,
     MD_BCAST_REQ_FW,
@@ -15,6 +16,7 @@ from repro.core.ares_treas import (
     transfer_dap_state_factory,
 )
 from repro.core.deployment import AresDeployment, DeploymentSpec
+from repro.dap.treas import QUERY_TAG
 from repro.net.latency import UniformLatency
 from repro.spec.linearizability import check_linearizability
 
@@ -93,6 +95,26 @@ class TestDirectTransfer:
         assert dep.stats.by_kind(MD_BCAST_REQ_FW).messages > 0
         assert dep.stats.by_kind(FWD_CODE_ELEM).messages > 0
         assert dep.stats.by_kind(TRANSFER_ACK).messages >= new_cfg.quorum_size
+
+    def test_get_tag_loop_is_fenced(self):
+        dep = make_deployment()
+        dep.write(Value.of_size(400, label="x"), 0)
+        old = dep.initial_configuration
+        new_cfg = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
+        reconfigurer = dep.reconfigurers[0]
+        fences = {}
+
+        def note(src, dest, message, delay):
+            if src == reconfigurer.pid and message.kind == QUERY_TAG:
+                fences[message.config_id] = message.get("fence")
+            return delay
+
+        dep.network.add_delay_adjuster(note)
+        dep.reconfig(new_cfg, 0)
+        assert reconfigurer.direct_transfers == 1
+        fence = fences[old.cfg_id]
+        assert (fence.config, fence.status) == (new_cfg, Status.PENDING)
+        assert fences[new_cfg.cfg_id] is None
 
     def test_no_transfer_needed_when_object_never_written(self):
         dep = make_deployment()

@@ -93,7 +93,7 @@ class TestAresServerRouting:
         assert returned.config.cfg_id == config_id(1)
         assert returned.status is Status.PENDING
 
-    def test_first_round_replies_carry_next_config_and_put_data_acks_do_not(self):
+    def test_first_round_replies_and_put_data_acks_carry_next_config(self):
         sim, network, directory, servers, cfg, probe = build()
         record = ConfigRecord(Configuration.abd(config_id(1), [server_id(10)]),
                               Status.FINALIZED)
@@ -108,10 +108,32 @@ class TestAresServerRouting:
         sim.run()
         replies = {message.in_reply_to: message for _, message in probe.replies}
         assert replies[2]["next"] is None            # server 1 knows no successor
-        assert replies[3]["next"] is replies[4]["next"] is record
+        assert replies[3]["next"] is replies[4]["next"] is replies[5]["next"] is record
         # The link costs the two metadata fields of an ARES-NEXT-CONFIG reply.
         assert replies[3].metadata_bytes == 3 * METADATA_FIELD_BYTES
-        assert "next" not in replies[5].body
+        assert replies[5].metadata_bytes == 3 * METADATA_FIELD_BYTES
+
+    @pytest.mark.parametrize("current", [None, Status.PENDING, Status.FINALIZED])
+    def test_fence_installs_by_algorithm_6s_rule_before_the_answer(self, current):
+        # A transfer query's fence goes in over ⊥ and over a pending record,
+        # never over a finalized one, and the reply already reports it.
+        sim, network, directory, servers, cfg, probe = build()
+        successor = Configuration.abd(config_id(1), [server_id(10)])
+        if current is not None:
+            probe.send(servers[0].pid, request(
+                WRITE_CONFIG, 1, config_id=cfg.cfg_id,
+                record=ConfigRecord(successor, current)))
+        fence = ConfigRecord(successor, Status.FINALIZED if current is None
+                             else Status.PENDING)
+        probe.send(servers[0].pid, request(QUERY_TAG, 2, config_id=cfg.cfg_id,
+                                           metadata_fields=3, fence=fence))
+        sim.run()
+        installed = servers[0].next_config[cfg.cfg_id]
+        if current is Status.FINALIZED:
+            assert installed.status is Status.FINALIZED and installed is not fence
+        else:
+            assert installed is fence
+        assert probe.replies[-1][1]["next"] is installed
 
     def test_finalized_record_not_overwritten_by_pending(self):
         sim, network, directory, servers, cfg, probe = build()

@@ -195,13 +195,13 @@ def test_treas_store_kernel_work_per_operation(kernel):
     # transfer runs, so encode_one is never called.
     assert (kernel.encodes, kernel.single_encodes) == (ops + 64 * 6, 0)
     # Only reads that found a written tag decode (the bottom tag does not).
-    # Three rounds an operation instead of four re-time the run, so 103
-    # reads (95 when read-config ran its own round) find a written tag.
-    assert kernel.decodes == 103
-    # Two parity rows per write and per bottom state; the 103 survivor sets
-    # lacked 77 data shards between them, and the 103 write-backs reuse the
-    # elements they were decoded from, so they compute only the 26 parity
-    # elements their survivor sets lacked (2 x 103 rows when each write-back
+    # The number depends on how operations interleave: two rounds an
+    # operation give 95 (three rounds gave 103, four gave 95).
+    assert kernel.decodes == 95
+    # Two parity rows per write and per bottom state; the 95 survivor sets
+    # lacked 59 data shards between them, and the 95 write-backs reuse the
+    # elements they were decoded from, so they compute only the 36 parity
+    # elements their survivor sets lacked (2 x 95 rows when each write-back
     # encoded from scratch).  Every such row of a [6, 4] code is dense.
-    assert kernel.combinations == 2 * (kernel.encodes - 103) + 77 + 26 == 1305
-    assert kernel.table_multiplies == 4 * kernel.combinations == 5220
+    assert kernel.combinations == 2 * (kernel.encodes - 95) + 59 + 36 == 1313
+    assert kernel.table_multiplies == 4 * kernel.combinations == 5252

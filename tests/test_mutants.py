@@ -2,23 +2,26 @@
 
 Each mutant is a monkeypatched protocol bug that the paper's proofs rule
 out.  ``KILLS`` records, per mutant, the first registered scenario x seed
-(seeds ``0..30`` in order, scenarios in registry order within a seed) whose
+(seeds ``0..999`` in order, scenarios in registry order within a seed) whose
 ``check()`` fails under it; tier-1 re-runs exactly those cells, first
 unmutated (the cell verifies) and then mutated (it does not).  The table is
 mirrored in ``docs/ARCHITECTURE.md`` ("Mutants").  A mutant no such cell
 kills stays listed in ``SURVIVORS``: a strict xfail on the nearest
 registered cell, whose reason names the scenario that is missing.
 
-The two mutants here referee fused configuration discovery:
+The mutants referee fused configuration discovery and the transfer fence:
 
-* ``fused-trailing-read-config`` -- the unsafe fusion.  The ``read-config``
-  after ``put-data`` is replaced by the ``nextC`` links the ``put-data``
-  replies carry.  A ``put-data`` can reach a server before a concurrent
-  reconfiguration's ``put-config`` does, so the write completes without
-  seeing a successor whose state transfer missed it.
+* ``unfenced-transfer`` -- the reconfigurer's transfer query carries no
+  fence.  A ``put-data`` can then reach a server after the transfer read it
+  but before the reconfigurer's ``put-config`` did, so a write completes on
+  ``⊥`` links without being seen by the transfer.
+* ``fused-ldr-trailing-read-config`` -- the ``put-data`` links replace the
+  trailing ``read-config`` on LDR ranges too.  LDR's ``put-data`` reaches
+  no consensus quorum and carries no link, so an LDR write skips discovery.
 * ``blind-first-round`` -- the first round neither runs ``read-config`` nor
-  reads ``nextC``: servers stop attaching the link, so a client only learns
-  of new configurations after it has already chosen its tag or value.
+  reads ``nextC``: servers stop attaching the link to query replies, so a
+  client only learns of new configurations after it has already chosen its
+  tag or value.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import pytest
 
 from repro.common.ids import reader_id, reconfigurer_id, server_id, writer_id
 from repro.common.values import Value
-from repro.config.sequence import next_link
 from repro.core import server as server_module
 from repro.core.client import RegisterOpsMixin
 from repro.core.deployment import AresDeployment
@@ -38,23 +40,23 @@ from repro.spec.linearizability import check_linearizability
 from repro.workloads.scenarios import run_scenario
 
 
-def _noting_link(put_data):
-    """``put_data`` that also keeps the ``nextC`` its one round's replies carry."""
+def _unfenced(query):
+    """``query`` with the ``fence`` argument dropped."""
 
-    def noting(self, tag_value):
-        primitive = put_data(self, tag_value)
-        replies = yield next(primitive)
-        self.next_config = next_link([msg.get("next") for _, msg in replies])
-        try:
-            primitive.send(replies)
-        except StopIteration as stop:
-            return stop.value
+    def unfenced(self, fence=None):
+        return query(self)
 
-    return noting
+    return unfenced
+
+
+def unfenced_transfer(monkeypatch) -> None:
+    for client in (abd.AbdDapClient, treas.TreasDapClient):
+        for name in ("get_tag", "get_data"):
+            monkeypatch.setattr(client, name, _unfenced(getattr(client, name)))
 
 
 def _propagate_on_put_data_links(self, cseq, dap_for, pair):
-    """``put-data`` into ``ν`` while its replies report a successor."""
+    """``put-data`` into ``ν`` while its replies report a successor, any DAP."""
     while True:
         index = cseq.nu
         dap = dap_for(cseq.config_at(index))
@@ -64,39 +66,43 @@ def _propagate_on_put_data_links(self, cseq, dap_for, pair):
         yield from self._follow_link(cseq, index, dap.next_config)
 
 
-def fused_trailing_read_config(monkeypatch) -> None:
-    monkeypatch.setattr(server_module, "_DISCOVERY_KINDS",
-                        server_module._DISCOVERY_KINDS | {abd.WRITE, treas.PUT_DATA})
-    for client in (abd.AbdDapClient, treas.TreasDapClient):
-        monkeypatch.setattr(client, "put_data", _noting_link(client.put_data))
+def fused_ldr_trailing_read_config(monkeypatch) -> None:
     monkeypatch.setattr(RegisterOpsMixin, "_register_propagate",
                         _propagate_on_put_data_links)
 
 
 def blind_first_round(monkeypatch) -> None:
-    monkeypatch.setattr(server_module, "_DISCOVERY_KINDS", frozenset())
+    monkeypatch.setattr(server_module, "_DISCOVERY_KINDS",
+                        frozenset({abd.WRITE, treas.PUT_DATA}))
 
 
 MUTANTS = {
-    "fused-trailing-read-config": fused_trailing_read_config,
+    "unfenced-transfer": unfenced_transfer,
+    "fused-ldr-trailing-read-config": fused_ldr_trailing_read_config,
     "blind-first-round": blind_first_round,
 }
 
 #: mutant -> first killing ``(scenario, seed)``.
 KILLS = {
-    "blind-first-round": ("store_rebalance_hot_range", 11),
+    "blind-first-round": ("store_rebalance_hot_range", 239),
 }
 
 #: mutant -> ``(nearest registered cell, the scenario that is missing)``.
 SURVIVORS = {
-    "fused-trailing-read-config": (("abd_reconfig_crash", 0), (
+    "unfenced-transfer": (("abd_reconfig_crash", 0), (
         "missing scenario: a reconfiguration during which one writer's "
         "put-data and the put-config rounds reach part of the old "
         "configuration later than the reconfigurer's put-config + get-data "
         "rounds take, while a reader learns the finalized successor before "
-        "the write completes (survives seeds 0..30 of every registered "
-        "scenario; test_counter_execution_of_the_fused_trailing_read_config "
-        "builds the execution by hand)")),
+        "the write completes (survives seeds 0..999 of every registered "
+        "scenario; test_counter_execution_of_the_transfer_fence builds the "
+        "execution by hand)")),
+    "fused-ldr-trailing-read-config": (("abd_reconfig_crash", 0), (
+        "missing scenario: dense migration of LDR keys under concurrent "
+        "writes, as the benchmark's store_migrate workload runs (75 "
+        "migrations over ABD, TREAS and LDR shards), scaled down and "
+        "registered in workloads/scenarios.py (survives seeds 0..999 of "
+        "every registered scenario)")),
 }
 
 
@@ -114,22 +120,23 @@ def test_mutant_is_killed_by_its_cell(mutant, cell, monkeypatch):
 
 
 @pytest.mark.parametrize("mutated", [False, True], ids=["protocol", "mutant"])
-def test_counter_execution_of_the_fused_trailing_read_config(mutated, monkeypatch):
-    """Why ``put-data`` replies cannot stand in for the trailing ``read-config``.
+def test_counter_execution_of_the_transfer_fence(mutated, monkeypatch):
+    """Why the reconfigurer's transfer query must carry the fence.
 
     ABD-5 ``c0`` reconfigures to ``c1``; every message takes 1 unless slowed
     below.  The writer's put-data reaches ``s2`` at 3, before the
     reconfigurer's ``put-config`` (9.5), and ``s3``/``s4`` only at 33, after
     the reconfigurer's ``get-data`` read them (11.5); ``put-config`` never
     reaches ``s3``/``s4`` in time.  So the transfer into ``c1`` carries
-    ``v0`` while the put-data quorum ``{s2, s3, s4}`` answers ``nextC = ⊥``.
-    A reader learns ``<c1, F>`` at 22.  Under the protocol the write's
-    trailing ``read-config`` (at 34) sees ``c1`` at ``s0``..``s2`` and puts
-    ``tau`` there; under the mutant the write completes at 34, and the
-    reader's next read, gathering from ``c1`` only, returns ``v0``.
+    ``v0``.  A reader learns ``<c1, F>`` at 22.  Under the protocol the
+    ``get-data`` installed ``c1`` at ``s3``/``s4``, so the put-data quorum
+    ``{s2, s3, s4}`` reports it and the write puts ``tau`` into ``c1`` too.
+    Under the mutant that quorum answers ``nextC = ⊥``, the write completes
+    at 34, and the reader's next read, gathering from ``c1`` only, returns
+    ``v0``.
     """
     if mutated:
-        fused_trailing_read_config(monkeypatch)
+        unfenced_transfer(monkeypatch)
     deployment = AresDeployment(num_servers=5, initial_dap="abd", num_writers=1,
                                 num_readers=1, latency=FixedLatency(1.0))
     s = [server_id(index) for index in range(5)]

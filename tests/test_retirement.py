@@ -1,7 +1,7 @@
 """Configuration retirement end to end: reclamation, tombstones, gc-config.
 
 Covers the PR-10 retirement machinery at every layer: the server-side
-``RETIRE-CONFIG`` / ``CONFIRM-CONFIG`` handlers and their refusal semantics,
+``RETIRE-CONFIG`` handler and its refusal semantics,
 the two reconfiguration edge-case regressions (add-config deciding a
 configuration already in the sequence, finalize-config finalizing the
 *installed* index), the gc-config phase retiring prefixes through
@@ -30,9 +30,10 @@ from repro.consensus.interface import ConsensusDecision
 from repro.consensus.paxos import PREPARE, PaxosProposer
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.core.directory import ConfigurationDirectory
-from repro.core.server import (CONFIRM_CONFIG, READ_CONFIG, RETIRE_CONFIG,
-                               WRITE_CONFIG, AresServer)
-from repro.dap.treas import PUT_DATA
+from repro.core.reconfig import ReconfigOpsMixin
+from repro.core.server import (READ_CONFIG, RETIRE_CONFIG, WRITE_CONFIG,
+                               AresServer)
+from repro.dap.treas import PUT_DATA, QUERY_LIST
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.message import request
 from repro.net.network import Network
@@ -186,14 +187,19 @@ class TestServerRetirement:
         assert (reply["record"], reply["jump"]) == (record, 1)
         assert servers[0].acceptors == {}
 
-    def test_confirm_config_stores_the_finalized_record(self):
+    def test_fenced_query_to_retired_configuration_is_nacked(self):
+        # The transfer fence never resurrects nextC behind a tombstone.
         sim, network, directory, servers, cfg, probe = build()
-        record = ConfigRecord(cfg, Status.FINALIZED)
-        probe.send(servers[0].pid, request(CONFIRM_CONFIG, 4, config_id=cfg.cfg_id,
-                                           metadata_fields=2, record=record))
+        record = successor_record(directory)
+        retire(sim, servers[0], cfg, probe, record)
+        probe.send(servers[0].pid, request(
+            QUERY_LIST, 2, config_id=cfg.cfg_id, metadata_fields=3,
+            fence=ConfigRecord(record.config, Status.PENDING)))
         sim.run()
-        assert probe.last_reply().kind == "ARES-CONFIRM-ACK"
-        assert servers[0].confirmed_final[cfg.cfg_id] is record
+        reply = probe.last_reply()
+        assert reply.kind == "SRV-NACK"
+        assert (reply["record"], reply["jump"]) == (record, 1)
+        assert cfg.cfg_id not in servers[0].next_config
 
     def test_membership_excludes_retired_configurations(self):
         sim, network, directory, servers, cfg, probe = build()
@@ -350,6 +356,27 @@ class TestRetirementEndToEnd:
         assert dep.reconfigurers[0].cseq.base == 1
         # ...and the data survived the retirement.
         assert dep.read(0).label == "precious"
+
+    def test_gc_retires_even_when_the_new_configuration_lost_its_quorum(
+            self, monkeypatch):
+        # gc-config sends nothing to the new configuration, so a
+        # reconfiguration that finalized completes and retires its
+        # predecessor although the successor has no live quorum left.
+        dep = make_deployment()
+        dep.write(Value.of_size(64, label="v"), 0)
+        pool = sorted(dep.servers)
+        new_cfg = dep.make_configuration(dap="abd", servers=pool[4:8])
+        gc_config = ReconfigOpsMixin._gc_config
+
+        def crash_then_gc(self, cseq):
+            for pid in pool[4:7]:
+                dep.network.crash(pid)
+            return (yield from gc_config(self, cseq))
+
+        monkeypatch.setattr(ReconfigOpsMixin, "_gc_config", crash_then_gc)
+        assert dep.reconfig(new_cfg, 0) == new_cfg
+        assert dep.reconfigurers[0].configs_retired == 1
+        assert dep.configs_retired() == 4
 
     def test_gc_disabled_retires_nothing(self):
         dep = make_deployment(gc=False)

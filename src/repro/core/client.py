@@ -12,7 +12,10 @@ A write (read) operation:
 4. repeatedly ``put-data``s the pair into the *last* configuration of the
    local sequence and re-runs ``read-config`` until no new configuration
    appears -- this is the "catch up with ongoing reconfigurations" loop whose
-   termination the latency analysis (Section 4.4) studies.
+   termination the latency analysis (Section 4.4) studies.  An ABD read
+   skips this step when ``[µ, ν]`` is one configuration and its whole
+   ``get-data`` quorum carried the returned tag and no link: the pair is
+   already at a quorum (``docs/ARCHITECTURE.md``, "One-round reads").
 
 Whenever every configuration in ``[µ, ν]`` is ABD or TREAS, both walks ride
 DAP rounds.  Servers attach their ``nextC`` record to every first-round
@@ -23,9 +26,9 @@ reconfigurer's transfer query installs the successor as ``nextC`` before it
 is answered, so a ``put-data`` quorum that reports no successor proves that
 every transfer out of ``c_ν`` saw the value: step 4 follows the links
 ``put-data`` reports instead of running ``read-config`` (``docs/ARCHITECTURE.md``,
-"The transfer fence").  A steady-state read or write is then two quorum
-rounds.  A range with an LDR configuration in it keeps both ``read-config``
-walks.
+"The transfer fence").  A steady-state write is then two quorum rounds,
+and a steady-state ABD read one.  A range with an LDR configuration in it
+keeps both ``read-config`` walks.
 
 The client records every high-level operation in a
 :class:`~repro.spec.history.History` so atomicity can be checked and the
@@ -139,9 +142,20 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         return best.value
 
     def _read_body(self, cseq: ConfigSequence, dap_for):
-        """Coroutine: one attempt at the Algorithm 7 read body."""
+        """Coroutine: one attempt at the Algorithm 7 read body.
+
+        The write-back is skipped when ``[µ, ν]`` is one configuration whose
+        ``get-data`` quorum all carried the returned tag and reported no
+        link: the pair already sits at a quorum of ``c_ν``, and the transfer
+        fence makes every later transfer out of ``c_ν`` see it
+        (``docs/ARCHITECTURE.md``, "One-round reads").
+        """
         pairs = yield from self._query_sequence(cseq, dap_for, _GET_DATA)
         best = max_tag_value(pairs)
+        if cseq.mu == cseq.nu:
+            dap = dap_for(cseq.config_at(cseq.nu))
+            if dap.agreed_tag == best.tag and dap.next_config is None:
+                return best
         yield from self._register_propagate(cseq, dap_for, best)
         return best
 

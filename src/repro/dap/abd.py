@@ -11,7 +11,10 @@ tag.  The primitives are:
 
 Every primitive also notes the ``nextC`` record its replies carry
 (:attr:`~repro.dap.interface.DapClient.next_config`); ``get-tag`` and
-``get-data`` carry a reconfigurer's transfer ``fence``.
+``get-data`` carry a reconfigurer's transfer ``fence``.  ``get-data`` also
+notes the tag its whole quorum agreed on
+(:attr:`~repro.dap.interface.DapClient.agreed_tag`), which lets a read skip
+its write-back (``docs/ARCHITECTURE.md``, "One-round reads").
 
 Communication cost (normalised by the value size): 1·n for ``put-data``,
 up to 1·n for ``get-data`` replies, which is what makes ABD's read/write
@@ -54,7 +57,10 @@ class AbdDapClient(DapClient):
         return tag
 
     def get_data(self, fence: Optional[ConfigRecord] = None):
-        """Return the ``(tag, value)`` pair with the maximum tag from a majority."""
+        """Return the ``(tag, value)`` pair with the maximum tag from a majority.
+
+        Notes the tag in :attr:`agreed_tag` when every reply carried it.
+        """
         token = self._record_start("get-data")
         cfg = self.configuration
         replies = yield self.process.broadcast_and_gather(
@@ -62,15 +68,21 @@ class AbdDapClient(DapClient):
             threshold=cfg.quorums.quorum_size,
             label="abd-get-data",
         )
-        best: Optional[TagValue] = None
+        best = None
+        agreed = True
         for _, msg in replies:
-            pair = TagValue(tag=msg["tag"], value=msg["value"])
-            if best is None or pair.tag > best.tag:
-                best = pair
+            if best is None:
+                best = msg
+            elif msg["tag"] != best["tag"]:
+                agreed = False
+                if msg["tag"] > best["tag"]:
+                    best = msg
         assert best is not None  # threshold >= 1
+        pair = TagValue(tag=best["tag"], value=best["value"])
+        self.agreed_tag = pair.tag if agreed else None
         self.next_config = next_link([msg.get("next") for _, msg in replies])
-        self._record_end(token, best)
-        return best
+        self._record_end(token, pair)
+        return pair
 
     def put_data(self, tag_value: TagValue):
         """Propagate ``tag_value`` to a majority of servers."""

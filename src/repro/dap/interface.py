@@ -37,6 +37,13 @@ class DapClient:
     #: rounds carry no record leave it ``None``.
     next_config: Optional[ConfigRecord] = None
 
+    #: The tag every reply to this client's last ``get-data`` carried, or
+    #: ``None`` when the replies disagreed.  Only ABD sets it; a read whose
+    #: ``[µ, ν]`` is this configuration alone and whose quorum agreed on the
+    #: tag it returns, with no link, skips its write-back
+    #: (docs/ARCHITECTURE.md, "One-round reads").
+    agreed_tag: Optional[Tag] = None
+
     def __init__(self, process: "Process", configuration: Configuration) -> None:
         self.process = process
         self.configuration = configuration

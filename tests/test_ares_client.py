@@ -7,8 +7,8 @@ import pytest
 from repro.common.ids import server_id
 from repro.common.values import Value
 from repro.core.deployment import AresDeployment, DeploymentSpec
-from repro.core.server import READ_CONFIG
-from repro.net.latency import UniformLatency
+from repro.core.server import READ_CONFIG, WRITE_CONFIG
+from repro.net.latency import FixedLatency, UniformLatency
 from repro.spec.history import OperationType
 from repro.spec.linearizability import check_linearizability, check_tag_monotonicity
 from repro.spec.properties import check_dap_properties
@@ -22,6 +22,21 @@ def make_deployment(**overrides):
     return AresDeployment(DeploymentSpec(**defaults))
 
 
+def note_rounds(dep, pid):
+    """The message kinds ``pid`` sends from now on, one entry per round."""
+    kinds = []
+    last = [None]
+
+    def note(src, dest, message, delay):
+        if src == pid and last[0] != (message.kind, message.config_id):
+            last[0] = (message.kind, message.config_id)
+            kinds.append(message.kind)
+        return delay
+
+    dep.network.add_delay_adjuster(note)
+    return kinds
+
+
 class TestRounds:
     @pytest.mark.parametrize("dap, rounds", [
         ("abd", ["ABD-QUERY-TAG", "ABD-WRITE"]),
@@ -33,17 +48,101 @@ class TestRounds:
         # ABD and TREAS read nextC off the get-tag and put-data replies; an
         # LDR range keeps both read-config walks.
         dep = make_deployment(initial_dap=dap)
-        writer = dep.writers[0]
-        kinds = []
-
-        def note(src, dest, message, delay):
-            if src == writer.pid and (not kinds or kinds[-1] != message.kind):
-                kinds.append(message.kind)
-            return delay
-
-        dep.network.add_delay_adjuster(note)
+        kinds = note_rounds(dep, dep.writers[0].pid)
         dep.write(Value.of_size(10, label="x"), 0)
         assert kinds == rounds
+
+
+def abd_five(**overrides):
+    """ABD-5, one writer and one reader, every message taking exactly 1."""
+    defaults = dict(num_servers=5, initial_dap="abd", num_writers=1, num_readers=1,
+                    num_reconfigurers=1, latency=FixedLatency(1.0))
+    defaults.update(overrides)
+    return AresDeployment(DeploymentSpec(**defaults))
+
+
+class TestReadRounds:
+    """An ABD read skips its write-back only when its quorum already agrees."""
+
+    @pytest.mark.parametrize("dap, rounds", [
+        ("abd", ["ABD-QUERY"]),
+        ("treas", ["TREAS-QUERY-LIST", "TREAS-PUT-DATA"]),
+        ("ldr", [READ_CONFIG, "LDR-QUERY-TAG-LOCATION", "LDR-PUT-METADATA",
+                 "LDR-GET-DATA", "LDR-PUT-DATA", "LDR-PUT-METADATA", READ_CONFIG]),
+    ])
+    def test_only_a_quiet_abd_read_is_one_round(self, dap, rounds):
+        dep = make_deployment(initial_dap=dap)
+        dep.write(Value.of_size(10, label="x"), 0)
+        kinds = note_rounds(dep, dep.readers[0].pid)
+        assert dep.read(0).label == "x"
+        assert kinds == rounds
+
+    def test_a_quorum_with_mixed_tags_writes_back(self):
+        # The write reaches s0 only; the reader's quorum {s0, s1, s2} holds
+        # tau at s0 alone.
+        dep = abd_five()
+        writer, reader = dep.writers[0].pid, dep.readers[0].pid
+        s = [server_id(index) for index in range(5)]
+        slowed = {(writer, server, "ABD-WRITE") for server in s[1:]}
+        slowed |= {(reader, server, "ABD-QUERY") for server in s[3:]}
+        dep.network.add_delay_adjuster(
+            lambda src, dest, message, delay:
+                delay + 100 * ((src, dest, message.kind) in slowed))
+        dep.spawn_write(Value.of_size(8, label="tau"))
+        dep.sim.run_until(5.0)
+        kinds = note_rounds(dep, reader)
+        assert dep.read(0).label == "tau"
+        assert kinds == ["ABD-QUERY", "ABD-WRITE"]
+        dep.run()
+        assert check_linearizability(dep.history).ok
+
+    def test_a_reply_with_a_link_writes_back(self):
+        # An LDR c0 hands over to ABD c1, so the reader walks with
+        # read-config and queries c1 after it.  A second reconfiguration
+        # puts its pending c2 into c1's nextC between the reader's
+        # read-next-config on c1 (⊥, 5 after the read starts) and its
+        # get-data (7 after): every reply agrees on c1's tag but carries the
+        # link, so the read writes back into c1 and, following the link,
+        # into c2.
+        dep = abd_five(initial_dap="ldr")
+        dep.reconfig(dep.make_configuration(dap="abd", fresh_servers=5))
+        dep.write(Value.of_size(8, label="tau"))
+        start = dep.sim.now + 10.0
+        dep.sim.run_until(start - 1.0)
+        dep.spawn_reconfig(dep.make_configuration(dap="abd", fresh_servers=5))
+        dep.sim.run_until(start)
+        reader = dep.readers[0]
+        kinds = note_rounds(dep, reader.pid)
+        assert dep.read(0).label == "tau"
+        assert kinds == [READ_CONFIG, WRITE_CONFIG, READ_CONFIG, "ABD-QUERY",
+                         "ABD-WRITE", WRITE_CONFIG, "ABD-WRITE"]
+        assert (reader.cseq.mu, reader.cseq.nu) == (1, 2)
+        dep.run()
+        assert check_linearizability(dep.history).ok
+
+    def test_a_pending_successor_writes_back(self):
+        # The reconfiguration to c1 stalls after add-config, so c1 stays
+        # pending.  The first read learns it and writes tau into c1; the
+        # second finds tau at every server of both configurations with no
+        # new link, and still writes back because µ < ν.
+        dep = abd_five()
+        dep.write(Value.of_size(8, label="tau"))
+        reconfigurer = dep.reconfigurers[0].pid
+        dep.network.add_delay_adjuster(
+            lambda src, dest, message, delay:
+                delay + 100 * (src == reconfigurer and message.kind == "ABD-QUERY"))
+        dep.spawn_reconfig(dep.make_configuration(dap="abd", fresh_servers=5))
+        dep.sim.run_until(dep.sim.now + 10.0)
+        reader = dep.readers[0]
+        first = note_rounds(dep, reader.pid)
+        assert dep.read(0).label == "tau"
+        assert first == ["ABD-QUERY", WRITE_CONFIG, "ABD-QUERY", "ABD-WRITE"]
+        second = note_rounds(dep, reader.pid)
+        assert dep.read(0).label == "tau"
+        assert (reader.cseq.mu, reader.cseq.nu) == (0, 1)
+        assert second == ["ABD-QUERY", "ABD-QUERY", "ABD-WRITE"]
+        dep.run()
+        assert check_linearizability(dep.history).ok
 
 
 class TestBasicOperations:

@@ -267,18 +267,20 @@ class TestExactCounts:
         profiler.disable()
         assert failure is None
         sim, network = result.deployment.sim, result.deployment.network
-        # Every operation is two quorum rounds of 5 requests + 5 replies
-        # (get-tag / get-data and put-data, the nextC link riding both
-        # rounds' replies), each round one request object and five reply
-        # objects.
-        assert network.messages_sent == 20 * ops
-        assert len(constructed) == 12 * ops
+        # Every round is 5 requests + 5 replies, one request object and five
+        # reply objects, the nextC link riding every reply.  A write is two
+        # rounds (get-tag, put-data).  A read is one (get-data) when its
+        # quorum agreed on the tag; exactly one of the 160 reads here saw a
+        # disagreeing quorum and wrote back: 160 x 2 + 160 + 1 = 481 rounds.
+        rounds = 481
+        assert network.messages_sent == 10 * rounds == 4_810
+        assert len(constructed) == 6 * rounds
         # Per round 10 deliveries + 1 resume, plus half an event per
-        # operation for the batch coroutines: 2 x 11 + 0.5 = 22.5.
-        assert sim.events_processed == 7_200
+        # operation for the batch coroutines: 481 x 11 + 160.
+        assert sim.events_processed == 5_451
         assert sim.cancelled_events == 0
         # Deliveries and coroutine resumptions are never cancelled, so none
-        # of the 7 200 events allocates a handle.
+        # of the 5 451 events allocates a handle.
         assert handles == []
         calls = {"ids": collections.Counter(), "net": collections.Counter()}
         ids_py = os.path.join("repro", "common", "ids.py")
@@ -294,32 +296,33 @@ class TestExactCounts:
         # into common/ids.py are the 24 + 178 constructions (processes, one
         # ConfigId per key touched) and the names rendered by ``str()``: the
         # store client's get/put and multi_get/multi_put coroutine labels
-        # (480), the history's signature entries (250) and the 8 workload
+        # (480), the streaming tag checker's descriptions of the records
+        # that raise their key's maximum tag (265) and the 8 workload
         # sessions; gather labels read ``pid.name`` and cost none.  Every
         # one of the 20 messages is looked up by id in two to four dicts and
         # sets, so a Python ``__hash__`` would cost thousands of calls here.
-        assert calls["ids"] == {"__new__": 202, "__str__": 738, "server_id": 15,
+        assert calls["ids"] == {"__new__": 202, "__str__": 753, "server_id": 15,
                                 "writer_id": 4, "reader_id": 4,
                                 "reconfigurer_id": 1}
         # Per message the network layer runs one ledger row (``record``) and
         # one latency draw, and nothing at all on arrival: the delivery
         # event calls ``Process.deliver`` directly.  The rest is per round
-        # (``send_many``, ``alive_count``, ``request``) or per reply; both
-        # rounds read the link off their three quorum replies
+        # (``send_many``, ``alive_count``, ``request``) or per reply; every
+        # round reads the link off its three quorum replies
         # (``message.get``).  ``__getitem__`` reads the first-round replies'
-        # tags (and values) and each put-data's tag, plus its value only
-        # where the tag is new to the server, so its count depends on the
-        # interleaving.
+        # tags (and the returned value) and each put-data's tag, plus its
+        # value only where the tag is new to the server, so its count
+        # depends on the interleaving.
         messages = network.messages_sent
         assert calls["net"] == {
             "stats.record": messages, "latency.sample": messages,
-            "network.send_many": 3_840, "message.__init__": 3_840,
-            "message.reply": 3_200, "message.__getitem__": 3_839,
-            "message.request": 640, "network.alive_count": 640,
-            "message.get": 1_920,
+            "network.send_many": 2_886, "message.__init__": 2_886,
+            "message.reply": 2_405, "message.__getitem__": 3_046,
+            "message.request": 481, "network.alive_count": 481,
+            "message.get": 1_443,
             "network.register": 24, "network.__init__": 1, "stats.__init__": 1,
             "latency.__init__": 1}
-        assert sum(calls["net"].values()) == 30_746     # 4.80 per message
+        assert sum(calls["net"].values()) == 23_275     # 4.84 per message
 
     def test_armed_retry_costs_a_sweep_per_timeout_not_a_timer_per_round(
             self, constructed):
@@ -335,18 +338,18 @@ class TestExactCounts:
         clients = armed.deployment.writers + armed.deployment.readers
         # Arming retry without a fault changes nothing a client can see.
         assert armed.signature_hash() == plain.signature_hash()
-        assert network.messages_sent == 20 * ops        # two rounds, as plain
-        assert len(constructed) == 12 * ops
+        assert network.messages_sent == 4_810           # 481 rounds, as plain
+        assert len(constructed) == 2_886
         assert sum(client.retries for client in clients) == 0
-        assert sim.now == plain.deployment.sim.now == 126.11299647483652
+        assert sim.now == plain.deployment.sim.now == 125.27735937910563
         # Every extra event is one firing of a client's deadline sweep: it
         # finds the attempts queued over the last 30 vt completed, drops
         # them and re-arms at the deadline of the one in flight -- once per
-        # client per ``timeout`` of virtual time (8 clients x 126 vt / 30),
+        # client per ``timeout`` of virtual time (8 clients x 125 vt / 30),
         # where a Timer per attempt cost one extra resume hop *and* one
-        # cancelled heap entry per round (640 of each).  The cancelled
+        # cancelled heap entry per round (481 of each).  The cancelled
         # events are the clients' last armed sweeps, dropped when their
         # session coroutine ends so that the final clock above is the plain
         # run's, not the last deadline.
-        assert 0 < sim.events_processed - 7_200 <= ops // 2
+        assert 0 < sim.events_processed - 5_451 <= ops // 2
         assert 0 < sim.cancelled_events <= len(clients) == 8

@@ -170,12 +170,13 @@ class TestStoreOperations:
     def test_batch_pipelines_quorum_rounds(self):
         """A batch over b keys costs its slowest key's rounds, not their sum.
 
-        Every hop takes 1 vt, so a quorum round takes 2.  A steady-state
-        ABD or TREAS read is two rounds; an LDR read is seven: read-config,
-        get-data's directory, write-back and replica rounds, put-data's
-        replica and directory rounds, and the trailing read-config.
+        Every hop takes 1 vt, so a quorum round takes 2.  A quiet ABD read
+        is one round (its quorum agrees, so it skips the write-back), a
+        TREAS read two, and an LDR read seven: read-config, get-data's
+        directory, write-back and replica rounds, put-data's replica and
+        directory rounds, and the trailing read-config.
         """
-        rounds = {"abd": 2, "treas": 2, "ldr": 7}
+        rounds = {"abd": 1, "treas": 2, "ldr": 7}
         keys = [f"k{i}" for i in range(8)]
         sequential = StoreDeployment(StoreSpec(
             shards=MIXED_SHARDS, latency=FixedLatency(1.0), seed=3))
@@ -205,10 +206,10 @@ class TestStoreOperations:
     def test_shard_fan_out_sets_message_cost(self, num_shards):
         """One 20-server fleet carved into shards: a round addresses one shard.
 
-        Every operation is two quorum rounds (get-tag or get-data, then
-        put-data, both carrying the nextC link), each a request to and a
-        reply from every server of the key's shard: 4 messages per operation
-        per server of a shard.
+        A write is two quorum rounds (get-tag, then put-data) and a quiet
+        read one (get-data, whose quorum agrees), every round a request to
+        and a reply from every server of the key's shard: 4 messages per
+        write and 2 per read per server of a shard.
         """
         per_shard = 20 // num_shards
         store = StoreDeployment(StoreSpec(
@@ -222,7 +223,7 @@ class TestStoreOperations:
         assert result.errors == []
         assert check_linearizability_per_key(store.history).ok
         assert result.total_operations == 12
-        assert store.network.messages_sent == 4 * per_shard * 12
+        assert store.network.messages_sent == (4 * 6 + 2 * 6) * per_shard
 
     def test_client_tracks_known_keys(self):
         store = mixed_store()

@@ -37,8 +37,9 @@ class DapClient:
     #: rounds carry no record leave it ``None``.
     next_config: Optional[ConfigRecord] = None
 
-    #: The tag every reply to this client's last ``get-data`` carried, or
-    #: ``None`` when the replies disagreed.  Only ABD sets it; a read whose
+    #: The tag every reply to this client's last ``get-data`` carried (for
+    #: TREAS: every list, with its coded element), or ``None`` when the
+    #: replies disagreed.  ABD and TREAS set it, LDR does not; a read whose
     #: ``[µ, ν]`` is this configuration alone and whose quorum agreed on the
     #: tag it returns, with no link, skips its write-back
     #: (docs/ARCHITECTURE.md, "One-round reads").

@@ -27,7 +27,11 @@ Client primitives:
 
 Every primitive also notes the ``nextC`` record its replies carry
 (:attr:`~repro.dap.interface.DapClient.next_config`); ``get-tag`` and
-``get-data`` carry a reconfigurer's transfer ``fence``.
+``get-data`` carry a reconfigurer's transfer ``fence``.  ``get-data`` also
+notes the returned tag as agreed
+(:attr:`~repro.dap.interface.DapClient.agreed_tag`) when every list of its
+quorum holds that tag with its coded element, which lets a read skip its
+write-back (``docs/ARCHITECTURE.md``, "One-round reads").
 """
 
 from __future__ import annotations
@@ -150,7 +154,11 @@ class TreasDapClient(DapClient):
 
     # --------------------------------------------------------------- helpers
     def _select_decodable(self, replies) -> Optional[TagValue]:
-        """Apply Algorithm 2 lines 11-17 to the gathered lists."""
+        """Apply Algorithm 2 lines 11-17 to the gathered lists.
+
+        Notes the returned tag in :attr:`agreed_tag` when every list holds
+        its coded element.
+        """
         cfg = self.configuration
         k = cfg.k
         # tag -> number of lists in which the tag appears (with or without data)
@@ -173,6 +181,7 @@ class TreasDapClient(DapClient):
         t_dec_max = max_tag(tags_dec)
         if t_star_max != t_dec_max:
             return None
+        self.agreed_tag = t_dec_max if element_counts[t_dec_max] == len(replies) else None
         if t_dec_max == BOTTOM_TAG:
             return TagValue(tag=BOTTOM_TAG, value=BOTTOM_VALUE)
         pair = TagValue(tag=t_dec_max, value=cfg.code.decode(elements[t_dec_max].values()))

@@ -62,15 +62,15 @@ def abd_five(**overrides):
 
 
 class TestReadRounds:
-    """An ABD read skips its write-back only when its quorum already agrees."""
+    """An ABD or TREAS read skips its write-back only when its quorum agrees."""
 
     @pytest.mark.parametrize("dap, rounds", [
         ("abd", ["ABD-QUERY"]),
-        ("treas", ["TREAS-QUERY-LIST", "TREAS-PUT-DATA"]),
+        ("treas", ["TREAS-QUERY-LIST"]),
         ("ldr", [READ_CONFIG, "LDR-QUERY-TAG-LOCATION", "LDR-PUT-METADATA",
                  "LDR-GET-DATA", "LDR-PUT-DATA", "LDR-PUT-METADATA", READ_CONFIG]),
     ])
-    def test_only_a_quiet_abd_read_is_one_round(self, dap, rounds):
+    def test_only_a_quiet_read_outside_ldr_is_one_round(self, dap, rounds):
         dep = make_deployment(initial_dap=dap)
         dep.write(Value.of_size(10, label="x"), 0)
         kinds = note_rounds(dep, dep.readers[0].pid)
@@ -95,6 +95,40 @@ class TestReadRounds:
         assert kinds == ["ABD-QUERY", "ABD-WRITE"]
         dep.run()
         assert check_linearizability(dep.history).ok
+
+    def test_a_treas_quorum_missing_the_element_in_one_list_writes_back(self):
+        # TREAS [6, 4]: the write reaches s0..s3 only, and the reader's
+        # quorum {s0, ..., s4} decodes tau from four lists while s4 lacks it.
+        dep = abd_five(initial_dap="treas", num_servers=6, k=4)
+        writer, reader = dep.writers[0].pid, dep.readers[0].pid
+        s = [server_id(index) for index in range(6)]
+        slowed = {(writer, server, "TREAS-PUT-DATA") for server in s[4:]}
+        slowed.add((reader, s[5], "TREAS-QUERY-LIST"))
+        dep.network.add_delay_adjuster(
+            lambda src, dest, message, delay:
+                delay + 100 * ((src, dest, message.kind) in slowed))
+        dep.spawn_write(Value.of_size(8, label="tau"))
+        dep.sim.run_until(5.0)
+        kinds = note_rounds(dep, reader)
+        assert dep.read(0).label == "tau"
+        assert kinds == ["TREAS-QUERY-LIST", "TREAS-PUT-DATA"]
+        dep.run()
+        assert check_linearizability(dep.history).ok
+
+    def test_a_treas_read_past_trimmed_elements_is_one_round(self):
+        # delta + 1 writes before the read: every server has trimmed v0's
+        # element to a placeholder, and every list still holds the last
+        # write's element.
+        dep = abd_five(initial_dap="treas", num_servers=6, k=4, delta=2)
+        for index in range(3):
+            dep.write(Value.of_size(8, label=f"w{index}"))
+        lists = [server.dap_states[dep.initial_configuration.cfg_id].list
+                 for server in dep.servers.values()]
+        assert all(sum(element is None for element in entries.values()) == 1
+                   for entries in lists)
+        kinds = note_rounds(dep, dep.readers[0].pid)
+        assert dep.read(0).label == "w2"
+        assert kinds == ["TREAS-QUERY-LIST"]
 
     def test_a_reply_with_a_link_writes_back(self):
         # An LDR c0 hands over to ABD c1, so the reader walks with

@@ -190,18 +190,21 @@ def test_treas_store_kernel_work_per_operation(kernel):
             value_size=1024, think_time=0.0, num_keys=64, batch_size=2))
     result = run_scenario_instance(scenario, seed=0, streaming=True)
     assert result.check()[0] is None
-    # One encode per write and per read write-back (320), plus the bottom
-    # value once per (key, server) state: 64 keys x 6 servers.  No state
-    # transfer runs, so encode_one is never called.
-    assert (kernel.encodes, kernel.single_encodes) == (ops + 64 * 6, 0)
+    # One encode per write (160) and per read write-back, plus the bottom
+    # value once per (key, server) state: 64 keys x 6 servers.  A read
+    # writes back only when some list of its quorum lacks the returned
+    # element: one of the 160 reads here.  No state transfer runs, so
+    # encode_one is never called.
+    assert (kernel.encodes, kernel.single_encodes) == (ops // 2 + 1 + 64 * 6, 0)
     # Only reads that found a written tag decode (the bottom tag does not).
-    # The number depends on how operations interleave: two rounds an
-    # operation give 95 (three rounds gave 103, four gave 95).
-    assert kernel.decodes == 95
-    # Two parity rows per write and per bottom state; the 95 survivor sets
-    # lacked 59 data shards between them, and the 95 write-backs reuse the
-    # elements they were decoded from, so they compute only the 36 parity
-    # elements their survivor sets lacked (2 x 95 rows when each write-back
-    # encoded from scratch).  Every such row of a [6, 4] code is dense.
-    assert kernel.combinations == 2 * (kernel.encodes - 95) + 59 + 36 == 1313
-    assert kernel.table_multiplies == 4 * kernel.combinations == 5252
+    # The number depends on how operations interleave: one-round reads give
+    # 68 (95 when reads and writes both took two rounds, 103 at three, 95
+    # at four).
+    assert kernel.decodes == 68
+    # Two parity rows per write and per bottom state; the 68 survivor sets
+    # lacked 44 data shards between them, and the one write-back reuses the
+    # elements it was decoded from, so it computes only the 2 parity
+    # elements its survivor set lacked.  Every such row of a [6, 4] code is
+    # dense.
+    assert kernel.combinations == 2 * (kernel.encodes - 1) + 44 + 2 == 1134
+    assert kernel.table_multiplies == 4 * kernel.combinations == 4536

@@ -9,7 +9,8 @@ mirrored in ``docs/ARCHITECTURE.md`` ("Mutants").  A mutant no such cell
 kills stays listed in ``SURVIVORS``: a strict xfail on the nearest
 registered cell, whose reason names the scenario that is missing.
 
-The mutants referee fused configuration discovery and the transfer fence:
+The mutants referee fused configuration discovery, the transfer fence and
+one-round reads:
 
 * ``unfenced-transfer`` -- the reconfigurer's transfer query carries no
   fence.  A ``put-data`` can then reach a server after the transfer read it
@@ -23,10 +24,14 @@ The mutants referee fused configuration discovery and the transfer fence:
   client only learns of new configurations after it has already chosen its
   tag or value.
 * ``skip-read-write-back`` -- every read returns after its ``get-data``
-  walk: the one-round read without the test that its quorum agreed.
+  walk: the one-round read without the test that its quorum agreed, for
+  ABD and TREAS reads alike.
+* ``treas-read-agrees-on-decodable`` -- a TREAS read counts as agreed
+  whenever its tag is decodable, i.e. at least ``k`` lists of its quorum
+  hold the element, not every one of them.
 
-Three hand-built ``FixedLatency`` executions kill what no registered cell
-does; a fourth shows why a one-round read needs the transfer fence.
+Four hand-built ``FixedLatency`` executions kill what no registered cell
+does; a fifth shows why a one-round read needs the transfer fence.
 """
 
 from __future__ import annotations
@@ -94,11 +99,30 @@ def skip_read_write_back(monkeypatch) -> None:
     monkeypatch.setattr(RegisterOpsMixin, "_read_body", _read_without_write_back)
 
 
+def _agree_on_decodable(select):
+    """``_select_decodable`` noting every pair it returns as agreed."""
+
+    def select_decodable(self, replies):
+        pair = select(self, replies)
+        if pair is not None:
+            self.agreed_tag = pair.tag
+        return pair
+
+    return select_decodable
+
+
+def treas_read_agrees_on_decodable(monkeypatch) -> None:
+    client = treas.TreasDapClient
+    monkeypatch.setattr(client, "_select_decodable",
+                        _agree_on_decodable(client._select_decodable))
+
+
 MUTANTS = {
     "unfenced-transfer": unfenced_transfer,
     "fused-ldr-trailing-read-config": fused_ldr_trailing_read_config,
     "blind-first-round": blind_first_round,
     "skip-read-write-back": skip_read_write_back,
+    "treas-read-agrees-on-decodable": treas_read_agrees_on_decodable,
 }
 
 #: mutant -> first killing ``(scenario, seed)``.
@@ -134,6 +158,13 @@ SURVIVORS = {
         "server and a later reader's quorum does not (survives seeds 0..999 "
         "of every registered scenario; test_counter_execution_of_skipping_"
         "the_read_write_back builds the execution by hand)")),
+    "treas-read-agrees-on-decodable": (("treas_partition_heal", 0), (
+        "missing scenario: a TREAS write whose put-data reaches exactly k "
+        "servers long before the others, while one reader's get-data quorum "
+        "includes those k and a later reader's quorum misses one of them "
+        "(survives seeds 0..999 of every registered scenario; "
+        "test_counter_execution_of_a_decodable_but_unagreed_treas_read "
+        "builds the execution by hand)")),
 }
 
 
@@ -220,6 +251,40 @@ def test_counter_execution_of_skipping_the_read_write_back(mutated, monkeypatch)
     slowed = {(writer, server, abd.WRITE): 100 for server in s[1:]}
     slowed.update({(first, server, abd.QUERY_DATA): 100 for server in s[3:]})
     slowed.update({(second, server, abd.QUERY_DATA): 100 for server in s[:2]})
+    _slowed(deployment, slowed)
+    deployment.spawn_write(Value.of_size(8, label="tau"))
+    reads = []
+    for at, reader_index in ((5.0, 0), (12.0, 1)):
+        deployment.sim.schedule(
+            at, lambda index=reader_index: reads.append(deployment.spawn_read(index)))
+    deployment.run()
+    assert [read.result().label for read in reads] == \
+        (["tau", "v0"] if mutated else ["tau", "tau"])
+    assert check_linearizability(deployment.history).ok is not mutated
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["protocol", "mutant"])
+def test_counter_execution_of_a_decodable_but_unagreed_treas_read(mutated, monkeypatch):
+    """Why every list of a TREAS read's quorum must hold the element.
+
+    TREAS ``[6, 4]``, δ = 4; every message takes 1 unless slowed below.
+    The writer's put-data of ``tau`` reaches ``s0``..``s3`` at 3 and
+    ``s4``/``s5`` only after 100.  Reader 1's quorum ``{s0, ..., s4}``
+    answers at 7: ``tau``'s element sits in four lists, so it decodes, but
+    ``s4`` lacks it.  Under the protocol the read writes ``tau`` back before
+    returning at 9; under the mutant it returns at 7.  Reader 2's quorum
+    ``{s1, ..., s5}`` answers at 14: it holds ``tau`` in ``k`` lists only if
+    reader 1 wrote it back, and otherwise decodes ``v0``.
+    """
+    if mutated:
+        treas_read_agrees_on_decodable(monkeypatch)
+    deployment = AresDeployment(num_servers=6, initial_dap="treas", k=4, delta=4,
+                                num_writers=1, num_readers=2, latency=FixedLatency(1.0))
+    s = [server_id(index) for index in range(6)]
+    writer, first, second = writer_id(0), reader_id(0), reader_id(1)
+    slowed = {(writer, server, treas.PUT_DATA): 100 for server in s[4:]}
+    slowed.update({(first, s[5], treas.QUERY_LIST): 100,
+                   (second, s[0], treas.QUERY_LIST): 100})
     _slowed(deployment, slowed)
     deployment.spawn_write(Value.of_size(8, label="tau"))
     reads = []

@@ -171,12 +171,12 @@ class TestStoreOperations:
         """A batch over b keys costs its slowest key's rounds, not their sum.
 
         Every hop takes 1 vt, so a quorum round takes 2.  A quiet ABD read
-        is one round (its quorum agrees, so it skips the write-back), a
-        TREAS read two, and an LDR read seven: read-config, get-data's
+        or TREAS read is one round (its quorum agrees, so it skips the
+        write-back), and an LDR read seven: read-config, get-data's
         directory, write-back and replica rounds, put-data's replica and
         directory rounds, and the trailing read-config.
         """
-        rounds = {"abd": 1, "treas": 2, "ldr": 7}
+        rounds = {"abd": 1, "treas": 1, "ldr": 7}
         keys = [f"k{i}" for i in range(8)]
         sequential = StoreDeployment(StoreSpec(
             shards=MIXED_SHARDS, latency=FixedLatency(1.0), seed=3))

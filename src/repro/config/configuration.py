@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -65,8 +64,10 @@ class Configuration:
         coded elements for the δ+1 highest tags.
     consensus_quorums:
         Quorum system used by the configuration's consensus instance and by
-        the configuration-sequence service (always majorities over
-        ``servers``).
+        the configuration-sequence service: majorities over ``servers``,
+        over the directories for LDR.  Every DAP's first round and
+        ``put-data`` round reach one, which is how readers and writers
+        discover the sequence (docs/ARCHITECTURE.md, "Fused discovery").
     ldr_directories / ldr_replicas:
         For LDR configurations only: the split of ``servers`` into directory
         servers and replica servers.
@@ -185,6 +186,7 @@ class Configuration:
             dap=DapKind.LDR,
             code=ReplicationCode(len(servers)),
             quorums=MajorityQuorums(list(directories)),
+            consensus_quorums=MajorityQuorums(list(directories)),
             ldr_directories=directories,
             ldr_replicas=replicas,
             delta=f,
@@ -229,21 +231,6 @@ class Configuration:
     def quorum_size(self) -> int:
         """The DAP's reply threshold for this configuration."""
         return self.quorums.quorum_size
-
-    @cached_property
-    def discovering(self) -> bool:
-        """Whether the DAP's first round can stand in for ``read-next-config``.
-
-        Every DAP's first quorum round goes to its quorum system.  When that
-        system spans all of ``servers`` with a threshold of at least the
-        consensus quorum size, the round's replies come from a set that
-        contains a consensus quorum, so the ``nextC`` records servers attach
-        to them are what ``read-next-config`` would have returned.  True for
-        ABD (majorities) and TREAS (``⌈(n+k)/2⌉``); false for LDR, whose
-        first round reads a majority of the directories only.
-        """
-        return (set(self.quorums.servers) == set(self.servers)
-                and self.quorum_size >= self.consensus_quorums.quorum_size)
 
     @property
     def ldr_f(self) -> int:

@@ -3,8 +3,10 @@
 Two quorum systems are used by the protocols:
 
 * **Majority quorums** -- any subset of strictly more than half the servers.
-  Used by ABD-backed configurations and by the configuration-sequence
-  service (``read-config`` / ``put-config`` wait for a majority).
+  Used by ABD-backed configurations, by LDR over its directories, and by
+  the configuration-sequence service and consensus (``read-config`` /
+  ``put-config`` wait for a majority of ``c.Servers``, or of an LDR
+  configuration's directories).
 * **Threshold quorums of size ⌈(n+k)/2⌉** -- used by TREAS.  Any two such
   quorums intersect in at least ``k`` servers, which is what makes a tag
   written to one quorum decodable by any later reader quorum.

@@ -1,8 +1,10 @@
 """Single-decree Paxos.
 
 One Paxos *instance* decides the successor of one configuration.  The
-reconfiguration client is the proposer; the servers of the configuration are
-the acceptors; majorities of those servers form the Paxos quorums.
+reconfiguration client is the proposer; the servers of the configuration's
+``consensus_quorums`` (all of ``c.Servers``, or an LDR configuration's
+directories) are the acceptors; majorities of those servers form the Paxos
+quorums.
 
 The implementation follows classic Synod Paxos:
 
@@ -124,8 +126,8 @@ class PaxosProposer:
     process:
         The client process driving the proposal (a reconfiguration client).
     configuration:
-        The configuration whose servers act as acceptors; its
-        ``consensus_quorums`` (majorities) are the Paxos quorums.
+        The configuration whose ``consensus_quorums`` servers act as
+        acceptors; its majorities are the Paxos quorums.
     instance:
         Identifier of the instance, conventionally the configuration id whose
         successor is being decided.
@@ -159,7 +161,7 @@ class PaxosProposer:
         """
         if value is None:
             raise ConsensusError("cannot propose None")
-        servers = list(self.configuration.servers)
+        servers = list(self.configuration.consensus_quorums.servers)
         majority = self.configuration.consensus_quorums.quorum_size
         round_number = 1
 

@@ -18,18 +18,18 @@ A write (read) operation:
    coded element) and no link: the pair is already at a quorum
    (``docs/ARCHITECTURE.md``, "One-round reads").
 
-Whenever every configuration in ``[µ, ν]`` is ABD or TREAS, both walks ride
-DAP rounds.  Servers attach their ``nextC`` record to every first-round
-reply, and those replies come from a consensus quorum, so the walk of step 1
-reads the same links from them (``docs/ARCHITECTURE.md``, "Fused
-discovery").  They attach it to every ``put-data`` reply too, and a
+Both walks ride DAP rounds.  Servers attach their ``nextC`` record to every
+first-round reply, and under every DAP those replies come from a consensus
+quorum (for LDR, a directory majority), so the walk of step 1 reads the same
+links from them (``docs/ARCHITECTURE.md``, "Fused discovery").  They attach
+it to every ``put-data`` reply too (LDR's ``put-metadata`` round), and a
 reconfigurer's transfer query installs the successor as ``nextC`` before it
 is answered, so a ``put-data`` quorum that reports no successor proves that
 every transfer out of ``c_ν`` saw the value: step 4 follows the links
-``put-data`` reports instead of running ``read-config`` (``docs/ARCHITECTURE.md``,
-"The transfer fence").  A steady-state write is then two quorum rounds,
-and a steady-state ABD or TREAS read one.  A range with an LDR
-configuration in it keeps both ``read-config`` walks.
+``put-data`` reports instead of running ``read-config``
+(``docs/ARCHITECTURE.md``, "The transfer fence").  A steady-state ABD or
+TREAS write is then two quorum rounds, and a steady-state ABD or TREAS read
+one; an LDR write is three, an LDR read five.
 
 The client records every high-level operation in a
 :class:`~repro.spec.history.History` so atomicity can be checked and the
@@ -82,7 +82,7 @@ class RegisterOpsMixin(SequenceTraversalMixin):
     """
 
     #: Cap on retirement-refusal restarts of one operation.  A restart
-    #: happens when a ``put-data`` (or an LDR round) is refused; the body
+    #: happens when a round after the first is refused; the body
     #: re-runs and its first round re-bases on the refusing server's
     #: tombstone, so in practice one restart converges; the cap guards
     #: against a pathological schedule where reconfigurations outrun the
@@ -146,50 +146,35 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         """Coroutine: one attempt at the Algorithm 7 read body.
 
         The write-back is skipped when ``[µ, ν]`` is one configuration whose
-        ``get-data`` quorum all held the returned tag and reported no
-        link: the pair already sits at a quorum of ``c_ν``, and the transfer
-        fence makes every later transfer out of ``c_ν`` see it
-        (``docs/ARCHITECTURE.md``, "One-round reads").
+        ``get-data`` quorum all held the returned tag (the walk follows
+        every link a round reports, so that quorum reported none): the pair
+        already sits at a quorum of ``c_ν``, and the transfer fence makes
+        every later transfer out of ``c_ν`` see it (``docs/ARCHITECTURE.md``,
+        "One-round reads").
         """
         pairs = yield from self._query_sequence(cseq, dap_for, _GET_DATA)
         best = max_tag_value(pairs)
-        if cseq.mu == cseq.nu:
-            dap = dap_for(cseq.config_at(cseq.nu))
-            if dap.agreed_tag == best.tag and dap.next_config is None:
-                return best
+        if (cseq.mu == cseq.nu
+                and dap_for(cseq.config_at(cseq.nu)).agreed_tag == best.tag):
+            return best
         yield from self._register_propagate(cseq, dap_for, best)
         return best
 
     def _query_sequence(self, cseq: ConfigSequence, dap_for, primitive):
-        """Coroutine: ``read-config``, then ``primitive`` on every entry of ``[µ, ν]``.
+        """Coroutine: ``primitive`` on every entry of ``[µ, ν]``, walking as it goes.
 
-        Returns the primitive's results in sequence order.  When every
-        configuration of ``[µ, ν]`` is discovering
-        (:attr:`~repro.config.configuration.Configuration.discovering`) the
-        ``read-config`` rides the primitive's first round: each reply names
-        its server's ``nextC``, so one round per configuration both reads it
-        and walks past it.  News is followed at once
-        (:meth:`_follow_link`: ``put-config`` backwards, then the new entry
-        is queried in turn), and a round refused because the configuration
-        was retired re-bases on the tombstone its NACK carries
-        (:meth:`_rebase_target`).  Otherwise
-        -- an LDR configuration in the range -- the separate ``read-config``
-        runs first, as in the paper; so does the rest of the walk from an
-        LDR configuration the fused walk reaches.
+        Returns the primitive's results in sequence order.  ``read-config``
+        rides the primitive's first round: each reply names its server's
+        ``nextC``, so one round per configuration both reads it and walks
+        past it.  News is followed at once (:meth:`_follow_link`:
+        ``put-config`` backwards, then the new entry is queried in turn),
+        and a round refused because the configuration was retired re-bases
+        on the tombstone its NACK carries (:meth:`_rebase_target`).
         """
         results = []
-        fused = all(entry.config.discovering for entry in cseq.pending_suffix())
-        if not fused:
-            yield from self.read_config(cseq)
         index = cseq.mu
-        while fused and index <= cseq.nu:
+        while index <= cseq.nu:
             configuration = cseq.config_at(index)
-            if not configuration.discovering:
-                # Reached through a link or a tombstone: from here on the
-                # walk goes through read-next-config rounds.
-                yield from self._walk(cseq, index)
-                index = max(index, cseq.mu)
-                break
             dap = dap_for(configuration)
             try:
                 results.append((yield from primitive(dap)))
@@ -203,8 +188,6 @@ class RegisterOpsMixin(SequenceTraversalMixin):
             if dap.next_config is not None:
                 yield from self._follow_link(cseq, index, dap.next_config)
             index += 1
-        for index in range(index, cseq.nu + 1):
-            results.append((yield from primitive(dap_for(cseq.config_at(index)))))
         return results
 
     def _rebase_target(self, configuration: Configuration,
@@ -222,25 +205,19 @@ class RegisterOpsMixin(SequenceTraversalMixin):
     def _register_propagate(self, cseq: ConfigSequence, dap_for, pair: TagValue):
         """Algorithm 7 lines 15-21 / 37-43: put-data until the sequence stops growing.
 
-        When every configuration of ``[µ, ν]`` is discovering, the links the
-        ``put-data`` replies carry stand in for ``read-config``: ``⊥`` ends
-        the loop, and a successor is followed (:meth:`_follow_link`) and put
-        into in turn.  The fence on every transfer query makes ``⊥`` from a
-        ``put-data`` quorum mean that every transfer out of ``c_ν`` saw the
-        pair.  Otherwise ``read-config`` runs after each ``put-data``.
+        The links the ``put-data`` replies carry stand in for
+        ``read-config``: ``⊥`` ends the loop, and a successor is followed
+        (:meth:`_follow_link`) and put into in turn.  The fence on every
+        transfer query makes ``⊥`` from a ``put-data`` quorum mean that
+        every transfer out of ``c_ν`` saw the pair.
         """
         while True:
             nu = cseq.nu
             dap = dap_for(cseq.config_at(nu))
             yield from dap.put_data(pair)
-            if all(entry.config.discovering for entry in cseq.pending_suffix()):
-                if dap.next_config is None:
-                    return
-                yield from self._follow_link(cseq, nu, dap.next_config)
-            else:
-                yield from self.read_config(cseq)
-                if cseq.nu == nu:
-                    return
+            if dap.next_config is None:
+                return
+            yield from self._follow_link(cseq, nu, dap.next_config)
 
 
 class AresClient(Process, RegisterOpsMixin):

@@ -15,9 +15,10 @@ record is never overwritten (and by consensus Agreement the configuration
 member never changes).  A reconfigurer's state-transfer query carries the
 successor record as a ``fence``, installed by the same rule before the query
 is answered.  ``nextC`` is read by READ-CONFIG and also rides on every reply
-to an ABD / TREAS query or ``put-data``, which is how readers and writers
-discover the sequence and, after their ``put-data``, every reconfiguration
-whose transfer could have missed the value (see :mod:`repro.core.client`).
+to a DAP's first-round query or ``put-data`` (for LDR: the directory query
+and ``put-metadata``), which is how readers and writers discover the
+sequence and, after their ``put-data``, every reconfiguration whose transfer
+could have missed the value (see :mod:`repro.core.client`).
 
 Retirement
 ----------
@@ -50,7 +51,7 @@ from repro.consensus.paxos import (
     PaxosAcceptorState,
 )
 from repro.core.directory import ConfigurationDirectory
-from repro.dap import abd, make_dap_server_state, treas
+from repro.dap import abd, ldr, make_dap_server_state, treas
 from repro.dap.interface import DapServerState
 from repro.net.message import METADATA_FIELD_BYTES, Message, reply
 from repro.net.network import Network
@@ -70,11 +71,14 @@ _CONTROL_KINDS = frozenset({READ_CONFIG, WRITE_CONFIG, RETIRE_CONFIG,
 #: DAP requests whose replies carry the server's ``nextC`` record for the
 #: configuration (under ``"next"``): the first-round queries, so readers and
 #: writers discover the sequence without a ``read-config`` round of their
-#: own, and ``put-data``, so they learn of any reconfiguration whose fenced
-#: transfer this server answered before the value.  Charged as the two
-#: metadata fields an ``ARES-NEXT-CONFIG`` reply carries.
+#: own, and ``put-data`` (LDR's ``put-metadata``), so they learn of any
+#: reconfiguration whose fenced transfer this server answered before the
+#: value.  Every one of them goes to the configuration's consensus quorum
+#: system.  Charged as the two metadata fields an ``ARES-NEXT-CONFIG`` reply
+#: carries.
 _DISCOVERY_KINDS = frozenset({abd.QUERY_TAG, abd.QUERY_DATA, abd.WRITE,
-                              treas.QUERY_TAG, treas.QUERY_LIST, treas.PUT_DATA})
+                              treas.QUERY_TAG, treas.QUERY_LIST, treas.PUT_DATA,
+                              ldr.QUERY_TAG_LOCATION, ldr.PUT_METADATA})
 _NEXT_BYTES = 2 * METADATA_FIELD_BYTES
 
 #: Factory signature for per-configuration DAP server state.

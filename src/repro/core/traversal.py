@@ -4,11 +4,12 @@ Every read, write and reconfig operation uses these actions to discover the
 latest state of the global configuration sequence GL and to make sure that
 state remains discoverable by later operations:
 
-* ``read-next-config(c)`` asks a quorum of ``c.Servers`` for their ``nextC``
-  variable and returns the first finalized record it sees, else a pending
-  one, else ``⊥``;
+* ``read-next-config(c)`` asks a consensus quorum of ``c`` (a majority of
+  ``c.Servers``, or of an LDR configuration's directories) for their
+  ``nextC`` variable and returns the first finalized record it sees, else a
+  pending one, else ``⊥``;
 * ``put-config(c, record)`` writes ``record`` into the ``nextC`` variable of
-  a quorum of ``c.Servers``;
+  a consensus quorum of ``c``;
 * ``read-config(seq)`` starts from the last finalized configuration of the
   local sequence and follows ``nextC`` pointers until it reaches a
   configuration whose quorum knows no successor, propagating every link it
@@ -23,11 +24,11 @@ onto the redirect target and resuming the walk from there, so a client whose
 ``cseq`` starts at a retired configuration converges in one hop rather than
 replaying reclaimed links.
 
-Readers and writers of ABD / TREAS configurations run no ``read-config``:
-they read ``nextC`` off their first DAP round and off their ``put-data``
-replies instead (see :mod:`repro.core.client`) and take each step of the
-walk with :meth:`SequenceTraversalMixin._follow_link`; a tombstone reaches
-them on the refusing server's NACK.
+Only reconfigurers run ``read-config``.  Readers and writers read ``nextC``
+off their first DAP round and off their ``put-data`` replies instead, which
+reach a consensus quorum under every DAP (see :mod:`repro.core.client`), and
+take each step of the walk with :meth:`SequenceTraversalMixin._follow_link`;
+a tombstone reaches them on the refusing server's NACK.
 
 The helper is written as a mixin so the ARES clients and the reconfigurer
 share one implementation; :class:`RegisterState` is the per-register state
@@ -96,7 +97,7 @@ class SequenceTraversalMixin:
         finalized records are preferred over pending ones.
         """
         replies = yield self.broadcast_and_gather(
-            configuration.servers,
+            configuration.consensus_quorums.servers,
             lambda rid: request(READ_CONFIG, rid, config_id=configuration.cfg_id),
             threshold=configuration.consensus_quorums.quorum_size,
             label="read-next-config",
@@ -118,9 +119,9 @@ class SequenceTraversalMixin:
         return next_link(records), None
 
     def put_config(self, configuration: Configuration, record: ConfigRecord):
-        """Coroutine: write ``record`` to the ``nextC`` of a quorum of ``configuration``."""
+        """Coroutine: write ``record`` to ``nextC`` at a consensus quorum of ``configuration``."""
         yield self.broadcast_and_gather(
-            configuration.servers,
+            configuration.consensus_quorums.servers,
             lambda rid: request(WRITE_CONFIG, rid, config_id=configuration.cfg_id,
                                 metadata_fields=2, record=record),
             threshold=configuration.consensus_quorums.quorum_size,
@@ -140,22 +141,18 @@ class SequenceTraversalMixin:
         backwards (the predecessors are retired -- there is nothing to write
         to and nothing left to discover through them).
         """
-        yield from self._walk(seq, seq.mu)
-        return seq
-
-    def _walk(self, seq: ConfigSequence, index: int):
-        """Coroutine: :meth:`read_config`'s traversal, from the entry at ``index``."""
+        index = seq.mu
         current = seq.config_at(index)
         while True:
             record, jump = yield from self._read_next_config_entry(current)
             if record is None:
-                return
+                return seq
             if jump is not None:
                 if jump <= index:
                     # A tombstone can only point forwards (it names the
                     # finalized successor of a retired predecessor); one at
                     # or behind our position carries nothing new.
-                    return
+                    return seq
                 self._jump(seq, jump, record)
                 index = jump
             else:

@@ -31,17 +31,16 @@ class DapClient:
 
     #: The ``nextC`` record the replies to this client's last first-round
     #: query or ``put-data`` reported (servers attach theirs; see
-    #: ``AresServer``), or ``None``.  For a discovering configuration
-    #: (:attr:`~repro.config.configuration.Configuration.discovering`) a
-    #: query's is what ``read-next-config`` would have returned; DAPs whose
-    #: rounds carry no record leave it ``None``.
+    #: ``AresServer``), or ``None``.  Those rounds reach a consensus quorum
+    #: of the configuration under every DAP, so a query's is what
+    #: ``read-next-config`` would have returned.
     next_config: Optional[ConfigRecord] = None
 
     #: The tag every reply to this client's last ``get-data`` carried (for
     #: TREAS: every list, with its coded element), or ``None`` when the
     #: replies disagreed.  ABD and TREAS set it, LDR does not; a read whose
     #: ``[µ, ν]`` is this configuration alone and whose quorum agreed on the
-    #: tag it returns, with no link, skips its write-back
+    #: tag it returns skips its write-back
     #: (docs/ARCHITECTURE.md, "One-round reads").
     agreed_tag: Optional[Tag] = None
 

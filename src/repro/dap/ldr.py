@@ -26,12 +26,13 @@ in the communication-cost experiments.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, Tag, TagValue
 from repro.common.values import BOTTOM_VALUE, Value
 from repro.config.configuration import Configuration
+from repro.config.sequence import next_link
 from repro.dap.interface import DapClient, DapServerState
 from repro.net.message import Message, reply, request
 
@@ -42,19 +43,20 @@ GET_DATA = "LDR-GET-DATA"
 
 
 class LdrDapClient(DapClient):
-    """Client-side LDR primitives."""
+    """Client-side LDR primitives.
+
+    The directories are the configuration's consensus quorum system, so the
+    directory query and the ``put-metadata`` round note the ``nextC`` record
+    their replies carry (:attr:`~repro.dap.interface.DapClient.next_config`)
+    and ``get-tag`` / ``get-data`` carry a reconfigurer's transfer
+    ``fence``, exactly as ABD's and TREAS's rounds do.
+    """
 
     # ------------------------------------------------------------ primitives
     def get_tag(self, fence=None):
-        """Return the maximum tag known to a majority of directory servers.
-
-        ``fence`` is ignored: ``nextC`` lives at consensus quorums of all
-        ``c.Servers``, which LDR's rounds do not reach, so an LDR range
-        keeps its trailing ``read-config`` instead (docs/ARCHITECTURE.md,
-        "The transfer fence").
-        """
+        """Return the maximum tag known to a majority of directory servers."""
         token = self._record_start("get-tag")
-        tag, _location = yield from self._query_directories()
+        tag, _location = yield from self._query_directories(fence)
         self._record_end(token, tag)
         return tag
 
@@ -74,33 +76,18 @@ class LdrDapClient(DapClient):
             label="ldr-put-data",
         )
         location = tuple(sorted(server for server, _ in acks))
-        yield self.process.broadcast_and_gather(
-            cfg.ldr_directories,
-            lambda rid: request(PUT_METADATA, rid, config_id=cfg.cfg_id,
-                                metadata_fields=3, tag=tag_value.tag,
-                                location=location),
-            threshold=self._directory_majority(),
-            label="ldr-put-metadata",
-        )
+        self.next_config = yield from self._put_metadata(
+            tag_value.tag, location, "ldr-put-metadata")
         self._record_end(token, None)
         return None
 
     def get_data(self, fence=None):
-        """Read the latest tag/location, help propagate it, fetch the value.
-
-        ``fence`` is ignored, as for :meth:`get_tag`.
-        """
+        """Read the latest tag/location, help propagate it, fetch the value."""
         token = self._record_start("get-data")
         cfg = self.configuration
-        tag, location = yield from self._query_directories()
+        tag, location = yield from self._query_directories(fence)
         # Help: write the discovered metadata back to a directory majority.
-        yield self.process.broadcast_and_gather(
-            cfg.ldr_directories,
-            lambda rid: request(PUT_METADATA, rid, config_id=cfg.cfg_id,
-                                metadata_fields=3, tag=tag, location=location),
-            threshold=self._directory_majority(),
-            label="ldr-help-metadata",
-        )
+        yield from self._put_metadata(tag, location, "ldr-help-metadata")
         if tag == BOTTOM_TAG or not location:
             result = TagValue(tag=BOTTOM_TAG, value=BOTTOM_VALUE)
             self._record_end(token, result)
@@ -119,16 +106,25 @@ class LdrDapClient(DapClient):
         return result
 
     # --------------------------------------------------------------- helpers
-    def _directory_majority(self) -> int:
-        return len(self.configuration.ldr_directories) // 2 + 1
+    def _put_metadata(self, tag: Tag, location: Tuple[ProcessId, ...], label: str):
+        """Write ``(tag, location)`` to a directory majority; return its link."""
+        cfg = self.configuration
+        replies = yield self.process.broadcast_and_gather(
+            cfg.ldr_directories,
+            lambda rid: request(PUT_METADATA, rid, config_id=cfg.cfg_id,
+                                metadata_fields=3, tag=tag, location=location),
+            threshold=cfg.quorum_size,
+            label=label,
+        )
+        return next_link([msg.get("next") for _, msg in replies])
 
-    def _query_directories(self):
+    def _query_directories(self, fence):
         """Return the maximum ``(tag, location)`` pair from a directory majority."""
         cfg = self.configuration
         replies = yield self.process.broadcast_and_gather(
             cfg.ldr_directories,
-            lambda rid: request(QUERY_TAG_LOCATION, rid, config_id=cfg.cfg_id),
-            threshold=self._directory_majority(),
+            self._query(QUERY_TAG_LOCATION, fence),
+            threshold=cfg.quorum_size,
             label="ldr-query-directories",
         )
         best_tag: Tag = BOTTOM_TAG
@@ -137,6 +133,7 @@ class LdrDapClient(DapClient):
             if msg["tag"] > best_tag or (msg["tag"] == best_tag and not best_location):
                 best_tag = msg["tag"]
                 best_location = msg["location"]
+        self.next_config = next_link([msg.get("next") for _, msg in replies])
         return best_tag, best_location
 
 

@@ -41,12 +41,11 @@ class TestRounds:
     @pytest.mark.parametrize("dap, rounds", [
         ("abd", ["ABD-QUERY-TAG", "ABD-WRITE"]),
         ("treas", ["TREAS-QUERY-TAG", "TREAS-PUT-DATA"]),
-        ("ldr", [READ_CONFIG, "LDR-QUERY-TAG-LOCATION", "LDR-PUT-DATA",
-                 "LDR-PUT-METADATA", READ_CONFIG]),
+        ("ldr", ["LDR-QUERY-TAG-LOCATION", "LDR-PUT-DATA", "LDR-PUT-METADATA"]),
     ])
-    def test_only_an_ldr_range_runs_read_config_around_its_rounds(self, dap, rounds):
-        # ABD and TREAS read nextC off the get-tag and put-data replies; an
-        # LDR range keeps both read-config walks.
+    def test_a_write_reads_next_config_off_its_own_rounds(self, dap, rounds):
+        # Every DAP reads nextC off its first round and its put-data
+        # replies (LDR's put-metadata), so no write runs read-config.
         dep = make_deployment(initial_dap=dap)
         kinds = note_rounds(dep, dep.writers[0].pid)
         dep.write(Value.of_size(10, label="x"), 0)
@@ -67,8 +66,8 @@ class TestReadRounds:
     @pytest.mark.parametrize("dap, rounds", [
         ("abd", ["ABD-QUERY"]),
         ("treas", ["TREAS-QUERY-LIST"]),
-        ("ldr", [READ_CONFIG, "LDR-QUERY-TAG-LOCATION", "LDR-PUT-METADATA",
-                 "LDR-GET-DATA", "LDR-PUT-DATA", "LDR-PUT-METADATA", READ_CONFIG]),
+        ("ldr", ["LDR-QUERY-TAG-LOCATION", "LDR-PUT-METADATA", "LDR-GET-DATA",
+                 "LDR-PUT-DATA", "LDR-PUT-METADATA"]),
     ])
     def test_only_a_quiet_read_outside_ldr_is_one_round(self, dap, rounds):
         dep = make_deployment(initial_dap=dap)
@@ -131,26 +130,27 @@ class TestReadRounds:
         assert kinds == ["TREAS-QUERY-LIST"]
 
     def test_a_reply_with_a_link_writes_back(self):
-        # An LDR c0 hands over to ABD c1, so the reader walks with
-        # read-config and queries c1 after it.  A second reconfiguration
-        # puts its pending c2 into c1's nextC between the reader's
-        # read-next-config on c1 (⊥, 5 after the read starts) and its
-        # get-data (7 after): every reply agrees on c1's tag but carries the
-        # link, so the read writes back into c1 and, following the link,
-        # into c2.
-        dep = abd_five(initial_dap="ldr")
+        # ABD c0 hands over to ABD c1 before the reader's first operation,
+        # so the reader walks from c0.  A second reconfiguration puts its
+        # pending c2 into c1's nextC 7 after it starts, and the reader's
+        # get-data reaches c1 at 8: every reply agrees on c1's tag but
+        # carries the link, so the read walks on to c2 and writes back there.
+        dep = abd_five()
         dep.reconfig(dep.make_configuration(dap="abd", fresh_servers=5))
         dep.write(Value.of_size(8, label="tau"))
         start = dep.sim.now + 10.0
-        dep.sim.run_until(start - 1.0)
+        dep.sim.run_until(start - 3.0)
         dep.spawn_reconfig(dep.make_configuration(dap="abd", fresh_servers=5))
         dep.sim.run_until(start)
         reader = dep.readers[0]
         kinds = note_rounds(dep, reader.pid)
         assert dep.read(0).label == "tau"
-        assert kinds == [READ_CONFIG, WRITE_CONFIG, READ_CONFIG, "ABD-QUERY",
-                         "ABD-WRITE", WRITE_CONFIG, "ABD-WRITE"]
+        assert kinds == ["ABD-QUERY", WRITE_CONFIG, "ABD-QUERY", WRITE_CONFIG,
+                         "ABD-QUERY", "ABD-WRITE"]
         assert (reader.cseq.mu, reader.cseq.nu) == (1, 2)
+        on_c1 = reader.dap_for(reader.cseq.config_at(1))
+        assert on_c1.agreed_tag is not None
+        assert on_c1.next_config.config is reader.cseq.config_at(2)
         dep.run()
         assert check_linearizability(dep.history).ok
 

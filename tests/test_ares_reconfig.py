@@ -13,7 +13,9 @@ from repro.common.ids import config_id, server_id
 from repro.common.values import Value
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status
 from repro.core.deployment import AresDeployment, DeploymentSpec
-from repro.dap import abd, treas
+from repro.consensus.paxos import ACCEPT, DECIDED, PREPARE
+from repro.core.server import READ_CONFIG, WRITE_CONFIG
+from repro.dap import abd, ldr, treas
 from repro.net.latency import UniformLatency
 from repro.spec.history import OperationType
 from repro.spec.linearizability import check_linearizability
@@ -159,6 +161,55 @@ class TestTransferFence:
             holders = [pid for pid in configuration.servers
                        if dep.servers[pid].next_config.get(configuration.cfg_id) is record]
             assert len(holders) >= configuration.quorums.quorum_size
+
+
+    def test_an_ldr_transfer_fences_its_directory_query(self):
+        # [c0 F, c1 P] with LDR c0: the transfer's directory query carries
+        # <c1, P>, and a directory majority installs it as nextC.
+        dep = make_deployment(initial_dap="ldr", num_servers=6)
+        c0 = dep.initial_configuration
+        record = ConfigRecord(dep.make_configuration(dap="abd", fresh_servers=3),
+                              Status.PENDING)
+        cseq = ConfigSequence(c0)
+        reconfigurer = dep.reconfigurers[0]
+        reconfigurer.directory.register(record.config)
+        cseq.append(record)
+        fences = []
+
+        def note(src, dest, message, delay):
+            if src == reconfigurer.pid and message.kind == ldr.QUERY_TAG_LOCATION:
+                fences.append((dest, message.get("fence")))
+            return delay
+
+        dep.network.add_delay_adjuster(note)
+        dep.sim.run_until_complete(reconfigurer.spawn(
+            reconfigurer._update_config(cseq, reconfigurer._state.dap_for)))
+        assert fences == [(pid, record) for pid in c0.ldr_directories]
+        holders = [pid for pid in c0.ldr_directories
+                   if dep.servers[pid].next_config.get(c0.cfg_id) is record]
+        assert len(holders) >= c0.consensus_quorums.quorum_size
+
+
+class TestConsensusQuorums:
+    def test_ldr_sequence_and_paxos_traffic_reaches_directories_only(self):
+        # A write, a reconfiguration away from LDR c0 and a stale read:
+        # every read-next-config, put-config and Paxos message naming c0
+        # goes to its directories, never to a replica.
+        dep = make_deployment(initial_dap="ldr", num_servers=6)
+        c0 = dep.initial_configuration
+        control = {READ_CONFIG, WRITE_CONFIG, PREPARE, ACCEPT, DECIDED}
+        reached = {}
+
+        def note(src, dest, message, delay):
+            if message.kind in control and message.config_id is c0.cfg_id:
+                reached.setdefault(message.kind, set()).add(dest)
+            return delay
+
+        dep.network.add_delay_adjuster(note)
+        dep.write(Value.of_size(16, label="x"), 0)
+        dep.reconfig(dep.make_configuration(dap="abd", fresh_servers=5), 0)
+        assert dep.read(1).label == "x"
+        assert reached == {kind: set(c0.ldr_directories) for kind in control}
 
 
 class TestConcurrentReconfigurations:

@@ -105,6 +105,19 @@ class TestConfigurationFactories:
         assert cfg.ldr_f == 2
         assert set(cfg.ldr_directories).isdisjoint(cfg.ldr_replicas)
 
+    def test_ldr_consensus_quorums_are_directory_majorities(self):
+        # nextC, put-config and Paxos live on the directories, which every
+        # LDR operation reaches anyway.
+        cfg = Configuration.ldr(config_id(0), servers(3), servers(5, start=3))
+        assert cfg.consensus_quorums.servers == list(cfg.ldr_directories)
+        assert cfg.consensus_quorums.quorum_size == cfg.quorum_size == 2
+
+    @pytest.mark.parametrize("dap", ["abd", "treas"])
+    def test_other_consensus_quorums_are_majorities_of_all_servers(self, dap):
+        cfg = Configuration.of_kind(dap, config_id(0), servers(6))
+        assert cfg.consensus_quorums.servers == list(cfg.servers)
+        assert cfg.consensus_quorums.quorum_size == 4
+
     def test_ldr_overlapping_roles_rejected(self):
         with pytest.raises(ConfigurationError):
             Configuration.ldr(config_id(0), servers(3), servers(3))

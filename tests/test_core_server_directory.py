@@ -12,6 +12,7 @@ from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, Status
 from repro.core.directory import ConfigurationDirectory
 from repro.core.server import READ_CONFIG, WRITE_CONFIG, AresServer
+from repro.dap import ldr
 from repro.dap.treas import PUT_DATA, QUERY_LIST, QUERY_TAG
 from repro.net.latency import FixedLatency
 from repro.net.message import METADATA_FIELD_BYTES, request
@@ -40,6 +41,16 @@ def build(num_servers=3):
     directory.register(cfg)
     probe = Probe(writer_id(0), network)
     return sim, network, directory, servers, cfg, probe
+
+
+def build_ldr():
+    """``build()`` grown to six servers, with an LDR 3+3 configuration."""
+    sim, network, directory, servers, _, probe = build()
+    servers += [AresServer(server_id(i), network, directory) for i in range(3, 6)]
+    pids = [server.pid for server in servers]
+    cfg = Configuration.ldr(config_id(2), pids[:3], pids[3:])
+    directory.register(cfg)
+    return sim, servers, cfg, probe
 
 
 class TestConfigurationDirectory:
@@ -112,6 +123,30 @@ class TestAresServerRouting:
         # The link costs the two metadata fields of an ARES-NEXT-CONFIG reply.
         assert replies[3].metadata_bytes == 3 * METADATA_FIELD_BYTES
         assert replies[5].metadata_bytes == 3 * METADATA_FIELD_BYTES
+
+    def test_ldr_directory_query_and_put_metadata_replies_carry_next_config(self):
+        # The directories are an LDR configuration's consensus quorum
+        # system; its replica rounds carry no link.
+        sim, servers, cfg, probe = build_ldr()
+        pids = [server.pid for server in servers]
+        record = ConfigRecord(Configuration.abd(config_id(1), [server_id(10)]),
+                              Status.FINALIZED)
+        probe.send(pids[0], request(WRITE_CONFIG, 1, config_id=cfg.cfg_id,
+                                    record=record))
+        tag = Tag(1, writer_id(0))
+        probe.send(pids[0], request(ldr.QUERY_TAG_LOCATION, 2, config_id=cfg.cfg_id))
+        probe.send(pids[0], request(ldr.PUT_METADATA, 3, config_id=cfg.cfg_id,
+                                    tag=tag, location=(pids[3],)))
+        probe.send(pids[1], request(ldr.PUT_METADATA, 4, config_id=cfg.cfg_id,
+                                    tag=tag, location=(pids[3],)))
+        probe.send(pids[3], request(ldr.PUT_DATA, 5, config_id=cfg.cfg_id, tag=tag,
+                                    value=Value.of_size(20, label="x")))
+        probe.send(pids[3], request(ldr.GET_DATA, 6, config_id=cfg.cfg_id, tag=tag))
+        sim.run()
+        replies = {message.in_reply_to: message for _, message in probe.replies}
+        assert replies[2]["next"] is replies[3]["next"] is record
+        assert replies[4]["next"] is None            # server 1 knows no successor
+        assert "next" not in replies[5].body and "next" not in replies[6].body
 
     @pytest.mark.parametrize("current", [None, Status.PENDING, Status.FINALIZED])
     def test_fence_installs_by_algorithm_6s_rule_before_the_answer(self, current):

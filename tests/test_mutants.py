@@ -16,11 +16,12 @@ one-round reads:
   fence.  A ``put-data`` can then reach a server after the transfer read it
   but before the reconfigurer's ``put-config`` did, so a write completes on
   ``⊥`` links without being seen by the transfer.
-* ``fused-ldr-trailing-read-config`` -- the ``put-data`` links replace the
-  trailing ``read-config`` on LDR ranges too.  LDR's ``put-data`` reaches
-  no consensus quorum and carries no link, so an LDR write skips discovery.
-* ``blind-first-round`` -- the first round neither runs ``read-config`` nor
-  reads ``nextC``: servers stop attaching the link to query replies, so a
+* ``linkless-ldr-put-data`` -- directories stop attaching the link to
+  ``put-metadata`` replies, so an LDR write skips discovery after its
+  ``put-data``: it can complete on ``⊥`` while a transfer that missed its
+  value installs the successor.
+* ``blind-first-round`` -- the first round does not read ``nextC``: servers
+  stop attaching the link to query replies (under every DAP), so a
   client only learns of new configurations after it has already chosen its
   tag or value.
 * ``skip-read-write-back`` -- every read returns after its ``get-data``
@@ -30,8 +31,8 @@ one-round reads:
   whenever its tag is decodable, i.e. at least ``k`` lists of its quorum
   hold the element, not every one of them.
 
-Four hand-built ``FixedLatency`` executions kill what no registered cell
-does; a fifth shows why a one-round read needs the transfer fence.
+Five hand-built ``FixedLatency`` executions kill what no registered cell
+does; a sixth shows why a one-round read needs the transfer fence.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.core import server as server_module
 from repro.core.client import RegisterOpsMixin
 from repro.core.deployment import AresDeployment
 from repro.core.server import WRITE_CONFIG
-from repro.dap import abd, treas
+from repro.dap import abd, ldr, treas
 from repro.net.latency import FixedLatency
 from repro.spec.linearizability import check_linearizability
 from repro.workloads.scenarios import run_scenario
@@ -63,30 +64,19 @@ def _unfenced(query):
 
 
 def unfenced_transfer(monkeypatch) -> None:
-    for client in (abd.AbdDapClient, treas.TreasDapClient):
+    for client in (abd.AbdDapClient, treas.TreasDapClient, ldr.LdrDapClient):
         for name in ("get_tag", "get_data"):
             monkeypatch.setattr(client, name, _unfenced(getattr(client, name)))
 
 
-def _propagate_on_put_data_links(self, cseq, dap_for, pair):
-    """``put-data`` into ``ν`` while its replies report a successor, any DAP."""
-    while True:
-        index = cseq.nu
-        dap = dap_for(cseq.config_at(index))
-        yield from dap.put_data(pair)
-        if dap.next_config is None:
-            return
-        yield from self._follow_link(cseq, index, dap.next_config)
-
-
-def fused_ldr_trailing_read_config(monkeypatch) -> None:
-    monkeypatch.setattr(RegisterOpsMixin, "_register_propagate",
-                        _propagate_on_put_data_links)
+def linkless_ldr_put_data(monkeypatch) -> None:
+    monkeypatch.setattr(server_module, "_DISCOVERY_KINDS",
+                        server_module._DISCOVERY_KINDS - {ldr.PUT_METADATA})
 
 
 def blind_first_round(monkeypatch) -> None:
     monkeypatch.setattr(server_module, "_DISCOVERY_KINDS",
-                        frozenset({abd.WRITE, treas.PUT_DATA}))
+                        frozenset({abd.WRITE, treas.PUT_DATA, ldr.PUT_METADATA}))
 
 
 def _read_without_write_back(self, cseq, dap_for):
@@ -119,7 +109,7 @@ def treas_read_agrees_on_decodable(monkeypatch) -> None:
 
 MUTANTS = {
     "unfenced-transfer": unfenced_transfer,
-    "fused-ldr-trailing-read-config": fused_ldr_trailing_read_config,
+    "linkless-ldr-put-data": linkless_ldr_put_data,
     "blind-first-round": blind_first_round,
     "skip-read-write-back": skip_read_write_back,
     "treas-read-agrees-on-decodable": treas_read_agrees_on_decodable,
@@ -138,12 +128,13 @@ SURVIVORS = {
         "the write completes (survives seeds 0..999 of every registered "
         "scenario; test_counter_execution_of_the_transfer_fence builds the "
         "execution by hand)")),
-    "fused-ldr-trailing-read-config": (("abd_reconfig_crash", 0), (
+    "linkless-ldr-put-data": (("ldr_reconfig_crash", 0), (
         "missing scenario: dense migration of LDR keys under concurrent "
         "writes, as the benchmark's store_migrate workload runs (75 "
         "migrations over ABD, TREAS and LDR shards), scaled down and "
         "registered in workloads/scenarios.py (survives seeds 0..999 of "
-        "every registered scenario)")),
+        "every registered scenario; test_counter_execution_of_a_linkless_"
+        "ldr_put_data builds the execution by hand)")),
     "blind-first-round": (("store_rebalance_hot_range", 239), (
         "missing scenario: one reader that stays idle while a "
         "reconfiguration finalizes and a writer writes twice past it, one "
@@ -223,6 +214,43 @@ def test_counter_execution_of_the_transfer_fence(mutated, monkeypatch):
     reads = []
     deployment.sim.schedule(2.5, lambda: deployment.spawn_reconfig(successor))
     for at in (20.0, 45.0):
+        deployment.sim.schedule(at, lambda: reads.append(deployment.spawn_read()))
+    deployment.run()
+    assert [read.result().label for read in reads] == \
+        (["v0", "v0"] if mutated else ["v0", "tau"])
+    assert check_linearizability(deployment.history).ok is not mutated
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["protocol", "mutant"])
+def test_counter_execution_of_a_linkless_ldr_put_data(mutated, monkeypatch):
+    """Why LDR's ``put-metadata`` replies must carry the link.
+
+    LDR 3+3 ``c0`` (directories ``s0``..``s2``, replicas ``s3``..``s5``)
+    reconfigures to ``c1``; every message takes 1 unless slowed below.  The
+    writer's value reaches the replicas at 3, but its ``put-metadata``
+    reaches ``s1``/``s2`` only at 35 and ``s0`` after 100.  So the
+    reconfigurer's fenced transfer query (11.5) sees no metadata and carries
+    ``v0`` into ``c1``; ``<c1, F>`` reaches the directories at 23.5 and a
+    reader at 26.  The write's ``put-metadata`` quorum ``{s1, s2}`` answers
+    at 36 with ``c1`` as ``nextC``: under the protocol the write follows it
+    and puts ``tau`` into ``c1``; under the mutant the replies carry no
+    link, the write completes at 36, and the reader's next read, gathering
+    from ``c1`` only, returns ``v0``.
+    """
+    if mutated:
+        linkless_ldr_put_data(monkeypatch)
+    deployment = AresDeployment(num_servers=6, initial_dap="ldr", num_writers=1,
+                                num_readers=1, latency=FixedLatency(1.0))
+    s = [server_id(index) for index in range(6)]
+    writer = writer_id(0)
+    _slowed(deployment, {(writer, s[0], ldr.PUT_METADATA): 100,
+                         (writer, s[1], ldr.PUT_METADATA): 30,
+                         (writer, s[2], ldr.PUT_METADATA): 30})
+    successor = deployment.make_configuration(dap="ldr", fresh_servers=6)
+    deployment.spawn_write(Value.of_size(8, label="tau"))
+    reads = []
+    deployment.sim.schedule(2.5, lambda: deployment.spawn_reconfig(successor))
+    for at in (25.0, 50.0):
         deployment.sim.schedule(at, lambda: reads.append(deployment.spawn_read()))
     deployment.run()
     assert [read.result().label for read in reads] == \

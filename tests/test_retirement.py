@@ -357,6 +357,22 @@ class TestRetirementEndToEnd:
         # ...and the data survived the retirement.
         assert dep.read(0).label == "precious"
 
+    def test_retiring_an_ldr_configuration_reclaims_its_replicas(self):
+        # nextC and consensus live on the directories, but RETIRE-CONFIG
+        # still goes to every server: the replicas hold the data it
+        # reclaims.
+        dep = make_deployment(initial_dap="ldr", num_servers=6,
+                              initial_config_size=6, latency=FixedLatency(1.0))
+        dep.write(Value.of_size(256, label="precious"), 0)
+        old = dep.initial_configuration
+        dep.reconfig(dep.make_configuration(dap="abd", fresh_servers=5), 0)
+        dep.run()
+        for pid in old.servers:
+            assert old.cfg_id in dep.servers[pid].retired
+        for pid in old.ldr_replicas:
+            assert dep.servers[pid].bytes_reclaimed > 0
+        assert dep.read(1).label == "precious"
+
     def test_gc_retires_even_when_the_new_configuration_lost_its_quorum(
             self, monkeypatch):
         # gc-config sends nothing to the new configuration, so a
@@ -403,10 +419,10 @@ class TestRetirementEndToEnd:
         assert stale.cseq.base == 2
 
     def test_stale_reader_jumping_onto_an_ldr_configuration_walks_on(self):
-        # The retired ABD configuration's tombstone names an LDR one, whose
-        # first round carries no nextC: from there the reader must walk
-        # with read-next-config rounds to find the live ABD successor that
-        # holds the latest write.
+        # The retired ABD configuration's tombstone names an LDR one.  Its
+        # directory round carries nextC like any DAP's first round, so the
+        # reader finds the live ABD successor c2, which holds the latest
+        # write, from that round and runs no read-next-config.
         dep = make_deployment(num_servers=14)
         pool = sorted(dep.servers)
         dep.write(Value.of_size(64, label="v0"), 0)
@@ -417,9 +433,20 @@ class TestRetirementEndToEnd:
         dep.write(Value.of_size(64, label="fresh"), 0)  # lands in c2 only
         stale = dep.readers[2]
         assert stale.cseq.base == 0
+        sent = []
+
+        def note(src, dest, message, delay):
+            if src == stale.pid:
+                sent.append(message.kind)
+            return delay
+
+        dep.network.add_delay_adjuster(note)
         assert dep.read(2).label == "fresh"
         assert stale.tombstone_jumps == 1
         assert (stale.cseq.base, stale.cseq.mu) == (1, 2)
+        assert READ_CONFIG not in sent
+        on_ldr = stale.dap_for(stale.cseq.config_at(1))
+        assert on_ldr.next_config.config is stale.cseq.config_at(2)
 
     def test_stale_writer_converges_and_its_write_is_read(self):
         dep = make_deployment(num_servers=12)

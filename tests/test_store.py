@@ -172,11 +172,10 @@ class TestStoreOperations:
 
         Every hop takes 1 vt, so a quorum round takes 2.  A quiet ABD read
         or TREAS read is one round (its quorum agrees, so it skips the
-        write-back), and an LDR read seven: read-config, get-data's
-        directory, write-back and replica rounds, put-data's replica and
-        directory rounds, and the trailing read-config.
+        write-back), and an LDR read five: get-data's directory, write-back
+        and replica rounds, then put-data's replica and directory rounds.
         """
-        rounds = {"abd": 1, "treas": 1, "ldr": 7}
+        rounds = {"abd": 1, "treas": 1, "ldr": 5}
         keys = [f"k{i}" for i in range(8)]
         sequential = StoreDeployment(StoreSpec(
             shards=MIXED_SHARDS, latency=FixedLatency(1.0), seed=3))

@@ -49,7 +49,6 @@ from repro.chaos.faults import (
     LatencySpike,
     MemoryPressure,
     Partition,
-    QueueExhaustion,
     Reconfigure,
     Reorder,
     Restart,
@@ -74,7 +73,6 @@ __all__ = [
     "CpuPressure",
     "MemoryPressure",
     "DiskFull",
-    "QueueExhaustion",
     "At",
     "During",
     "Stochastic",

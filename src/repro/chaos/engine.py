@@ -369,17 +369,17 @@ class ChaosEngine:
 
         ``governor`` is the target server's
         :class:`~repro.chaos.resources.ResourceGovernor`; the rule maps
-        ``(server, message, now)`` to a refusal reason (or ``None`` to
+        ``(server, message)`` to a refusal reason (or ``None`` to
         admit).  Under a stochastic gate the rule only applies to messages
         whose gate draw fires.
         """
         gate = self._active_gate
         if gate is not None:
             inner = rule
-            def rule(server, message, now, _gate=gate, _inner=inner):
+            def rule(server, message, _gate=gate, _inner=inner):
                 if not _gate.fires():
                     return None
-                return _inner(server, message, now)
+                return _inner(server, message)
         governor.rules.append(rule)
         self._register_hook(fault, ("governor", (governor, rule)))
 

@@ -14,10 +14,10 @@ Two kinds of fault exist:
 * **Window faults** (:class:`Partition`, :class:`Isolate`, :class:`Drop`,
   :class:`Duplicate`, :class:`Reorder`, :class:`LatencySpike`,
   :class:`SlowServer`, and the resource-exhaustion family
-  :class:`CpuPressure`, :class:`MemoryPressure`, :class:`DiskFull`,
-  :class:`QueueExhaustion`) are active between :meth:`Fault.start` and
-  :meth:`Fault.stop`; scheduling them with :class:`~repro.chaos.schedule.At`
-  starts them permanently (until a :class:`Heal`).
+  :class:`CpuPressure`, :class:`MemoryPressure`, :class:`DiskFull`) are
+  active between :meth:`Fault.start` and :meth:`Fault.stop`; scheduling
+  them with :class:`~repro.chaos.schedule.At` starts them permanently
+  (until a :class:`Heal`).
 
 Process targets may be given as :class:`~repro.common.ids.ProcessId`
 objects, full names (``"server-3"``) or the shorthand used throughout the
@@ -523,47 +523,6 @@ class DiskFull(Fault):
             server = engine.network.process(pid)
             engine.install_governor_rule(
                 self, ensure_governor(server, engine), disk_full_rule())
-
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
-
-
-@dataclass(frozen=True, eq=False)
-class QueueExhaustion(Fault):
-    """Bounded inflight request queues: a backed-up server refuses new work.
-
-    Each pressured server gets a deterministic queue model: an admitted
-    data-plane request occupies one of ``limit`` slots for ``service_time``
-    simulated seconds, and a request arriving with all slots busy is NACKed.
-    Control traffic (configuration reads/writes, consensus) bypasses the
-    queue so reconfiguration can still drain an overloaded configuration.
-    """
-
-    limit: int
-    service_time: float
-    targets: Tuple[Target, ...]
-
-    def __init__(self, limit: int, service_time: float = 4.0,
-                 *targets: Target) -> None:
-        if limit < 1:
-            raise ValueError("queue limit must be at least 1")
-        if service_time <= 0:
-            raise ValueError("queue service time must be positive")
-        object.__setattr__(self, "limit", int(limit))
-        object.__setattr__(self, "service_time", float(service_time))
-        object.__setattr__(self, "targets", _targets(targets) if targets else ())
-
-    def describe(self) -> str:
-        scope = ", ".join(str(t) for t in self.targets) or "all servers"
-        return f"queue_exhaustion({scope}, limit={self.limit}, service={self.service_time:g})"
-
-    def start(self, engine: "ChaosEngine") -> None:
-        from repro.chaos.resources import ensure_governor, queue_limit_rule
-        for pid in sorted(_resolve_servers(engine, self.targets)):
-            server = engine.network.process(pid)
-            engine.install_governor_rule(
-                self, ensure_governor(server, engine),
-                queue_limit_rule(self.limit, self.service_time))
 
     def stop(self, engine: "ChaosEngine") -> None:
         engine.remove_hooks(self)

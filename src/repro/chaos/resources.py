@@ -1,15 +1,15 @@
 """Resource-exhaustion gray failures: the server-side admission governor.
 
 Real fleets rarely die cleanly.  They run out of memory and start shedding
-work, their disks fill up and writes fail with ``ENOSPC``, their queues
-back up and new requests bounce -- all while the process stays up and keeps
-answering health checks.  This module models that family of *gray* failures
-as a per-server :class:`ResourceGovernor`: a stack of admission rules
-consulted by :meth:`repro.core.server.AresServer.on_message` before any
-request is dispatched.  A rule that refuses returns a reason string; the
-server then replies with an explicit NACK carrying that reason instead of
-silently dropping the request, so clients can distinguish "retriable
-resource pressure" from a dead peer and retry with backoff.
+work, or their disks fill up and writes fail with ``ENOSPC`` -- all while
+the process stays up and keeps answering health checks.  This module models
+that family of *gray* failures as a per-server :class:`ResourceGovernor`: a
+stack of admission rules consulted by
+:meth:`repro.core.server.AresServer.on_message` before any request is
+dispatched.  A rule that refuses returns a reason string; the server then
+replies with an explicit NACK carrying that reason instead of silently
+dropping the request, so clients can distinguish "retriable resource
+pressure" from a dead peer and retry with backoff.
 
 The governor itself is inert scaffolding: with no rules installed (the
 default -- servers are built with ``governor = None``) the admission check
@@ -29,8 +29,8 @@ from repro.net.message import Message
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.engine import ChaosEngine
 
-#: An admission rule: ``(server, message, now) -> refusal reason or None``.
-AdmissionRule = Callable[[object, Message, float], Optional[str]]
+#: An admission rule: ``(server, message) -> refusal reason or None``.
+AdmissionRule = Callable[[object, Message], Optional[str]]
 
 
 class ResourceGovernor:
@@ -55,11 +55,8 @@ class ResourceGovernor:
 
     def admit(self, message: Message) -> Optional[str]:
         """Consult every rule; the first refusal reason wins (``None`` admits)."""
-        if not self.rules:
-            return None
-        now = self.engine.sim.now
         for rule in self.rules:
-            reason = rule(self.server, message, now)
+            reason = rule(self.server, message)
             if reason is not None:
                 self.shed += 1
                 self.engine.record(
@@ -87,7 +84,7 @@ def memory_budget_rule(budget_bytes: int) -> AdmissionRule:
     plane degrades -- the signature gray-failure asymmetry.
     """
 
-    def rule(server, message: Message, now: float) -> Optional[str]:
+    def rule(server, message: Message) -> Optional[str]:
         if message.data_bytes <= 0:
             return None
         stored = server.storage_data_bytes()
@@ -106,33 +103,9 @@ def disk_full_rule() -> AdmissionRule:
     rendering so logs read like the real incident.
     """
 
-    def rule(server, message: Message, now: float) -> Optional[str]:
+    def rule(server, message: Message) -> Optional[str]:
         if message.data_bytes <= 0:
             return None
         return "[Errno 28] No space left on device"
-
-    return rule
-
-
-def queue_limit_rule(limit: int, service_time: float) -> AdmissionRule:
-    """Refuse data-plane requests once the simulated inflight queue is full.
-
-    The queue is modelled deterministically: each admitted data-plane
-    request occupies a slot for ``service_time`` simulated seconds; a
-    request arriving when ``limit`` slots are busy is refused.  Control
-    messages (configuration reads/writes, consensus) bypass the queue, so
-    reconfiguration can still drain an overloaded configuration.
-    """
-    inflight: List[float] = []  # completion times, maintained sorted
-
-    def rule(server, message: Message, now: float) -> Optional[str]:
-        if message.request_id is None or message.data_bytes <= 0:
-            return None
-        while inflight and inflight[0] <= now:
-            inflight.pop(0)
-        if len(inflight) >= limit:
-            return f"inflight queue full ({limit} slots)"
-        inflight.append(now + service_time)
-        return None
 
     return rule

@@ -74,13 +74,13 @@ RETIRED_CONFIG_REASON = "retired-config"
 class QuorumRefusedError(ReproError):
     """Enough servers *refused* the request that the quorum cannot complete.
 
-    Servers under resource pressure (memory budget exceeded, disk full,
-    inflight queue exhausted) reply with an explicit NACK instead of
-    silently dropping the request.  When the refusals leave fewer than
-    ``threshold`` potential acceptances among the processes contacted, the
-    phase fails fast with this error -- a *retriable* condition, unlike
-    :class:`QuorumUnavailableError` which reflects fail-stop crashes.  One
-    retired-configuration refusal is conclusive on its own.
+    Servers under resource pressure (memory budget exceeded, disk full)
+    reply with an explicit NACK instead of silently dropping the request.
+    When the refusals leave fewer than ``threshold`` potential acceptances
+    among the processes contacted, the phase fails fast with this error -- a
+    *retriable* condition, unlike :class:`QuorumUnavailableError` which
+    reflects fail-stop crashes.  One retired-configuration refusal is
+    conclusive on its own.
 
     ``reasons`` carries the distinct refusal reason strings collected from
     the NACKs (empty when the refusals carried none), so callers can treat

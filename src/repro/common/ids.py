@@ -23,10 +23,6 @@ class Role(enum.Enum):
     SERVER = "server"
     AUXILIARY = "auxiliary"
 
-    def is_client(self) -> bool:
-        """Return ``True`` for processes in ``I = W ∪ R ∪ G``."""
-        return self in (Role.WRITER, Role.READER, Role.RECONFIGURER)
-
 
 class _InternedId:
     """What the two identifier classes share: immutability and ordering.
@@ -167,23 +163,3 @@ class ConfigId(_InternedId):
 def config_id(index: int) -> ConfigId:
     """Return a conventional configuration identifier ``c<index>``."""
     return ConfigId(name=f"c{index}")
-
-
-def parse_any_id(value: Any) -> Any:
-    """Best-effort normalisation used by diagnostic tooling.
-
-    Accepts an existing :class:`ProcessId`/:class:`ConfigId` (returned as-is)
-    or a string of the form ``"writer-3"`` / ``"c2"`` and converts it to the
-    appropriate identifier object.  Raises :class:`ValueError` for anything
-    else.
-    """
-    if isinstance(value, (ProcessId, ConfigId)):
-        return value
-    if isinstance(value, str):
-        if value.startswith("c") and value[1:].isdigit():
-            return ConfigId(name=value)
-        for role in Role:
-            prefix = role.value + "-"
-            if value.startswith(prefix) and value[len(prefix):].isdigit():
-                return ProcessId(role=role, index=int(value[len(prefix):]))
-    raise ValueError(f"cannot interpret {value!r} as a process or configuration id")

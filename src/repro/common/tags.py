@@ -50,10 +50,6 @@ class Tag:
     def __hash__(self) -> int:
         return self._hash
 
-    def _key(self) -> tuple:
-        """The ``(z, writer)`` comparison key (kept for introspection)."""
-        return self.sort_key
-
     def __lt__(self, other: "Tag") -> bool:
         return self.sort_key < other.sort_key
 
@@ -74,10 +70,6 @@ class Tag:
         own identifier.
         """
         return Tag(z=self.z + 1, writer=writer)
-
-    def is_initial(self) -> bool:
-        """Return ``True`` if this is the initial tag ``t0``."""
-        return self.z == 0 and self.writer is None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         owner = self.writer.name if self.writer is not None else "⊥"

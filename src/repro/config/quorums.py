@@ -17,7 +17,7 @@ than by enumerating the quorum sets, which would be exponential in ``n``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set
+from typing import Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import ProcessId
@@ -40,15 +40,6 @@ class QuorumSystem:
     def quorum_size(self) -> int:
         """Number of replies a client must gather to have heard a quorum."""
         raise NotImplementedError
-
-    def is_quorum(self, subset: Iterable[ProcessId]) -> bool:
-        """Whether ``subset`` contains a quorum."""
-        members: Set[ProcessId] = set(subset) & set(self.servers)
-        return len(members) >= self.quorum_size
-
-    def intersection_lower_bound(self) -> int:
-        """Minimum size of the intersection of any two quorums."""
-        return max(0, 2 * self.quorum_size - self.n)
 
     def max_crash_failures(self) -> int:
         """Largest number of server crashes that still leaves a quorum alive."""

@@ -118,10 +118,6 @@ class ConfigSequence:
                 f"is {self.nu})")
         return self._entries[offset]
 
-    def entries(self) -> List[ConfigRecord]:
-        """A copy of the retained records (records are immutable)."""
-        return list(self._entries)
-
     @property
     def base(self) -> int:
         """Absolute GL index of the first *retained* entry."""
@@ -137,7 +133,7 @@ class ConfigSequence:
         """``µ``: index of the last configuration whose status is ``F``.
 
         Served from the monotone cache; the property tests compare it
-        against a backward scan over :meth:`entries`.
+        against a backward scan over the retained records.
         """
         return self._mu
 
@@ -149,14 +145,6 @@ class ConfigSequence:
     def config_at(self, index: int) -> Configuration:
         """The configuration object at ``index``."""
         return self._record_at(index).config
-
-    def last_finalized(self) -> Configuration:
-        """The configuration at index ``µ``."""
-        return self._record_at(self._mu).config
-
-    def pending_suffix(self) -> List[ConfigRecord]:
-        """Records from index ``µ`` to ``ν`` inclusive (those an operation must visit)."""
-        return self._entries[self._mu - self._base:]
 
     def index_of(self, cfg_id) -> Optional[int]:
         """Absolute index of the retained entry for ``cfg_id`` (or ``None``)."""

@@ -180,11 +180,6 @@ class Deployment:
         """Network traffic statistics."""
         return self.network.stats
 
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The network's latency model (exposes the ``d``/``D`` bounds)."""
-        return self.network.latency
-
 
 class SingleRegisterDeployment(Deployment):
     """A deployment of one (unkeyed) register: ``write`` / ``read`` helpers."""

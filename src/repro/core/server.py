@@ -304,26 +304,3 @@ class AresServer(Process):
         the retirement test suite for every DAP kind.
         """
         return sum(state.storage_data_bytes() for state in self.dap_states.values())
-
-    def member_configurations(self) -> List[ConfigId]:
-        """Configuration ids this server is a *member* of (truthful view).
-
-        Consults the directory rather than the lazily-instantiated DAP
-        states, so configurations this server belongs to but never served
-        are counted too; retired configurations are excluded (their state
-        has been reclaimed).  Registration order.
-        """
-        return [
-            configuration.cfg_id
-            for configuration in self.directory
-            if self.pid in configuration.servers
-            and configuration.cfg_id not in self.retired
-        ]
-
-    def instantiated_configurations(self) -> List[ConfigId]:
-        """Configuration ids for which DAP state actually exists here.
-
-        The lazy-instantiation view :meth:`member_configurations` used to
-        (mis)report; kept for the laziness tests and memory diagnostics.
-        """
-        return list(self.dap_states)

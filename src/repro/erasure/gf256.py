@@ -61,11 +61,6 @@ def gf_add(a: int, b: int) -> int:
     return (a ^ b) & 0xFF
 
 
-def gf_sub(a: int, b: int) -> int:
-    """Subtraction in GF(2^8) (identical to addition)."""
-    return (a ^ b) & 0xFF
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiplication in GF(2^8) via log tables."""
     if a == 0 or b == 0:

@@ -9,7 +9,7 @@ configurations, replication for ABD-backed ones).  The code maps a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.common.values import Value
 
@@ -98,25 +98,12 @@ class ErasureCode:
         """
         raise NotImplementedError
 
-    def is_decodable(self, elements: Iterable[CodedElement]) -> bool:
-        """Whether the given elements contain ``k`` distinct indices."""
-        indices = {e.index for e in elements if e is not None}
-        return len(indices) >= self.k
-
     # ------------------------------------------------------------ cost model
     def fragment_size(self, value_size: int) -> int:
         """Size in bytes of one coded element for a value of ``value_size`` bytes."""
         if self.k == 1:
             return value_size
         return -(-value_size // self.k)  # ceil division
-
-    def storage_overhead(self) -> float:
-        """Total storage across all servers in units of the value size (``n/k``)."""
-        return self.n / self.k
-
-    def parameters(self) -> Dict[str, int]:
-        """The ``(n, k)`` parameters as a dict (used in reports)."""
-        return {"n": self.n, "k": self.k}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}[n={self.n}, k={self.k}]"

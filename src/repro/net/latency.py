@@ -14,7 +14,7 @@ models here make that assumption concrete and configurable per experiment:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.ids import ProcessId, Role
 from repro.sim.core import Simulator
@@ -119,19 +119,3 @@ class AsymmetricLatency(LatencyModel):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AsymmetricLatency(default={self.default!r}, overrides={len(self.overrides)})"
-
-
-class CallableLatency(LatencyModel):
-    """Adapter turning an arbitrary callable into a latency model.
-
-    The callable receives ``(sim, src, dest)`` and returns the delay.  The
-    caller must supply the ``d``/``D`` bounds used by analytic formulas.
-    """
-
-    def __init__(self, fn: Callable[[Simulator, ProcessId, ProcessId], float], d: float, D: float) -> None:
-        self.fn = fn
-        self.d = d
-        self.D = D
-
-    def sample(self, sim: Simulator, src: ProcessId, dest: ProcessId) -> float:
-        return self.fn(sim, src, dest)

@@ -63,8 +63,6 @@ class Network:
         self._delay_adjusters: List[Callable[[ProcessId, ProcessId, Message, float], float]] = []
         # Duplicators return how many EXTRA copies of the message to deliver.
         self._duplicators: List[Callable[[ProcessId, ProcessId, Message], int]] = []
-        # Observers see every (src, dest, message, deliver_time) tuple accepted for delivery.
-        self._observers: List[Callable[[ProcessId, ProcessId, Message, float], None]] = []
         # True while no hook of any kind is installed; send_many() then
         # skips every hook loop.
         self._quiet = True
@@ -88,11 +86,6 @@ class Network:
         except KeyError:
             raise SimulationError(f"unknown process {pid}") from None
 
-    def is_crashed(self, pid: ProcessId) -> bool:
-        """Whether ``pid`` has crashed (unknown processes count as crashed)."""
-        process = self.processes.get(pid)
-        return process is None or process.crashed
-
     def alive_count(self, pids: Iterable[ProcessId]) -> int:
         """How many of ``pids`` are registered and not crashed."""
         processes = self.processes
@@ -106,7 +99,7 @@ class Network:
     # ------------------------------------------------------------ fault hooks
     def _refresh_quiet(self) -> None:
         self._quiet = not (self._drop_filters or self._delay_adjusters
-                           or self._duplicators or self._observers)
+                           or self._duplicators)
 
     def add_drop_filter(self, rule: Callable[[ProcessId, ProcessId, Message], bool]) -> None:
         """Install a rule; messages for which it returns ``True`` are dropped."""
@@ -152,11 +145,6 @@ class Network:
             self._duplicators.remove(rule)
         self._refresh_quiet()
 
-    def add_observer(self, observer: Callable[[ProcessId, ProcessId, Message, float], None]) -> None:
-        """Install a passive observer of all sent messages (for tests/traces)."""
-        self._observers.append(observer)
-        self._quiet = False
-
     # --------------------------------------------------------------- delivery
     def send(self, src: ProcessId, dest: ProcessId, message: Message) -> None:
         """Send ``message`` from ``src`` to ``dest`` (a one-element :meth:`send_many`)."""
@@ -176,12 +164,11 @@ class Network:
         even if the process restarts before it would arrive: a rebooted
         machine never sees requests sent during its outage), drop filters
         and duplicators are consulted, and each copy draws its own latency
-        sample, passes through the delay adjusters and observers, and is
-        queued for delivery.  With no hook installed the hook loops are
-        skipped.  Either way the RNG draws, the event sequence numbers and
-        therefore the ``(time, seq)`` firing order are exactly those of
-        sending the pairs one by one, so executions stay byte-for-byte
-        deterministic.
+        sample, passes through the delay adjusters and is queued for
+        delivery.  With no hook installed the hook loops are skipped.
+        Either way the RNG draws, the event sequence numbers and therefore
+        the ``(time, seq)`` firing order are exactly those of sending the
+        pairs one by one, so executions stay byte-for-byte deterministic.
         """
         sim = self.sim
         post = sim.post
@@ -219,8 +206,6 @@ class Network:
                 if not quiet:
                     for adjuster in self._delay_adjusters:
                         delay = adjuster(src, dest, message, delay)
-                    for observer in self._observers:
-                        observer(src, dest, message, sim.now + max(0.0, delay))
                     if copy_index:
                         self.messages_duplicated += 1
                         # Each extra copy occupies the wire too; without this
@@ -246,10 +231,6 @@ class Network:
     def crash(self, pid: ProcessId) -> None:
         """Crash the process ``pid`` immediately."""
         self.process(pid).crash()
-
-    def crash_at(self, pid: ProcessId, time: float) -> None:
-        """Schedule a crash of ``pid`` at absolute virtual time ``time``."""
-        self.sim.schedule_at(time, lambda: self.crash(pid), label=f"crash {pid}")
 
     def restart(self, pid: ProcessId) -> None:
         """Restart the crashed process ``pid`` (crash-recovery with stable storage)."""

@@ -117,7 +117,7 @@ class TrafficStats:
     # --------------------------------------------------------------- queries
     @property
     def global_record(self) -> TrafficRecord:
-        """All traffic since construction (or the last :meth:`reset`)."""
+        """All traffic since construction."""
         return TrafficRecord(*map(sum, zip(*self._kinds.values())))
 
     @property
@@ -128,25 +128,3 @@ class TrafficStats:
     def by_kind(self, kind: str) -> TrafficRecord:
         """Traffic for one message kind (e.g. ``"PUT-DATA"``)."""
         return TrafficRecord(*self._kinds.get(kind, ()))
-
-    def reset(self) -> None:
-        """Zero all counters (open scopes are preserved but also reset)."""
-        self._kinds.clear()
-        for owner_scopes in self._scopes.values():
-            for scope in owner_scopes:
-                scope.record = TrafficRecord()
-
-    def summary(self) -> str:
-        """Human-readable multi-line summary (used by examples)."""
-        total = self.global_record
-        lines = [
-            f"messages:       {total.messages}",
-            f"data bytes:     {total.data_bytes}",
-            f"metadata bytes: {total.metadata_bytes}",
-            "per message kind:",
-        ]
-        for kind, record in sorted(self.per_kind.items()):
-            lines.append(
-                f"  {kind:<22} {record.messages:>8} msgs  {record.data_bytes:>12} data B"
-            )
-        return "\n".join(lines)

@@ -413,19 +413,3 @@ class Simulator:
         if low == high:
             return low
         return self.rng.uniform(low, high)
-
-    def exponential(self, mean: float) -> float:
-        """Draw an exponential inter-arrival time with the given mean."""
-        if mean <= 0:
-            raise SimulationError("exponential mean must be positive")
-        return self.rng.expovariate(1.0 / mean)
-
-    def choice(self, seq):
-        """Deterministically choose an element of ``seq`` using the simulator RNG."""
-        return self.rng.choice(list(seq))
-
-    def shuffle(self, seq: list) -> list:
-        """Return a new list with the elements of ``seq`` shuffled deterministically."""
-        items = list(seq)
-        self.rng.shuffle(items)
-        return items

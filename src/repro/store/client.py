@@ -18,7 +18,7 @@ so batches are checked exactly like loose operations.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.common.ids import ProcessId
 from repro.common.values import Value
@@ -98,10 +98,6 @@ class StoreClient(Process, RegisterOpsMixin):
         if entry is not None and entry[1] > tombstone[1]:
             return entry
         return tombstone
-
-    def known_keys(self) -> List[str]:
-        """Keys this client has operated on, in first-use order."""
-        return list(self._registers)
 
     # ------------------------------------------------------------- operations
     def write(self, key: str, value: Value):

@@ -142,13 +142,6 @@ class StoreDeployment(Deployment):
                                   reconfigurer_index=reconfigurer_index)
         return self.sim.run_until_complete(op)
 
-    def split_shard(self, source_index: int, left_index: int, right_index: int,
-                    reconfigurer_index: int = 0) -> int:
-        """Split a shard's keys across two target shards; returns the epoch."""
-        op = self.spawn_split_shard(source_index, left_index, right_index,
-                                    reconfigurer_index=reconfigurer_index)
-        return self.sim.run_until_complete(op)
-
     def spawn_migrate_shard(self, shard_index: int, dap: Optional[str] = None,
                             fresh_servers: int = 0, k: Optional[int] = None,
                             delta: Optional[int] = None,
@@ -169,15 +162,6 @@ class StoreDeployment(Deployment):
         return reconfigurer.spawn(
             reconfigurer.move_keys(list(keys), target_shard_index),
             label=f"{reconfigurer.pid}:move-keys-to-{target_shard_index}")
-
-    def spawn_split_shard(self, source_index: int, left_index: int,
-                          right_index: int,
-                          reconfigurer_index: int = 0) -> Coroutine:
-        """Start a shard split without driving the simulator."""
-        reconfigurer = self.reconfigurers[reconfigurer_index]
-        return reconfigurer.spawn(
-            reconfigurer.split_shard(source_index, left_index, right_index),
-            label=f"{reconfigurer.pid}:split-shard-{source_index}")
 
     # ------------------------------------------------------------ accounting
     def storage_by_shard(self) -> Dict[int, int]:

@@ -16,11 +16,10 @@ Two reconfiguration shapes exist:
   key is then reconfigured through ARES, with the per-key quorum rounds of
   the whole batch pipelined concurrently via
   :func:`~repro.sim.futures.all_of`.
-* :meth:`ShardReconfigurer.move_keys` / :meth:`ShardReconfigurer.split_shard`
-  -- rebalance a key range onto other shards: the placement override is
-  installed first (epoch +1, fresh keys of the range go straight to the
-  target), then each materialised key of the range is reconfigured onto the
-  target shard's servers and DAP kind.
+* :meth:`ShardReconfigurer.move_keys` -- rebalance a key range onto another
+  shard: the placement override is installed first (epoch +1, fresh keys of
+  the range go straight to the target), then each materialised key of the
+  range is reconfigured onto the target shard's servers and DAP kind.
 
 Safety never depends on the shard map: clients with in-flight operations
 discover the new configurations through the ARES sequence traversal exactly
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.common.errors import ConfigurationError
 from repro.common.ids import ConfigId, ProcessId
 from repro.config.configuration import Configuration
 from repro.core.directory import ConfigurationDirectory
@@ -192,28 +190,4 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         yield from self._migrate_keys(to_move, target_shard_index, epoch,
                                       target.servers)
         self.completed_migrations += 1
-        return epoch
-
-    def split_shard(self, source_index: int, left_index: int, right_index: int):
-        """Coroutine: split a shard's keys across two target shards.
-
-        The materialised keys currently placed on ``source_index`` are
-        partitioned deterministically (alternating over the
-        first-materialisation order) and each half is rebalanced with
-        :meth:`move_keys`.  Returns the final epoch.
-        """
-        if left_index == right_index:
-            raise ConfigurationError("split_shard needs two distinct target shards")
-        for index in (source_index, left_index, right_index):
-            self.shard_map.shard(index)
-        keys = self.shard_map.keys_on_shard(source_index)
-        if not keys:
-            return self.shard_map.epoch
-        left = [key for index, key in enumerate(keys) if index % 2 == 0]
-        right = [key for index, key in enumerate(keys) if index % 2 == 1]
-        epoch = self.shard_map.epoch
-        if left:
-            epoch = yield from self.move_keys(left, left_index)
-        if right:
-            epoch = yield from self.move_keys(right, right_index)
         return epoch

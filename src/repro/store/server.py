@@ -14,7 +14,7 @@ bytes stored per object) used by hot-shard diagnostics and benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.common.ids import ProcessId
 from repro.core.directory import ConfigurationDirectory
@@ -44,15 +44,6 @@ class StoreServer(AresServer):
         self.shard_map = shard_map
 
     # ------------------------------------------------------------ accounting
-    def hosted_keys(self) -> List[str]:
-        """Object keys this server currently holds DAP state for."""
-        keys = []
-        for cfg_id in self.dap_states:
-            key = self.shard_map.key_of(cfg_id)
-            if key is not None:
-                keys.append(key)
-        return keys
-
     def storage_by_key(self) -> Dict[str, int]:
         """Object-data bytes stored at this server, per object key."""
         totals: Dict[str, int] = {}

@@ -118,8 +118,7 @@ def execute_run(spec: RunSpec, streaming: bool = False,
                     {"description": slo.description,
                      "ok": detail is None,
                      "detail": detail}
-                    for slo, detail in ((slo, slo.evaluate(result.metrics))
-                                        for slo in scenario.slos)]
+                    for slo, detail in result.slo_verdicts()]
         # Latency summaries come from the WorkloadResult (full lists in
         # batch mode, deterministic reservoir samples in streaming mode),
         # so the record never needs the folded history.

@@ -235,26 +235,23 @@ class ChaosRunResult:
         failure, _ = self.check()
         assert failure is None, failure
 
-    def check_slos(self) -> List[str]:
+    def slo_verdicts(self) -> List[Tuple[slo.SLO, Optional[str]]]:
         """Evaluate the scenario's SLO assertions against this run's metrics.
 
-        Returns one failure message per violated SLO (empty list: all SLOs
-        hold).  SLO verdicts are deliberately separate from :meth:`check` --
-        a run can be perfectly linearizable yet miss its recovery SLO, and
-        the sweep records both verdicts side by side.  Raises
-        :class:`ValueError` when the run was executed without
-        ``metrics=True`` (there is no report to evaluate against).
+        Returns one ``(slo, failure)`` pair per SLO, in declaration order;
+        ``failure`` is ``None`` when the SLO holds, else its message.  SLO
+        verdicts are deliberately separate from :meth:`check` -- a run can
+        be perfectly linearizable yet miss its recovery SLO, and the sweep
+        records both verdicts side by side.  Raises :class:`ValueError`
+        when the run was executed without ``metrics=True`` (there is no
+        report to evaluate against).
         """
         if self.metrics is None:
             raise ValueError(
                 f"scenario {self.scenario.name!r} ran without metrics=True; "
                 "no MetricsReport to evaluate SLOs against")
-        failures = []
-        for assertion in self.scenario.slos:
-            message = assertion.evaluate(self.metrics)
-            if message is not None:
-                failures.append(message)
-        return failures
+        return [(assertion, assertion.evaluate(self.metrics))
+                for assertion in self.scenario.slos]
 
 
 #: The global registry of named chaos scenarios.

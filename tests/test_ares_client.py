@@ -313,7 +313,7 @@ class TestHistoryAndLatencies:
         dep = make_deployment()
         dep.write(Value.of_size(64, label="x"), 0)
         dep.read(0)
-        D = dep.latency_model.D
+        D = dep.network.latency.D
         bound = rw_operation_upper_bound(D, mu_start=0, nu_end=0)
         for latency in dep.history.latencies():
             assert 0 < latency <= bound

@@ -398,6 +398,6 @@ class TestServerSideState:
         dep.reconfig(cfg, 0)
         dep.write(Value.of_size(64, label="y"), 0)
         new_server = dep.servers[cfg.servers[0]]
-        assert cfg.cfg_id in new_server.member_configurations()
+        assert cfg.cfg_id in new_server.dap_states
         old_server = dep.servers[dep.initial_configuration.servers[0]]
-        assert dep.initial_configuration.cfg_id in old_server.member_configurations()
+        assert dep.initial_configuration.cfg_id in old_server.dap_states

@@ -101,9 +101,9 @@ class TestFaultMechanics:
         engine = ChaosEngine(deployment.network)
         engine.inject(Schedule([At(5, Crash("s4")), At(15, Restart("s4"))]))
         deployment.sim.run_until(10)
-        assert deployment.network.is_crashed(server_id(4))
+        assert deployment.network.process(server_id(4)).crashed
         deployment.sim.run_until(20)
-        assert not deployment.network.is_crashed(server_id(4))
+        assert not deployment.network.process(server_id(4)).crashed
         # A restarted server still answers quorum requests.
         deployment.write(Value.from_text("post-restart", label="v1"))
         assert deployment.read().label == "v1"
@@ -149,8 +149,11 @@ class TestFaultMechanics:
         engine.inject(Schedule([During(0.5, 1000, SlowServer("s0", factor=10.0))]))
         deployment.sim.run_until(1.0)  # spawn() sends synchronously; pass the window start
         deliveries = []
-        deployment.network.add_observer(
-            lambda src, dest, message, at: deliveries.append((src, dest, at - deployment.sim.now)))
+
+        def record(src, dest, message, delay):  # installed last: sees final delays
+            deliveries.append((src, dest, delay))
+            return delay
+        deployment.network.add_delay_adjuster(record)
         deployment.write(Value.from_text("slow", label="v1"))
         slow = [d for s, d_, d in deliveries if s == server_id(0) or d_ == server_id(0)
                 for d in [d]]
@@ -166,8 +169,11 @@ class TestFaultMechanics:
             Schedule([During(0.5, 1000, LatencySpike(factor=3.0, extra=0.5))]))
         deployment.sim.run_until(1.0)  # spawn() sends synchronously; pass the window start
         deliveries = []
-        deployment.network.add_observer(
-            lambda src, dest, message, at: deliveries.append(at - deployment.sim.now))
+
+        def record(src, dest, message, delay):  # installed last: sees final delays
+            deliveries.append(delay)
+            return delay
+        deployment.network.add_delay_adjuster(record)
         deployment.write(Value.from_text("spike", label="v1"))
         assert min(deliveries) == pytest.approx(3.5)
 
@@ -208,7 +214,7 @@ class TestFaultMechanics:
         dropped_before = deployment.network.messages_dropped
         deployment.network.send(server_id(0), server_id(4), Message(kind="PING"))
         deployment.sim.run_until(10)  # restart at 3, delivery due at 7
-        assert not deployment.network.is_crashed(server_id(4))
+        assert not deployment.network.process(server_id(4)).crashed
         assert deployment.network.messages_dropped == dropped_before + 1
 
     def test_chaos_log_is_timestamped(self):
@@ -238,4 +244,4 @@ class TestSubstrateHooks:
     def test_restart_is_noop_for_running_process(self):
         deployment = abd_deployment()
         deployment.network.restart(server_id(0))
-        assert not deployment.network.is_crashed(server_id(0))
+        assert not deployment.network.process(server_id(0)).crashed

@@ -21,20 +21,22 @@ class TestMajorityQuorums:
     def test_quorum_size(self, n, expected):
         assert MajorityQuorums(servers(n)).quorum_size == expected
 
-    def test_is_quorum(self):
-        system = MajorityQuorums(servers(5))
-        assert system.is_quorum(servers(3))
-        assert not system.is_quorum(servers(2))
+    @given(st.integers(1, 30))
+    def test_quorum_is_the_smallest_strict_majority(self, n):
+        size = MajorityQuorums(servers(n)).quorum_size
+        assert 2 * size > n >= 2 * (size - 1)
 
-    def test_foreign_servers_do_not_count(self):
-        system = MajorityQuorums(servers(5))
-        outsiders = servers(3, start=100)
-        assert not system.is_quorum(outsiders)
+    def test_a_quorum_outlives_max_crash_failures(self):
+        majority = MajorityQuorums(servers(5))
+        assert majority.max_crash_failures() == 2
+        assert majority.n - majority.max_crash_failures() == majority.quorum_size
+        treas = ThresholdQuorums.for_treas(servers(6), 4)
+        assert treas.max_crash_failures() == 1
 
     @given(st.integers(1, 30))
     def test_any_two_majorities_intersect(self, n):
         system = MajorityQuorums(servers(n))
-        assert system.intersection_lower_bound() >= 1
+        assert 2 * system.quorum_size - system.n >= 1
 
     def test_duplicate_servers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -56,7 +58,7 @@ class TestThresholdQuorums:
         k = max(1, (2 * n) // 3)
         system = ThresholdQuorums.for_treas(servers(n), k)
         # Two quorums of size ceil((n+k)/2) intersect in >= k servers.
-        assert system.intersection_lower_bound() >= k
+        assert 2 * system.quorum_size - system.n >= k
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -177,7 +179,7 @@ class TestConfigSequence:
         assert seq.mu == 0 and seq.nu == 1
         seq.finalize(1)
         assert seq.mu == 1
-        assert seq.last_finalized().cfg_id == config_id(1)
+        assert seq.config_at(seq.mu).cfg_id == config_id(1)
 
     def test_duplicate_configuration_rejected(self):
         seq = ConfigSequence(self._initial())
@@ -222,14 +224,15 @@ class TestConfigSequence:
         assert seq_a.is_prefix_of(seq_b)
         assert not seq_b.is_prefix_of(seq_a)
 
-    def test_pending_suffix(self):
+    def test_records_from_mu_are_the_pending_suffix(self):
         seq = ConfigSequence(self._initial())
         c1 = Configuration.treas(config_id(1), servers(6, start=3))
         c2 = Configuration.abd(config_id(2), servers(3, start=9))
         seq.append(ConfigRecord(c1, Status.FINALIZED))
         seq.append(ConfigRecord(c2, Status.PENDING))
-        suffix = seq.pending_suffix()
+        suffix = list(seq)[seq.mu - seq.base:]
         assert [r.config.cfg_id for r in suffix] == [config_id(1), config_id(2)]
+        assert [r.status for r in suffix] == [Status.FINALIZED, Status.PENDING]
 
     def test_copy_is_independent(self):
         seq = ConfigSequence(self._initial())
@@ -270,9 +273,8 @@ class TestConfigSequencePruning:
         assert (seq.mu, seq.nu) == (3, 4)
         assert len(seq) == 5
         assert seq.config_at(3).cfg_id == config_id(3)
-        assert seq.last_finalized().cfg_id == config_id(3)
-        assert [r.config.cfg_id for r in seq.pending_suffix()] == [
-            config_id(3), config_id(4)]
+        assert seq.config_at(seq.mu).cfg_id == config_id(3)
+        assert [r.config.cfg_id for r in list(seq)] == [config_id(3), config_id(4)]
         assert "3 pruned" in seq.describe()
 
     def test_pruned_index_access_raises(self):
@@ -300,7 +302,7 @@ class TestConfigSequencePruning:
         target = self._cfg(5)
         seq.jump_to(5, ConfigRecord(target, Status.FINALIZED))
         assert (seq.base, seq.mu, seq.nu) == (5, 5, 5)
-        assert seq.last_finalized().cfg_id == config_id(5)
+        assert seq.config_at(seq.mu).cfg_id == config_id(5)
         # The walk can continue normally past the jump target.
         seq.set_record(6, ConfigRecord(self._cfg(6), Status.PENDING))
         assert seq.nu == 6
@@ -373,6 +375,6 @@ class TestConfigSequencePruning:
                 seq.jump_to(target,
                             ConfigRecord(self._cfg(target), Status.FINALIZED))
                 next_index = target + 1
-            scanned = max(seq.base + offset for offset, record in enumerate(seq.entries())
+            scanned = max(seq.base + offset for offset, record in enumerate(list(seq))
                           if record.status is Status.FINALIZED)
             assert seq.mu == scanned, f"after {op}: {seq.describe()}"

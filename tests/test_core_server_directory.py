@@ -185,17 +185,16 @@ class TestAresServerRouting:
 
     def test_dap_state_created_lazily_only_for_members(self):
         sim, network, directory, servers, cfg, probe = build()
-        # Before any DAP traffic, no state is instantiated -- but membership
-        # is truthful: the server *is* a member of the registered config.
-        assert servers[0].instantiated_configurations() == []
-        assert servers[0].member_configurations() == [cfg.cfg_id]
+        # Before any DAP traffic, no state is instantiated, though the
+        # server *is* a member of the registered config.
+        assert list(servers[0].dap_states) == []
+        assert servers[0].pid in directory.get(cfg.cfg_id).servers
         assert servers[0].storage_data_bytes() == 0
         element = cfg.code.encode(Value.of_size(20, label="x"))[0]
         probe.send(servers[0].pid, request(PUT_DATA, 1, config_id=cfg.cfg_id,
                                            tag=Tag(1, writer_id(0)), element=element))
         sim.run()
-        assert servers[0].instantiated_configurations() == [cfg.cfg_id]
-        assert cfg.cfg_id in servers[0].member_configurations()
+        assert list(servers[0].dap_states) == [cfg.cfg_id]
         assert servers[0].storage_data_bytes() > 0
 
     def test_dap_message_for_unknown_configuration_ignored(self):
@@ -205,7 +204,7 @@ class TestAresServerRouting:
                                            tag=Tag(1, writer_id(0)), element=element))
         sim.run()
         assert probe.replies == []
-        assert servers[0].instantiated_configurations() == []
+        assert list(servers[0].dap_states) == []
 
     def test_dap_message_to_non_member_ignored(self):
         sim, network, directory, servers, cfg, probe = build()

@@ -56,9 +56,9 @@ def test_instrumented_chaotic_workload_verifies(kind):
 
 def test_latency_model_and_its_default(kind):
     default = FixedLatency if kind == "static" else UniformLatency
-    assert isinstance(KINDS[kind]().latency_model, default)
+    assert isinstance(KINDS[kind]().network.latency, default)
     chosen = UniformLatency(2.0, 3.0)
-    assert KINDS[kind](latency=chosen).latency_model is chosen
+    assert KINDS[kind](latency=chosen).network.latency is chosen
 
 
 @pytest.mark.parametrize("kind", ["ares", "store"])

@@ -302,9 +302,19 @@ class TestReedSolomon:
         with pytest.raises(ValueError):
             ReedSolomonCode(300, 100)
 
-    def test_storage_overhead(self):
-        assert ReedSolomonCode(6, 4).storage_overhead() == pytest.approx(1.5)
-        assert ReedSolomonCode(3, 1).storage_overhead() == pytest.approx(3.0)
+    @pytest.mark.parametrize("n,k", [(6, 4), (3, 1)])
+    def test_stored_bytes_are_n_over_k_times_the_value(self, n, k):
+        code = ReedSolomonCode(n, k)
+        elements = code.encode(Value.of_size(4000))
+        assert all(e.size == code.fragment_size(4000) for e in elements)
+        assert sum(e.size for e in elements) == 4000 * n // k
+
+    def test_elements_are_numbered_by_server_slot(self):
+        code = ReedSolomonCode(5, 3)
+        assert (code.n, code.k) == (5, 3)
+        elements = code.encode(Value.of_size(30))
+        assert [e.index for e in elements] == [0, 1, 2, 3, 4]
+        assert all(e.original_size == 30 for e in elements)
 
     def test_empty_value(self):
         code = ReedSolomonCode(5, 3)
@@ -325,9 +335,6 @@ class TestReedSolomon:
         elements = code.encode(value)
         # decode from the last k elements (a mix of data and parity shards)
         assert code.decode(elements[n - k:]).payload == payload
-
-    def test_parameters_dict(self):
-        assert ReedSolomonCode(5, 3).parameters() == {"n": 5, "k": 3}
 
 
 class TestOracleEquivalence:
@@ -601,15 +608,18 @@ class TestReplication:
         with pytest.raises(DecodeError):
             ReplicationCode(3).decode([])
 
-    def test_is_decodable(self):
+    def test_one_copy_is_enough_to_decode(self):
         code = ReplicationCode(3)
-        elements = code.encode(Value.of_size(5))
-        assert code.is_decodable(elements[:1])
-        assert not code.is_decodable([])
+        assert code.k == 1
+        value = Value.of_size(5, label="x")
+        assert code.decode(code.encode(value)[2:]).label == "x"
+
+    def test_stored_bytes_are_n_copies_of_the_value(self):
+        code = ReplicationCode(5)
+        elements = code.encode(Value.of_size(40))
+        assert code.fragment_size(40) == 40
+        assert sum(e.size for e in elements) == 5 * 40
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ReplicationCode(0)
-
-    def test_storage_overhead_equals_n(self):
-        assert ReplicationCode(5).storage_overhead() == pytest.approx(5.0)

@@ -4,9 +4,9 @@ Covers the continuous-degradation machinery end to end:
 
 * the :class:`~repro.chaos.schedule.Stochastic` schedule primitive (seeded
   Bernoulli gates, the rate-0.0 no-op guarantee, rate quantization);
-* resource-exhaustion faults (``DiskFull`` / ``MemoryPressure`` /
-  ``QueueExhaustion``) and the server-side admission governor, including the
-  explicit NACK path and quorum fail-fast;
+* resource-exhaustion faults (``DiskFull`` / ``MemoryPressure``) and the
+  server-side admission governor, including the explicit NACK path and
+  quorum fail-fast;
 * client retry/backoff (budget exhaustion, seeded-deterministic jitter,
   idempotent re-broadcast under NACKs);
 * the bounded chaos event log;
@@ -28,12 +28,11 @@ from repro.chaos import (
     Drop,
     During,
     MemoryPressure,
-    QueueExhaustion,
     Schedule,
     Stochastic,
 )
 from repro.chaos.engine import LOG_RECENT, RATE_RESOLUTION
-from repro.chaos.resources import queue_limit_rule
+from repro.chaos.resources import disk_full_rule, memory_budget_rule
 from repro.common.errors import (
     RETIRED_CONFIG_REASON,
     QuorumRefusedError,
@@ -267,33 +266,31 @@ class TestResourceFaults:
             assert server.storage_data_bytes() <= budget
         assert deployment.read().label == "v1"
 
-    def test_queue_limit_rule_is_a_deterministic_leaky_queue(self):
-        rule = queue_limit_rule(limit=2, service_time=10.0)
-        server = SimpleNamespace()
+    def test_resource_rules_refuse_only_the_data_plane(self):
+        server = SimpleNamespace(storage_data_bytes=lambda: 100)
         data = SimpleNamespace(request_id=1, data_bytes=64)
         control = SimpleNamespace(request_id=2, data_bytes=0)
-        assert rule(server, data, 0.0) is None
-        assert rule(server, data, 1.0) is None
-        assert "queue full" in rule(server, data, 2.0)
-        assert rule(server, control, 2.0) is None  # control plane bypasses
-        # The first slot frees at t=10, so a later arrival is admitted.
-        assert rule(server, data, 10.5) is None
+        full = disk_full_rule()
+        assert "No space left on device" in full(server, data)
+        assert full(server, control) is None
+        budget = memory_budget_rule(150)
+        assert "memory budget exceeded (100+64B > 150B)" == budget(server, data)
+        assert budget(server, control) is None
+        assert memory_budget_rule(164)(server, data) is None
 
-    def test_queue_exhaustion_sheds_under_concurrency(self):
+    def test_disk_full_sheds_concurrent_writes(self):
         deployment = abd_deployment()
         engine = ChaosEngine(deployment.network)
-        engine.inject(Schedule([
-            During(0.0001, 1_000, QueueExhaustion(1, 50.0)),
-        ]))
-        # Three concurrent writes: with one queue slot per server, only
-        # the first data-plane WRITE to arrive is admitted.
+        engine.inject(Schedule([During(0.0001, 1_000, DiskFull())]))
         ops = [deployment.spawn_write(Value.from_text(text, label=text))
                for text in ("a", "b", "c")]
         deployment.sim.run_until(900)
         shed = sum(s.governor.shed for s in deployment.servers.values()
                    if s.governor is not None)
         assert shed > 0
-        assert any(op.done() and op.exception() is not None for op in ops)
+        assert all(op.done() and isinstance(op.exception(), QuorumRefusedError)
+                   for op in ops)
+        assert all(s.storage_data_bytes() == 0 for s in deployment.servers.values())
 
     def test_governor_detaches_when_window_closes(self):
         deployment = abd_deployment()

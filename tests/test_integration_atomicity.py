@@ -121,9 +121,9 @@ def test_ares_with_server_crashes_within_tolerance(seed):
     # at a random time while operations are in flight.
     pool = list(dep.initial_configuration.servers)
     for _ in range(2):
-        victim = dep.sim.choice(pool)
+        victim = dep.sim.rng.choice(pool)
         pool.remove(victim)
-        dep.network.crash_at(victim, 5.0)
+        dep.sim.schedule_at(5.0, dep.network.crash, args=(victim,))
     ops = []
     for round_number in range(2):
         for index in range(2):

@@ -67,8 +67,11 @@ def _send_and_snapshot(seed, deliveries, mode, batched):
         network.add_duplicator(lambda src, dest, message: message.data_bytes % 3 - 1)
         network.add_delay_adjuster(
             lambda src, dest, message, delay: delay + dest.index - 2.5)
-        network.add_observer(
-            lambda src, dest, message, at: observed.append((dest, message.kind, at)))
+
+        def observe(src, dest, message, delay):  # installed last: sees final delays
+            observed.append((dest, message.kind, sim.now + max(0.0, delay)))
+            return delay
+        network.add_delay_adjuster(observe)
     elif mode == "crashed":
         servers[0].crash()
     elif mode == "traced":
@@ -175,17 +178,16 @@ class TestTrafficScopes:
         assert scope.record.messages == 1
         assert stats.global_record.messages == stats.by_kind("PUT").messages == 1001
 
-    def test_reset_zeroes_ledgers_and_open_scopes(self):
+    def test_a_scope_opened_late_counts_only_later_traffic(self):
         stats = TrafficStats()
         a, b = server_id(0), server_id(1)
-        scope = stats.open_scope("op", b)
         stats.record(a, b, "PUT", 10, 16)
-        stats.reset()
-        assert stats.global_record.messages == scope.record.messages == 0
-        assert stats.per_kind == {}
+        scope = stats.open_scope("op", b)
         stats.record(a, b, "GET", 0, 16)
         assert scope.record.messages == stats.by_kind("GET").messages == 1
-        assert stats.global_record.metadata_bytes == scope.record.metadata_bytes == 16
+        assert scope.record.metadata_bytes == 16 and scope.record.data_bytes == 0
+        assert stats.global_record.messages == 2
+        assert sorted(stats.per_kind) == ["GET", "PUT"]
 
 
 def _record_constructions(monkeypatch, cls):

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import At, ChaosEngine, Drop, During, Heal, Partition, Schedule
+from repro.chaos import At, ChaosEngine, Crash, Drop, During, Heal, Partition, Schedule
 from repro.common.errors import QuorumUnavailableError, SimulationError
 from repro.common.ids import Role, config_id, reader_id, server_id, writer_id
 from repro.config.configuration import Configuration
-from repro.net.latency import AsymmetricLatency, CallableLatency, FixedLatency, UniformLatency
+from repro.net.latency import AsymmetricLatency, FixedLatency, LatencyModel, UniformLatency
 from repro.net.message import METADATA_FIELD_BYTES, Message, reply, request
 from repro.net.network import Network
 from repro.sim.core import Simulator
@@ -89,9 +89,21 @@ class TestLatencyModels:
         assert model.sample(sim, writer_id(0), server_id(0)) == 10.0
         assert model.d == 1.0 and model.D == 10.0
 
-    def test_callable_model(self, sim):
-        model = CallableLatency(lambda s, a, b: 7.0, d=7.0, D=7.0)
-        assert model.sample(sim, writer_id(0), server_id(0)) == 7.0
+    def test_a_custom_model_sets_the_delivery_time(self, sim):
+        class SevenLatency(LatencyModel):
+            d = D = 7.0
+
+            def sample(self, sim, src, dest):
+                return 7.0
+
+        network = Network(sim, latency=SevenLatency())
+        sender = Collector(writer_id(0), network)
+        receiver = Collector(server_id(0), network)
+        sender.send(server_id(0), Message(kind="PING"))
+        sim.run_until(6.9)
+        assert receiver.received == []
+        sim.run()
+        assert sim.now == 7.0 and len(receiver.received) == 1
 
 
 class TestNetworkDelivery:
@@ -145,14 +157,21 @@ class TestNetworkDelivery:
         assert network.stats.by_kind("PUT").data_bytes == 150
         assert network.stats.by_kind("GET").messages == 1
 
-    def test_observer_sees_messages(self, sim):
+    def test_the_last_delay_adjuster_sees_the_final_delay(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         sender = Collector(writer_id(0), network)
-        Collector(server_id(0), network)
+        receiver = Collector(server_id(0), network)
         seen = []
-        network.add_observer(lambda s, d, m, t: seen.append((s, d, m.kind, t)))
+        network.add_delay_adjuster(lambda s, d, m, delay: delay + 2.0)
+
+        def observe(src, dest, message, delay):
+            seen.append((src, dest, message.kind, delay))
+            return delay
+        network.add_delay_adjuster(observe)
         sender.send(server_id(0), Message(kind="PING"))
-        assert seen == [(writer_id(0), server_id(0), "PING", 1.0)]
+        sim.run()
+        assert seen == [(writer_id(0), server_id(0), "PING", 3.0)]
+        assert sim.now == 3.0 and len(receiver.received) == 1
 
 
 class TestQuorumGathering:
@@ -272,10 +291,10 @@ class TestDeliveryEdgeCases:
 
 
 class TestFailureInjection:
-    def test_crash_at_scheduled_time(self, sim):
+    def test_a_scheduled_crash_fires_at_its_time(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         victim = Collector(server_id(0), network)
-        network.crash_at(server_id(0), 5.0)
+        ChaosEngine(network).inject(Schedule([At(5.0, Crash("s0"))]))
         sim.run_until(4.0)
         assert not victim.crashed
         sim.run_until(6.0)
@@ -370,12 +389,17 @@ class TestTrafficScopes:
         assert [record.data_bytes for record in records] == [10, 10, 0]
         assert [record.messages for record in records] == [1, 1, 0]
 
-    def test_summary_mentions_kinds(self, sim):
+    def test_per_kind_ledgers_add_up_to_the_global_one(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         a = Collector(writer_id(0), network)
         Collector(server_id(0), network)
-        a.send(server_id(0), Message(kind="SPECIAL-KIND"))
-        assert "SPECIAL-KIND" in network.stats.summary()
+        a.send(server_id(0), Message(kind="SPECIAL-KIND", data_bytes=5))
+        a.send(server_id(0), Message(kind="PUT", data_bytes=7))
+        per_kind = network.stats.per_kind
+        assert sorted(per_kind) == ["PUT", "SPECIAL-KIND"]
+        assert per_kind["SPECIAL-KIND"].messages == 1
+        assert (sum(r.data_bytes for r in per_kind.values())
+                == network.stats.global_record.data_bytes == 12)
 
 
 class TestFastPathAndDuplicateAccounting:

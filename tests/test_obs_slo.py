@@ -38,6 +38,11 @@ SLO_SCENARIOS = (
 SEEDS = (0, 1)
 
 
+def failures(result):
+    """The failure messages among ``result``'s per-SLO verdicts."""
+    return [failure for _, failure in result.slo_verdicts() if failure is not None]
+
+
 def test_slo_scenarios_is_exactly_the_registered_set():
     from repro.workloads.scenarios import SCENARIOS
 
@@ -50,13 +55,16 @@ def test_slo_scenarios_is_exactly_the_registered_set():
 @pytest.mark.parametrize("name", SLO_SCENARIOS)
 def test_registered_slos_hold(name, seed):
     result = run_scenario(name, seed=seed, metrics=True)
-    assert result.check_slos() == []
+    # One verdict per declared SLO, passing ones included, in order.
+    assert [assertion for assertion, _ in result.slo_verdicts()] == \
+        list(get_scenario(name).slos)
+    assert failures(result) == []
 
 
-def test_check_slos_without_metrics_is_an_explicit_error():
+def test_slo_verdicts_without_metrics_is_an_explicit_error():
     result = run_scenario("abd_gray_degradation", seed=0)
     with pytest.raises(ValueError, match="metrics=True"):
-        result.check_slos()
+        result.slo_verdicts()
 
 
 @pytest.mark.parametrize(
@@ -70,7 +78,7 @@ def test_zero_nacks_at_fault_rate_zero(name):
                        slos=(slo.rate("nacks").below(0.0),
                              slo.rate("retries").below(0.0)))
     result = run_scenario_instance(scenario, seed=0, metrics=True)
-    assert result.check_slos() == []
+    assert failures(result) == []
     assert result.metrics.counter_total("nacks") == 0
 
 
@@ -85,14 +93,14 @@ def test_negative_control_removing_heal_breaks_the_recovery_slo():
         base,
         schedule=lambda d: Schedule([At(12.0, LatencySpike(1.5))]))
     broken = run_scenario_instance(never_heals, seed=0, metrics=True)
-    failures = broken.check_slos()
-    assert failures, "recovery SLO passed despite the heal being removed"
-    assert any("read_latency" in message for message in failures)
+    broken_failures = failures(broken)
+    assert broken_failures, "recovery SLO passed despite the heal being removed"
+    assert any("read_latency" in message for message in broken_failures)
 
     # Same seed, original scenario: the SLO holds, so the failure above is
     # attributable to the removed heal, not to the seed.
     healthy = run_scenario("ldr_gray_degradation", seed=0, metrics=True)
-    assert healthy.check_slos() == []
+    assert failures(healthy) == []
 
 
 def test_slo_failure_messages_are_actionable():

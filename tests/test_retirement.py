@@ -201,13 +201,13 @@ class TestServerRetirement:
         assert (reply["record"], reply["jump"]) == (record, 1)
         assert cfg.cfg_id not in servers[0].next_config
 
-    def test_membership_excludes_retired_configurations(self):
+    def test_retiring_an_unserved_configuration_materialises_no_state(self):
         sim, network, directory, servers, cfg, probe = build()
-        assert servers[0].member_configurations() == [cfg.cfg_id]
+        assert cfg.cfg_id not in servers[0].retired
         record = successor_record(directory)
         retire(sim, servers[0], cfg, probe, record)
-        assert servers[0].member_configurations() == []
-        assert servers[0].instantiated_configurations() == []
+        assert cfg.cfg_id in servers[0].retired
+        assert list(servers[0].dap_states) == []
 
     @pytest.mark.parametrize("dap", ["abd", "treas", "ldr"])
     def test_fresh_dap_state_stores_zero_bytes(self, dap):

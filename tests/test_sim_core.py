@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -210,18 +212,17 @@ class TestDeterminism:
         with pytest.raises(SimulationError):
             sim.uniform(5.0, 2.0)
 
-    def test_exponential_positive(self, sim: Simulator):
-        assert sim.exponential(2.0) > 0
-        with pytest.raises(SimulationError):
-            sim.exponential(0)
-
-    def test_shuffle_and_choice_are_deterministic(self):
+    def test_rng_stream_is_reproducible(self):
         items = list(range(10))
-        a = Simulator(seed=3).shuffle(items)
-        b = Simulator(seed=3).shuffle(items)
-        assert a == b
-        assert sorted(a) == items
-        assert Simulator(seed=3).choice(items) == Simulator(seed=3).choice(items)
+        a, b = Simulator(seed=3).rng, Simulator(seed=3).rng
+        assert a.sample(items, 10) == b.sample(items, 10)
+        assert a.choice(items) == b.choice(items)
+        assert a.expovariate(2.0) == b.expovariate(2.0) > 0
+
+    def test_draws_are_those_of_a_seeded_random(self):
+        sim, reference = Simulator(seed=5), random.Random(5)
+        assert [sim.uniform(0, 1) for _ in range(3)] == [
+            reference.uniform(0, 1) for _ in range(3)]
 
 
 class TestTrace:

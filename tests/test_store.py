@@ -224,11 +224,12 @@ class TestStoreOperations:
         assert result.total_operations == 12
         assert store.network.messages_sent == (4 * 6 + 2 * 6) * per_shard
 
-    def test_client_tracks_known_keys(self):
+    def test_keys_written_by_one_client_are_read_by_another(self):
         store = mixed_store()
         store.put("k1", Value.of_size(8, label="l1"))
-        store.put("k2", Value.of_size(8, label="l2"))
-        assert store.writers[0].known_keys() == ["k1", "k2"]
+        store.put("k2", Value.of_size(8, label="l2"), writer_index=1)
+        assert store.get("k1", reader_index=1).label == "l1"
+        assert store.get("k2", reader_index=1).label == "l2"
 
 
 # ======================================================================
@@ -421,13 +422,13 @@ class TestStoreAccounting:
         store.put("k1", Value.of_size(64, label="l1"))
         shard = store.shard_map.shard_for("k1")
         hosting = [pid for pid in shard.servers
-                   if "k1" in store.servers[pid].hosted_keys()]
+                   if "k1" in store.servers[pid].storage_by_key()]
         assert hosting, "no server of the key's shard hosts it"
         for other in store.shard_map.shards:
             if other.index == shard.index:
                 continue
             for pid in other.servers:
-                assert "k1" not in store.servers[pid].hosted_keys()
+                assert "k1" not in store.servers[pid].storage_by_key()
 
     def test_spec_or_overrides_not_both(self):
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,7 @@
 Covers the :class:`~repro.store.shardmap.ShardMap` (placement of fresh
 keys, entry points, the ``key_of`` accounting fix, shard-index validation),
 the :class:`~repro.store.reconfigurer.ShardReconfigurer` operations (server
-moves, DAP flips, key-range rebalances, splits -- with traffic in flight),
+moves, DAP flips, key-range rebalances -- with traffic in flight),
 the differential/sweep gates for the three PR-5 reconfiguration scenarios,
 and the reconfig-rate sweep axes.  The randomized battery lives in
 ``test_store_reconfig_property.py``.
@@ -98,17 +98,17 @@ class TestShardMapEpochs:
         assert set(store.servers) == pool
         assert store.shard_map.epoch == 0
 
-    @pytest.mark.parametrize("indices", [(-1, 1, 2), (9, 1, 2), (0, 1, 9)])
-    def test_split_shard_rejects_a_bad_index_before_moving_keys(self, indices):
+    @pytest.mark.parametrize("target", [-1, 3, 9])
+    def test_move_keys_rejects_a_bad_target_before_moving_keys(self, target):
         store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
                                    ShardSpec(dap="abd", num_servers=5),
                                    ShardSpec(dap="abd", num_servers=5)))
-        seed_keys(store)
-        pool = set(store.servers)
+        keys = seed_keys(store)
+        placement = {key: store.shard_map.shard_index(key) for key in keys}
         with pytest.raises(ConfigurationError):
-            store.split_shard(*indices)
-        assert set(store.servers) == pool
+            store.move_keys(keys, target)
         assert store.shard_map.epoch == 0
+        assert {key: store.shard_map.shard_index(key) for key in keys} == placement
 
 
 class TestShardMigration:
@@ -175,9 +175,7 @@ class TestShardMigration:
         assert epoch == 1
         assert store.shard_map.shard_index("k0") == target
         assert store.shard_map.shard_index("k1") == target
-        reader = store.readers[0]
-        unseen = next(f"n{i}" for i in range(100)
-                      if f"n{i}" not in reader.known_keys())
+        unseen = next(f"n{i}" for i in range(100) if f"n{i}" not in keys)
         store.put(unseen, Value.from_text("y", label="vy"))
         assert store.get(unseen).label == "vy"
         for key in keys:
@@ -208,30 +206,39 @@ class TestShardMigration:
         assert store.get(untouched).label == "v-new"
         assert store.get("k0").label == "v-moved"
 
-    def test_split_shard_partitions_keys_across_targets(self):
+    def test_two_moves_split_a_shard_across_targets(self):
         store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
                                    ShardSpec(dap="abd", num_servers=5),
                                    ShardSpec(dap="abd", num_servers=5)))
         seed_keys(store, count=10)
-        source = 0
-        before = store.shard_map.keys_on_shard(source)
+        before = store.shard_map.keys_on_shard(0)
         assert len(before) >= 2
-        store.split_shard(source, 1, 2)
-        assert store.shard_map.keys_on_shard(source) == []
-        on_one = set(store.shard_map.keys_on_shard(1))
-        on_two = set(store.shard_map.keys_on_shard(2))
-        assert set(before) <= on_one | on_two
-        assert on_one & set(before) and on_two & set(before)
+        half = len(before) // 2
+        assert store.move_keys(before[:half], 1) == 1
+        assert store.move_keys(before[half:], 2) == 2
+        assert store.shard_map.keys_on_shard(0) == []
+        assert set(before[:half]) <= set(store.shard_map.keys_on_shard(1))
+        assert set(before[half:]) <= set(store.shard_map.keys_on_shard(2))
         for key in before:
             assert store.get(key).label
         verdict = check_linearizability_per_key(store.history)
         assert verdict.ok, verdict.reason
 
-    def test_split_needs_distinct_targets(self):
-        store = make_store()
-        seed_keys(store)
-        with pytest.raises(ConfigurationError):
-            store.split_shard(0, 1, 1)
+    def test_moving_keys_back_restores_their_placement(self):
+        store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
+                                   ShardSpec(dap="abd", num_servers=5)))
+        store.put("k0", Value.from_text("v", label="v-home"))
+        home = store.shard_map.shard_index("k0")
+        store.move_keys(["k0"], 1 - home)
+        assert store.move_keys(["k0"], home) == 2
+        assert store.shard_map.shard_index("k0") == home
+        assert set(store.shard_map.servers_for_key("k0")) == set(
+            store.shard_map.shards[home].servers)
+        assert store.get("k0").label == "v-home"
+        store.put("k0", Value.from_text("w", label="v-back"))
+        assert store.get("k0").label == "v-back"
+        verdict = check_linearizability_per_key(store.history)
+        assert verdict.ok, verdict.reason
 
     def test_migration_records_keyed_reconfig_operations(self):
         store = make_store()

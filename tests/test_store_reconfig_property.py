@@ -4,8 +4,8 @@ Every seed derives a randomized *plan*: a store layout (ABD / TREAS / LDR
 shard mixes), a keyed closed-loop workload (single-key reads/writes and
 pipelined ``multi_put``/``multi_get`` batches) and a fault schedule
 interleaving live reconfigurations -- shard migrations onto fresh servers,
-in-place DAP flips, key-range rebalances, shard splits -- with a tolerated
-server crash and packet chaos (duplication/reordering).  The plan executes
+in-place DAP flips, key-range rebalances -- with a tolerated server crash
+and packet chaos (duplication/reordering).  The plan executes
 on the simulator and **every run** is verified for
 
 * liveness       -- no stalled or errored client session or migration,
@@ -93,10 +93,9 @@ class ReconfigEvent:
     """One scheduled live reconfiguration of the plan."""
 
     time: float
-    kind: str  # "fresh" | "flip" | "move" | "split"
+    kind: str  # "fresh" | "flip" | "move"
     shard: int = 0
     target: int = 0
-    right: int = 0
     keys: List[str] = field(default_factory=list)
 
 
@@ -128,7 +127,7 @@ def make_plan(seed: int) -> Plan:
     num_shards = len(shards)
     num_keys = rng.randint(6, 10)
 
-    kinds = ["fresh", "flip", "move"] + (["split"] if num_shards >= 3 else [])
+    kinds = ["fresh", "flip", "move"]
     events: List[ReconfigEvent] = []
     for _ in range(rng.randint(1, 2)):
         time = round(rng.uniform(4.0, 22.0), 2)
@@ -140,9 +139,6 @@ def make_plan(seed: int) -> Plan:
             event.keys = [f"k{i}" for i in
                           sorted(rng.sample(range(num_keys), count))]
             event.target = rng.randrange(num_shards)
-        elif kind == "split":
-            event.target = (shard + 1) % num_shards
-            event.right = (shard + 2) % num_shards
         events.append(event)
 
     # At most one crash, only ever of an initial ABD-shard server.
@@ -215,10 +211,6 @@ def _event_entry(deployment: StoreDeployment, event: ReconfigEvent) -> At:
         action = (lambda keys=tuple(event.keys), t=event.target:
                   deployment.spawn_move_keys(list(keys), t))
         note = f"move {','.join(event.keys)} -> shard {event.target}"
-    elif event.kind == "split":
-        action = (lambda s=event.shard, l=event.target, r=event.right:
-                  deployment.spawn_split_shard(s, l, r))
-        note = f"split shard {event.shard} -> {event.target}/{event.right}"
     else:  # pragma: no cover - plan generator only emits the kinds above
         raise ValueError(f"unknown plan event kind {event.kind!r}")
     return At(event.time, Reconfigure(action, note=note))
@@ -291,10 +283,8 @@ def verify_seed(seed: int) -> None:
         # The run must actually have reconfigured something.
         reconfig_log = [text for _, text in engine.log if "reconfigure" in text]
         assert reconfig_log, f"seed {seed} scheduled no reconfiguration"
-        # A split of a shard with no materialised keys is a legitimate no-op;
-        # every other event kind must have advanced the map's epoch.
-        if any(event.kind != "split" for event in plan.events):
-            assert deployment.shard_map.epoch >= 1
+        # Every event kind advances the map's epoch.
+        assert deployment.shard_map.epoch >= 1
         migrated = deployment.history.reconfigs()
         # Per-key RECONFIG records span the epochs the checkers must accept.
         assert all(record.key is not None for record in migrated)
@@ -343,7 +333,7 @@ def test_plans_are_seed_deterministic_and_diverse():
     again = [make_plan(seed) for seed in range(FULL_SEED_COUNT)]
     assert [p.describe() for p in plans] == [p.describe() for p in again]
     kinds = {event.kind for plan in plans for event in plan.events}
-    assert kinds == {"fresh", "flip", "move", "split"}
+    assert kinds == {"fresh", "flip", "move"}
     assert {plan.layout for plan in plans} == {name for name, _ in LAYOUTS}
     assert any(plan.crash_server for plan in plans)
     assert any(plan.chaos_window for plan in plans)

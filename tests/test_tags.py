@@ -20,6 +20,11 @@ class TestTagOrdering:
         assert BOTTOM_TAG < tag(1, 0)
         assert not tag(0, 0) < BOTTOM_TAG
 
+    def test_initial_tag_is_zero_with_no_writer(self):
+        assert BOTTOM_TAG == Tag(z=0, writer=None)
+        assert max_tag([]) is BOTTOM_TAG
+        assert BOTTOM_TAG.increment(writer_id(0)) == tag(1, 0)
+
     def test_integer_part_dominates(self):
         assert tag(1, 5) < tag(2, 0)
         assert tag(2, 0) > tag(1, 5)
@@ -32,10 +37,6 @@ class TestTagOrdering:
         assert tag(3, 1) == tag(3, 1)
         assert tag(3, 1) <= tag(3, 1)
         assert tag(3, 1) >= tag(3, 1)
-
-    def test_is_initial(self):
-        assert BOTTOM_TAG.is_initial()
-        assert not tag(1, 0).is_initial()
 
     @given(st.integers(0, 100), st.integers(0, 5), st.integers(0, 100), st.integers(0, 5))
     def test_order_is_total_and_antisymmetric(self, z1, w1, z2, w2):

@@ -16,13 +16,13 @@ from repro.common.ids import (
     ProcessId,
     Role,
     config_id,
-    parse_any_id,
     reader_id,
     reconfigurer_id,
     server_id,
     writer_id,
 )
 from repro.common.values import BOTTOM_VALUE, Value
+from repro.core.deployment import AresDeployment, DeploymentSpec
 
 
 class TestValue:
@@ -112,11 +112,22 @@ class TestProcessIds:
         assert reconfigurer_id(2).role is Role.RECONFIGURER
         assert server_id(3).role is Role.SERVER
 
-    def test_is_client(self):
-        assert Role.WRITER.is_client()
-        assert Role.READER.is_client()
-        assert Role.RECONFIGURER.is_client()
-        assert not Role.SERVER.is_client()
+    def test_roles_parse_from_their_values(self):
+        assert Role("server") is Role.SERVER
+        assert Role("reconfigurer") is Role.RECONFIGURER
+        with pytest.raises(ValueError):
+            Role("not-a-role")
+
+    def test_deployment_clients_take_the_client_roles(self):
+        deployment = AresDeployment(DeploymentSpec(
+            num_servers=3, num_writers=2, num_readers=2, num_reconfigurers=1))
+        clients = [*deployment.writers, *deployment.readers,
+                   *deployment.reconfigurers]
+        assert {c.pid.role for c in clients} == {
+            Role.WRITER, Role.READER, Role.RECONFIGURER}
+        assert {pid.role for pid in deployment.servers} == {Role.SERVER}
+        assert set(deployment.network.processes) == (
+            {c.pid for c in clients} | set(deployment.servers))
 
     def test_equality_and_hash(self):
         assert writer_id(1) == writer_id(1)
@@ -156,15 +167,27 @@ class TestIdentityContract:
     def test_every_spelling_returns_the_same_object(self, role, index):
         pid = ProcessId(role, index)
         assert pid is ProcessId(role=role, index=index)
-        assert pid is parse_any_id(f"{role.value}-{index}")
-        assert pid is parse_any_id(pid)
 
     def test_helpers_and_config_spellings_are_interned_too(self):
         assert writer_id(7) is ProcessId(Role.WRITER, 7)
         assert server_id(7) is ProcessId(role=Role.SERVER, index=7)
         assert server_id(7) is not writer_id(7)
-        assert config_id(3) is ConfigId("c3") is ConfigId(name="c3") is parse_any_id("c3")
+        assert config_id(3) is ConfigId("c3") is ConfigId(name="c3")
         assert ConfigId("st0/k1") is ConfigId("st0/k1")
+
+    @given(st.sampled_from(Role), st.integers(0, 10**6))
+    def test_a_process_name_parses_back_to_the_same_object(self, role, index):
+        pid = ProcessId(role, index)
+        value, _, number = pid.name.rpartition("-")
+        assert ProcessId(Role(value), int(number)) is pid
+
+    @given(config_ids)
+    def test_a_config_name_parses_back_to_the_same_object(self, cfg_id):
+        assert ConfigId(str(cfg_id)) is cfg_id
+
+    def test_names_are_distinct_across_roles(self):
+        names = {ProcessId(role, index).name for role in Role for index in range(51)}
+        assert len(names) == len(Role) * 51
 
     @pytest.mark.parametrize("identifier", [reader_id(2), ConfigId("st1/key-9")],
                              ids=["ProcessId", "ConfigId"])
@@ -241,22 +264,3 @@ class TestIdentityContract:
         held = ConfigId("held")
         gc.collect()
         assert ConfigId("held") is held and len(ids._CONFIG_IDS) == configs + 1
-
-
-class TestParseAnyId:
-    def test_round_trip_process(self):
-        assert parse_any_id("writer-3") == writer_id(3)
-        assert parse_any_id("server-0") == server_id(0)
-
-    def test_round_trip_config(self):
-        assert parse_any_id("c2") == config_id(2)
-
-    def test_identity(self):
-        pid = reader_id(1)
-        assert parse_any_id(pid) is pid
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_any_id("not-an-id")
-        with pytest.raises(ValueError):
-            parse_any_id(42)

@@ -12,11 +12,11 @@ A write (read) operation:
 4. repeatedly ``put-data``s the pair into the *last* configuration of the
    local sequence and re-runs ``read-config`` until no new configuration
    appears -- this is the "catch up with ongoing reconfigurations" loop whose
-   termination the latency analysis (Section 4.4) studies.  An ABD or
-   TREAS read skips this step when ``[µ, ν]`` is one configuration and its
-   whole ``get-data`` quorum held the returned tag (for TREAS, with its
-   coded element) and no link: the pair is already at a quorum
-   (``docs/ARCHITECTURE.md``, "One-round reads").
+   termination the latency analysis (Section 4.4) studies.  A read skips
+   this step when ``[µ, ν]`` is one configuration and its whole
+   ``get-data`` quorum (for LDR, directory majority) held the returned tag
+   (for TREAS, with its coded element) and no link: the pair is already at
+   a quorum (``docs/ARCHITECTURE.md``, "One-round reads").
 
 Both walks ride DAP rounds.  Servers attach their ``nextC`` record to every
 first-round reply, and under every DAP those replies come from a consensus
@@ -29,7 +29,7 @@ every transfer out of ``c_ν`` saw the value: step 4 follows the links
 ``put-data`` reports instead of running ``read-config``
 (``docs/ARCHITECTURE.md``, "The transfer fence").  A steady-state ABD or
 TREAS write is then two quorum rounds, and a steady-state ABD or TREAS read
-one; an LDR write is three, an LDR read five.
+one; an LDR write is three, an LDR read two.
 
 The client records every high-level operation in a
 :class:`~repro.spec.history.History` so atomicity can be checked and the

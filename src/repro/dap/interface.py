@@ -37,8 +37,8 @@ class DapClient:
     next_config: Optional[ConfigRecord] = None
 
     #: The tag every reply to this client's last ``get-data`` carried (for
-    #: TREAS: every list, with its coded element), or ``None`` when the
-    #: replies disagreed.  ABD and TREAS set it, LDR does not; a read whose
+    #: TREAS: every list, with its coded element; for LDR: every directory
+    #: reply), or ``None`` when the replies disagreed.  A read whose
     #: ``[µ, ν]`` is this configuration alone and whose quorum agreed on the
     #: tag it returns skips its write-back
     #: (docs/ARCHITECTURE.md, "One-round reads").

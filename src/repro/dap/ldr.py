@@ -15,8 +15,10 @@ and await ``f+1`` acks):
   ``(τ, U)`` to a majority of directories.
 * ``get-data`` -- read ``(τ_max, U_max)`` from a majority of directories,
   write that metadata back to a majority (the helping step that makes reads
-  atomic), then fetch the value for ``τ_max`` from ``f+1`` replicas in
-  ``U_max`` and return the first reply.
+  atomic) unless every reply carried ``τ_max``, then fetch ``τ_max``'s
+  value from ``f+1`` replicas in ``U_max`` (one lacking it does not answer)
+  and return the first reply.  A read whose directories agree is thus two
+  rounds (``docs/ARCHITECTURE.md``, "One-round reads").
 
 LDR is replication-based and is included both for completeness of the DAP
 framework (the paper presents it as the second transformation example) and
@@ -49,7 +51,9 @@ class LdrDapClient(DapClient):
     directory query and the ``put-metadata`` round note the ``nextC`` record
     their replies carry (:attr:`~repro.dap.interface.DapClient.next_config`)
     and ``get-tag`` / ``get-data`` carry a reconfigurer's transfer
-    ``fence``, exactly as ABD's and TREAS's rounds do.
+    ``fence``, exactly as ABD's and TREAS's rounds do.  The directory query
+    notes :attr:`~repro.dap.interface.DapClient.agreed_tag` when every
+    reply of its majority carried the maximum tag.
     """
 
     # ------------------------------------------------------------ primitives
@@ -82,12 +86,13 @@ class LdrDapClient(DapClient):
         return None
 
     def get_data(self, fence=None):
-        """Read the latest tag/location, help propagate it, fetch the value."""
+        """Read the latest tag/location, help it unless agreed, fetch the value."""
         token = self._record_start("get-data")
         cfg = self.configuration
         tag, location = yield from self._query_directories(fence)
-        # Help: write the discovered metadata back to a directory majority.
-        yield from self._put_metadata(tag, location, "ldr-help-metadata")
+        if self.agreed_tag is None:
+            # Help: write the discovered metadata back to a directory majority.
+            yield from self._put_metadata(tag, location, "ldr-help-metadata")
         if tag == BOTTOM_TAG or not location:
             result = TagValue(tag=BOTTOM_TAG, value=BOTTOM_VALUE)
             self._record_end(token, result)
@@ -127,22 +132,13 @@ class LdrDapClient(DapClient):
             threshold=cfg.quorum_size,
             label="ldr-query-directories",
         )
-        best_tag: Tag = BOTTOM_TAG
-        best_location: Tuple[ProcessId, ...] = ()
-        for _, msg in replies:
-            if msg["tag"] > best_tag or (msg["tag"] == best_tag and not best_location):
-                best_tag = msg["tag"]
-                best_location = msg["location"]
+        tags = [msg["tag"] for _, msg in replies]
+        best_tag = max(tags)
+        best_location = next((msg["location"] for _, msg in replies
+                              if msg["tag"] == best_tag and msg["location"]), ())
+        self.agreed_tag = best_tag if min(tags) == best_tag else None
         self.next_config = next_link([msg.get("next") for _, msg in replies])
         return best_tag, best_location
-
-
-class LdrDirectoryEntry:
-    """The ``(tag, location)`` metadata pair stored by a directory server."""
-
-    def __init__(self) -> None:
-        self.tag: Tag = BOTTOM_TAG
-        self.location: Tuple[ProcessId, ...] = ()
 
 
 class LdrServerState(DapServerState):
@@ -157,22 +153,22 @@ class LdrServerState(DapServerState):
         super().__init__(configuration, server_pid)
         self.is_directory = server_pid in configuration.ldr_directories
         self.is_replica = server_pid in configuration.ldr_replicas
-        self.directory = LdrDirectoryEntry()
-        #: Replica store: tag -> value.  A garbage-collected variant would
-        #: keep only the latest few tags; LDR as specified keeps what it saw.
+        #: The directory's ``(tag, location)`` metadata pair.
+        self.directory: Tuple[Tag, Tuple[ProcessId, ...]] = (BOTTOM_TAG, ())
+        #: Replica store: tag -> value.  It keeps every tag while the
+        #: configuration lives, so a location's replicas can serve its tag.
         self.replica_store: Dict[Tag, Value] = {BOTTOM_TAG: BOTTOM_VALUE}
 
     # ---------------------------------------------------------------- handle
     def handle(self, src: ProcessId, message: Message) -> Optional[Message]:
         kind = message.kind
         if kind == QUERY_TAG_LOCATION:
+            tag, location = self.directory
             return reply(message, kind="LDR-TAG-LOCATION", metadata_fields=3,
-                         tag=self.directory.tag, location=self.directory.location)
+                         tag=tag, location=location)
         if kind == PUT_METADATA:
-            incoming: Tag = message["tag"]
-            if incoming > self.directory.tag:
-                self.directory.tag = incoming
-                self.directory.location = tuple(message["location"])
+            if message["tag"] > self.directory[0]:
+                self.directory = (message["tag"], tuple(message["location"]))
             return reply(message, kind="LDR-META-ACK")
         if kind == PUT_DATA:
             tag: Tag = message["tag"]
@@ -182,10 +178,7 @@ class LdrServerState(DapServerState):
             tag = message["tag"]
             value = self.replica_store.get(tag)
             if value is None:
-                # The replica has not (yet) received this tag; reply with the
-                # newest value it has so the reader can fall back safely.
-                newest = max(self.replica_store)
-                tag, value = newest, self.replica_store[newest]
+                return None
             return reply(message, kind="LDR-DATA", data_bytes=value.size,
                          metadata_fields=2, tag=tag, value=value)
         return None
@@ -197,7 +190,7 @@ class LdrServerState(DapServerState):
         return sum(value.size for value in self.replica_store.values())
 
     def max_known_tag(self) -> Tag:
-        tags = [self.directory.tag] if self.is_directory else []
+        tags = [self.directory[0]] if self.is_directory else []
         if self.is_replica:
             tags.extend(self.replica_store.keys())
         if not tags:

@@ -27,6 +27,7 @@ window-by-window: every non-empty window starting at or after the anchor
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Tuple
 
 __all__ = ["SLO", "mean", "p99", "peak", "rate"]
@@ -78,6 +79,27 @@ def _anchor(report, after: Optional[str], grace: float) -> Tuple[float, bool]:
     return at + grace, True
 
 
+def _empty_tail(report, series: str, anchor: float) -> str:
+    """Why no window of ``series`` starts at or after ``anchor``.
+
+    Names the first start the fixed-width windows cover and the last window
+    that holds samples.
+    """
+    histogram = report.histogram(series)
+    if histogram is None:
+        return f"no '{series}' histogram in the report"
+    width = histogram["width"]
+    first = math.ceil(anchor / width) * width
+    text = (f"no samples in '{series}' after t={anchor:g} (windows "
+            f"starting >= {first:g}, width {width:g})")
+    filled = [w for w in histogram["windows"] if w[1]]
+    if filled:
+        start, count = filled[-1][:2]
+        text += (f"; last non-empty window starts at t={start:g} with "
+                 f"{int(count)} samples")
+    return text
+
+
 class _QuantileQuery:
     """Fluent builder for per-window quantile bounds (``.within(limit)``)."""
 
@@ -103,8 +125,7 @@ class _QuantileQuery:
             anchor, found = _anchor(report, after, grace)
             worst = report.worst_window_stat(series, stat, after=anchor)
             if worst is None:
-                return (f"{description}: no samples in '{series}' after "
-                        f"t={anchor:g}")
+                return f"{description}: {_empty_tail(report, series, anchor)}"
             if worst > limit:
                 origin = "" if found else f" (mark '{after}' never fired)"
                 return (f"{description}: worst window {stat}={worst:g} at "

@@ -925,13 +925,17 @@ register_scenario(ChaosScenario(
     dap="ldr", faults=("gray", "drop", "resource"),
     deployment=_ldr_gray_deployment,
     schedule=lambda d: Schedule([During(12, 28, LatencySpike(1.5))]),
-    workload=_WORKLOAD,
+    # Eight reads per reader keep reads completing in the windows from
+    # t=40 the recovery SLO covers; three each all finish before the heal.
+    workload=WorkloadSpec(operations_per_writer=3, operations_per_reader=8,
+                          value_size=256, think_time=2.0),
     fault_rate=0.02,
     background=_gray_background(MemoryPressure(4096, "s5"),
                                 CpuPressure("s2", factor=3.0)),
     # Recovery SLO: p99 read latency settles within 5 virtual seconds of
-    # the scripted heal at t=28 (calibrated at seeds 0..4, worst window
-    # p99 after heal 54.2s).  Removing the heal entry makes this SLO fail
+    # the scripted heal at t=28 (calibrated at seeds 0..299, worst window
+    # p99 after heal 72.0s: a fetch whose messages are all lost waits out
+    # one 30s retry timeout).  Removing the heal entry makes this SLO fail
     # -- the negative-control test pins that.
     slos=(slo.p99("read_latency", after="heal", grace=5.0).within(75.0),
           slo.rate("nacks").below(0.01)),

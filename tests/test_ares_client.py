@@ -61,15 +61,14 @@ def abd_five(**overrides):
 
 
 class TestReadRounds:
-    """An ABD or TREAS read skips its write-back only when its quorum agrees."""
+    """A read skips its write-back only when its quorum agrees."""
 
     @pytest.mark.parametrize("dap, rounds", [
         ("abd", ["ABD-QUERY"]),
         ("treas", ["TREAS-QUERY-LIST"]),
-        ("ldr", ["LDR-QUERY-TAG-LOCATION", "LDR-PUT-METADATA", "LDR-GET-DATA",
-                 "LDR-PUT-DATA", "LDR-PUT-METADATA"]),
+        ("ldr", ["LDR-QUERY-TAG-LOCATION", "LDR-GET-DATA"]),
     ])
-    def test_only_a_quiet_read_outside_ldr_is_one_round(self, dap, rounds):
+    def test_a_quiet_read_runs_only_its_get_data(self, dap, rounds):
         dep = make_deployment(initial_dap=dap)
         dep.write(Value.of_size(10, label="x"), 0)
         kinds = note_rounds(dep, dep.readers[0].pid)
@@ -92,6 +91,26 @@ class TestReadRounds:
         kinds = note_rounds(dep, reader)
         assert dep.read(0).label == "tau"
         assert kinds == ["ABD-QUERY", "ABD-WRITE"]
+        dep.run()
+        assert check_linearizability(dep.history).ok
+
+    def test_an_ldr_directory_majority_with_mixed_tags_helps_and_writes_back(self):
+        # LDR 3+3: the write's metadata reaches directory s0 only; the
+        # reader's directory majority {s0, s1} holds tau at s0 alone.
+        dep = abd_five(initial_dap="ldr", num_servers=6)
+        writer, reader = dep.writers[0].pid, dep.readers[0].pid
+        s = [server_id(index) for index in range(6)]
+        slowed = {(writer, server, "LDR-PUT-METADATA") for server in s[1:3]}
+        slowed.add((reader, s[2], "LDR-QUERY-TAG-LOCATION"))
+        dep.network.add_delay_adjuster(
+            lambda src, dest, message, delay:
+                delay + 100 * ((src, dest, message.kind) in slowed))
+        dep.spawn_write(Value.of_size(8, label="tau"))
+        dep.sim.run_until(6.0)
+        kinds = note_rounds(dep, reader)
+        assert dep.read(0).label == "tau"
+        assert kinds == ["LDR-QUERY-TAG-LOCATION", "LDR-PUT-METADATA",
+                         "LDR-GET-DATA", "LDR-PUT-DATA", "LDR-PUT-METADATA"]
         dep.run()
         assert check_linearizability(dep.history).ok
 

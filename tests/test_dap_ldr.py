@@ -54,12 +54,16 @@ class TestLdrServerState:
         assert reply["value"].label == "x"
         assert reply.data_bytes == 30
 
-    def test_get_data_for_unknown_tag_falls_back_to_newest(self):
+    def test_get_data_answers_only_the_asked_tag(self):
         cfg = make_config()
         state = LdrServerState(cfg, server_id(3))
         known = Tag(1, writer_id(0))
+        newer = Tag(2, writer_id(0))
         state.handle(writer_id(0), request(PUT_DATA, 1, tag=known, value=Value.of_size(10, label="known")))
-        reply = state.handle(writer_id(0), request(GET_DATA, 2, tag=Tag(9, writer_id(1))))
+        state.handle(writer_id(0), request(PUT_DATA, 2, tag=newer, value=Value.of_size(10, label="newer")))
+        assert state.handle(writer_id(0), request(GET_DATA, 3, tag=Tag(9, writer_id(1)))) is None
+        reply = state.handle(writer_id(0), request(GET_DATA, 4, tag=known))
+        assert reply["tag"] == known
         assert reply["value"].label == "known"
 
     def test_directory_storage_not_counted(self):

@@ -30,9 +30,14 @@ one-round reads:
 * ``treas-read-agrees-on-decodable`` -- a TREAS read counts as agreed
   whenever its tag is decodable, i.e. at least ``k`` lists of its quorum
   hold the element, not every one of them.
+* ``ldr-read-agrees-on-max`` -- an LDR read counts as agreed whenever it
+  returns the maximum tag of its directory majority, even if not every
+  directory reply carries it, so it skips the help round and the
+  write-back.
 
-Five hand-built ``FixedLatency`` executions kill what no registered cell
-does; a sixth shows why a one-round read needs the transfer fence.
+Six hand-built ``FixedLatency`` executions kill the mutants, five of them
+where no registered cell does; a seventh shows why a one-round read needs
+the transfer fence.
 """
 
 from __future__ import annotations
@@ -107,16 +112,36 @@ def treas_read_agrees_on_decodable(monkeypatch) -> None:
                         _agree_on_decodable(client._select_decodable))
 
 
+def _agree_on_max(query):
+    """``_query_directories`` noting every maximum tag it returns as agreed."""
+
+    def query_directories(self, fence):
+        tag, location = yield from query(self, fence)
+        self.agreed_tag = tag
+        return tag, location
+
+    return query_directories
+
+
+def ldr_read_agrees_on_max(monkeypatch) -> None:
+    client = ldr.LdrDapClient
+    monkeypatch.setattr(client, "_query_directories",
+                        _agree_on_max(client._query_directories))
+
+
 MUTANTS = {
     "unfenced-transfer": unfenced_transfer,
     "linkless-ldr-put-data": linkless_ldr_put_data,
     "blind-first-round": blind_first_round,
     "skip-read-write-back": skip_read_write_back,
     "treas-read-agrees-on-decodable": treas_read_agrees_on_decodable,
+    "ldr-read-agrees-on-max": ldr_read_agrees_on_max,
 }
 
 #: mutant -> first killing ``(scenario, seed)``.
-KILLS = {}
+KILLS = {
+    "ldr-read-agrees-on-max": ("ldr_gray_degradation", 114),
+}
 
 #: mutant -> ``(nearest registered cell, the scenario that is missing)``.
 SURVIVORS = {
@@ -317,6 +342,41 @@ def test_counter_execution_of_a_decodable_but_unagreed_treas_read(mutated, monke
     deployment.spawn_write(Value.of_size(8, label="tau"))
     reads = []
     for at, reader_index in ((5.0, 0), (12.0, 1)):
+        deployment.sim.schedule(
+            at, lambda index=reader_index: reads.append(deployment.spawn_read(index)))
+    deployment.run()
+    assert [read.result().label for read in reads] == \
+        (["tau", "v0"] if mutated else ["tau", "tau"])
+    assert check_linearizability(deployment.history).ok is not mutated
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["protocol", "mutant"])
+def test_counter_execution_of_an_unagreed_ldr_read(mutated, monkeypatch):
+    """Why every directory reply of an LDR read must carry its tag.
+
+    LDR 3+3 (directories ``s0``..``s2``, replicas ``s3``..``s5``); every
+    message takes 1 unless slowed below.  The writer's value reaches the
+    replicas at 3 and its ``put-metadata`` of ``tau`` reaches ``s0`` at 5,
+    ``s1``/``s2`` only after 100.  Reader 1's directory majority
+    ``{s0, s1}`` answers at 8 with ``tau`` at ``s0`` alone.  Under the
+    protocol the tags disagree, so the read helps ``tau`` onto every
+    directory, fetches it and writes it back before returning at 16; under
+    the mutant it fetches and returns at 10.  Reader 2's majority
+    ``{s1, s2}`` answers at 22: it holds ``tau`` only if reader 1 helped.
+    """
+    if mutated:
+        ldr_read_agrees_on_max(monkeypatch)
+    deployment = AresDeployment(num_servers=6, initial_dap="ldr", num_writers=1,
+                                num_readers=2, latency=FixedLatency(1.0))
+    s = [server_id(index) for index in range(6)]
+    writer, first, second = writer_id(0), reader_id(0), reader_id(1)
+    _slowed(deployment, {(writer, s[1], ldr.PUT_METADATA): 100,
+                         (writer, s[2], ldr.PUT_METADATA): 100,
+                         (first, s[2], ldr.QUERY_TAG_LOCATION): 100,
+                         (second, s[0], ldr.QUERY_TAG_LOCATION): 100})
+    deployment.spawn_write(Value.of_size(8, label="tau"))
+    reads = []
+    for at, reader_index in ((6.0, 0), (20.0, 1)):
         deployment.sim.schedule(
             at, lambda index=reader_index: reads.append(deployment.spawn_read(index)))
     deployment.run()

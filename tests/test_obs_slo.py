@@ -22,6 +22,7 @@ import pytest
 from repro.chaos.faults import LatencySpike
 from repro.chaos.schedule import At, Schedule
 from repro.obs import slo
+from repro.obs.report import MetricsReport
 from repro.workloads.scenarios import (get_scenario, run_scenario,
                                        run_scenario_instance)
 
@@ -112,6 +113,22 @@ def test_slo_failure_messages_are_actionable():
     assert message is not None
     assert "read_latency" in message and "0.001" in message
     assert "worst window" in message
+
+    # An empty window names the windows the query really covers (fixed
+    # 20s widths: "after t=33" starts at 40) and the last one with samples.
+    report = MetricsReport({
+        "marks": {"heal": [28.0]},
+        "histograms": {"read_latency": {
+            "width": 20.0,
+            "windows": [[0.0, 4, 4.5, 7.7, 7.7], [20.0, 2, 8.3, 8.8, 8.8],
+                        [40.0, 0, 0.0, 0.0, 0.0]]}},
+    })
+    recovery = slo.p99("read_latency", after="heal", grace=5.0).within(75.0)
+    message = recovery.evaluate(report)
+    assert message == (
+        "p99(read_latency, after=heal+5s) <= 75: no samples in "
+        "'read_latency' after t=33 (windows starting >= 40, width 20); last "
+        "non-empty window starts at t=20 with 2 samples")
 
 
 def test_slo_value_object_semantics():

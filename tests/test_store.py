@@ -170,12 +170,12 @@ class TestStoreOperations:
     def test_batch_pipelines_quorum_rounds(self):
         """A batch over b keys costs its slowest key's rounds, not their sum.
 
-        Every hop takes 1 vt, so a quorum round takes 2.  A quiet ABD read
-        or TREAS read is one round (its quorum agrees, so it skips the
-        write-back), and an LDR read five: get-data's directory, write-back
-        and replica rounds, then put-data's replica and directory rounds.
+        Every hop takes 1 vt, so a quorum round takes 2.  A quiet read's
+        quorum agrees, so it skips its write-back: an ABD or TREAS read is
+        one round, and an LDR read two (get-data's directory query, then
+        its replica fetch; the agreed directories need no help round).
         """
-        rounds = {"abd": 1, "treas": 1, "ldr": 5}
+        rounds = {"abd": 1, "treas": 1, "ldr": 2}
         keys = [f"k{i}" for i in range(8)]
         sequential = StoreDeployment(StoreSpec(
             shards=MIXED_SHARDS, latency=FixedLatency(1.0), seed=3))

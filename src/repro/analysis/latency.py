@@ -41,7 +41,17 @@ def rw_operation_upper_bound(D: float, mu_start: int, nu_end: int) -> float:
 
 def reconfig_pipeline_lower_bound(d: float, consensus_delay: float, k: int) -> float:
     """Lemma 57: installing ``k`` back-to-back configurations takes at least
-    ``4d·Σ_{i=1..k} i + k·(T(CN) + 2d)``."""
+    ``4d·Σ_{i=1..k} i + k·(T(CN) + 2d)``.
+
+    The lemma's premise is its worst case: the ``i``-th reconfiguration is
+    invoked by a reconfigurer whose sequence still starts at ``c0``, so it
+    walks all ``i`` configurations installed before it (``4d`` each,
+    Lemma 56's ``read-config`` bound) before it proposes (``T(CN)``) and
+    propagates the decision (``2d``).  That walk is the ``Σ i`` term.  A
+    reconfigurer whose sequence is already current walks nothing, and the
+    bound, quadratic in ``k``, does not hold for its chain of installs,
+    which is linear in ``k``.
+    """
     return 4 * d * (k * (k + 1) // 2) + k * (consensus_delay + 2 * d)
 
 
@@ -59,8 +69,9 @@ class LatencyEnvelope:
     D: float
     consensus_delay: float = 0.0
 
-    def read_config(self, mu: int, nu: int) -> Tuple[float, float]:
-        """Bounds for one ``read-config`` spanning indices ``[µ, ν]``."""
+    def sequence_walk(self, mu: int, nu: int) -> Tuple[float, float]:
+        """Bounds for one walk of the sequence (Algorithm 4's ``read-config``)
+        spanning indices ``[µ, ν]``."""
         return read_config_bounds(self.d, self.D, mu, nu)
 
     def rw_operation(self, mu_start: int, nu_end: int) -> float:

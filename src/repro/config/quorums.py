@@ -4,8 +4,8 @@ Two quorum systems are used by the protocols:
 
 * **Majority quorums** -- any subset of strictly more than half the servers.
   Used by ABD-backed configurations, by LDR over its directories, and by
-  the configuration-sequence service and consensus (``read-config`` /
-  ``put-config`` wait for a majority of ``c.Servers``, or of an LDR
+  the configuration-sequence service and consensus (``put-config`` and
+  the Paxos rounds wait for a majority of ``c.Servers``, or of an LDR
   configuration's directories).
 * **Threshold quorums of size ⌈(n+k)/2⌉** -- used by TREAS.  Any two such
   quorums intersect in at least ``k`` servers, which is what makes a tag

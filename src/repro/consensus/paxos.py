@@ -6,7 +6,7 @@ reconfiguration client is the proposer; the servers of the configuration's
 directories) are the acceptors; majorities of those servers form the Paxos
 quorums.
 
-The implementation follows classic Synod Paxos:
+The implementation is classic Synod Paxos:
 
 * **Phase 1** (prepare/promise): the proposer picks a ballot ``(round, pid)``
   greater than any it used before and asks a majority of acceptors to
@@ -15,11 +15,16 @@ The implementation follows classic Synod Paxos:
 * **Phase 2** (accept/accepted): the proposer proposes the value carried by
   the highest-ballot promise (or its own value if none) and waits for a
   majority of accepts.
-* **Decision**: once a majority accepted a ballot, its value is decided.
-  The proposer then broadcasts a ``DECIDED`` message so that acceptors can
-  short-circuit later proposers (this also gives all competing reconfigurers
-  the same answer in one round trip, the behaviour ARES relies on when
-  multiple clients propose successors concurrently).
+* **Decision**: once a majority accepted a ballot, its value is decided and
+  returned to the proposer.  Nothing is broadcast: a later proposer learns
+  the decision from phase 1 itself.
+
+The ARES server attaches its ``nextC`` record for the instance's
+configuration to every reply to ``PREPARE`` (:mod:`repro.core.server`).  A
+record there means the instance already decided and its value was
+propagated with ``put-config``, so the proposer returns that record instead
+of deciding, and the reconfigurer walks down it
+(:meth:`~repro.core.reconfig.ReconfigOpsMixin._add_config`).
 
 Contention between concurrent proposers is resolved by ballot escalation
 with randomised (seeded) back-off, which terminates with probability 1 in
@@ -29,10 +34,11 @@ the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Optional, TYPE_CHECKING
 
 from repro.common.errors import ConsensusError
 from repro.common.ids import ProcessId
+from repro.config.sequence import next_link
 from repro.consensus.interface import ConsensusDecision
 from repro.net.message import Message, reply, request
 from repro.sim.futures import Timer
@@ -48,7 +54,6 @@ PROMISE = "PAXOS-PROMISE"
 ACCEPT = "PAXOS-ACCEPT"
 ACCEPTED = "PAXOS-ACCEPTED"
 NACK = "PAXOS-NACK"
-DECIDED = "PAXOS-DECIDED"
 
 
 @dataclass(frozen=True, order=True)
@@ -76,7 +81,6 @@ class PaxosAcceptorState:
     promised: Ballot = field(default_factory=Ballot.initial)
     accepted_ballot: Optional[Ballot] = None
     accepted_value: Any = None
-    decided_value: Any = None
 
     def handle(self, message: Message) -> Message:
         """Process a proposer message and return the reply to send back."""
@@ -85,22 +89,15 @@ class PaxosAcceptorState:
             return self._on_prepare(message)
         if kind == ACCEPT:
             return self._on_accept(message)
-        if kind == DECIDED:
-            self.decided_value = message["value"]
-            return reply(message, kind="PAXOS-DECIDED-ACK")
         raise ConsensusError(f"acceptor cannot handle message kind {kind}")
 
     def _on_prepare(self, message: Message) -> Message:
         ballot: Ballot = message["ballot"]
-        if self.decided_value is not None:
-            return reply(message, kind=PROMISE, decided=True, value=self.decided_value,
-                         accepted_ballot=None)
         if ballot > self.promised:
             self.promised = ballot
             return reply(
                 message,
                 kind=PROMISE,
-                decided=False,
                 accepted_ballot=self.accepted_ballot,
                 accepted_value=self.accepted_value,
             )
@@ -108,13 +105,11 @@ class PaxosAcceptorState:
 
     def _on_accept(self, message: Message) -> Message:
         ballot: Ballot = message["ballot"]
-        if self.decided_value is not None:
-            return reply(message, kind=ACCEPTED, decided=True, value=self.decided_value)
         if ballot >= self.promised:
             self.promised = ballot
             self.accepted_ballot = ballot
             self.accepted_value = message["value"]
-            return reply(message, kind=ACCEPTED, decided=False)
+            return reply(message, kind=ACCEPTED)
         return reply(message, kind=NACK, promised=self.promised)
 
 
@@ -149,6 +144,10 @@ class PaxosProposer:
         self.instance = instance
         self.extra_decision_delay = extra_decision_delay
         self.max_rounds = 64
+        #: Whether an ``ACCEPT`` carrying the caller's own value was sent:
+        #: only then can this instance decide that value without the caller
+        #: seeing the decision.
+        self.offered = False
 
     # ----------------------------------------------------------- public API
     def propose(self, value: Any):
@@ -157,7 +156,10 @@ class PaxosProposer:
         Returns a :class:`~repro.consensus.interface.ConsensusDecision`.  If
         another proposer's value wins, that value is returned (Validity and
         Agreement still hold -- the caller adopts the decided value exactly
-        as ARES's ``add-config`` does).
+        as ARES's ``add-config`` does).  If a promise carries a ``nextC``
+        record (under ``next``), the instance has already decided and that
+        record -- a :class:`~repro.config.sequence.ConfigRecord` -- is
+        returned instead.
         """
         if value is None:
             raise ConsensusError("cannot propose None")
@@ -178,16 +180,17 @@ class PaxosProposer:
                 threshold=majority,
                 label=f"paxos-prepare[{self.instance}]",
             )
-            decided = self._find_decided(promises)
-            if decided is not None:
-                result = yield from self._finish(decided, round_number, servers)
-                return result
+            link = next_link(msg.get("next") for _, msg in promises)
+            if link is not None:
+                return link
             if any(msg.kind == NACK for _, msg in promises):
                 round_number += 1
                 yield Timer(self.process.sim, self._backoff(round_number), label="paxos-backoff")
                 continue
 
             proposal = self._choose_value(promises, value)
+            if proposal is value:
+                self.offered = True
 
             # ---------------------------------------------------- Phase 2
             accepts = yield self.process.broadcast_and_gather(
@@ -200,13 +203,12 @@ class PaxosProposer:
                 threshold=majority,
                 label=f"paxos-accept[{self.instance}]",
             )
-            decided = self._find_decided(accepts)
-            if decided is not None:
-                result = yield from self._finish(decided, round_number, servers)
-                return result
             if all(msg.kind == ACCEPTED for _, msg in accepts):
-                result = yield from self._finish(proposal, round_number, servers)
-                return result
+                if self.extra_decision_delay > 0:
+                    yield Timer(self.process.sim, self.extra_decision_delay,
+                                label="consensus-delay")
+                return ConsensusDecision(value=proposal, instance=self.instance,
+                                         ballot_round=round_number)
 
             round_number += 1
             yield Timer(self.process.sim, self._backoff(round_number), label="paxos-backoff")
@@ -223,13 +225,6 @@ class PaxosProposer:
         return base * round_number
 
     @staticmethod
-    def _find_decided(replies) -> Any:
-        for _, msg in replies:
-            if msg.get("decided"):
-                return msg["value"]
-        return None
-
-    @staticmethod
     def _choose_value(promises, own_value: Any) -> Any:
         """Pick the value of the highest accepted ballot among the promises."""
         best_ballot: Optional[Ballot] = None
@@ -244,19 +239,3 @@ class PaxosProposer:
                 best_ballot = accepted_ballot
                 best_value = msg.get("accepted_value")
         return best_value if best_value is not None else own_value
-
-    def _finish(self, decided_value: Any, round_number: int, servers):
-        """Broadcast the decision, apply the external-consensus delay, and return."""
-        if self.extra_decision_delay > 0:
-            yield Timer(self.process.sim, self.extra_decision_delay, label="consensus-delay")
-        # Decision broadcast is fire-and-forget: acceptors learn the decision
-        # so that later proposers short-circuit in one round trip.
-        broadcast_id = self.process.new_request_id()
-        for server in servers:
-            self.process.send(
-                server,
-                request(DECIDED, broadcast_id, config_id=self.configuration.cfg_id,
-                        metadata_fields=2, value=decided_value, instance=self.instance),
-            )
-        return ConsensusDecision(value=decided_value, instance=self.instance,
-                                 ballot_round=round_number)

@@ -5,10 +5,12 @@ This package contains the paper's main contribution:
 * :mod:`repro.core.directory` -- the configuration directory mapping
   configuration identifiers to their full descriptions.
 * :mod:`repro.core.server`    -- the ARES server protocol (``nextC`` handling,
-  per-configuration DAP state, Paxos acceptors).
-* :mod:`repro.core.traversal` -- the sequence-traversal actions
-  ``read-next-config`` / ``put-config`` / ``read-config`` (Algorithm 4).
-* :mod:`repro.core.reconfig`  -- the reconfiguration client (Algorithm 5).
+  per-configuration DAP state, Paxos acceptors; ``nextC`` rides DAP and
+  ``PREPARE`` replies).
+* :mod:`repro.core.traversal` -- the sequence traversal of Algorithm 4:
+  ``put-config`` and the walk over the ``nextC`` links those replies carry.
+* :mod:`repro.core.reconfig`  -- the reconfiguration client (Algorithm 5),
+  whose add-config walks on Paxos phase 1.
 * :mod:`repro.core.client`    -- ARES readers and writers (Algorithm 7).
 * :mod:`repro.core.ares_treas` -- the optimised direct server-to-server state
   transfer of Section 5 (Algorithms 8 and 9).

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from repro.common.ids import ConfigId, ProcessId
+from repro.common.errors import QuorumRefusedError
+from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, Tag
 from repro.config.configuration import Configuration, DapKind
 from repro.config.sequence import ConfigSequence
 from repro.core.reconfig import AresReconfigurer
 from repro.dap.treas import TreasServerState
 from repro.erasure.interface import CodedElement
-from repro.net.message import Message, reply, request
+from repro.net.message import Message
 
 #: Metadata-consistent broadcast wrapping a forward request (sent to the
 #: servers of the *old* configuration ``C``).
@@ -59,8 +60,9 @@ class TreasTransferServerState(TreasServerState):
         self.transfer_buffer: Dict[Tuple[ProcessId, Tag], Dict[int, CodedElement]] = {}
         #: ``Recons``: reconfigurers this server has already acknowledged.
         self.recons: Set[ProcessId] = set()
-        #: Broadcast ids already relayed (for the all-or-none echo).
-        self._seen_broadcasts: Set[int] = set()
+        #: ``(reconfigurer, broadcast id)`` pairs already relayed (for the
+        #: all-or-none echo).  Ids are per reconfigurer, so the pair is the key.
+        self._seen_broadcasts: Set[Tuple[ProcessId, int]] = set()
 
     # ---------------------------------------------------------------- handle
     def handle(self, src: ProcessId, message: Message) -> Optional[Message]:
@@ -83,10 +85,10 @@ class TreasTransferServerState(TreasServerState):
         mid-broadcast (all-or-none delivery).
         """
         assert self.server is not None, "transfer state must be bound to its server"
-        broadcast_id: int = message["broadcast_id"]
-        if broadcast_id in self._seen_broadcasts:
+        broadcast = (message["reconfigurer"], message["broadcast_id"])
+        if broadcast in self._seen_broadcasts:
             return
-        self._seen_broadcasts.add(broadcast_id)
+        self._seen_broadcasts.add(broadcast)
 
         # Echo phase of the md-primitive.
         for peer in self.configuration.servers:
@@ -181,21 +183,21 @@ class DirectTransferReconfigurer(AresReconfigurer):
     def _update_config(self, cseq: ConfigSequence, dap_for):
         """Coroutine: Algorithm 8's tag-only state transfer.
 
-        Its ``get-tag`` loop is the transfer query, fenced exactly like the
-        baseline's ``get-data`` (:meth:`~repro.core.reconfig.ReconfigOpsMixin._fence`).
+        Its ``get-tag`` queries walk ``[µ, ν]`` fenced exactly like the
+        baseline's ``get-data``
+        (:meth:`~repro.core.reconfig.ReconfigOpsMixin._transfer_queries`).
         """
-        mu = cseq.mu
         nu = cseq.nu
+        tags = yield from self._transfer_queries(
+            cseq, dap_for, lambda dap, fence: dap.get_tag(fence=fence))
+        if nu < cseq.base:
+            return None
         target = cseq.config_at(nu)
 
-        # Gather only tags; remember which configuration produced the maximum.
-        best_tag = BOTTOM_TAG
-        best_source: Configuration = cseq.config_at(mu)
-        for index in range(mu, nu + 1):
-            configuration = cseq.config_at(index)
-            tag = yield from dap_for(configuration).get_tag(
-                fence=self._fence(cseq, index))
-            if tag > best_tag or index == mu:
+        # Remember which configuration produced the maximum tag.
+        best_source, best_tag = tags[0]
+        for configuration, tag in tags[1:]:
+            if tag > best_tag:
                 best_tag = tag
                 best_source = configuration
         if best_tag == BOTTOM_TAG:
@@ -207,7 +209,15 @@ class DirectTransferReconfigurer(AresReconfigurer):
         if best_source.dap is not DapKind.TREAS or target.dap is not DapKind.TREAS:
             return (yield from super()._update_config(cseq, dap_for))
 
-        yield from self.forward_code_element(best_tag, best_source, target)
+        try:
+            yield from self.forward_code_element(best_tag, best_source, target)
+        except QuorumRefusedError as error:
+            # A contender retired the source under the forward: re-base, and
+            # finish with the baseline transfer unless that ended the walk.
+            self._rebase(cseq, cseq.index_of(best_source.cfg_id), best_source, error)
+            if nu < cseq.base:
+                return None
+            return (yield from super()._update_config(cseq, dap_for))
         self.direct_transfers += 1
         return None
 
@@ -227,6 +237,9 @@ class DirectTransferReconfigurer(AresReconfigurer):
                     "broadcast_id": broadcast_id,
                 },
                 metadata_bytes=5 * 16,
+                # A server that retired the source refuses with a NACK
+                # carrying its tombstone, which fails the gather fast.
+                request_id=transfer_rid,
                 config_id=source.cfg_id,
             ))
         yield gather

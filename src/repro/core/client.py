@@ -39,14 +39,14 @@ latency benchmarks can measure operation intervals.
 from __future__ import annotations
 
 from operator import methodcaller
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.common.errors import QuorumRefusedError, is_retirement_refusal
 from repro.common.ids import ProcessId
 from repro.common.tags import TagValue, max_tag, max_tag_value
 from repro.common.values import Value
 from repro.config.configuration import Configuration
-from repro.config.sequence import ConfigRecord, ConfigSequence
+from repro.config.sequence import ConfigSequence
 from repro.core.directory import ConfigurationDirectory
 from repro.core.traversal import RegisterState, SequenceTraversalMixin
 from repro.dap.interface import DapClient
@@ -57,15 +57,6 @@ from repro.spec.properties import DapRecorder
 
 _GET_TAG = methodcaller("get_tag")
 _GET_DATA = methodcaller("get_data")
-
-
-def _tombstone(error: QuorumRefusedError) -> Optional[Tuple[ConfigRecord, int]]:
-    """The ``(record, index)`` tombstone a retirement refusal carries, if any."""
-    if not is_retirement_refusal(error) or not error.refusals:
-        return None
-    _, message = error.refusals[0]
-    jump = message.get("jump")
-    return None if jump is None else (message["record"], jump)
 
 
 class RegisterOpsMixin(SequenceTraversalMixin):
@@ -106,8 +97,7 @@ class RegisterOpsMixin(SequenceTraversalMixin):
             record = self.history.invoke(self.pid, OperationType.WRITE, self.now,
                                          value_label=value.label, key=key)
         new_pair = yield from self._restart_on_retirement(
-            self._write_body, (cseq, dap_for, value),
-            self._MAX_RETIREMENT_RESTARTS, "retirement_restarts")
+            self._write_body, (cseq, dap_for, value))
         if record is not None:
             self.history.respond(record, self.now, tag=new_pair.tag)
         if self.metrics is not None:
@@ -121,6 +111,27 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         yield from self._register_propagate(cseq, dap_for, new_pair)
         return new_pair
 
+    def _restart_on_retirement(self, body, args):
+        """Coroutine: ``body(*args)``, re-run while refused only for retirement.
+
+        A quorum gather refused purely because a reconfigurer retired its
+        configuration mid-operation re-runs the whole body, up to
+        ``_MAX_RETIREMENT_RESTARTS`` times, counting each restart under the
+        metric ``retirement_restarts``; the re-run's first round re-bases on
+        the retired servers' tombstones, so it gathers over live
+        configurations only.  Any other refusal, and the one past the cap,
+        propagates.
+        """
+        cap = self._MAX_RETIREMENT_RESTARTS
+        for restart in range(cap + 1):
+            try:
+                return (yield from body(*args))
+            except QuorumRefusedError as error:
+                if restart == cap or not is_retirement_refusal(error):
+                    raise
+                if self.metrics is not None:
+                    self.metrics.inc("retirement_restarts")
+
     def _register_read(self, cseq: ConfigSequence, dap_for,
                        key: Optional[str] = None):
         """Coroutine: the ARES read (Algorithm 7); returns the value.
@@ -133,8 +144,7 @@ class RegisterOpsMixin(SequenceTraversalMixin):
             record = self.history.invoke(self.pid, OperationType.READ, self.now,
                                          key=key)
         best = yield from self._restart_on_retirement(
-            self._read_body, (cseq, dap_for),
-            self._MAX_RETIREMENT_RESTARTS, "retirement_restarts")
+            self._read_body, (cseq, dap_for))
         if record is not None:
             self.history.respond(record, self.now, value_label=best.value.label,
                                  tag=best.tag)
@@ -169,7 +179,7 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         past it.  News is followed at once (:meth:`_follow_link`:
         ``put-config`` backwards, then the new entry is queried in turn),
         and a round refused because the configuration was retired re-bases
-        on the tombstone its NACK carries (:meth:`_rebase_target`).
+        on the tombstone its NACK carries (:meth:`_rebase`).
         """
         results = []
         index = cseq.mu
@@ -179,28 +189,12 @@ class RegisterOpsMixin(SequenceTraversalMixin):
             try:
                 results.append((yield from primitive(dap)))
             except QuorumRefusedError as error:
-                tombstone = _tombstone(error)
-                if tombstone is None or tombstone[1] <= index:
-                    raise
-                record, index = self._rebase_target(configuration, tombstone)
-                self._jump(cseq, index, record)
+                index = self._rebase(cseq, index, configuration, error)
                 continue
             if dap.next_config is not None:
                 yield from self._follow_link(cseq, index, dap.next_config)
             index += 1
         return results
-
-    def _rebase_target(self, configuration: Configuration,
-                       tombstone: Tuple[ConfigRecord, int]) -> Tuple[ConfigRecord, int]:
-        """Where a first round refused by retired ``configuration`` re-bases.
-
-        ``tombstone`` is the ``(record, index)`` the refusing server holds:
-        the successor that was finalized when ``configuration`` retired.  A
-        host that knows a farther finalized entry of the same sequence may
-        return it instead (the store's per-key entry point); by default the
-        tombstone is the target.
-        """
-        return tombstone
 
     def _register_propagate(self, cseq: ConfigSequence, dap_for, pair: TagValue):
         """Algorithm 7 lines 15-21 / 37-43: put-data until the sequence stops growing.

@@ -1,16 +1,20 @@
 """The ARES reconfiguration client (Algorithm 5).
 
-A ``reconfig(c)`` operation consists of four consecutively executed phases:
+A ``reconfig(c)`` operation consists of three consecutively executed phases:
 
-``read-config``
-    Refresh the local configuration sequence (Algorithm 4).
 ``add-config``
     Propose ``c`` to the consensus instance of the *last* configuration in
-    the sequence; whatever configuration ``d`` the instance decides is
-    appended with status ``P`` and propagated to the previous configuration's
-    servers with ``put-config`` (if ``d ≠ c`` the reconfigurer adopts ``d``
-    and its own proposal is simply dropped -- at most one configuration is
-    installed per index).
+    the local sequence.  The walk rides the proposal: every Paxos promise
+    carries its server's ``nextC`` record, so a promise quorum naming a link
+    sends the reconfigurer down it (``put-config`` backwards, as readers and
+    writers do) and it proposes again at the new last entry.  Algorithm 5's
+    separate ``read-config`` round is gone (``docs/ARCHITECTURE.md``, "Fused
+    discovery").  Whatever configuration ``d`` the instance decides is
+    appended with status ``P`` and propagated to the previous
+    configuration's servers with ``put-config`` (if ``d ≠ c`` the
+    reconfigurer adopts ``d`` and its own proposal is simply dropped -- at
+    most one configuration is installed per index).  A configuration the
+    sequence already holds is never proposed again.
 ``update-config``
     Transfer the object state: gather the maximum tag-value pair from every
     configuration between the last finalized index ``µ`` and the new index
@@ -20,12 +24,18 @@ A ``reconfig(c)`` operation consists of four consecutively executed phases:
     what lets readers and writers drop their trailing ``read-config``
     (``docs/ARCHITECTURE.md``, "The transfer fence").  (The optimised direct
     server-to-server transfer of Section 5 overrides exactly this phase; see
-    :mod:`repro.core.ares_treas`.)
+    :mod:`repro.core.ares_treas`.  Both walk ``[µ, ν]`` with
+    :meth:`ReconfigOpsMixin._transfer_queries`.)
 ``finalize-config``
     Mark the new configuration ``F`` and propagate the finalized record to a
     quorum of the previous configuration.
 
-When garbage collection is enabled (``gc=True``) a fifth phase follows:
+A round refused because a contending reconfigurer retired its
+configuration re-bases the sequence on the tombstone the refusal carries
+and goes on.  If the retired configuration is the one this operation
+installed, a contender already finalized past it and the operation ends.
+
+When garbage collection is enabled (``gc=True``) a fourth phase follows:
 
 ``gc-config``
     Retire the configurations that precede the new last-finalized index
@@ -39,7 +49,7 @@ When garbage collection is enabled (``gc=True``) a fifth phase follows:
 
 Per-object batches
 ------------------
-The four phases are implemented by :class:`ReconfigOpsMixin`, parameterised
+The phases are implemented by :class:`ReconfigOpsMixin`, parameterised
 over the register's local state (its ``cseq`` and a ``configuration ->
 DapClient`` resolver) exactly like the read/write operations in
 :class:`~repro.core.client.RegisterOpsMixin`.  The single-register
@@ -56,8 +66,7 @@ from typing import Optional
 
 from repro.common.errors import QuorumRefusedError, QuorumUnavailableError
 from repro.common.ids import ProcessId
-from repro.common.tags import BOTTOM_TAG, TagValue
-from repro.common.values import BOTTOM_VALUE
+from repro.common.tags import max_tag_value
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status
 from repro.consensus.paxos import PaxosProposer
@@ -92,8 +101,6 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
     gc_enabled: bool = False
     #: Number of configurations this client retired (gc-config rounds acked).
     configs_retired: int = 0
-    #: Cap on retirement-refusal restarts of one reconfig operation.
-    _MAX_RETIREMENT_RESTARTS = 16
 
     def _register_reconfig(self, cseq: ConfigSequence, dap_for, proposed: Configuration,
                            key: Optional[str] = None):
@@ -103,11 +110,6 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         the proposal targeted (the decided one, which may differ from
         ``proposed`` under contention).  ``key`` tags the history record for
         keyed (store) registers.
-
-        A phase whose quorum gather is refused purely because a contending
-        reconfigurer retired the configuration underneath it restarts the
-        operation from ``read-config``: the retired servers' tombstones make
-        the next traversal jump straight past the reclaimed prefix.
         """
         record = None
         if self.history is not None:
@@ -115,13 +117,22 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
                                          value_label=str(proposed.cfg_id), key=key)
         self.directory.register(proposed)
         metrics = self.metrics
-        started = self.now
+        started = phase_started = self.now
 
-        installed = yield from self._restart_on_retirement(
-            self._reconfig_phases, (cseq, dap_for, proposed, metrics, started),
-            self._MAX_RETIREMENT_RESTARTS, "reconfig_retirement_restarts")
+        installed, index = yield from self._add_config(cseq, proposed)
+        if metrics is not None:
+            metrics.observe("reconfig_phase:add-config", self.now - phase_started)
+            phase_started = self.now
 
-        # Phase 5: gc-config (optional).
+        yield from self._update_config(cseq, dap_for)
+        if metrics is not None:
+            metrics.observe("reconfig_phase:update-config", self.now - phase_started)
+            phase_started = self.now
+
+        yield from self._finalize_config(cseq, index)
+        if metrics is not None:
+            metrics.observe("reconfig_phase:finalize-config", self.now - phase_started)
+
         if self.gc_enabled:
             phase_started = self.now
             yield from self._gc_config(cseq)
@@ -135,64 +146,55 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
             self.history.respond(record, self.now, config_id=installed.cfg_id)
         return installed
 
-    def _reconfig_phases(self, cseq: ConfigSequence, dap_for,
-                         proposed: Configuration, metrics, started):
-        """Coroutine: one attempt at phases 1-4; returns the installed configuration."""
-        # Phase 1: read-config.
-        yield from self.read_config(cseq)
-        if metrics is not None:
-            metrics.observe("reconfig_phase:read-config", self.now - started)
-            phase_started = self.now
-
-        # Phase 2: add-config.
-        installed, index = yield from self._add_config(cseq, proposed)
-        if metrics is not None:
-            metrics.observe("reconfig_phase:add-config", self.now - phase_started)
-            phase_started = self.now
-
-        # Phase 3: update-config.
-        yield from self._update_config(cseq, dap_for)
-        if metrics is not None:
-            metrics.observe("reconfig_phase:update-config", self.now - phase_started)
-            phase_started = self.now
-
-        # Phase 4: finalize-config.
-        yield from self._finalize_config(cseq, index)
-        if metrics is not None:
-            metrics.observe("reconfig_phase:finalize-config", self.now - phase_started)
-        return installed
-
     # ----------------------------------------------------------- add-config
     def _add_config(self, cseq: ConfigSequence, proposed: Configuration):
         """Coroutine: decide the successor of the last configuration.
 
         Returns ``(installed, index)``: the decided configuration and the
-        absolute sequence index it occupies.  The decided value may already
-        sit *anywhere* in the sequence -- a contending reconfigurer can have
-        propagated it (and even successors of it) between our propose and
-        the decision callback -- so membership is checked across the whole
-        retained window, not just against the last entry; appending only
-        when genuinely absent.  (Comparing against ``cseq.last`` alone made
-        ``append`` raise ``ConfigurationError`` in exactly that window.)
+        absolute sequence index it occupies.  The proposal walks: a promise
+        quorum naming a link moves it one entry on (:meth:`_follow_link`),
+        and a refusal for retirement re-bases it on the tombstone
+        (:meth:`_rebase`).  ``proposed`` is never offered to a second
+        instance once the sequence holds it, nor after a retired instance
+        refused a round in which it may have been accepted: either could
+        decide it at a second GL index.  In the second case the tombstone's
+        target stands in for the decision.
+
+        The decided value may already sit *anywhere* in the sequence: the
+        store's concurrent per-key reconfigurations share one ``cseq``, and
+        a sibling can have appended it (and even successors of it) while
+        this proposal was in flight.  So membership is checked across the
+        whole retained window, appending only when genuinely absent.
         """
-        last = cseq.last.config
-        proposer = PaxosProposer(self, last, instance=last.cfg_id,
-                                 extra_decision_delay=self.consensus_delay)
-        decision = yield from proposer.propose(proposed)
-        installed: Configuration = decision.value
-        self.directory.register(installed)
-        existing = cseq.index_of(installed.cfg_id)
-        if existing is not None:
-            # A concurrent reconfigurer already propagated the decision and we
-            # observed it (at whatever index) during read-config; nothing to
-            # append -- propagate the record we already hold.
-            index = existing
-            record = cseq[existing]
-        else:
-            record = ConfigRecord(installed, Status.PENDING)
-            index = cseq.append(record)
-        yield from self.put_config(last, record)
-        return installed, index
+        while True:
+            index = cseq.index_of(proposed.cfg_id)
+            if index is not None:
+                return proposed, index
+            index = cseq.nu
+            last = cseq.last.config
+            proposer = PaxosProposer(self, last, instance=last.cfg_id,
+                                     extra_decision_delay=self.consensus_delay)
+            try:
+                outcome = yield from proposer.propose(proposed)
+            except QuorumRefusedError as error:
+                index = self._rebase(cseq, index, last, error)
+                if proposer.offered:
+                    return cseq.last.config, index
+                continue
+            if isinstance(outcome, ConfigRecord):
+                yield from self._follow_link(cseq, index, outcome)
+                continue
+            installed: Configuration = outcome.value
+            self.directory.register(installed)
+            existing = cseq.index_of(installed.cfg_id)
+            if existing is not None:
+                index = existing
+                record = cseq[existing]
+            else:
+                record = ConfigRecord(installed, Status.PENDING)
+                index = cseq.append(record)
+            yield from self.put_config(last, record)
+            return installed, index
 
     # -------------------------------------------------------- update-config
     def _update_config(self, cseq: ConfigSequence, dap_for):
@@ -201,33 +203,51 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         The baseline ARES transfer: the reconfigurer itself reads the value
         (``get-data``) from every configuration in ``[µ, ν]`` and writes it
         (``put-data``) to the last one -- i.e. object data flows through the
-        reconfiguration client.  Every ``get-data`` but the last is fenced
-        with its configuration's successor record (:meth:`_fence`).
-        Subclasses override exactly this method to replace the state
-        transfer (the Section 5 direct server-to-server path of
-        :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
+        reconfiguration client.  Subclasses override exactly this method to
+        replace the state transfer (the Section 5 direct server-to-server
+        path of :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
         """
-        mu = cseq.mu
         nu = cseq.nu
-        best = TagValue(tag=BOTTOM_TAG, value=BOTTOM_VALUE)
-        for index in range(mu, nu + 1):
-            configuration = cseq.config_at(index)
-            pair = yield from dap_for(configuration).get_data(
-                fence=self._fence(cseq, index))
-            if pair.tag > best.tag:
-                best = pair
+        pairs = yield from self._transfer_queries(
+            cseq, dap_for, lambda dap, fence: dap.get_data(fence=fence))
+        if nu < cseq.base:
+            return None
+        best = max_tag_value([pair for _, pair in pairs])
         target = cseq.config_at(nu)
-        yield from dap_for(target).put_data(best)
+        try:
+            yield from dap_for(target).put_data(best)
+        except QuorumRefusedError as error:
+            # A contender finalized past the target and retired it.
+            self._rebase(cseq, nu, target, error)
         return best
 
-    @staticmethod
-    def _fence(cseq: ConfigSequence, index: int) -> Optional[ConfigRecord]:
-        """The fence a transfer query on the entry at ``index`` carries.
+    def _transfer_queries(self, cseq: ConfigSequence, dap_for, query):
+        """Coroutine: the fenced transfer query on every entry of ``[µ, ν]``.
 
-        ``cseq[index+1]`` for every entry before ``ν``, ``None`` for ``ν``
-        itself: its successor is what the transfer is filling.
+        ``query(dap, fence)`` runs the DAP client's query (``get-data`` or
+        ``get-tag``) under ``fence``.  Returns ``(configuration, result)``
+        pairs in sequence order.  The query on each entry before ``ν``
+        carries its successor record as the fence; the query on ``ν``
+        carries none, since its successor is not what this transfer fills.
+        A query refused for retirement re-bases the sequence on the
+        tombstone (:meth:`_rebase`) and the walk resumes there; if that is
+        past ``ν``, a contender finalized past the target and the walk ends
+        with ``ν < cseq.base``.
         """
-        return cseq[index + 1] if index < cseq.nu else None
+        nu = cseq.nu
+        results = []
+        index = cseq.mu
+        while index <= nu:
+            configuration = cseq.config_at(index)
+            fence = cseq[index + 1] if index < cseq.nu else None
+            try:
+                result = yield from query(dap_for(configuration), fence)
+            except QuorumRefusedError as error:
+                index = self._rebase(cseq, index, configuration, error)
+                continue
+            results.append((configuration, result))
+            index += 1
+        return results
 
     # ------------------------------------------------------ finalize-config
     def _finalize_config(self, cseq: ConfigSequence, index: int):
@@ -238,8 +258,11 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         contending reconfigurer extended the sequence between our
         update-config and finalize-config -- it would mark the
         *contender's* configuration ``F`` before its state transfer
-        completed.
+        completed.  If update-config re-based past ``index``, a contender
+        finalized past it and retired it: there is nothing left to do.
         """
+        if index < cseq.base:
+            return None
         cseq.finalize(index)
         finalized = cseq[index]
         previous_index = index - 1 if index > 0 else 0

@@ -14,11 +14,13 @@ incoming record if the current value is ``⊥`` or still pending; a finalized
 record is never overwritten (and by consensus Agreement the configuration
 member never changes).  A reconfigurer's state-transfer query carries the
 successor record as a ``fence``, installed by the same rule before the query
-is answered.  ``nextC`` is read by READ-CONFIG and also rides on every reply
-to a DAP's first-round query or ``put-data`` (for LDR: the directory query
-and ``put-metadata``), which is how readers and writers discover the
-sequence and, after their ``put-data``, every reconfiguration whose transfer
-could have missed the value (see :mod:`repro.core.client`).
+is answered.  ``nextC`` is never read by a round of its own.  It rides on
+every reply to a DAP's first-round query or ``put-data`` (for LDR: the
+directory query and ``put-metadata``), which is how readers and writers
+discover the sequence and, after their ``put-data``, every reconfiguration
+whose transfer could have missed the value (see :mod:`repro.core.client`);
+and on every reply to a Paxos ``PREPARE``, which is how a reconfigurer
+discovers it (see :mod:`repro.core.reconfig`).
 
 Retirement
 ----------
@@ -28,12 +30,11 @@ a ``RETIRE-CONFIG`` message -- sent only after finalize-config made the
 finalized successor durable -- makes the server drop the
 configuration's DAP state, its Paxos acceptor state and its ``nextC``
 record, keeping a compact **tombstone**: the finalized successor's record
-plus its absolute GL index.  A client arriving with a stale ``cseq`` asks a
-retired configuration for its ``nextC`` and receives the tombstone as a
-redirect, converging in one hop instead of replaying the chain; DAP and
-consensus traffic for a retired configuration is refused with an explicit
-NACK carrying the same tombstone, so quorum gathers fail fast rather than
-stall and the refused client re-bases in the same hop.
+plus its absolute GL index.  DAP and consensus traffic for a retired
+configuration is refused with an explicit NACK carrying the tombstone, so
+quorum gathers fail fast rather than stall, and a client arriving with a
+stale ``cseq`` re-bases on the tombstone in one hop instead of replaying the
+chain.
 """
 
 from __future__ import annotations
@@ -44,12 +45,7 @@ from repro.common.errors import RETIRED_CONFIG_REASON
 from repro.common.ids import ConfigId, ProcessId
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, Status
-from repro.consensus.paxos import (
-    ACCEPT,
-    DECIDED,
-    PREPARE,
-    PaxosAcceptorState,
-)
+from repro.consensus.paxos import ACCEPT, PREPARE, PaxosAcceptorState
 from repro.core.directory import ConfigurationDirectory
 from repro.dap import abd, ldr, make_dap_server_state, treas
 from repro.dap.interface import DapServerState
@@ -57,7 +53,6 @@ from repro.net.message import METADATA_FIELD_BYTES, Message, reply
 from repro.net.network import Network
 from repro.sim.process import Process
 
-READ_CONFIG = "ARES-READ-CONFIG"
 WRITE_CONFIG = "ARES-WRITE-CONFIG"
 #: GC phase: reclaim a retired configuration's server state, leaving a
 #: tombstone redirect to the finalized successor.
@@ -65,17 +60,16 @@ RETIRE_CONFIG = "ARES-RETIRE-CONFIG"
 
 #: Kinds the server answers itself (``nextC``, retirement, Paxos); any other
 #: kind belongs to the DAP state of the configuration the message names.
-_CONTROL_KINDS = frozenset({READ_CONFIG, WRITE_CONFIG, RETIRE_CONFIG,
-                            PREPARE, ACCEPT, DECIDED})
+_CONTROL_KINDS = frozenset({WRITE_CONFIG, RETIRE_CONFIG, PREPARE, ACCEPT})
 
 #: DAP requests whose replies carry the server's ``nextC`` record for the
 #: configuration (under ``"next"``): the first-round queries, so readers and
-#: writers discover the sequence without a ``read-config`` round of their
-#: own, and ``put-data`` (LDR's ``put-metadata``), so they learn of any
+#: writers discover the sequence without a discovery round of their own, and
+#: ``put-data`` (LDR's ``put-metadata``), so they learn of any
 #: reconfiguration whose fenced transfer this server answered before the
 #: value.  Every one of them goes to the configuration's consensus quorum
-#: system.  Charged as the two metadata fields an ``ARES-NEXT-CONFIG`` reply
-#: carries.
+#: system.  Replies to Paxos ``PREPARE`` carry it too.  Charged as two
+#: metadata fields.
 _DISCOVERY_KINDS = frozenset({abd.QUERY_TAG, abd.QUERY_DATA, abd.WRITE,
                               treas.QUERY_TAG, treas.QUERY_LIST, treas.PUT_DATA,
                               ldr.QUERY_TAG_LOCATION, ldr.PUT_METADATA})
@@ -152,8 +146,6 @@ class AresServer(Process):
             # Everything else is addressed to a DAP state -- half of every
             # operation's messages, so it is routed with one set probe.
             self._on_dap(src, message)
-        elif kind == READ_CONFIG:
-            self._on_read_config(src, message)
         elif kind == WRITE_CONFIG:
             self._on_write_config(src, message)
         elif kind == RETIRE_CONFIG:
@@ -162,21 +154,6 @@ class AresServer(Process):
             self._on_paxos(src, message)
 
     # ----------------------------------------------------- nextC (Algorithm 6)
-    def _on_read_config(self, src: ProcessId, message: Message) -> None:
-        cfg_id: ConfigId = message.config_id
-        tombstone = self.retired.get(cfg_id)
-        if tombstone is not None:
-            # Redirect: the finalized successor plus its GL index, so a
-            # stale client re-bases its whole sequence in one hop instead of
-            # walking reclaimed links.
-            record, index = tombstone
-            self.send(src, reply(message, kind="ARES-NEXT-CONFIG",
-                                 metadata_fields=3, record=record, jump=index))
-            return
-        record = self.next_config.get(cfg_id)
-        self.send(src, reply(message, kind="ARES-NEXT-CONFIG", metadata_fields=2,
-                             record=record))
-
     def _on_write_config(self, src: ProcessId, message: Message) -> None:
         cfg_id: ConfigId = message.config_id
         # A retired configuration's tombstone already points at a finalized
@@ -217,8 +194,8 @@ class AresServer(Process):
                         tombstone: Tuple[ConfigRecord, int]) -> None:
         """NACK traffic addressed to a retired configuration (fail fast).
 
-        The NACK carries the tombstone, so a client re-bases on the
-        finalized successor without a ``read-config`` round.
+        The NACK carries the tombstone, so the refused client re-bases on
+        the finalized successor in the same hop.
         """
         if self.metrics is not None:
             self.metrics.inc("srv_nacks")
@@ -239,8 +216,12 @@ class AresServer(Process):
             return
         acceptor = self.acceptors.setdefault(instance, PaxosAcceptorState())
         response = acceptor.handle(message)
-        if response is not None and message.kind != DECIDED:
-            self.send(src, response)
+        if message.kind == PREPARE:
+            # A decided instance whose decision was put-config'd names it
+            # here, so the proposer walks on instead of deciding.
+            response.body["next"] = self.next_config.get(instance)
+            response.metadata_bytes += _NEXT_BYTES
+        self.send(src, response)
 
     # ------------------------------------------------------------------ DAP
     def _on_dap(self, src: ProcessId, message: Message) -> None:

@@ -26,7 +26,7 @@ class Message:
     Attributes
     ----------
     kind:
-        Message type, e.g. ``"QUERY-TAG"``, ``"PUT-DATA"``, ``"READ-CONFIG"``.
+        Message type, e.g. ``"QUERY-TAG"``, ``"PUT-DATA"``, ``"ARES-WRITE-CONFIG"``.
         The kinds used by each protocol mirror the names in the paper's
         pseudo-code.
     body:

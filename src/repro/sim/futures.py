@@ -1,7 +1,7 @@
 """Futures and the generator-coroutine runner.
 
 Protocol actions in this library -- e.g. TREAS's ``get-data`` quorum gather,
-ARES's ``read-config`` traversal, a Paxos proposer round -- are written as
+ARES's ``put-config``, a Paxos proposer round -- are written as
 Python *generator coroutines*: ordinary functions containing ``yield``
 expressions whose yielded objects are :class:`SimFuture` instances.  The
 runner (:func:`spawn`) drives such a generator on the simulator, resuming it

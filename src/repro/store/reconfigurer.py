@@ -2,8 +2,9 @@
 
 A :class:`ShardReconfigurer` converts the sharded store from a statically
 configured system into the paper's actual adaptive one: it drives the ARES
-``read-config`` / ``add-config`` / ``update-config`` / ``finalize-config``
-traversal (Algorithm 5, shared with the single-register reconfigurer through
+``add-config`` / ``update-config`` / ``finalize-config`` phases (Algorithm 5,
+with discovery riding add-config's Paxos ``PREPARE``; shared with the
+single-register reconfigurer through
 :class:`~repro.core.reconfig.ReconfigOpsMixin`) **per object key**, for whole
 shards' worth of keys at a time, while keyed client traffic is in flight.
 
@@ -111,7 +112,7 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
     def reconfig_key(self, key: str, proposed: Configuration):
         """Coroutine: one ARES reconfiguration of object ``key``'s register.
 
-        Runs the shared four-phase Algorithm 5 implementation against the
+        Runs the shared Algorithm 5 implementation against the
         key's configuration sequence and installs the finalized
         configuration as the key's entry point in the shard map.  Returns
         the configuration installed at the proposal's index (which may be a
@@ -128,7 +129,7 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
                       epoch: int, servers: Sequence[ProcessId]):
         """Coroutine: reconfigure every key onto the target slice, pipelined.
 
-        Every key's four-phase reconfiguration runs as its own coroutine, so
+        Every key's reconfiguration runs as its own coroutine, so
         the quorum rounds of the whole batch are in flight concurrently --
         a shard migration over ``m`` objects costs roughly one
         reconfiguration's latency, not ``m`` sequential chains.

@@ -1,7 +1,8 @@
 """The store server: one process hosting many per-object DAP states.
 
 A :class:`StoreServer` is an :class:`~repro.core.server.AresServer` -- the
-dispatch machinery (read-config / write-config / Paxos / DAP) is identical
+dispatch machinery (write-config / retire-config / Paxos / DAP, with
+``nextC`` riding DAP and ``PREPARE`` replies) is identical
 -- whose DAP-state dictionary is populated with **per-object** states: every
 object of every shard this server belongs to gets its own lazily created
 state, keyed by the object's configuration id (``st<shard>/<key>``).  One

@@ -131,7 +131,7 @@ class TestLatencyFormulas:
 
     def test_envelope_wrapper(self):
         env = LatencyEnvelope(d=1.0, D=2.0, consensus_delay=5.0)
-        assert env.read_config(0, 1) == read_config_bounds(1.0, 2.0, 0, 1)
+        assert env.sequence_walk(0, 1) == read_config_bounds(1.0, 2.0, 0, 1)
         assert env.rw_operation(0, 1) == rw_operation_upper_bound(2.0, 0, 1)
         assert env.reconfig_pipeline(2) == reconfig_pipeline_lower_bound(1.0, 5.0, 2)
         assert env.termination_threshold(2) == min_delay_for_termination(2.0, 5.0, 2)

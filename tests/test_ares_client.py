@@ -7,7 +7,7 @@ import pytest
 from repro.common.ids import server_id
 from repro.common.values import Value
 from repro.core.deployment import AresDeployment, DeploymentSpec
-from repro.core.server import READ_CONFIG, WRITE_CONFIG
+from repro.core.server import WRITE_CONFIG
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.spec.history import OperationType
 from repro.spec.linearizability import check_linearizability, check_tag_monotonicity
@@ -216,7 +216,7 @@ class TestBasicOperations:
         assert tag_a < tag_b < tag_c
         assert dep.read(0).label == "c"
 
-    def test_client_sequence_grows_only_via_read_config(self):
+    def test_client_sequence_grows_only_through_its_own_rounds(self):
         dep = make_deployment()
         writer = dep.writers[0]
         assert writer.cseq.nu == 0

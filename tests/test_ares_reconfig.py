@@ -13,10 +13,10 @@ from repro.common.ids import config_id, server_id
 from repro.common.values import Value
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status
 from repro.core.deployment import AresDeployment, DeploymentSpec
-from repro.consensus.paxos import ACCEPT, DECIDED, PREPARE
-from repro.core.server import READ_CONFIG, WRITE_CONFIG
+from repro.consensus.paxos import ACCEPT, PREPARE
+from repro.core.server import WRITE_CONFIG
 from repro.dap import abd, ldr, treas
-from repro.net.latency import UniformLatency
+from repro.net.latency import FixedLatency, UniformLatency
 from repro.spec.history import OperationType
 from repro.spec.linearizability import check_linearizability
 
@@ -29,23 +29,44 @@ def make_deployment(**overrides):
     return AresDeployment(DeploymentSpec(**defaults))
 
 
-class TestSequenceTraversal:
-    def test_read_config_on_fresh_system_returns_initial_only(self):
-        dep = make_deployment()
-        client = dep.readers[0]
-        handle = client.spawn(client.read_config(client.cseq))
-        seq = dep.sim.run_until_complete(handle)
-        assert len(seq) == 1
-        assert seq[0].config.cfg_id == dep.initial_configuration.cfg_id
+def note_gathers(process):
+    """The labels of the quorum rounds ``process`` opens from now on."""
+    labels = []
+    open_round = process.broadcast_and_gather
 
-    def test_read_config_discovers_installed_configuration(self):
+    def noting(servers, make_message, threshold, label="gather"):
+        labels.append(label.split("[")[0])
+        return open_round(servers, make_message, threshold, label)
+
+    process.broadcast_and_gather = noting
+    return labels
+
+
+class TestSequenceTraversal:
+    def test_add_config_on_fresh_system_proposes_at_the_initial_configuration(self):
+        dep = make_deployment()
+        reconfigurer = dep.reconfigurers[0]
+        new_cfg = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
+        handle = reconfigurer.spawn(reconfigurer._add_config(reconfigurer.cseq, new_cfg))
+        installed, index = dep.sim.run_until_complete(handle)
+        assert (installed.cfg_id, index) == (new_cfg.cfg_id, 1)
+        seq = reconfigurer.cseq
+        assert len(seq) == 2
+        assert seq[0].config.cfg_id == dep.initial_configuration.cfg_id
+        assert seq[1].status is Status.PENDING
+
+    def test_add_config_discovers_installed_configuration(self):
+        # reconfigurers[1] never ran: its promise quorum on c0 names c1,
+        # finalized, and it proposes its own configuration after it.
         dep = make_deployment()
         new_cfg = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
         dep.reconfig(new_cfg, 0)
-        client = dep.readers[0]
-        handle = client.spawn(client.read_config(client.cseq))
-        seq = dep.sim.run_until_complete(handle)
-        assert len(seq) == 2
+        stale = dep.reconfigurers[1]
+        mine = dep.make_configuration(dap="abd", fresh_servers=3)
+        handle = stale.spawn(stale._add_config(stale.cseq, mine))
+        installed, index = dep.sim.run_until_complete(handle)
+        seq = stale.cseq
+        assert (installed.cfg_id, index) == (mine.cfg_id, 2)
         assert seq[1].config.cfg_id == new_cfg.cfg_id
         assert seq[1].status is Status.FINALIZED
 
@@ -192,12 +213,12 @@ class TestTransferFence:
 
 class TestConsensusQuorums:
     def test_ldr_sequence_and_paxos_traffic_reaches_directories_only(self):
-        # A write, a reconfiguration away from LDR c0 and a stale read:
-        # every read-next-config, put-config and Paxos message naming c0
-        # goes to its directories, never to a replica.
+        # A write, a reconfiguration away from LDR c0, a stale reconfigurer
+        # walking past c0 and a stale read: every put-config and Paxos
+        # message naming c0 goes to its directories, never to a replica.
         dep = make_deployment(initial_dap="ldr", num_servers=6)
         c0 = dep.initial_configuration
-        control = {READ_CONFIG, WRITE_CONFIG, PREPARE, ACCEPT, DECIDED}
+        control = {WRITE_CONFIG, PREPARE, ACCEPT}
         reached = {}
 
         def note(src, dest, message, delay):
@@ -208,8 +229,32 @@ class TestConsensusQuorums:
         dep.network.add_delay_adjuster(note)
         dep.write(Value.of_size(16, label="x"), 0)
         dep.reconfig(dep.make_configuration(dap="abd", fresh_servers=5), 0)
+        dep.reconfig(dep.make_configuration(dap="abd", fresh_servers=3), 1)
         assert dep.read(1).label == "x"
         assert reached == {kind: set(c0.ldr_directories) for kind in control}
+
+
+class TestReconfigRounds:
+    def test_steady_state_abd_reconfig_runs_seven_rounds_in_fourteen_delays(self):
+        # Discovery rides the Paxos prepare: no read-config round, no
+        # DECIDED broadcast.  update-config queries c0 (fenced) and c1.
+        dep = make_deployment(initial_dap="abd", num_servers=10,
+                              initial_config_size=5, latency=FixedLatency(1.0))
+        dep.write(Value.of_size(16, label="x"), 0)
+        reconfigurer = dep.reconfigurers[0]
+        labels = note_gathers(reconfigurer)
+        sent = []
+        dep.network.add_delay_adjuster(
+            lambda src, dest, message, delay:
+                sent.append(message.kind) or delay if src == reconfigurer.pid else delay)
+        start = dep.sim.now
+        dep.reconfig(dep.make_configuration(dap="abd", fresh_servers=5), 0)
+        assert labels == ["paxos-prepare", "paxos-accept", "put-config",
+                          "abd-get-data", "abd-get-data", "abd-put-data",
+                          "put-config"]
+        assert len(sent) == 7 * 5
+        assert dep.sim.now - start == 14.0
+        assert dep.read(1).label == "x"
 
 
 class TestConcurrentReconfigurations:
@@ -231,16 +276,18 @@ class TestConcurrentReconfigurations:
         assert seq_a[1].config.cfg_id in {cfg_a.cfg_id, cfg_b.cfg_id}
 
     def test_sequences_are_prefix_related(self):
+        # A reader's sequence grows through its own rounds' links.
         dep = make_deployment()
         cfg_a = dep.make_configuration(dap="treas", fresh_servers=5, k=4)
         dep.reconfig(cfg_a, 0)
         client = dep.readers[0]
-        handle = client.spawn(client.read_config(client.cseq))
-        seq_after_one = dep.sim.run_until_complete(handle).copy()
+        dep.read(0)
+        seq_after_one = client.cseq.copy()
         cfg_b = dep.make_configuration(dap="abd", fresh_servers=3)
         dep.reconfig(cfg_b, 1)
-        handle = client.spawn(client.read_config(client.cseq))
-        seq_after_two = dep.sim.run_until_complete(handle)
+        dep.read(0)
+        seq_after_two = client.cseq
+        assert (seq_after_one.nu, seq_after_two.nu) == (1, 2)
         # Configuration Prefix (Lemma 14 / Theorem 16b).
         assert seq_after_one.is_prefix_of(seq_after_two)
         # Configuration Progress (Lemma 15): µ is monotone.

@@ -201,9 +201,9 @@ class TestWriteBackAcrossAReconfiguration:
         old = dep.initial_configuration
         reader = dep.readers[0]
         run = dep.sim.run_until_complete
-        # The read's first half, on cseq = [old] ...
-        run(reader.spawn(reader.read_config(reader.cseq)))
+        # The read's first round, on cseq = [old], which names no link ...
         pair = run(reader.spawn(reader.dap_for(old).get_data()))
+        assert reader.dap_for(old).next_config is None
         # ... a reconfiguration completes underneath it ...
         new = dep.make_configuration(**target)
         dep.reconfig(new, 0)

@@ -10,8 +10,9 @@ from repro.common.tags import Tag
 from repro.common.values import Value
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, Status
+from repro.consensus.paxos import NACK, PREPARE, PROMISE, Ballot
 from repro.core.directory import ConfigurationDirectory
-from repro.core.server import READ_CONFIG, WRITE_CONFIG, AresServer
+from repro.core.server import WRITE_CONFIG, AresServer
 from repro.dap import ldr
 from repro.dap.treas import PUT_DATA, QUERY_LIST, QUERY_TAG
 from repro.net.latency import FixedLatency
@@ -30,6 +31,13 @@ class Probe(Process):
 
     def on_message(self, src, message):
         self.replies.append((src, message))
+
+
+def prepare(rid, cfg, round_number=1):
+    """A Paxos PREPARE for ``cfg``'s instance, as a reconfigurer sends it."""
+    return request(PREPARE, rid, config_id=cfg.cfg_id, metadata_fields=2,
+                   ballot=Ballot.make(round_number, reader_id(0)),
+                   instance=cfg.cfg_id)
 
 
 def build(num_servers=3):
@@ -85,24 +93,30 @@ class TestConfigurationDirectory:
 
 
 class TestAresServerRouting:
-    def test_read_config_initially_returns_bottom(self):
+    def test_promise_initially_carries_no_next_config(self):
         sim, network, directory, servers, cfg, probe = build()
-        probe.send(servers[0].pid, request(READ_CONFIG, 1, config_id=cfg.cfg_id))
+        probe.send(servers[0].pid, prepare(1, cfg))
         sim.run()
         assert len(probe.replies) == 1
-        assert probe.replies[0][1]["record"] is None
+        promise = probe.replies[0][1]
+        assert promise.kind == PROMISE
+        assert "next" in promise.body and promise["next"] is None
 
-    def test_write_config_then_read_config(self):
+    def test_write_config_then_every_prepare_reply_carries_it(self):
+        # A promise and a refusal of a lower ballot both report the link,
+        # charged the two metadata fields of a DAP reply's link.
         sim, network, directory, servers, cfg, probe = build()
         next_cfg = Configuration.abd(config_id(1), [server_id(10)])
         record = ConfigRecord(next_cfg, Status.PENDING)
         probe.send(servers[0].pid, request(WRITE_CONFIG, 1, config_id=cfg.cfg_id, record=record))
         sim.run()
-        probe.send(servers[0].pid, request(READ_CONFIG, 2, config_id=cfg.cfg_id))
+        probe.send(servers[0].pid, prepare(2, cfg, round_number=2))
+        probe.send(servers[0].pid, prepare(3, cfg, round_number=1))
         sim.run()
-        returned = probe.replies[-1][1]["record"]
-        assert returned.config.cfg_id == config_id(1)
-        assert returned.status is Status.PENDING
+        promise, refusal = (message for _, message in probe.replies[-2:])
+        assert (promise.kind, refusal.kind) == (PROMISE, NACK)
+        assert promise["next"] is refusal["next"] is record
+        assert promise.metadata_bytes == refusal.metadata_bytes == 3 * METADATA_FIELD_BYTES
 
     def test_first_round_replies_and_put_data_acks_carry_next_config(self):
         sim, network, directory, servers, cfg, probe = build()
@@ -120,7 +134,7 @@ class TestAresServerRouting:
         replies = {message.in_reply_to: message for _, message in probe.replies}
         assert replies[2]["next"] is None            # server 1 knows no successor
         assert replies[3]["next"] is replies[4]["next"] is replies[5]["next"] is record
-        # The link costs the two metadata fields of an ARES-NEXT-CONFIG reply.
+        # The link costs two metadata fields, as on a Paxos promise.
         assert replies[3].metadata_bytes == 3 * METADATA_FIELD_BYTES
         assert replies[5].metadata_bytes == 3 * METADATA_FIELD_BYTES
 
@@ -231,6 +245,6 @@ class TestAresServerRouting:
     def test_crashed_server_stops_replying(self):
         sim, network, directory, servers, cfg, probe = build()
         servers[0].crash()
-        probe.send(servers[0].pid, request(READ_CONFIG, 1, config_id=cfg.cfg_id))
+        probe.send(servers[0].pid, prepare(1, cfg))
         sim.run()
         assert probe.replies == []

@@ -15,6 +15,7 @@ from repro.analysis.latency import (
     rw_operation_upper_bound,
 )
 from repro.common.values import Value
+from repro.consensus.paxos import ACCEPT
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.net.latency import FixedLatency
 from repro.spec.history import OperationType
@@ -29,39 +30,51 @@ def fixed_deployment(delay=1.0, consensus_delay=0.0, **overrides):
 
 
 class TestReadConfigLatency:
-    def test_single_configuration_read_config_within_bounds(self):
-        delay = 1.0
-        dep = fixed_deployment(delay=delay)
-        client = dep.readers[0]
+    """Lemma 56's bound on the walk, timed on a reconfigurer's add-config.
+
+    The walk rides Paxos phase 1: each link costs a prepare round plus the
+    ``put-config`` of the link, and the walk ends on a prepare quorum that
+    names none -- the shape of Algorithm 4's ``read-config``.
+    """
+
+    @staticmethod
+    def walk_time(dep, reconfigurer):
+        """Virtual time from the start of an add-config to its first accept."""
+        accepts = []
+        dep.network.add_delay_adjuster(
+            lambda src, dest, message, delay:
+                accepts.append(dep.sim.now) or delay
+                if src == reconfigurer.pid and message.kind == ACCEPT else delay)
         start = dep.sim.now
-        handle = client.spawn(client.read_config(client.cseq))
-        dep.sim.run_until_complete(handle)
-        elapsed = dep.sim.now - start
+        proposed = dep.make_configuration(dap="treas", fresh_servers=5, k=4)
+        dep.sim.run_until_complete(reconfigurer.spawn(
+            reconfigurer._add_config(reconfigurer.cseq, proposed)))
+        return accepts[0] - start
+
+    def test_single_configuration_walk_within_bounds(self):
+        delay = 1.0
+        dep = fixed_deployment(delay=delay, num_reconfigurers=2)
+        elapsed = self.walk_time(dep, dep.reconfigurers[1])
         low, high = read_config_bounds(delay, delay, mu=0, nu=0)
-        # One round of read-next-config is 2 delays; the paper's 4d(ν−µ+1)
-        # bound also budgets the put-config of each discovered link, so the
-        # measured time must not exceed the upper bound.
+        # One prepare round is 2 delays; the paper's 4d(ν−µ+1) bound also
+        # budgets the put-config of each discovered link, so the measured
+        # time must not exceed the upper bound.
         assert 0 < elapsed <= high
 
-    def test_read_config_grows_with_installed_configurations(self):
+    def test_walk_grows_with_installed_configurations(self):
         delay = 1.0
-        dep = fixed_deployment(delay=delay)
+        dep = fixed_deployment(delay=delay, num_reconfigurers=2)
         for _ in range(2):
             cfg = dep.make_configuration(dap="treas", fresh_servers=5, k=4)
             dep.reconfig(cfg, 0)
-        client = dep.readers[0]
-        start = dep.sim.now
-        handle = client.spawn(client.read_config(client.cseq))
-        dep.sim.run_until_complete(handle)
-        elapsed_long = dep.sim.now - start
-        # A client that already knows the chain traverses it again cheaply.
-        start = dep.sim.now
-        handle = client.spawn(client.read_config(client.cseq))
-        dep.sim.run_until_complete(handle)
-        elapsed_short = dep.sim.now - start
+        stale = dep.reconfigurers[1]
+        elapsed_long = self.walk_time(dep, stale)
+        # A reconfigurer that already knows the chain proposes at once.
+        elapsed_short = self.walk_time(dep, dep.reconfigurers[0])
         assert elapsed_long > elapsed_short
         low, high = read_config_bounds(delay, delay, mu=0, nu=2)
         assert elapsed_long <= high
+        assert stale.cseq.config_at(2).cfg_id == dep.reconfigurers[0].cseq.config_at(2).cfg_id
 
 
 class TestOperationLatency:
@@ -105,12 +118,15 @@ class TestReconfigLatency:
     def test_back_to_back_reconfigs_respect_pipeline_bound(self):
         delay = 1.0
         consensus_delay = 5.0
-        dep = fixed_deployment(delay=delay, consensus_delay=consensus_delay)
         count = 3
+        # Lemma 57's premise: install i is made by a reconfigurer that
+        # starts at c0 and walks every configuration installed before it.
+        dep = fixed_deployment(delay=delay, consensus_delay=consensus_delay,
+                               num_reconfigurers=count)
         start = dep.sim.now
-        for _ in range(count):
+        for index in range(count):
             cfg = dep.make_configuration(dap="treas", fresh_servers=5, k=4)
-            dep.reconfig(cfg, 0)
+            dep.reconfig(cfg, index)
         elapsed = dep.sim.now - start
         floor = reconfig_pipeline_lower_bound(delay, consensus_delay, k=count)
         assert elapsed >= floor
@@ -133,6 +149,6 @@ class TestReconfigLatency:
 class TestEnvelopeConsistency:
     def test_envelope_matches_module_functions(self):
         envelope = LatencyEnvelope(d=1.0, D=2.0, consensus_delay=3.0)
-        assert envelope.read_config(0, 2) == read_config_bounds(1.0, 2.0, 0, 2)
+        assert envelope.sequence_walk(0, 2) == read_config_bounds(1.0, 2.0, 0, 2)
         assert envelope.rw_operation(0, 2) == rw_operation_upper_bound(2.0, 0, 2)
         assert envelope.reconfig_pipeline(4) == reconfig_pipeline_lower_bound(1.0, 3.0, 4)

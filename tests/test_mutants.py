@@ -34,9 +34,12 @@ one-round reads:
   returns the maximum tag of its directory majority, even if not every
   directory reply carries it, so it skips the help round and the
   write-back.
+* ``repropose-installed`` -- add-config proposes even when its sequence
+  already holds the configuration (learned from a promise's link), so
+  Paxos can decide it at a second GL index.
 
-Six hand-built ``FixedLatency`` executions kill the mutants, five of them
-where no registered cell does; a seventh shows why a one-round read needs
+Seven hand-built ``FixedLatency`` executions kill the mutants, six of them
+where no registered cell does; an eighth shows why a one-round read needs
 the transfer fence.
 """
 
@@ -46,12 +49,16 @@ from operator import methodcaller
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.ids import reader_id, reconfigurer_id, server_id, writer_id
 from repro.common.tags import max_tag_value
 from repro.common.values import Value
+from repro.config.sequence import ConfigRecord, Status
+from repro.consensus.paxos import ACCEPT, PaxosProposer
 from repro.core import server as server_module
 from repro.core.client import RegisterOpsMixin
 from repro.core.deployment import AresDeployment
+from repro.core.reconfig import ReconfigOpsMixin
 from repro.core.server import WRITE_CONFIG
 from repro.dap import abd, ldr, treas
 from repro.net.latency import FixedLatency
@@ -129,6 +136,26 @@ def ldr_read_agrees_on_max(monkeypatch) -> None:
                         _agree_on_max(client._query_directories))
 
 
+def _add_config_reproposing(self, cseq, proposed):
+    """add-config without its test that the sequence holds ``proposed``."""
+    while True:
+        index, last = cseq.nu, cseq.last.config
+        proposer = PaxosProposer(self, last, instance=last.cfg_id)
+        outcome = yield from proposer.propose(proposed)
+        if isinstance(outcome, ConfigRecord):
+            yield from self._follow_link(cseq, index, outcome)
+            continue
+        existing = cseq.index_of(outcome.value.cfg_id)
+        if existing is None:
+            existing = cseq.append(ConfigRecord(outcome.value, Status.PENDING))
+        yield from self.put_config(last, cseq[existing])
+        return outcome.value, existing
+
+
+def repropose_installed(monkeypatch) -> None:
+    monkeypatch.setattr(ReconfigOpsMixin, "_add_config", _add_config_reproposing)
+
+
 MUTANTS = {
     "unfenced-transfer": unfenced_transfer,
     "linkless-ldr-put-data": linkless_ldr_put_data,
@@ -136,6 +163,7 @@ MUTANTS = {
     "skip-read-write-back": skip_read_write_back,
     "treas-read-agrees-on-decodable": treas_read_agrees_on_decodable,
     "ldr-read-agrees-on-max": ldr_read_agrees_on_max,
+    "repropose-installed": repropose_installed,
 }
 
 #: mutant -> first killing ``(scenario, seed)``.
@@ -174,6 +202,13 @@ SURVIVORS = {
         "server and a later reader's quorum does not (survives seeds 0..999 "
         "of every registered scenario; test_counter_execution_of_skipping_"
         "the_read_write_back builds the execution by hand)")),
+    "repropose-installed": (("storm_mixed_dap_chaos", 0), (
+        "missing scenario: contending reconfigurers with gc -- two to four "
+        "reconfigurers running back-to-back reconfigurations onto fresh "
+        "configurations while clients write and read, as "
+        "test_reconfig_contention_property.py runs (survives seeds 0..999 "
+        "of every registered scenario; test_counter_execution_of_a_"
+        "re_proposal builds the execution by hand)")),
     "treas-read-agrees-on-decodable": (("treas_partition_heal", 0), (
         "missing scenario: a TREAS write whose put-data reaches exactly k "
         "servers long before the others, while one reader's get-data quorum "
@@ -210,8 +245,8 @@ def test_counter_execution_of_the_transfer_fence(mutated, monkeypatch):
 
     ABD-5 ``c0`` reconfigures to ``c1``; every message takes 1 unless slowed
     below.  The writer's put-data reaches ``s2`` at 3, before the
-    reconfigurer's ``put-config`` (9.5), and ``s3``/``s4`` only at 33, after
-    the reconfigurer's ``get-data`` read them (11.5); ``put-config`` never
+    reconfigurer's ``put-config`` (7.5), and ``s3``/``s4`` only at 33, after
+    the reconfigurer's ``get-data`` read them (9.5); ``put-config`` never
     reaches ``s3``/``s4`` in time.  So the transfer into ``c1`` carries
     ``v0``.  A reader learns ``<c1, F>`` at 22.  Under the protocol the
     ``get-data`` installed ``c1`` at ``s3``/``s4``, so the put-data quorum
@@ -254,8 +289,8 @@ def test_counter_execution_of_a_linkless_ldr_put_data(mutated, monkeypatch):
     reconfigures to ``c1``; every message takes 1 unless slowed below.  The
     writer's value reaches the replicas at 3, but its ``put-metadata``
     reaches ``s1``/``s2`` only at 35 and ``s0`` after 100.  So the
-    reconfigurer's fenced transfer query (11.5) sees no metadata and carries
-    ``v0`` into ``c1``; ``<c1, F>`` reaches the directories at 23.5 and a
+    reconfigurer's fenced transfer query (9.5) sees no metadata and carries
+    ``v0`` into ``c1``; ``<c1, F>`` reaches the directories at 17.5 and a
     reader at 26.  The write's ``put-metadata`` quorum ``{s1, s2}`` answers
     at 36 with ``c1`` as ``nextC``: under the protocol the write follows it
     and puts ``tau`` into ``c1``; under the mutant the replies carry no
@@ -426,7 +461,7 @@ def test_counter_execution_of_the_read_side_fence(mutated, monkeypatch):
     reaches ``s3``/``s4`` at 3 and ``s2`` at 13; its acks from ``s2`` on are
     held back, so the write stays pending.  The reconfigurer's ``put-config``
     never reaches ``s2`` in time, and its transfer reads ``v0`` from
-    ``{s0, s1, s2}`` at 11.5.  The reader queries ``s3``/``s4`` at 6, before
+    ``{s0, s1, s2}`` at 9.5.  The reader queries ``s3``/``s4`` at 6, before
     any link, and ``s2`` at 14, so its quorum ``{s2, s3, s4}`` agrees on
     ``tau``.  Under the protocol the transfer query installed ``c1`` at
     ``s2``, whose reply carries it: the read walks on and writes ``tau`` into
@@ -461,3 +496,43 @@ def test_counter_execution_of_the_read_side_fence(mutated, monkeypatch):
     assert [read.result().label for read in reads] == \
         (["tau", "v0"] if mutated else ["tau", "tau"])
     assert check_linearizability(deployment.history).ok is not mutated
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["protocol", "mutant"])
+def test_counter_execution_of_a_re_proposal(mutated, monkeypatch):
+    """Why add-config must not propose a configuration its sequence holds.
+
+    The shape the contention harness caught (e.g. its seed 19 on LDR):
+    ABD-5 ``c0``, reconfigurers A and B; every message takes 1 unless
+    slowed below.  A's accept of ``cA`` reaches ``s0``/``s1`` at 3 and the
+    others only after 100.  B prepares at 3.5, adopts ``cA`` from the
+    promises, decides it and puts ``<cA, P>`` into ``c0``.  A's accept is
+    refused, and its next prepare names ``cA``: A follows the link.  Under
+    the protocol its sequence now holds ``cA`` and add-config returns it.
+    Under the mutant A proposes ``cA`` again, at ``cA``'s own instance, and
+    ``cA``'s servers record ``cA`` as its own successor; the next read
+    walks ``c0 -> cA -> cA`` and fails.
+    """
+    if mutated:
+        repropose_installed(monkeypatch)
+    deployment = AresDeployment(num_servers=5, initial_dap="abd", num_writers=1,
+                                num_readers=1, num_reconfigurers=2,
+                                latency=FixedLatency(1.0))
+    s = [server_id(index) for index in range(5)]
+    _slowed(deployment, {(reconfigurer_id(0), server, ACCEPT): 100 for server in s[2:]})
+    proposed = deployment.make_configuration(dap="abd", fresh_servers=5)
+    contender = deployment.make_configuration(dap="abd", fresh_servers=5)
+    reconfigs = [deployment.spawn_reconfig(proposed, 0)]
+    deployment.sim.schedule(
+        2.5, lambda: reconfigs.append(deployment.spawn_reconfig(contender, 1)))
+    deployment.run()
+    assert [op.result().cfg_id for op in reconfigs] == [proposed.cfg_id] * 2
+    self_links = [pid for pid in proposed.servers
+                  if proposed.cfg_id in deployment.servers[pid].next_config]
+    assert len(self_links) == (5 if mutated else 0)
+    read = deployment.spawn_read()
+    deployment.run()
+    if mutated:
+        assert isinstance(read.exception(), ConfigurationError)
+    else:
+        assert read.result().label == "v0"

@@ -27,12 +27,11 @@ from repro.common.values import Value
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, Status
 from repro.consensus.interface import ConsensusDecision
-from repro.consensus.paxos import PREPARE, PaxosProposer
+from repro.consensus.paxos import ACCEPT, PREPARE, Ballot, PaxosProposer
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.core.directory import ConfigurationDirectory
 from repro.core.reconfig import ReconfigOpsMixin
-from repro.core.server import (READ_CONFIG, RETIRE_CONFIG, WRITE_CONFIG,
-                               AresServer)
+from repro.core.server import RETIRE_CONFIG, WRITE_CONFIG, AresServer
 from repro.dap.treas import PUT_DATA, QUERY_LIST
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.message import request
@@ -136,16 +135,21 @@ class TestServerRetirement:
         retire(sim, servers[0], cfg, probe, near, index=2, rid=9)
         assert servers[0].retired[cfg.cfg_id] == (far, 3)
 
-    def test_read_config_on_retired_configuration_redirects(self):
+    def test_prepare_on_retired_configuration_is_refused_with_the_tombstone(self):
+        # A stale reconfigurer's add-config re-bases on the refusal.
         sim, network, directory, servers, cfg, probe = build()
         record = successor_record(directory)
         retire(sim, servers[0], cfg, probe, record)
-        probe.send(servers[0].pid, request(READ_CONFIG, 2, config_id=cfg.cfg_id))
+        probe.send(servers[0].pid, request(
+            PREPARE, 2, config_id=cfg.cfg_id, metadata_fields=2,
+            ballot=Ballot.make(1, probe.pid), instance=cfg.cfg_id))
         sim.run()
         reply = probe.last_reply()
-        assert reply.kind == "ARES-NEXT-CONFIG"
+        assert reply.kind == "SRV-NACK" and reply["nack"]
+        assert reply["error"] == RETIRED_CONFIG_REASON
         assert reply["record"] is record
         assert reply["jump"] == 1
+        assert servers[0].acceptors == {}
 
     def test_write_config_on_retired_configuration_is_benign(self):
         # A slow put-config racing retirement must not error the writer's
@@ -252,28 +256,28 @@ def make_deployment(**overrides):
 
 class TestReconfigEdgeCases:
     def test_add_config_accepts_decision_already_in_sequence(self, monkeypatch):
-        # Contending-reconfigurer window: between our propose and the
-        # decision callback, the decided configuration can already sit in
-        # our sequence (propagated by the contender during read-config).
-        # add-config must adopt the existing entry, not append-and-crash.
+        # The store's concurrent per-key reconfigurations share one cseq: a
+        # sibling can append the decided configuration while our proposal
+        # is in flight.  add-config must adopt the existing entry, not
+        # append-and-crash.
         dep = make_deployment(gc=False)
         reconfigurer = dep.reconfigurers[0]
+        cseq = reconfigurer.cseq
         cfg1 = dep.make_configuration(dap="abd", fresh_servers=4)
-        dep.reconfig(cfg1, 0)
-        assert reconfigurer.cseq.index_of(cfg1.cfg_id) == 1
+        mine = dep.make_configuration(dap="abd", fresh_servers=4)
 
-        def decide_existing(self, value):
+        def sibling_decides_first(self, value):
             yield from ()
+            cseq.append(ConfigRecord(cfg1, Status.PENDING))
             return ConsensusDecision(value=cfg1, instance=self.instance)
 
-        monkeypatch.setattr(PaxosProposer, "propose", decide_existing)
-        handle = reconfigurer.spawn(
-            reconfigurer._add_config(reconfigurer.cseq, cfg1))
+        monkeypatch.setattr(PaxosProposer, "propose", sibling_decides_first)
+        handle = reconfigurer.spawn(reconfigurer._add_config(cseq, mine))
         installed, index = dep.sim.run_until_complete(handle)
         assert installed.cfg_id == cfg1.cfg_id
         assert index == 1
         # The sequence still satisfies Uniqueness: one entry per cfg_id.
-        assert reconfigurer.cseq.nu == 1
+        assert cseq.nu == 1
 
     def test_contending_reconfigurers_complete_without_crashing(self):
         # The end-to-end shape of the same window: two reconfigurers race
@@ -394,6 +398,40 @@ class TestRetirementEndToEnd:
         assert dep.reconfigurers[0].configs_retired == 1
         assert dep.configs_retired() == 4
 
+    def test_a_retired_instance_that_may_hold_our_value_gets_no_second_proposal(self):
+        # ABD-5 c0; every message takes 1 unless slowed.  A's accept of cA
+        # reaches s0/s1 only, so B adopts cA and installs it, then installs
+        # cB with gc, retiring c0 and cA behind the tombstone <cB, F> at 2.
+        # A's next prepare on c0 is refused with that tombstone.  cA is
+        # decided at index 1 but A's sequence no longer shows it: proposing
+        # cA at cB's instance could decide it at index 3 too.  A adopts cB.
+        dep = make_deployment(num_servers=5, initial_config_size=5,
+                              latency=FixedLatency(1.0))
+        proposer, contender = dep.reconfigurers
+        dep.network.add_delay_adjuster(
+            lambda src, dest, message, delay: delay + 100 * (
+                src == proposer.pid and message.kind == ACCEPT
+                and dest in dep.initial_configuration.servers[2:]))
+        c_a, c_b1, c_b2 = (dep.make_configuration(dap="abd", fresh_servers=5)
+                           for _ in range(3))
+        contender.gc_enabled = False
+
+        def contend():
+            assert (yield from contender.reconfig(c_b1)) is c_a
+            contender.gc_enabled = True
+            assert (yield from contender.reconfig(c_b2)) is c_b2
+
+        first = dep.spawn_reconfig(c_a, 0)
+        second = []
+        dep.sim.schedule(2.5, lambda: second.append(contender.spawn(contend())))
+        dep.run()
+        assert second[0].exception() is None
+        assert first.result() is c_b2
+        assert proposer.tombstone_jumps >= 1
+        assert [entry.config for entry in proposer.cseq] == [c_b2]
+        assert not any(c_b2.cfg_id in server.next_config
+                       for server in dep.servers.values())
+
     def test_gc_disabled_retires_nothing(self):
         dep = make_deployment(gc=False)
         dep.write(Value.of_size(256, label="v"), 0)
@@ -422,7 +460,7 @@ class TestRetirementEndToEnd:
         # The retired ABD configuration's tombstone names an LDR one.  Its
         # directory round carries nextC like any DAP's first round, so the
         # reader finds the live ABD successor c2, which holds the latest
-        # write, from that round and runs no read-next-config.
+        # write, from that round and runs no discovery round of its own.
         dep = make_deployment(num_servers=14)
         pool = sorted(dep.servers)
         dep.write(Value.of_size(64, label="v0"), 0)
@@ -444,7 +482,9 @@ class TestRetirementEndToEnd:
         assert dep.read(2).label == "fresh"
         assert stale.tombstone_jumps == 1
         assert (stale.cseq.base, stale.cseq.mu) == (1, 2)
-        assert READ_CONFIG not in sent
+        # Its only control round is the put-config of the link it learned.
+        assert ([kind for kind in sent if kind.startswith(("ARES-", "PAXOS-"))]
+                == [WRITE_CONFIG] * len(stale.cseq.config_at(1).ldr_directories))
         on_ldr = stale.dap_for(stale.cseq.config_at(1))
         assert on_ldr.next_config.config is stale.cseq.config_at(2)
 

@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import pytest
+from property_harness import dump_repro, parse_seeds
 
 from repro.chaos import At, ChaosEngine, Crash, Duplicate, During, Reconfigure, \
     Reorder, Schedule
@@ -52,21 +53,8 @@ DEFAULT_SEEDS = "0..24"
 FULL_SEED_COUNT = 100
 
 
-def _parse_seeds(text: str) -> List[int]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
-    else:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    if not seeds:
-        # A misconfigured CI job (empty matrix value, STORE_RECONFIG_SEEDS=)
-        # must fail loudly, not go green having verified zero seeds.
-        raise ValueError(f"STORE_RECONFIG_SEEDS selected no seeds: {text!r}")
-    return seeds
-
-
-SEEDS = _parse_seeds(os.environ.get("STORE_RECONFIG_SEEDS", DEFAULT_SEEDS))
+SEEDS = parse_seeds(os.environ.get("STORE_RECONFIG_SEEDS", DEFAULT_SEEDS),
+                    "STORE_RECONFIG_SEEDS")
 
 
 # ------------------------------------------------------------------ the plan
@@ -261,13 +249,8 @@ REPRO_DIR = pathlib.Path(os.environ.get("STORE_RECONFIG_REPRO_DIR",
 
 
 def _dump_repro(plan: Plan, failure: str) -> None:
-    REPRO_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {"scenario": "store_reconfig_property", "plan": plan.describe(),
-               "failure": failure,
-               "rerun": (f"STORE_RECONFIG_SEEDS={plan.seed} python -m pytest "
-                         "tests/test_store_reconfig_property.py")}
-    path = REPRO_DIR / f"seed-{plan.seed}.json"
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+    dump_repro(REPRO_DIR / f"seed-{plan.seed}.json", __file__, "STORE_RECONFIG_SEEDS",
+               plan.seed, plan.describe(), failure)
 
 
 # ------------------------------------------------------------------ the test
@@ -318,12 +301,13 @@ def test_reconfig_under_randomized_schedules(seed):
 # --------------------------------------------------- harness self-diagnostics
 
 def test_seed_selection_parses_ranges_and_lists():
-    assert _parse_seeds("0..3") == [0, 1, 2, 3]
-    assert _parse_seeds("5,9, 11") == [5, 9, 11]
-    assert len(_parse_seeds(f"0..{FULL_SEED_COUNT - 1}")) == FULL_SEED_COUNT
+    assert parse_seeds("0..3", "SEEDS") == [0, 1, 2, 3]
+    assert parse_seeds("5,9, 11", "SEEDS") == [5, 9, 11]
+    assert parse_seeds("0..1,18", "SEEDS") == [0, 1, 18]
+    assert len(parse_seeds(f"0..{FULL_SEED_COUNT - 1}", "SEEDS")) == FULL_SEED_COUNT
     for empty in ("", "   ", ","):
-        with pytest.raises(ValueError, match="no seeds"):
-            _parse_seeds(empty)
+        with pytest.raises(ValueError, match="SEEDS selected no seeds"):
+            parse_seeds(empty, "SEEDS")
 
 
 def test_plans_are_seed_deterministic_and_diverse():

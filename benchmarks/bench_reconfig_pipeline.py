@@ -10,7 +10,7 @@ reconfiguration discovers all ``i`` configurations before it, so each
 install here is made by a reconfigurer that has never run (it starts at
 ``c0`` and walks the whole chain).  A single reconfigurer whose sequence is
 current discovers nothing; its chain is checked against the phase table's
-steady-state floor instead: ``7`` quorum rounds of ``2d`` plus ``T(CN)`` per
+steady-state floor instead: ``5`` quorum rounds of ``2d`` plus ``T(CN)`` per
 reconfiguration (``docs/ARCHITECTURE.md``, "Per-operation phase table").
 """
 
@@ -25,7 +25,7 @@ from repro.net.latency import FixedLatency
 
 DELAY = 1.0
 #: Quorum rounds of a steady-state reconfiguration.
-STEADY_STATE_ROUNDS = 7
+STEADY_STATE_ROUNDS = 5
 
 
 def install_chain(k: int, consensus_delay: float, fresh: bool, seed: int = 0) -> float:
@@ -50,7 +50,7 @@ def test_reconfiguration_pipeline_latency(benchmark):
     table = Table(
         f"E5: time to install k back-to-back configurations (d=D={DELAY})",
         ["k", "T(CN)", "walking from c0", "lower bound 4d*sum(i)+k(T(CN)+2d)",
-         "one reconfigurer", "floor k(7*2d+T(CN))"],
+         "one reconfigurer", f"floor k({STEADY_STATE_ROUNDS}*2d+T(CN))"],
     )
     for consensus_delay in (0.0, 5.0, 20.0):
         for k in (1, 2, 4, 6):

@@ -10,7 +10,8 @@ This package contains the paper's main contribution:
 * :mod:`repro.core.traversal` -- the sequence traversal of Algorithm 4:
   ``put-config`` and the walk over the ``nextC`` links those replies carry.
 * :mod:`repro.core.reconfig`  -- the reconfiguration client (Algorithm 5),
-  whose add-config walks on Paxos phase 1.
+  whose add-config walks on Paxos phase 1 and whose fenced transfer query
+  carries the decision to the previous configuration.
 * :mod:`repro.core.client`    -- ARES readers and writers (Algorithm 7).
 * :mod:`repro.core.ares_treas` -- the optimised direct server-to-server state
   transfer of Section 5 (Algorithms 8 and 9).

@@ -6,8 +6,10 @@ old configurations (``get-data``) and writes it into the new one
 client, which becomes a bandwidth bottleneck when many objects migrate at
 once.  ARES-TREAS removes the client from the data path:
 
-* the reconfigurer only gathers *tags* (``get-tag``) to find the maximum tag
-  ``τ`` and the configuration ``C`` holding it;
+* the reconfigurer only gathers *tags* (``get-tag``, fenced like the
+  baseline's ``get-data``, on every configuration from ``µ`` up to but not
+  including the target ``C'``) to find the maximum tag ``τ`` and the
+  configuration ``C`` holding it;
 * it then asks the servers of ``C`` -- through a metadata-consistent
   broadcast primitive (``md-primitive`` [21]) that delivers to either all
   non-faulty servers of ``C`` or none -- to forward their coded elements for
@@ -183,14 +185,16 @@ class DirectTransferReconfigurer(AresReconfigurer):
     def _update_config(self, cseq: ConfigSequence, dap_for):
         """Coroutine: Algorithm 8's tag-only state transfer.
 
-        Its ``get-tag`` queries walk ``[µ, ν]`` fenced exactly like the
-        baseline's ``get-data``
-        (:meth:`~repro.core.reconfig.ReconfigOpsMixin._transfer_queries`).
+        Its ``get-tag`` queries walk ``c_µ..c_{ν-1}`` fenced exactly like
+        the baseline's ``get-data``
+        (:meth:`~repro.core.reconfig.ReconfigOpsMixin._transfer_queries`):
+        the target is not queried, since the forwarded elements fill it and
+        its ``List`` keeps the δ+1 highest tags whichever way they came.
         """
         nu = cseq.nu
         tags = yield from self._transfer_queries(
             cseq, dap_for, lambda dap, fence: dap.get_tag(fence=fence))
-        if nu < cseq.base:
+        if tags is None:
             return None
         target = cseq.config_at(nu)
 

@@ -10,21 +10,28 @@ A ``reconfig(c)`` operation consists of three consecutively executed phases:
     writers do) and it proposes again at the new last entry.  Algorithm 5's
     separate ``read-config`` round is gone (``docs/ARCHITECTURE.md``, "Fused
     discovery").  Whatever configuration ``d`` the instance decides is
-    appended with status ``P`` and propagated to the previous
-    configuration's servers with ``put-config`` (if ``d ≠ c`` the
-    reconfigurer adopts ``d`` and its own proposal is simply dropped -- at
-    most one configuration is installed per index).  A configuration the
-    sequence already holds is never proposed again.
+    appended with status ``P`` (if ``d ≠ c`` the reconfigurer adopts ``d``
+    and its own proposal is simply dropped -- at most one configuration is
+    installed per index).  add-config puts no config of its own: the fenced
+    transfer query on the previous configuration installs the same record
+    one round later.  A configuration the sequence already holds is never
+    proposed again.
 ``update-config``
     Transfer the object state: gather the maximum tag-value pair from every
-    configuration between the last finalized index ``µ`` and the new index
-    ``ν`` with ``get-data`` and ``put-data`` it into the new configuration.
-    Each ``get-data`` on ``c_i``, ``i < ν``, carries ``cseq[i+1]`` as a
-    fence that its servers install as ``nextC`` before answering, which is
-    what lets readers and writers drop their trailing ``read-config``
-    (``docs/ARCHITECTURE.md``, "The transfer fence").  (The optimised direct
-    server-to-server transfer of Section 5 overrides exactly this phase; see
-    :mod:`repro.core.ares_treas`.  Both walk ``[µ, ν]`` with
+    configuration from the last finalized index ``µ`` up to, but not
+    including, the new index ``ν`` with ``get-data`` and ``put-data`` it
+    into the new configuration.  Each ``get-data`` on ``c_i``, ``i < ν``,
+    carries ``cseq[i+1]`` as a fence that its servers install as ``nextC``
+    before answering, which is what lets readers and writers drop their
+    trailing ``read-config`` (``docs/ARCHITECTURE.md``, "The transfer
+    fence").  ``c_ν`` itself is not queried: its servers already keep the
+    larger of any tag put into it directly and the one transferred
+    (``docs/ARCHITECTURE.md``, "Why the target needs no transfer query").
+    A steady-state reconfig therefore runs five quorum rounds: Paxos
+    prepare and accept, the fenced ``get-data``, ``put-data`` and
+    finalize's ``put-config``.  (The optimised direct server-to-server
+    transfer of Section 5 overrides exactly this phase; see
+    :mod:`repro.core.ares_treas`.  Both walk ``c_µ..c_{ν-1}`` with
     :meth:`ReconfigOpsMixin._transfer_queries`.)
 ``finalize-config``
     Mark the new configuration ``F`` and propagate the finalized record to a
@@ -160,6 +167,13 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         decide it at a second GL index.  In the second case the tombstone's
         target stands in for the decision.
 
+        The decision is not ``put-config`` into the instance's
+        configuration: update-config's fenced transfer query installs the
+        same record there one round later.  Until then only reconfigurers
+        need it, and a stale one's ``PREPARE`` finds it as an accepted
+        value and decides it again (``docs/ARCHITECTURE.md``, "Why it is
+        safe for reconfigurers").
+
         The decided value may already sit *anywhere* in the sequence: the
         store's concurrent per-key reconfigurations share one ``cseq``, and
         a sibling can have appended it (and even successors of it) while
@@ -188,29 +202,27 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
             self.directory.register(installed)
             existing = cseq.index_of(installed.cfg_id)
             if existing is not None:
-                index = existing
-                record = cseq[existing]
-            else:
-                record = ConfigRecord(installed, Status.PENDING)
-                index = cseq.append(record)
-            yield from self.put_config(last, record)
-            return installed, index
+                return installed, existing
+            return installed, cseq.append(ConfigRecord(installed, Status.PENDING))
 
     # -------------------------------------------------------- update-config
     def _update_config(self, cseq: ConfigSequence, dap_for):
         """Coroutine: transfer the latest tag-value pair into the new configuration.
 
         The baseline ARES transfer: the reconfigurer itself reads the value
-        (``get-data``) from every configuration in ``[µ, ν]`` and writes it
-        (``put-data``) to the last one -- i.e. object data flows through the
-        reconfiguration client.  Subclasses override exactly this method to
-        replace the state transfer (the Section 5 direct server-to-server
-        path of :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
+        (``get-data``) from every configuration in ``c_µ..c_{ν-1}`` and
+        writes it (``put-data``) to ``c_ν`` -- i.e. object data flows
+        through the reconfiguration client.  If a contender finalized
+        ``c_ν`` while the walk was in flight, there is nothing left to
+        transfer and the method returns.  Subclasses override exactly this
+        method to replace the state transfer (the Section 5 direct
+        server-to-server path of
+        :class:`~repro.core.ares_treas.DirectTransferReconfigurer`).
         """
         nu = cseq.nu
         pairs = yield from self._transfer_queries(
             cseq, dap_for, lambda dap, fence: dap.get_data(fence=fence))
-        if nu < cseq.base:
+        if pairs is None:
             return None
         best = max_tag_value([pair for _, pair in pairs])
         target = cseq.config_at(nu)
@@ -222,28 +234,32 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
         return best
 
     def _transfer_queries(self, cseq: ConfigSequence, dap_for, query):
-        """Coroutine: the fenced transfer query on every entry of ``[µ, ν]``.
+        """Coroutine: the fenced transfer query on every entry of ``c_µ..c_{ν-1}``.
 
         ``query(dap, fence)`` runs the DAP client's query (``get-data`` or
         ``get-tag``) under ``fence``.  Returns ``(configuration, result)``
-        pairs in sequence order.  The query on each entry before ``ν``
-        carries its successor record as the fence; the query on ``ν``
-        carries none, since its successor is not what this transfer fills.
-        A query refused for retirement re-bases the sequence on the
-        tombstone (:meth:`_rebase`) and the walk resumes there; if that is
-        past ``ν``, a contender finalized past the target and the walk ends
-        with ``ν < cseq.base``.
+        pairs in sequence order.  Each query carries its entry's successor
+        record as the fence.  The target ``c_ν`` is not queried, unless it
+        is ``c_µ`` itself (then its query carries no fence, since its
+        successor is not what this transfer fills).  A query refused for
+        retirement re-bases the sequence on the tombstone (:meth:`_rebase`)
+        and the walk resumes there; if that is past the walk's last entry,
+        a contender finalized the target (or past it) and the walk returns
+        ``None``.
         """
         nu = cseq.nu
         results = []
         index = cseq.mu
-        while index <= nu:
+        last = max(index, nu - 1)
+        while index <= last:
             configuration = cseq.config_at(index)
-            fence = cseq[index + 1] if index < cseq.nu else None
+            fence = cseq[index + 1] if index < nu else None
             try:
                 result = yield from query(dap_for(configuration), fence)
             except QuorumRefusedError as error:
                 index = self._rebase(cseq, index, configuration, error)
+                if index > last:
+                    return None
                 continue
             results.append((configuration, result))
             index += 1

@@ -174,16 +174,17 @@ class TestReadRounds:
         assert check_linearizability(dep.history).ok
 
     def test_a_pending_successor_writes_back(self):
-        # The reconfiguration to c1 stalls after add-config, so c1 stays
-        # pending.  The first read learns it and writes tau into c1; the
-        # second finds tau at every server of both configurations with no
-        # new link, and still writes back because µ < ν.
+        # The reconfiguration to c1 stalls after its fenced get-data on c0
+        # (its put-data into c1 is slowed), so c1 stays pending and c0's
+        # servers name it.  The first read learns it and writes tau into
+        # c1; the second finds tau at every server of both configurations
+        # with no new link, and still writes back because µ < ν.
         dep = abd_five()
         dep.write(Value.of_size(8, label="tau"))
         reconfigurer = dep.reconfigurers[0].pid
         dep.network.add_delay_adjuster(
             lambda src, dest, message, delay:
-                delay + 100 * (src == reconfigurer and message.kind == "ABD-QUERY"))
+                delay + 100 * (src == reconfigurer and message.kind == "ABD-WRITE"))
         dep.spawn_reconfig(dep.make_configuration(dap="abd", fresh_servers=5))
         dep.sim.run_until(dep.sim.now + 10.0)
         reader = dep.readers[0]

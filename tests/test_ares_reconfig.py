@@ -153,8 +153,8 @@ class TestReconfigOperation:
 
 class TestTransferFence:
     def test_update_config_fences_every_entry_but_the_last(self):
-        # [c0 F, c1 P, c2 P]: get-data on c0 carries <c1, P>, on c1 <c2, P>,
-        # and on c2, the configuration being filled, nothing.
+        # [c0 F, c1 P, c2 P]: get-data on c0 carries <c1, P>, on c1 <c2, P>;
+        # c2, the configuration being filled, receives no query at all.
         dep = make_deployment(initial_dap="abd")
         c0 = dep.initial_configuration
         c1 = dep.make_configuration(dap="abd", fresh_servers=3)
@@ -166,18 +166,21 @@ class TestTransferFence:
             reconfigurer.directory.register(record.config)
             cseq.append(record)
         fences = {}
+        to_target = set()
 
         def note(src, dest, message, delay):
             if src == reconfigurer.pid and message.kind in (abd.QUERY_DATA,
                                                             treas.QUERY_LIST):
                 fences[message.config_id] = message.get("fence")
+            if src == reconfigurer.pid and message.config_id is c2.cfg_id:
+                to_target.add(message.kind)
             return delay
 
         dep.network.add_delay_adjuster(note)
         dep.sim.run_until_complete(reconfigurer.spawn(
             reconfigurer._update_config(cseq, reconfigurer._state.dap_for)))
-        assert fences == {c0.cfg_id: records[0], c1.cfg_id: records[1],
-                          c2.cfg_id: None}
+        assert fences == {c0.cfg_id: records[0], c1.cfg_id: records[1]}
+        assert to_target == {treas.PUT_DATA}
         for configuration, record in ((c0, records[0]), (c1, records[1])):
             holders = [pid for pid in configuration.servers
                        if dep.servers[pid].next_config.get(configuration.cfg_id) is record]
@@ -235,9 +238,11 @@ class TestConsensusQuorums:
 
 
 class TestReconfigRounds:
-    def test_steady_state_abd_reconfig_runs_seven_rounds_in_fourteen_delays(self):
+    def test_steady_state_abd_reconfig_runs_five_rounds_in_ten_delays(self):
         # Discovery rides the Paxos prepare: no read-config round, no
-        # DECIDED broadcast.  update-config queries c0 (fenced) and c1.
+        # DECIDED broadcast.  The fenced get-data on c0 installs <c1, P>, so
+        # add-config puts no config of its own, and update-config does not
+        # query c1, the configuration it fills.
         dep = make_deployment(initial_dap="abd", num_servers=10,
                               initial_config_size=5, latency=FixedLatency(1.0))
         dep.write(Value.of_size(16, label="x"), 0)
@@ -249,11 +254,10 @@ class TestReconfigRounds:
                 sent.append(message.kind) or delay if src == reconfigurer.pid else delay)
         start = dep.sim.now
         dep.reconfig(dep.make_configuration(dap="abd", fresh_servers=5), 0)
-        assert labels == ["paxos-prepare", "paxos-accept", "put-config",
-                          "abd-get-data", "abd-get-data", "abd-put-data",
-                          "put-config"]
-        assert len(sent) == 7 * 5
-        assert dep.sim.now - start == 14.0
+        assert labels == ["paxos-prepare", "paxos-accept", "abd-get-data",
+                          "abd-put-data", "put-config"]
+        assert len(sent) == 5 * 5
+        assert dep.sim.now - start == 10.0
         assert dep.read(1).label == "x"
 
 

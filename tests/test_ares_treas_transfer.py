@@ -103,18 +103,22 @@ class TestDirectTransfer:
         new_cfg = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
         reconfigurer = dep.reconfigurers[0]
         fences = {}
+        to_target = []
 
         def note(src, dest, message, delay):
             if src == reconfigurer.pid and message.kind == QUERY_TAG:
                 fences[message.config_id] = message.get("fence")
+            if src == reconfigurer.pid and message.config_id is new_cfg.cfg_id:
+                to_target.append(message.kind)
             return delay
 
         dep.network.add_delay_adjuster(note)
         dep.reconfig(new_cfg, 0)
         assert reconfigurer.direct_transfers == 1
-        fence = fences[old.cfg_id]
+        fence = fences.pop(old.cfg_id)
         assert (fence.config, fence.status) == (new_cfg, Status.PENDING)
-        assert fences[new_cfg.cfg_id] is None
+        # The target receives no get-tag: the forwarded elements fill it.
+        assert fences == {} and to_target == []
 
     def test_no_transfer_needed_when_object_never_written(self):
         dep = make_deployment()

@@ -14,8 +14,8 @@ one-round reads:
 
 * ``unfenced-transfer`` -- the reconfigurer's transfer query carries no
   fence.  A ``put-data`` can then reach a server after the transfer read it
-  but before the reconfigurer's ``put-config`` did, so a write completes on
-  ``⊥`` links without being seen by the transfer.
+  but before the reconfigurer's finalizing ``put-config`` did, so a write
+  completes on ``⊥`` links without being seen by the transfer.
 * ``linkless-ldr-put-data`` -- directories stop attaching the link to
   ``put-metadata`` replies, so an LDR write skips discovery after its
   ``put-data``: it can complete on ``⊥`` while a transfer that missed its
@@ -38,7 +38,7 @@ one-round reads:
   already holds the configuration (learned from a promise's link), so
   Paxos can decide it at a second GL index.
 
-Seven hand-built ``FixedLatency`` executions kill the mutants, six of them
+Seven hand-built ``FixedLatency`` executions kill the mutants, five of them
 where no registered cell does; an eighth shows why a one-round read needs
 the transfer fence.
 """
@@ -49,7 +49,7 @@ from operator import methodcaller
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import QuorumRefusedError
 from repro.common.ids import reader_id, reconfigurer_id, server_id, writer_id
 from repro.common.tags import max_tag_value
 from repro.common.values import Value
@@ -140,15 +140,22 @@ def _add_config_reproposing(self, cseq, proposed):
     """add-config without its test that the sequence holds ``proposed``."""
     while True:
         index, last = cseq.nu, cseq.last.config
-        proposer = PaxosProposer(self, last, instance=last.cfg_id)
-        outcome = yield from proposer.propose(proposed)
+        proposer = PaxosProposer(self, last, instance=last.cfg_id,
+                                 extra_decision_delay=self.consensus_delay)
+        try:
+            outcome = yield from proposer.propose(proposed)
+        except QuorumRefusedError as error:
+            index = self._rebase(cseq, index, last, error)
+            if proposer.offered:
+                return cseq.last.config, index
+            continue
         if isinstance(outcome, ConfigRecord):
             yield from self._follow_link(cseq, index, outcome)
             continue
+        self.directory.register(outcome.value)
         existing = cseq.index_of(outcome.value.cfg_id)
         if existing is None:
             existing = cseq.append(ConfigRecord(outcome.value, Status.PENDING))
-        yield from self.put_config(last, cseq[existing])
         return outcome.value, existing
 
 
@@ -169,18 +176,11 @@ MUTANTS = {
 #: mutant -> first killing ``(scenario, seed)``.
 KILLS = {
     "ldr-read-agrees-on-max": ("ldr_gray_degradation", 114),
+    "unfenced-transfer": ("store_rebalance_hot_range", 13),
 }
 
 #: mutant -> ``(nearest registered cell, the scenario that is missing)``.
 SURVIVORS = {
-    "unfenced-transfer": (("abd_reconfig_crash", 0), (
-        "missing scenario: a reconfiguration during which one writer's "
-        "put-data and the put-config rounds reach part of the old "
-        "configuration later than the reconfigurer's put-config + get-data "
-        "rounds take, while a reader learns the finalized successor before "
-        "the write completes (survives seeds 0..999 of every registered "
-        "scenario; test_counter_execution_of_the_transfer_fence builds the "
-        "execution by hand)")),
     "linkless-ldr-put-data": (("ldr_reconfig_crash", 0), (
         "missing scenario: dense migration of LDR keys under concurrent "
         "writes, as the benchmark's store_migrate workload runs (75 "
@@ -244,11 +244,12 @@ def test_counter_execution_of_the_transfer_fence(mutated, monkeypatch):
     """Why the reconfigurer's transfer query must carry the fence.
 
     ABD-5 ``c0`` reconfigures to ``c1``; every message takes 1 unless slowed
-    below.  The writer's put-data reaches ``s2`` at 3, before the
-    reconfigurer's ``put-config`` (7.5), and ``s3``/``s4`` only at 33, after
-    the reconfigurer's ``get-data`` read them (9.5); ``put-config`` never
-    reaches ``s3``/``s4`` in time.  So the transfer into ``c1`` carries
-    ``v0``.  A reader learns ``<c1, F>`` at 22.  Under the protocol the
+    below.  The writer's put-data reaches ``s2`` at 3, and ``s3``/``s4``
+    only at 33, after the reconfigurer's ``get-data`` read them (7.5); that
+    ``get-data`` reaches ``s2`` only at 12.5, so its quorum ``{s0, s1, s3}``
+    misses ``tau`` and the transfer into ``c1`` carries ``v0``.  The
+    finalizing ``put-config`` (11.5) never reaches ``s3``/``s4`` in time.
+    A reader learns ``<c1, F>`` at 22.  Under the protocol the
     ``get-data`` installed ``c1`` at ``s3``/``s4``, so the put-data quorum
     ``{s2, s3, s4}`` reports it and the write puts ``tau`` into ``c1`` too.
     Under the mutant that quorum answers ``nextC = ⊥``, the write completes
@@ -458,17 +459,17 @@ def test_counter_execution_of_the_read_side_fence(mutated, monkeypatch):
 
     ABD-5 ``c0`` reconfigures to ``c1`` with garbage collection; every
     message takes 1 unless slowed below.  The writer's put-data of ``tau``
-    reaches ``s3``/``s4`` at 3 and ``s2`` at 13; its acks from ``s2`` on are
-    held back, so the write stays pending.  The reconfigurer's ``put-config``
-    never reaches ``s2`` in time, and its transfer reads ``v0`` from
-    ``{s0, s1, s2}`` at 9.5.  The reader queries ``s3``/``s4`` at 6, before
-    any link, and ``s2`` at 14, so its quorum ``{s2, s3, s4}`` agrees on
-    ``tau``.  Under the protocol the transfer query installed ``c1`` at
-    ``s2``, whose reply carries it: the read walks on and writes ``tau`` into
-    ``c1``.  Under the mutant no reply reports a link and the read returns
-    ``tau`` in one round.  Its next read at 30 is refused by the retired
-    ``c0``, re-bases on ``c1`` and returns what is there: ``v0`` under the
-    mutant.
+    reaches ``s3``/``s4`` at 3 and ``s2`` at 11; its acks from ``s2`` on are
+    held back, so the write stays pending.  The reconfigurer's transfer
+    reads ``v0`` from ``{s0, s1, s2}`` at 7.5, and its finalizing
+    ``put-config`` (11.5) never reaches ``s2`` in time; ``c0`` retires at
+    13.5.  The reader queries ``s3``/``s4`` at 6, before any link, and
+    ``s2`` at 12, so its quorum ``{s2, s3, s4}`` agrees on ``tau``.  Under
+    the protocol the transfer query installed ``c1`` at ``s2``, whose reply
+    carries it: the read walks on and writes ``tau`` into ``c1``.  Under the
+    mutant no reply reports a link and the read returns ``tau`` in one
+    round.  Its next read at 30 is refused by the retired ``c0``, re-bases
+    on ``c1`` and returns what is there: ``v0`` under the mutant.
     """
     if mutated:
         unfenced_transfer(monkeypatch)
@@ -477,13 +478,13 @@ def test_counter_execution_of_the_read_side_fence(mutated, monkeypatch):
     s = [server_id(index) for index in range(5)]
     writer, reader, reconfigurer = writer_id(0), reader_id(0), reconfigurer_id(0)
     slowed = {(writer, s[0], abd.WRITE): 100, (writer, s[1], abd.WRITE): 100,
-              (writer, s[2], abd.WRITE): 10,
+              (writer, s[2], abd.WRITE): 8,
               (reconfigurer, s[2], WRITE_CONFIG): 100,
               (reconfigurer, s[3], abd.QUERY_DATA): 100,
               (reconfigurer, s[4], abd.QUERY_DATA): 100,
               (reader, s[0], abd.QUERY_DATA): 100,
               (reader, s[1], abd.QUERY_DATA): 100,
-              (reader, s[2], abd.QUERY_DATA): 8}
+              (reader, s[2], abd.QUERY_DATA): 6}
     slowed.update({(server, writer, "ABD-ACK"): 100 for server in s[2:]})
     _slowed(deployment, slowed)
     successor = deployment.make_configuration(dap="abd", fresh_servers=5)
@@ -510,8 +511,10 @@ def test_counter_execution_of_a_re_proposal(mutated, monkeypatch):
     refused, and its next prepare names ``cA``: A follows the link.  Under
     the protocol its sequence now holds ``cA`` and add-config returns it.
     Under the mutant A proposes ``cA`` again, at ``cA``'s own instance, and
-    ``cA``'s servers record ``cA`` as its own successor; the next read
-    walks ``c0 -> cA -> cA`` and fails.
+    ``cA``'s servers accept ``cA`` as its own successor: GL would hold
+    ``cA`` at indices 1 and 2.  A later reconfiguration proposing at
+    ``cA``'s instance then gets ``cA`` back instead of installing its own
+    configuration, and so does every one after it.
     """
     if mutated:
         repropose_installed(monkeypatch)
@@ -527,12 +530,12 @@ def test_counter_execution_of_a_re_proposal(mutated, monkeypatch):
         2.5, lambda: reconfigs.append(deployment.spawn_reconfig(contender, 1)))
     deployment.run()
     assert [op.result().cfg_id for op in reconfigs] == [proposed.cfg_id] * 2
-    self_links = [pid for pid in proposed.servers
-                  if proposed.cfg_id in deployment.servers[pid].next_config]
-    assert len(self_links) == (5 if mutated else 0)
-    read = deployment.spawn_read()
+    accepted = [server.acceptors[proposed.cfg_id].accepted_value
+                for server in map(deployment.servers.get, proposed.servers)
+                if proposed.cfg_id in server.acceptors]
+    assert accepted == ([proposed] * 5 if mutated else [])
+    successor = deployment.make_configuration(dap="abd", fresh_servers=5)
+    later = deployment.spawn_reconfig(successor, 1)
     deployment.run()
-    if mutated:
-        assert isinstance(read.exception(), ConfigurationError)
-    else:
-        assert read.result().label == "v0"
+    assert later.result() is (proposed if mutated else successor)
+    assert deployment.read(0).label == "v0"

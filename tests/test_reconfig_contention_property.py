@@ -53,8 +53,10 @@ from repro.workloads.generator import ClosedLoopDriver, WorkloadSpec
 #: Tier-1 bucket.  Seeds 0 and 11 catch a reconfigurer that proposes its
 #: installed configuration again after a retirement refusal ("configuration
 #: ... already present in the sequence"); seed 9 catches a direct transfer
-#: whose forward request a contender's equal broadcast id silenced.
-DEFAULT_SEEDS = "0,1,9,11"
+#: whose forward request a contender's equal broadcast id silenced; seed 21
+#: catches a transfer walk that a retirement refusal re-based past its last
+#: entry and that then read a tag from an empty walk.
+DEFAULT_SEEDS = "0,1,9,11,21"
 DAPS = ("abd", "treas", "ldr")
 RECONFIGS_PER_RECONFIGURER = 3
 

@@ -303,6 +303,29 @@ class TestReconfigEdgeCases:
         ids = [entry.config.cfg_id for entry in longer]
         assert len(ids) == len(set(ids))
 
+    @pytest.mark.parametrize("direct", [False, True], ids=["client", "direct"])
+    def test_a_transfer_walk_re_based_past_its_last_entry_ends(self, direct):
+        # The walker's sequence is [c0 F, c1 P], so its transfer walk
+        # queries c0 alone.  That query is slowed; meanwhile the contender
+        # installs c1, finalizes it and retires c0.  c0 refuses the walk's
+        # query with the tombstone <c1, F> at 1, past the walk's last
+        # entry: the contender filled the target, and update-config ends
+        # with nothing gathered.
+        dep = make_deployment(latency=FixedLatency(1.0),
+                              direct_state_transfer=direct)
+        walker, contender = dep.reconfigurers
+        target = dep.make_configuration(dap="abd", fresh_servers=4)
+        walker.cseq.append(ConfigRecord(target, Status.PENDING))
+        dep.network.add_delay_adjuster(
+            lambda src, dest, message, delay: delay + 50 * (src == walker.pid))
+        installing = dep.spawn_reconfig(target, 1)
+        walk = walker.spawn(walker._update_config(walker.cseq, walker._state.dap_for))
+        dep.run()
+        assert installing.result() is target and contender.configs_retired == 1
+        assert walk.exception() is None and walk.result() is None
+        assert walker.tombstone_jumps == 1
+        assert walker.cseq.mu == walker.cseq.nu == 1
+
     def test_finalize_config_finalizes_the_installed_index(self):
         # Interleaving window: a contender appends index nu+1 between our
         # update-config and finalize-config.  Finalizing the recomputed

@@ -9,11 +9,9 @@ reconfiguration client acting as proposer and the configuration's servers
 acting as acceptors.
 """
 
-from repro.consensus.interface import ConsensusDecision
 from repro.consensus.paxos import PaxosAcceptorState, PaxosProposer, Ballot
 
 __all__ = [
-    "ConsensusDecision",
     "PaxosAcceptorState",
     "PaxosProposer",
     "Ballot",

@@ -39,7 +39,6 @@ from typing import Any, Optional, TYPE_CHECKING
 from repro.common.errors import ConsensusError
 from repro.common.ids import ProcessId
 from repro.config.sequence import next_link
-from repro.consensus.interface import ConsensusDecision
 from repro.net.message import Message, reply, request
 from repro.sim.futures import Timer
 
@@ -153,13 +152,12 @@ class PaxosProposer:
     def propose(self, value: Any):
         """Coroutine: run the instance to a decision for ``value``.
 
-        Returns a :class:`~repro.consensus.interface.ConsensusDecision`.  If
-        another proposer's value wins, that value is returned (Validity and
-        Agreement still hold -- the caller adopts the decided value exactly
-        as ARES's ``add-config`` does).  If a promise carries a ``nextC``
-        record (under ``next``), the instance has already decided and that
-        record -- a :class:`~repro.config.sequence.ConfigRecord` -- is
-        returned instead.
+        Returns the decided value.  If another proposer's value wins, that
+        value is returned (Validity and Agreement still hold -- the caller
+        adopts the decided value exactly as ARES's ``add-config`` does).  If
+        a promise carries a ``nextC`` record (under ``next``), the instance
+        has already decided and that record -- a
+        :class:`~repro.config.sequence.ConfigRecord` -- is returned instead.
         """
         if value is None:
             raise ConsensusError("cannot propose None")
@@ -207,8 +205,7 @@ class PaxosProposer:
                 if self.extra_decision_delay > 0:
                     yield Timer(self.process.sim, self.extra_decision_delay,
                                 label="consensus-delay")
-                return ConsensusDecision(value=proposal, instance=self.instance,
-                                         ballot_round=round_number)
+                return proposal
 
             round_number += 1
             yield Timer(self.process.sim, self._backoff(round_number), label="paxos-backoff")

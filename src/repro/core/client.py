@@ -31,6 +31,12 @@ every transfer out of ``c_ν`` saw the value: step 4 follows the links
 TREAS write is then two quorum rounds, and a steady-state ABD or TREAS read
 one; an LDR write is three, an LDR read two.
 
+A round refused because a reconfigurer retired its configuration, query or
+``put-data``, re-bases on the tombstone the refusal carries and goes on
+with the same pair: an operation never starts over, so a written value
+keeps the one tag its query chose (``docs/ARCHITECTURE.md``, "Why a
+refused ``put-data`` re-bases").
+
 The client records every high-level operation in a
 :class:`~repro.spec.history.History` so atomicity can be checked and the
 latency benchmarks can measure operation intervals.
@@ -41,7 +47,7 @@ from __future__ import annotations
 from operator import methodcaller
 from typing import Optional
 
-from repro.common.errors import QuorumRefusedError, is_retirement_refusal
+from repro.common.errors import QuorumRefusedError
 from repro.common.ids import ProcessId
 from repro.common.tags import TagValue, max_tag, max_tag_value
 from repro.common.values import Value
@@ -72,32 +78,22 @@ class RegisterOpsMixin(SequenceTraversalMixin):
     both data paths at once.
     """
 
-    #: Cap on retirement-refusal restarts of one operation.  A restart
-    #: happens when a round after the first is refused; the body
-    #: re-runs and its first round re-bases on the refusing server's
-    #: tombstone, so in practice one restart converges; the cap guards
-    #: against a pathological schedule where reconfigurations outrun the
-    #: client indefinitely.
-    _MAX_RETIREMENT_RESTARTS = 64
-
     def _register_write(self, cseq: ConfigSequence, dap_for, value: Value,
                         key: Optional[str] = None):
         """Coroutine: the ARES write (Algorithm 7) against one register.
 
-        A first-round query refused because its configuration was retired
-        re-bases on the tombstone and goes on (see :meth:`_query_sequence`).
-        Any other quorum gather refused purely for retirement (a
-        reconfigurer garbage-collected the configuration mid-operation)
-        restarts the operation body, which converges the same way, so the
-        retry gathers over live configurations only.
+        A round refused because a reconfigurer retired its configuration
+        re-bases on the tombstone the refusal carries and goes on, whether
+        it is a query round (:meth:`_query_sequence`) or a ``put-data``
+        (:meth:`_register_propagate`), so the value keeps the one tag its
+        query chose.
         """
         record = None
         started = self.now
         if self.history is not None:
             record = self.history.invoke(self.pid, OperationType.WRITE, self.now,
                                          value_label=value.label, key=key)
-        new_pair = yield from self._restart_on_retirement(
-            self._write_body, (cseq, dap_for, value))
+        new_pair = yield from self._write_body(cseq, dap_for, value)
         if record is not None:
             self.history.respond(record, self.now, tag=new_pair.tag)
         if self.metrics is not None:
@@ -105,46 +101,24 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         return new_pair.tag
 
     def _write_body(self, cseq: ConfigSequence, dap_for, value: Value):
-        """Coroutine: one attempt at the Algorithm 7 write body."""
+        """Coroutine: the Algorithm 7 write body; returns the pair it put."""
         tags = yield from self._query_sequence(cseq, dap_for, _GET_TAG)
         new_pair = TagValue(tag=max_tag(tags).increment(self.pid), value=value)
         yield from self._register_propagate(cseq, dap_for, new_pair)
         return new_pair
 
-    def _restart_on_retirement(self, body, args):
-        """Coroutine: ``body(*args)``, re-run while refused only for retirement.
-
-        A quorum gather refused purely because a reconfigurer retired its
-        configuration mid-operation re-runs the whole body, up to
-        ``_MAX_RETIREMENT_RESTARTS`` times, counting each restart under the
-        metric ``retirement_restarts``; the re-run's first round re-bases on
-        the retired servers' tombstones, so it gathers over live
-        configurations only.  Any other refusal, and the one past the cap,
-        propagates.
-        """
-        cap = self._MAX_RETIREMENT_RESTARTS
-        for restart in range(cap + 1):
-            try:
-                return (yield from body(*args))
-            except QuorumRefusedError as error:
-                if restart == cap or not is_retirement_refusal(error):
-                    raise
-                if self.metrics is not None:
-                    self.metrics.inc("retirement_restarts")
-
     def _register_read(self, cseq: ConfigSequence, dap_for,
                        key: Optional[str] = None):
         """Coroutine: the ARES read (Algorithm 7); returns the value.
 
-        Restarts on retirement refusals exactly like ``_register_write``.
+        Re-bases on retirement refusals exactly like ``_register_write``.
         """
         record = None
         started = self.now
         if self.history is not None:
             record = self.history.invoke(self.pid, OperationType.READ, self.now,
                                          key=key)
-        best = yield from self._restart_on_retirement(
-            self._read_body, (cseq, dap_for))
+        best = yield from self._read_body(cseq, dap_for)
         if record is not None:
             self.history.respond(record, self.now, value_label=best.value.label,
                                  tag=best.tag)
@@ -153,7 +127,7 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         return best.value
 
     def _read_body(self, cseq: ConfigSequence, dap_for):
-        """Coroutine: one attempt at the Algorithm 7 read body.
+        """Coroutine: the Algorithm 7 read body; returns the pair it found.
 
         The write-back is skipped when ``[µ, ν]`` is one configuration whose
         ``get-data`` quorum all held the returned tag (the walk follows
@@ -203,12 +177,23 @@ class RegisterOpsMixin(SequenceTraversalMixin):
         ``read-config``: ``⊥`` ends the loop, and a successor is followed
         (:meth:`_follow_link`) and put into in turn.  The fence on every
         transfer query makes ``⊥`` from a ``put-data`` quorum mean that
-        every transfer out of ``c_ν`` saw the pair.
+        every transfer out of ``c_ν`` saw the pair.  A ``put-data`` refused
+        because ``c_ν`` was retired re-bases on the tombstone
+        (:meth:`_rebase`) and puts the same pair into its target: that
+        configuration was finalized, so its update-config already
+        transferred out of ``c_ν``, and putting into it is this loop's
+        catch-up started later (``docs/ARCHITECTURE.md``, "Why a refused
+        ``put-data`` re-bases").
         """
         while True:
             nu = cseq.nu
-            dap = dap_for(cseq.config_at(nu))
-            yield from dap.put_data(pair)
+            configuration = cseq.config_at(nu)
+            dap = dap_for(configuration)
+            try:
+                yield from dap.put_data(pair)
+            except QuorumRefusedError as error:
+                self._rebase(cseq, nu, configuration, error)
+                continue
             if dap.next_config is None:
                 return
             yield from self._follow_link(cseq, nu, dap.next_config)

@@ -198,7 +198,7 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
             if isinstance(outcome, ConfigRecord):
                 yield from self._follow_link(cseq, index, outcome)
                 continue
-            installed: Configuration = outcome.value
+            installed: Configuration = outcome
             self.directory.register(installed)
             existing = cseq.index_of(installed.cfg_id)
             if existing is not None:

@@ -34,7 +34,6 @@ store.  Full-history queries (``operations()``, ``signature()``,
 from __future__ import annotations
 
 import enum
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -42,6 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.common.errors import StreamingHistoryError
 from repro.common.ids import ProcessId
 from repro.common.tags import Tag
+from repro.spec.signature import SignatureAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.spec.streaming import HistoryStream
@@ -142,10 +142,7 @@ class History:
         """The attached :class:`~repro.spec.streaming.HistoryStream`."""
         return self._stream
 
-    def enable_streaming(self, window_limit: Optional[int] = None,
-                         initial_label: Optional[str] = None,
-                         latency_reservoir: Optional[int] = None,
-                         ) -> "HistoryStream":
+    def enable_streaming(self, window_limit: Optional[int] = None) -> "HistoryStream":
         """Switch this (empty) history into bounded open-window mode.
 
         Must be called before any operation is recorded: the stream folds
@@ -158,13 +155,7 @@ class History:
         if self._records or self._stream is not None:
             raise StreamingHistoryError(
                 "enable_streaming() requires an empty, non-streaming history")
-        kwargs = {}
-        if window_limit is not None:
-            kwargs["window_limit"] = window_limit
-        if initial_label is not None:
-            kwargs["initial_label"] = initial_label
-        if latency_reservoir is not None:
-            kwargs["latency_reservoir"] = latency_reservoir
+        kwargs = {} if window_limit is None else {"window_limit": window_limit}
         self._stream = HistoryStream(self, **kwargs)
         return self._stream
 
@@ -336,23 +327,20 @@ class History:
         self._batch_only("signature()")
         return tuple(signature_entry(record) for record in self.operations())
 
-    def signature_hash(self) -> str:
-        """SHA-256 of ``repr(self.signature())`` without materializing it.
+    def signature_digests(self) -> SignatureAccumulator:
+        """Every record's :func:`signature_entry` folded into running digests.
 
-        The batch path streams each record's entry repr through the hash --
-        the full entries list (10^6 tuples on a scale run) is never built.
-        The streaming path finalizes the stream and returns the fold
-        accumulator's digest, which is byte-identical by construction.
+        The streaming path finalizes the stream and returns its fold
+        accumulator; the batch path folds :meth:`operations` here, so the
+        full entries list (10^6 tuples on a scale run) is never built.
         """
         if self._stream is not None:
-            self._stream.finalize()
-            return self._stream.signature_hash()
-        digest = hashlib.sha256(b"(")
-        count = 0
+            return self._stream.signature_digests()
+        accumulator = SignatureAccumulator()
         for record in self.operations():
-            if count:
-                digest.update(b", ")
-            digest.update(repr(signature_entry(record)).encode())
-            count += 1
-        digest.update(b",)" if count == 1 else b")")
-        return digest.hexdigest()
+            accumulator.fold(signature_entry(record))
+        return accumulator
+
+    def signature_hash(self) -> str:
+        """SHA-256 of ``repr(self.signature())`` without materializing it."""
+        return self.signature_digests().history_digest()

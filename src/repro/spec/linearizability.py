@@ -57,8 +57,13 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.spec.history import History, OperationRecord, OperationType
 
-#: Label of the register's initial value.
+#: Label of the register's initial value: reads linearized before every
+#: write return it.
 INITIAL_LABEL = "v0"
+
+#: Safety valve for the reference search: past this many states it gives up,
+#: reporting failure with an explanatory reason.
+_MAX_STATES = 2_000_000
 
 _INFINITY = float("inf")
 
@@ -82,8 +87,7 @@ class LinearizabilityResult:
         return self.ok
 
 
-def check_linearizability(history: History, initial_label: str = INITIAL_LABEL,
-                          max_states: int = 2_000_000) -> LinearizabilityResult:
+def check_linearizability(history: History) -> LinearizabilityResult:
     """Check that ``history`` is linearizable as a read/write register.
 
     Runs the near-linear fast checker first and falls back to the
@@ -98,16 +102,11 @@ def check_linearizability(history: History, initial_label: str = INITIAL_LABEL,
         The recorded history.  Failed operations are ignored; incomplete
         (pending) writes are treated as possibly-effective, incomplete reads
         are ignored (a pending read imposes no constraint).
-    initial_label:
-        The label reads must return if they are linearized before every write.
-    max_states:
-        Safety valve for the reference search; the checker gives up
-        (reporting failure with an explanatory reason) if exceeded.
     """
-    fast = _fast_check(history, initial_label)
+    fast = _fast_check(history)
     if fast is not None:
         return fast
-    return check_linearizability_reference(history, initial_label, max_states)
+    return check_linearizability_reference(history)
 
 
 # ======================================================================
@@ -137,8 +136,7 @@ class _Cluster:
         self.max_inv = max_inv
 
 
-def _fast_check(history: History,
-                initial_label: str) -> Optional[LinearizabilityResult]:
+def _fast_check(history: History) -> Optional[LinearizabilityResult]:
     """Decide the history directly, or return ``None`` when ambiguous.
 
     Never guesses: ``ok=True`` only with a sweep-verified witness,
@@ -150,7 +148,7 @@ def _fast_check(history: History,
     writes_by_label: Dict[str, OperationRecord] = {}
     for write in writes:
         label = write.value_label
-        if label is None or label == initial_label or label in writes_by_label:
+        if label is None or label == INITIAL_LABEL or label in writes_by_label:
             return None  # ambiguous labelling: leave it to the reference search
         writes_by_label[label] = write
 
@@ -158,7 +156,7 @@ def _fast_check(history: History,
     reads_by_label: Dict[str, List[OperationRecord]] = {}
     for read in reads:
         label = read.value_label
-        if label == initial_label:
+        if label == INITIAL_LABEL:
             initial_reads.append(read)
         elif label in writes_by_label:
             reads_by_label.setdefault(label, []).append(read)
@@ -272,9 +270,7 @@ def _verify_witness(witness: List[OperationRecord]) -> bool:
 # Reference path: Wing-Gong depth-first search
 # ======================================================================
 
-def check_linearizability_reference(history: History,
-                                    initial_label: str = INITIAL_LABEL,
-                                    max_states: int = 2_000_000) -> LinearizabilityResult:
+def check_linearizability_reference(history: History) -> LinearizabilityResult:
     """Exhaustive Wing-Gong search (the pre-existing reference checker).
 
     Kept both as the fallback for histories the fast checker cannot decide
@@ -290,7 +286,7 @@ def check_linearizability_reference(history: History,
     # value of some write present in the history.
     known_labels = {w.value_label for w in complete_writes + pending_writes}
     for read in reads:
-        if read.value_label != initial_label and read.value_label not in known_labels:
+        if read.value_label != INITIAL_LABEL and read.value_label not in known_labels:
             return LinearizabilityResult(
                 ok=False,
                 reason=(f"read {read} returned label {read.value_label!r} which no "
@@ -323,7 +319,7 @@ def check_linearizability_reference(history: History,
             return None
         seen.add(key)
         states["count"] += 1
-        if states["count"] > max_states:
+        if states["count"] > _MAX_STATES:
             raise _SearchBudgetExceeded()
 
         for op_id in ids:
@@ -346,11 +342,11 @@ def check_linearizability_reference(history: History,
         return None
 
     try:
-        witness = search(frozenset(), initial_label, 0, [])
+        witness = search(frozenset(), INITIAL_LABEL, 0, [])
     except _SearchBudgetExceeded:
         return LinearizabilityResult(
             ok=False,
-            reason=f"search budget of {max_states} states exceeded",
+            reason=f"search budget of {_MAX_STATES} states exceeded",
             states_explored=states["count"],
             method="reference",
         )
@@ -444,10 +440,7 @@ class PerKeyLinearizabilityResult:
         return self.ok
 
 
-def check_linearizability_per_key(history: History,
-                                  initial_label: str = INITIAL_LABEL,
-                                  max_states: int = 2_000_000,
-                                  ) -> PerKeyLinearizabilityResult:
+def check_linearizability_per_key(history: History) -> PerKeyLinearizabilityResult:
     """Check a keyed history: every object key must linearize independently.
 
     Each per-key sub-history runs through :func:`check_linearizability`
@@ -469,7 +462,7 @@ def check_linearizability_per_key(history: History,
     ok = True
     reason = ""
     for key, sub in history.split_by_key().items():
-        result = check_linearizability(sub, initial_label, max_states)
+        result = check_linearizability(sub)
         results[key] = result
         if not result.ok and ok:
             ok = False

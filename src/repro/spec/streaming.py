@@ -186,15 +186,13 @@ class OnlineRegisterChecker:
     reference search could decide.
     """
 
-    __slots__ = ("key", "initial_label", "clusters", "readable",
+    __slots__ = ("key", "clusters", "readable",
                  "retired_max_inv", "first_cluster_res", "first_cluster_label",
                  "latest_initial_inv", "by_res", "by_tag", "_last_unswept",
                  "failure", "ambiguous")
 
-    def __init__(self, key: Optional[str],
-                 initial_label: str = INITIAL_LABEL) -> None:
+    def __init__(self, key: Optional[str]) -> None:
         self.key = key
-        self.initial_label = initial_label
         self.clusters: Dict[str, _LiveCluster] = {}
         #: label -> [min_res, max_inv] of folded, still-readable values.
         self.readable: Dict[str, List[float]] = {}
@@ -241,7 +239,7 @@ class OnlineRegisterChecker:
         if self.decided or record.op_type is not OperationType.WRITE:
             return
         label = record.value_label
-        if label is None or label == self.initial_label \
+        if label is None or label == INITIAL_LABEL \
                 or label in self.clusters or label in self.readable:
             self._ambiguate(
                 f"write {record} reuses value label {label!r}; duplicate or "
@@ -296,7 +294,7 @@ class OnlineRegisterChecker:
 
     def _complete_read(self, record: OperationRecord) -> None:
         label = record.value_label
-        if label == self.initial_label:
+        if label == INITIAL_LABEL:
             if record.invoked_at > self.latest_initial_inv:
                 self.latest_initial_inv = record.invoked_at
             if self.first_cluster_res < record.invoked_at:
@@ -584,14 +582,11 @@ class HistoryStream:
     """
 
     def __init__(self, history: History,
-                 window_limit: int = DEFAULT_WINDOW_LIMIT,
-                 initial_label: str = INITIAL_LABEL,
-                 latency_reservoir: int = DEFAULT_LATENCY_RESERVOIR) -> None:
+                 window_limit: int = DEFAULT_WINDOW_LIMIT) -> None:
         if window_limit < 1:
             raise StreamingHistoryError("window_limit must be >= 1")
         self._history = history
         self.window_limit = window_limit
-        self.initial_label = initial_label
         self._accumulator = SignatureAccumulator()
         self._registers: Dict[Optional[str], OnlineRegisterChecker] = {}
         self._tags: Dict[Optional[str], OnlineTagChecker] = {}
@@ -603,8 +598,8 @@ class HistoryStream:
         self.failed_operations = 0
         self.folded_records = 0
         self.open_window_peak = 0
-        self.read_latencies = StreamingStats(latency_reservoir, seed=0)
-        self.write_latencies = StreamingStats(latency_reservoir, seed=1)
+        self.read_latencies = StreamingStats(DEFAULT_LATENCY_RESERVOIR, seed=0)
+        self.write_latencies = StreamingStats(DEFAULT_LATENCY_RESERVOIR, seed=1)
         #: Observability registry; None (the default) keeps the per-record
         #: path at a single attribute test (same idiom as the network's
         #: quiet path).  When installed, every invocation samples the open
@@ -640,7 +635,7 @@ class HistoryStream:
     def _register_for(self, key: Optional[str]) -> OnlineRegisterChecker:
         register = self._registers.get(key)
         if register is None:
-            register = OnlineRegisterChecker(key, self.initial_label)
+            register = OnlineRegisterChecker(key)
             self._registers[key] = register
             self._tags[key] = OnlineTagChecker()
         return register
@@ -723,21 +718,10 @@ class HistoryStream:
         for register in self._registers.values():
             register.finalize()
 
-    def signature_hash(self) -> str:
-        """Digest equal to batch ``sha256(repr(history.signature()))``."""
-        self._require_finalized("signature_hash")
-        return self._accumulator.history_digest()
-
-    def result_signature_hash(self, chaos_log) -> str:
-        """Digest equal to batch ``sha256(repr((signature(), tuple(log))))``."""
-        self._require_finalized("result_signature_hash")
-        return self._accumulator.result_digest(chaos_log)
-
-    def _require_finalized(self, what: str) -> None:
-        if not self._finalized:
-            raise StreamingHistoryError(
-                f"{what} needs a finalized stream; call finalize() once the "
-                "run is over")
+    def signature_digests(self) -> SignatureAccumulator:
+        """The fold accumulator over every record, once :meth:`finalize` ran."""
+        self.finalize()
+        return self._accumulator
 
     # ------------------------------------------------------------- verdicts
     def method(self) -> str:

@@ -156,19 +156,14 @@ class ChaosRunResult:
     def signature_hash(self) -> str:
         """SHA-256 hex digest of ``repr(self.signature())``.
 
-        Works in both modes and produces identical bytes: the batch path
-        streams the repr through the hash without materializing the entries
-        list, the streaming path reads the fold accumulator (finalizing the
-        stream).  This is what the sweep engine and the golden determinism
-        fixtures store.
+        Works in both modes and produces identical bytes: both fold the
+        history's entries through :meth:`History.signature_digests
+        <repro.spec.history.History.signature_digests>`, which never
+        materializes the entries list.  This is what the sweep engine and the
+        golden determinism fixtures store.
         """
-        stream = self.history.stream
-        if stream is not None:
-            stream.finalize()
-            return stream.result_signature_hash(self.engine.log_signature())
-        import hashlib
-
-        return hashlib.sha256(repr(self.signature()).encode()).hexdigest()
+        return self.history.signature_digests().result_digest(
+            self.engine.log_signature())
 
     def check(self) -> Tuple[Optional[str], str]:
         """Run every property check without raising.

@@ -7,7 +7,8 @@ import pytest
 from repro.common.errors import ConsensusError
 from repro.common.ids import config_id, reconfigurer_id, server_id
 from repro.config.configuration import Configuration
-from repro.consensus.paxos import Ballot, PaxosAcceptorState, PaxosProposer
+from repro.consensus.paxos import (ACCEPT, PREPARE, Ballot, PaxosAcceptorState,
+                                   PaxosProposer)
 from repro.core.directory import ConfigurationDirectory
 from repro.core.server import AresServer
 from repro.net.latency import UniformLatency
@@ -56,10 +57,14 @@ class TestSingleProposer:
     def test_decides_proposed_value(self):
         sim, network, configuration, servers, clients = build_system()
         proposer = PaxosProposer(clients[0], configuration, instance=configuration.cfg_id)
+        sent = []
+        network.add_delay_adjuster(
+            lambda src, dest, message, delay:
+                sent.append(message.kind) or delay if src == clients[0].pid else delay)
         handle = clients[0].spawn(proposer.propose("value-A"))
-        decision = sim.run_until_complete(handle)
-        assert decision.value == "value-A"
-        assert decision.ballot_round == 1
+        assert sim.run_until_complete(handle) == "value-A"
+        # Decided on the first ballot: one prepare round, one accept round.
+        assert sent == [PREPARE] * 5 + [ACCEPT] * 5
 
     def test_cannot_propose_none(self):
         sim, network, configuration, servers, clients = build_system()
@@ -74,8 +79,8 @@ class TestSingleProposer:
         decision_a = sim.run_until_complete(clients[0].spawn(first.propose("A")))
         second = PaxosProposer(clients[1], configuration, instance=configuration.cfg_id)
         decision_b = sim.run_until_complete(clients[1].spawn(second.propose("B")))
-        assert decision_a.value == "A"
-        assert decision_b.value == "A"  # agreement: the earlier decision sticks
+        assert decision_a == "A"
+        assert decision_b == "A"  # agreement: the earlier decision sticks
 
     def test_decision_delay_adds_latency(self):
         sim, network, configuration, servers, clients = build_system(latency=None)
@@ -91,7 +96,7 @@ class TestSingleProposer:
         servers[1].crash()
         proposer = PaxosProposer(clients[0], configuration, instance=configuration.cfg_id)
         decision = sim.run_until_complete(clients[0].spawn(proposer.propose("survive")))
-        assert decision.value == "survive"
+        assert decision == "survive"
 
 
 class TestConcurrentProposers:
@@ -104,7 +109,7 @@ class TestConcurrentProposers:
             proposer = PaxosProposer(client, configuration, instance=configuration.cfg_id)
             handles.append(client.spawn(proposer.propose(f"value-{index}")))
         sim.run()
-        decisions = [h.result().value for h in handles]
+        decisions = [h.result() for h in handles]
         # Agreement: every proposer learns the same decision.
         assert len(set(decisions)) == 1
         # Validity: the decision is one of the proposed values.
@@ -118,5 +123,5 @@ class TestConcurrentProposers:
         h0 = clients[0].spawn(p0.propose("for-instance-0"))
         h1 = clients[1].spawn(p1.propose("for-instance-99"))
         sim.run()
-        assert h0.result().value == "for-instance-0"
-        assert h1.result().value == "for-instance-99"
+        assert h0.result() == "for-instance-0"
+        assert h1.result() == "for-instance-99"

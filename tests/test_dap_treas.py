@@ -370,8 +370,9 @@ class TestDecodedElementReuse:
         assert pair.value.label == "v"
 
     def test_get_data_again_replaces_what_was_held(self, encode_calls):
-        # What a retirement restart does: the operation body starts over and
-        # calls get-data on a client that never got to put-data.
+        # What a one-round read leaves behind: it skips its put-data, and the
+        # next operation calls get-data on a client that never got to
+        # put-data.
         dep = self._static()
         dep.write(Value.of_size(400, label="one"), 0)
         reader = dep.readers[0]

@@ -464,7 +464,7 @@ class TestRetryBackoff:
         # request in flight.  Counted as refusals, 5 - 2 = 3 acceptances
         # stayed possible, so the round hung (plain) or burnt its retries on
         # timeouts.  The first retirement refusal ends it instead, and the
-        # operation restarts past the retired configuration.
+        # operation re-bases past the retired configuration.
         sim, client, servers = bare_round(
             policy, ["echo", "echo", RETIRED_CONFIG_REASON, RETIRED_CONFIG_REASON,
                      "echo"])

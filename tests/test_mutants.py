@@ -37,9 +37,13 @@ one-round reads:
 * ``repropose-installed`` -- add-config proposes even when its sequence
   already holds the configuration (learned from a promise's link), so
   Paxos can decide it at a second GL index.
+* ``fresh-tag-restart`` -- a ``put-data`` refused by a retired
+  configuration restarts the whole read or write instead of re-basing on
+  the tombstone, so a restarted write queries again and stores its value
+  under a second, fresh tag.
 
-Seven hand-built ``FixedLatency`` executions kill the mutants, five of them
-where no registered cell does; an eighth shows why a one-round read needs
+Eight hand-built ``FixedLatency`` executions kill the mutants, six of them
+where no registered cell does; a ninth shows why a one-round read needs
 the transfer fence.
 """
 
@@ -49,7 +53,7 @@ from operator import methodcaller
 
 import pytest
 
-from repro.common.errors import QuorumRefusedError
+from repro.common.errors import QuorumRefusedError, is_retirement_refusal
 from repro.common.ids import reader_id, reconfigurer_id, server_id, writer_id
 from repro.common.tags import max_tag_value
 from repro.common.values import Value
@@ -152,15 +156,48 @@ def _add_config_reproposing(self, cseq, proposed):
         if isinstance(outcome, ConfigRecord):
             yield from self._follow_link(cseq, index, outcome)
             continue
-        self.directory.register(outcome.value)
-        existing = cseq.index_of(outcome.value.cfg_id)
+        self.directory.register(outcome)
+        existing = cseq.index_of(outcome.cfg_id)
         if existing is None:
-            existing = cseq.append(ConfigRecord(outcome.value, Status.PENDING))
-        return outcome.value, existing
+            existing = cseq.append(ConfigRecord(outcome, Status.PENDING))
+        return outcome, existing
 
 
 def repropose_installed(monkeypatch) -> None:
     monkeypatch.setattr(ReconfigOpsMixin, "_add_config", _add_config_reproposing)
+
+
+def _propagate_without_rebase(self, cseq, dap_for, pair):
+    """put-data until the sequence stops growing, with no re-base on a refusal."""
+    while True:
+        nu = cseq.nu
+        dap = dap_for(cseq.config_at(nu))
+        yield from dap.put_data(pair)
+        if dap.next_config is None:
+            return
+        yield from self._follow_link(cseq, nu, dap.next_config)
+
+
+def _restarting(body, cap=64):
+    """``body`` re-run from its first round while refused only for retirement."""
+
+    def restarting(self, *args):
+        for restart in range(cap + 1):
+            try:
+                return (yield from body(self, *args))
+            except QuorumRefusedError as error:
+                if restart == cap or not is_retirement_refusal(error):
+                    raise
+
+    return restarting
+
+
+def fresh_tag_restart(monkeypatch) -> None:
+    monkeypatch.setattr(RegisterOpsMixin, "_register_propagate",
+                        _propagate_without_rebase)
+    for name in ("_write_body", "_read_body"):
+        monkeypatch.setattr(RegisterOpsMixin, name,
+                            _restarting(getattr(RegisterOpsMixin, name)))
 
 
 MUTANTS = {
@@ -171,6 +208,7 @@ MUTANTS = {
     "treas-read-agrees-on-decodable": treas_read_agrees_on_decodable,
     "ldr-read-agrees-on-max": ldr_read_agrees_on_max,
     "repropose-installed": repropose_installed,
+    "fresh-tag-restart": fresh_tag_restart,
 }
 
 #: mutant -> first killing ``(scenario, seed)``.
@@ -209,6 +247,14 @@ SURVIVORS = {
         "test_reconfig_contention_property.py runs (survives seeds 0..999 "
         "of every registered scenario; test_counter_execution_of_a_"
         "re_proposal builds the execution by hand)")),
+    "fresh-tag-restart": (("store_migration_gc", 0), (
+        "missing scenario: a write whose put-data straddles the retirement "
+        "of its configuration while a second writer writes past it -- the "
+        "put-data reaches a quorum only after gc retired the configuration, "
+        "and the other writer's write completes in between (survives seeds "
+        "0..999 of every registered scenario; store_migration_gc is the one "
+        "registered scenario with gc on; test_counter_execution_of_a_write_"
+        "restarted_with_a_fresh_tag builds the execution by hand)")),
     "treas-read-agrees-on-decodable": (("treas_partition_heal", 0), (
         "missing scenario: a TREAS write whose put-data reaches exactly k "
         "servers long before the others, while one reader's get-data quorum "
@@ -539,3 +585,43 @@ def test_counter_execution_of_a_re_proposal(mutated, monkeypatch):
     deployment.run()
     assert later.result() is (proposed if mutated else successor)
     assert deployment.read(0).label == "v0"
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["protocol", "mutant"])
+def test_counter_execution_of_a_write_restarted_with_a_fresh_tag(mutated, monkeypatch):
+    """Why a refused ``put-data`` re-bases instead of restarting the write.
+
+    ABD-5 ``c0`` reconfigures to ``c1`` with garbage collection; every
+    message takes 1 unless slowed below.  Writer 0 tags ``v`` with
+    ``(1, writer-0)``; its put-data reaches ``s3``/``s4`` at 3 and
+    ``s0``..``s2`` only at 103.  The reconfigurer's transfer query reads
+    ``{s2, s3, s4}`` and carries ``v`` into ``c1``; ``c0`` retires at 13.5.
+    The read at 15 returns ``v`` from ``c1``, and writer 1 writes ``v'``
+    under ``(2, writer-1)`` at 20.  At 103 writer 0's put-data is refused
+    by the retired ``c0``.  Under the protocol it re-bases on ``c1`` and
+    puts ``v`` there under its one tag, below ``v'``.  Under the mutant the
+    write restarts, queries ``c1`` and stores ``v`` again under
+    ``(3, writer-0)``, above ``v'``: the read at 120 returns ``v`` a second
+    time, after a read already returned ``v`` and ``v'`` was written.
+    """
+    if mutated:
+        fresh_tag_restart(monkeypatch)
+    deployment = AresDeployment(num_servers=5, initial_dap="abd", num_writers=2,
+                                num_readers=1, latency=FixedLatency(1.0), gc=True)
+    s = [server_id(index) for index in range(5)]
+    slowed = {(writer_id(0), server, abd.WRITE): 100 for server in s[:3]}
+    slowed.update({(reconfigurer_id(0), server, abd.QUERY_DATA): 100
+                   for server in s[:2]})
+    _slowed(deployment, slowed)
+    successor = deployment.make_configuration(dap="abd", fresh_servers=5)
+    deployment.spawn_write(Value.of_size(8, label="v"), 0)
+    reads = []
+    deployment.sim.schedule(2.5, lambda: deployment.spawn_reconfig(successor))
+    deployment.sim.schedule(
+        20.0, lambda: deployment.spawn_write(Value.of_size(8, label="v'"), 1))
+    for at in (15.0, 120.0):
+        deployment.sim.schedule(at, lambda: reads.append(deployment.spawn_read()))
+    deployment.run()
+    assert [read.result().label for read in reads] == \
+        (["v", "v"] if mutated else ["v", "v'"])
+    assert check_linearizability(deployment.history).ok is not mutated

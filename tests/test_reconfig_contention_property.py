@@ -55,8 +55,10 @@ from repro.workloads.generator import ClosedLoopDriver, WorkloadSpec
 #: ... already present in the sequence"); seed 9 catches a direct transfer
 #: whose forward request a contender's equal broadcast id silenced; seed 21
 #: catches a transfer walk that a retirement refusal re-based past its last
-#: entry and that then read a tag from an empty walk.
-DEFAULT_SEEDS = "0,1,9,11,21"
+#: entry and that then read a tag from an empty walk.  In seed 19's LDR runs
+#: with gc a client's put-data is refused by a retired configuration and
+#: re-bases on its tombstone.
+DEFAULT_SEEDS = "0,1,9,11,19,21"
 DAPS = ("abd", "treas", "ldr")
 RECONFIGS_PER_RECONFIGURER = 3
 

@@ -26,7 +26,6 @@ from repro.common.tags import Tag
 from repro.common.values import Value
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, Status
-from repro.consensus.interface import ConsensusDecision
 from repro.consensus.paxos import ACCEPT, PREPARE, Ballot, PaxosProposer
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.core.directory import ConfigurationDirectory
@@ -269,7 +268,7 @@ class TestReconfigEdgeCases:
         def sibling_decides_first(self, value):
             yield from ()
             cseq.append(ConfigRecord(cfg1, Status.PENDING))
-            return ConsensusDecision(value=cfg1, instance=self.instance)
+            return cfg1
 
         monkeypatch.setattr(PaxosProposer, "propose", sibling_decides_first)
         handle = reconfigurer.spawn(reconfigurer._add_config(cseq, mine))

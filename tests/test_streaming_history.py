@@ -277,7 +277,9 @@ def test_signature_hash_matches_batch_bytes(ops):
             h.respond(w, i + 0.5, tag=Tag(i + 1, W0))
 
     batch, streaming = _dual(build)
-    assert streaming.signature_hash() == batch.signature_hash()
+    expected = hashlib.sha256(repr(batch.signature()).encode()).hexdigest()
+    assert batch.signature_hash() == expected
+    assert streaming.signature_hash() == expected
 
 
 def test_result_digest_matches_batch_bytes():

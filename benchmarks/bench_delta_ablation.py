@@ -18,8 +18,8 @@ import pytest
 from repro.analysis.costs import treas_read_cost, treas_storage_cost
 from repro.analysis.report import Table
 from repro.common.values import Value
+from repro.core.deployment import AresDeployment
 from repro.net.latency import UniformLatency
-from repro.registers.static import StaticRegisterDeployment
 from repro.workloads.generator import ClosedLoopDriver, WorkloadSpec
 
 N, K = 6, 4
@@ -27,9 +27,9 @@ VALUE_SIZE = 4096
 
 
 def run_with_delta(delta: int, writers: int = 3, seed: int = 0):
-    deployment = StaticRegisterDeployment.treas(
-        num_servers=N, k=K, delta=delta, num_writers=writers, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed)
+    deployment = AresDeployment(
+        initial_dap="treas", num_servers=N, k=K, delta=delta, num_writers=writers,
+        num_readers=2, num_reconfigurers=0, latency=UniformLatency(1.0, 2.0), seed=seed)
     spec = WorkloadSpec(operations_per_writer=4, operations_per_reader=4,
                         value_size=VALUE_SIZE)
     result = ClosedLoopDriver(deployment, spec).run()

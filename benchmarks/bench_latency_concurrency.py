@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import Table
+from repro.core.deployment import AresDeployment
 from repro.net.latency import UniformLatency
-from repro.registers.static import StaticRegisterDeployment
 from repro.workloads.generator import ClosedLoopDriver, WorkloadSpec
 
 CLIENT_COUNTS = [1, 2, 4, 8, 16]
@@ -20,14 +20,10 @@ VALUE_SIZE = 4096
 
 
 def run_workload(kind: str, clients: int, seed: int = 0):
-    if kind == "treas":
-        deployment = StaticRegisterDeployment.treas(
-            num_servers=9, k=6, delta=max(2, 2 * clients), num_writers=clients,
-            num_readers=clients, latency=UniformLatency(1.0, 2.0), seed=seed)
-    else:
-        deployment = StaticRegisterDeployment.abd(
-            num_servers=9, num_writers=clients, num_readers=clients,
-            latency=UniformLatency(1.0, 2.0), seed=seed)
+    deployment = AresDeployment(
+        initial_dap=kind, num_servers=9, k=6, delta=max(2, 2 * clients),
+        num_writers=clients, num_readers=clients, num_reconfigurers=0,
+        latency=UniformLatency(1.0, 2.0), seed=seed)
     spec = WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
                         value_size=VALUE_SIZE)
     result = ClosedLoopDriver(deployment, spec).run()

@@ -2,12 +2,13 @@
 
 Sweeps the value size and reports read/write latency for an ABD-backed and a
 TREAS-backed configuration of the same size.  In the simulator, message
-*count* (two round trips for both algorithms) dominates simulated latency,
-while real deployments also pay transmission time proportional to the bytes
-sent; the bench therefore reports both the simulated latency and the bytes
-each operation moved, whose ratio (TREAS moves ~k× less) is the shape the
-paper's figure shows.  It asserts that TREAS moves fewer data bytes than ABD
-per write and per read at every size.
+*count* (two round trips per write and one per quiet read, for both
+algorithms) dominates simulated latency, while real deployments also pay
+transmission time proportional to the bytes sent; the bench therefore
+reports both the simulated latency and the bytes each operation moved, whose
+ratio (TREAS moves ~k× less) is the shape the paper's figure shows.  It
+asserts that TREAS moves fewer data bytes than ABD per write and per read at
+every size.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import pytest
 from repro.analysis.costs import measure_operation_traffic
 from repro.analysis.report import Table
 from repro.common.values import Value
+from repro.core.deployment import AresDeployment
 from repro.net.latency import UniformLatency
-from repro.registers.static import StaticRegisterDeployment
 
 SIZES = [1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22]
 N_SERVERS = 11
@@ -26,14 +27,9 @@ K = 7
 
 
 def run_one(kind: str, value_size: int, seed: int = 0):
-    if kind == "treas":
-        deployment = StaticRegisterDeployment.treas(
-            num_servers=N_SERVERS, k=K, delta=2, num_writers=1, num_readers=1,
-            latency=UniformLatency(1.0, 2.0), seed=seed)
-    else:
-        deployment = StaticRegisterDeployment.abd(
-            num_servers=N_SERVERS, num_writers=1, num_readers=1,
-            latency=UniformLatency(1.0, 2.0), seed=seed)
+    deployment = AresDeployment(
+        initial_dap=kind, num_servers=N_SERVERS, k=K, delta=2, num_writers=1,
+        num_readers=1, num_reconfigurers=0, latency=UniformLatency(1.0, 2.0), seed=seed)
     write_traffic = measure_operation_traffic(
         deployment, deployment.writers[0].pid,
         lambda: deployment.write(Value.of_size(value_size, label="x"), 0),

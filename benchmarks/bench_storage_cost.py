@@ -17,23 +17,27 @@ import pytest
 from repro.analysis.costs import abd_storage_cost, treas_storage_cost
 from repro.analysis.report import Table
 from repro.common.values import Value
+from repro.core.deployment import AresDeployment
 from repro.erasure.rs import ReedSolomonCode
-from repro.registers.static import StaticRegisterDeployment
+from repro.net.latency import FixedLatency
 
 VALUE_SIZE = 2048
 
 
 def measured_treas_storage(n: int, k: int, delta: int, value_size: int = VALUE_SIZE) -> int:
     """Write enough distinct values to fill the List, return the stored object bytes."""
-    deployment = StaticRegisterDeployment.treas(num_servers=n, k=k, delta=delta,
-                                                num_writers=1, num_readers=1)
+    deployment = AresDeployment(initial_dap="treas", num_servers=n, k=k, delta=delta,
+                                num_writers=1, num_readers=1, num_reconfigurers=0,
+                                latency=FixedLatency(1.0))
     for index in range(delta + 3):
         deployment.write(Value.of_size(value_size, label=f"w{index}"), 0)
     return deployment.total_storage_data_bytes()
 
 
 def measured_abd_storage(n: int, value_size: int = VALUE_SIZE) -> int:
-    deployment = StaticRegisterDeployment.abd(num_servers=n, num_writers=1, num_readers=1)
+    deployment = AresDeployment(initial_dap="abd", num_servers=n, num_writers=1,
+                                num_readers=1, num_reconfigurers=0,
+                                latency=FixedLatency(1.0))
     for index in range(3):
         deployment.write(Value.of_size(value_size, label=f"w{index}"), 0)
     return deployment.total_storage_data_bytes()

@@ -16,8 +16,8 @@ Substrates
 
 Protocols
     :mod:`repro.dap`        -- data-access primitives (ABD, TREAS, LDR).
-    :mod:`repro.registers`  -- static atomic registers built from DAPs (templates A1/A2).
-    :mod:`repro.core`       -- the ARES reconfigurable store and ARES-TREAS.
+    :mod:`repro.core`       -- the ARES reconfigurable register and ARES-TREAS; with no
+                               reconfigurer, the paper's static register.
     :mod:`repro.store`      -- sharded multi-object store (many keys, per-shard DAPs).
 
 Verification and experiments
@@ -37,7 +37,6 @@ from repro.erasure.rs import ReedSolomonCode
 from repro.erasure.replication import ReplicationCode
 from repro.config.configuration import Configuration
 from repro.core.deployment import AresDeployment, DeploymentSpec
-from repro.registers.static import StaticRegisterDeployment
 from repro.store import ShardMap, ShardSpec, StoreDeployment, StoreSpec
 
 __version__ = "1.2.0"
@@ -61,7 +60,6 @@ __all__ = [
     "Configuration",
     "AresDeployment",
     "DeploymentSpec",
-    "StaticRegisterDeployment",
     "ShardMap",
     "ShardSpec",
     "StoreDeployment",

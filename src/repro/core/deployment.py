@@ -5,11 +5,11 @@ benchmark needs from any runnable system: the simulator, the network (with
 a chosen latency model), the configuration directory, the shared history
 and (optionally) DAP recorder, a pool of server processes, the writer /
 reader / reconfigurer populations, and the storage and traffic accounting.
-The three kinds of system say which processes to build and add only what is
-theirs: :class:`AresDeployment` (one reconfigurable register, this module),
-:class:`~repro.store.deployment.StoreDeployment` (many keys over shards) and
-:class:`~repro.registers.static.StaticRegisterDeployment` (one fixed
-configuration).
+The two kinds of system say which processes to build and add only what is
+theirs: :class:`AresDeployment` (one reconfigurable register, this module)
+and :class:`~repro.store.deployment.StoreDeployment` (many keys over
+shards).  A static register -- the paper's one fixed configuration -- is an
+:class:`AresDeployment` with ``num_reconfigurers=0``.
 
 :class:`AresDeployment` also provides convenience helpers to build follow-up
 configurations over fresh or existing servers, and synchronous wrappers
@@ -181,28 +181,6 @@ class Deployment:
         return self.network.stats
 
 
-class SingleRegisterDeployment(Deployment):
-    """A deployment of one (unkeyed) register: ``write`` / ``read`` helpers."""
-
-    def spawn_write(self, value: Value, writer_index: int = 0) -> Coroutine:
-        """Start a write without driving the simulator."""
-        writer = self.writers[writer_index]
-        return writer.spawn(writer.write(value), label=f"{writer.pid}:write")
-
-    def spawn_read(self, reader_index: int = 0) -> Coroutine:
-        """Start a read without driving the simulator."""
-        reader = self.readers[reader_index]
-        return reader.spawn(reader.read(), label=f"{reader.pid}:read")
-
-    def write(self, value: Value, writer_index: int = 0):
-        """Run one write to completion; returns the written tag."""
-        return self.sim.run_until_complete(self.spawn_write(value, writer_index))
-
-    def read(self, reader_index: int = 0) -> Value:
-        """Run one read to completion; returns the value."""
-        return self.sim.run_until_complete(self.spawn_read(reader_index))
-
-
 @dataclass
 class DeploymentSpec(CommonSpec):
     """Parameters of an ARES deployment (plus those of :class:`CommonSpec`).
@@ -213,7 +191,9 @@ class DeploymentSpec(CommonSpec):
         Size of the initial server pool (more can be added later with
         :meth:`AresDeployment.add_servers`).
     initial_dap:
-        DAP kind of the initial configuration (``"treas"`` or ``"abd"``).
+        DAP kind of the initial configuration (``"treas"``, ``"abd"`` or
+        ``"ldr"``; LDR takes the first half of the servers, rounded down, as
+        directories and the rest as replicas).
     initial_config_size:
         Number of servers in the initial configuration (defaults to the whole
         pool).
@@ -236,7 +216,7 @@ class DeploymentSpec(CommonSpec):
     direct_state_transfer: bool = False
 
 
-class AresDeployment(SingleRegisterDeployment):
+class AresDeployment(Deployment):
     """A complete, runnable ARES system."""
 
     spec_class = DeploymentSpec
@@ -295,6 +275,24 @@ class AresDeployment(SingleRegisterDeployment):
         return self._next_configuration(dap, chosen, k=k, delta=delta)
 
     # ------------------------------------------------------------ operations
+    def spawn_write(self, value: Value, writer_index: int = 0) -> Coroutine:
+        """Start a write without driving the simulator."""
+        writer = self.writers[writer_index]
+        return writer.spawn(writer.write(value), label=f"{writer.pid}:write")
+
+    def spawn_read(self, reader_index: int = 0) -> Coroutine:
+        """Start a read without driving the simulator."""
+        reader = self.readers[reader_index]
+        return reader.spawn(reader.read(), label=f"{reader.pid}:read")
+
+    def write(self, value: Value, writer_index: int = 0):
+        """Run one write to completion; returns the written tag."""
+        return self.sim.run_until_complete(self.spawn_write(value, writer_index))
+
+    def read(self, reader_index: int = 0) -> Value:
+        """Run one read to completion; returns the value."""
+        return self.sim.run_until_complete(self.spawn_read(reader_index))
+
     def spawn_reconfig(self, configuration: Configuration,
                        reconfigurer_index: int = 0) -> Coroutine:
         """Start a reconfiguration without driving the simulator."""

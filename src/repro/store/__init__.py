@@ -1,7 +1,7 @@
 """Sharded multi-object store: many atomic registers over one simulator.
 
-The single-register layers (:mod:`repro.registers`, :mod:`repro.core`)
-emulate *one* ARES object.  This package scales the namespace out: a store
+The single-register layer (:mod:`repro.core`) emulates *one* ARES
+object.  This package scales the namespace out: a store
 multiplexes many named objects over one simulator and network by hashing
 keys onto **shards** -- disjoint server slices that each run their own DAP
 kind (ABD, LDR and TREAS shards coexist in one deployment) -- and running

@@ -4,9 +4,8 @@ Each participating client runs a *session*: a loop of operations separated by
 an optional think time.  Writers issue writes of uniquely-labelled values of
 the configured size; readers issue reads.  The driver works against every
 :class:`~repro.core.deployment.Deployment` -- it reads ``sim``, ``writers``,
-``readers`` and ``history`` -- and the single-register kinds
-(:class:`~repro.registers.static.StaticRegisterDeployment`,
-:class:`~repro.core.deployment.AresDeployment`) have clients with
+``readers`` and ``history`` -- and the single-register kind
+(:class:`~repro.core.deployment.AresDeployment`) has clients with
 ``read()`` / ``write(value)`` coroutines.
 
 Keyspaces: when the workload names a keyspace (``num_keys > 0``) and the

@@ -63,9 +63,9 @@ class ChaosScenario:
         ``reconfig``, ``gray``, ``drop``, ``duplicate``, ``reorder``,
         ``restart``) -- used for registry queries and coverage assertions.
     deployment:
-        ``seed -> Deployment`` factory: any kind built on
-        :class:`~repro.core.deployment.Deployment` (single ARES register,
-        sharded store or static register).
+        ``seed -> Deployment`` factory: either kind built on
+        :class:`~repro.core.deployment.Deployment` (single ARES register or
+        sharded store).
     schedule:
         ``deployment -> Schedule`` factory (may inspect the deployment to
         pick victims inside the fault-tolerance envelope).

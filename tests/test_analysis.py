@@ -25,8 +25,8 @@ from repro.analysis.latency import (
 )
 from repro.analysis.report import Table
 from repro.common.values import Value
+from repro.core.deployment import AresDeployment
 from repro.net.latency import FixedLatency
-from repro.registers.static import StaticRegisterDeployment
 
 
 class TestCostFormulas:
@@ -52,9 +52,9 @@ class TestCostFormulas:
 class TestMeasuredCosts:
     def test_treas_write_traffic_matches_formula(self):
         n, k, value_size = 6, 4, 4000
-        dep = StaticRegisterDeployment.treas(num_servers=n, k=k, delta=2,
-                                             num_writers=1, num_readers=1,
-                                             latency=FixedLatency(1.0))
+        dep = AresDeployment(initial_dap="treas", num_servers=n, k=k, delta=2,
+                             num_writers=1, num_readers=1, num_reconfigurers=0,
+                             latency=FixedLatency(1.0))
         cost = measure_operation_traffic(
             dep, dep.writers[0].pid,
             lambda: dep.write(Value.of_size(value_size, label="x"), 0),
@@ -63,9 +63,9 @@ class TestMeasuredCosts:
 
     def test_treas_read_traffic_below_formula_bound(self):
         n, k, delta, value_size = 6, 4, 2, 4000
-        dep = StaticRegisterDeployment.treas(num_servers=n, k=k, delta=delta,
-                                             num_writers=1, num_readers=1,
-                                             latency=FixedLatency(1.0))
+        dep = AresDeployment(initial_dap="treas", num_servers=n, k=k, delta=delta,
+                             num_writers=1, num_readers=1, num_reconfigurers=0,
+                             latency=FixedLatency(1.0))
         dep.write(Value.of_size(value_size, label="x"), 0)
         cost = measure_operation_traffic(
             dep, dep.readers[0].pid, lambda: dep.read(0),
@@ -75,8 +75,8 @@ class TestMeasuredCosts:
 
     def test_abd_write_traffic_matches_formula(self):
         n, value_size = 5, 2000
-        dep = StaticRegisterDeployment.abd(num_servers=n, num_writers=1, num_readers=1,
-                                           latency=FixedLatency(1.0))
+        dep = AresDeployment(initial_dap="abd", num_servers=n, num_writers=1, num_readers=1,
+                             num_reconfigurers=0, latency=FixedLatency(1.0))
         cost = measure_operation_traffic(
             dep, dep.writers[0].pid,
             lambda: dep.write(Value.of_size(value_size, label="x"), 0),
@@ -85,8 +85,8 @@ class TestMeasuredCosts:
 
     def test_abd_read_traffic_below_formula_bound(self):
         n, value_size = 5, 2000
-        dep = StaticRegisterDeployment.abd(num_servers=n, num_writers=1, num_readers=1,
-                                           latency=FixedLatency(1.0))
+        dep = AresDeployment(initial_dap="abd", num_servers=n, num_writers=1, num_readers=1,
+                             num_reconfigurers=0, latency=FixedLatency(1.0))
         dep.write(Value.of_size(value_size, label="x"), 0)
         cost = measure_operation_traffic(
             dep, dep.readers[0].pid, lambda: dep.read(0),
@@ -96,8 +96,9 @@ class TestMeasuredCosts:
 
     def test_storage_measurement_matches_theorem3(self):
         n, k, delta, value_size = 6, 4, 2, 4000
-        dep = StaticRegisterDeployment.treas(num_servers=n, k=k, delta=delta,
-                                             num_writers=1, num_readers=1)
+        dep = AresDeployment(initial_dap="treas", num_servers=n, k=k, delta=delta,
+                             num_writers=1, num_readers=1, num_reconfigurers=0,
+                             latency=FixedLatency(1.0))
         for index in range(delta + 3):  # enough distinct tags to saturate the List
             dep.write(Value.of_size(value_size, label=f"x{index}"), 0)
         measured = dep.total_storage_data_bytes() / value_size

@@ -8,10 +8,16 @@ from repro.common.ids import config_id, server_id, writer_id
 from repro.common.tags import BOTTOM_TAG, Tag, TagValue
 from repro.common.values import BOTTOM_VALUE, Value
 from repro.config.configuration import Configuration
+from repro.core.deployment import AresDeployment
 from repro.dap.abd import AbdServerState, QUERY_DATA, QUERY_TAG, WRITE
+from repro.net.latency import FixedLatency
 from repro.net.message import request
-from repro.registers.static import StaticRegisterDeployment
 from repro.spec.properties import check_dap_properties
+
+
+def dap(dep, client):
+    """``client``'s DAP client for the deployment's one configuration."""
+    return client.dap_for(dep.initial_configuration)
 
 
 class TestAbdServerState:
@@ -68,29 +74,30 @@ class TestAbdPrimitives:
         kwargs.setdefault("record_dap", True)
         kwargs.setdefault("num_writers", 2)
         kwargs.setdefault("num_readers", 2)
-        return StaticRegisterDeployment.abd(num_servers=5, **kwargs)
+        return AresDeployment(initial_dap="abd", num_servers=5, num_reconfigurers=0,
+                              latency=FixedLatency(1.0), **kwargs)
 
     def test_get_tag_reflects_completed_put(self):
         dep = self._deployment()
         writer = dep.writers[0]
         pair = TagValue(Tag(3, writer.pid), Value.of_size(8, label="v"))
-        dep.sim.run_until_complete(writer.spawn(writer.dap.put_data(pair)))
-        tag = dep.sim.run_until_complete(writer.spawn(writer.dap.get_tag()))
+        dep.sim.run_until_complete(writer.spawn(dap(dep, writer).put_data(pair)))
+        tag = dep.sim.run_until_complete(writer.spawn(dap(dep, writer).get_tag()))
         assert tag >= pair.tag
 
     def test_get_data_returns_put_pair(self):
         dep = self._deployment()
         writer, reader = dep.writers[0], dep.readers[0]
         pair = TagValue(Tag(2, writer.pid), Value.of_size(32, label="payload"))
-        dep.sim.run_until_complete(writer.spawn(writer.dap.put_data(pair)))
-        result = dep.sim.run_until_complete(reader.spawn(reader.dap.get_data()))
+        dep.sim.run_until_complete(writer.spawn(dap(dep, writer).put_data(pair)))
+        result = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
         assert result.tag == pair.tag
         assert result.value.label == "payload"
 
     def test_get_data_initially_returns_bottom(self):
         dep = self._deployment()
         reader = dep.readers[0]
-        result = dep.sim.run_until_complete(reader.spawn(reader.dap.get_data()))
+        result = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
         assert result.tag == BOTTOM_TAG
         assert result.value.label == "v0"
 
@@ -100,9 +107,9 @@ class TestAbdPrimitives:
         dep.servers[list(dep.servers)[1]].crash()
         writer = dep.writers[0]
         pair = TagValue(Tag(1, writer.pid), Value.of_size(8, label="v"))
-        dep.sim.run_until_complete(writer.spawn(writer.dap.put_data(pair)))
+        dep.sim.run_until_complete(writer.spawn(dap(dep, writer).put_data(pair)))
         reader = dep.readers[0]
-        result = dep.sim.run_until_complete(reader.spawn(reader.dap.get_data()))
+        result = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
         assert result.value.label == "v"
 
     def test_dap_properties_hold_over_sequential_workload(self):

@@ -8,6 +8,7 @@ from repro.common.ids import config_id, server_id, writer_id
 from repro.common.tags import BOTTOM_TAG, Tag, TagValue
 from repro.common.values import Value
 from repro.config.configuration import Configuration
+from repro.core.deployment import AresDeployment
 from repro.dap.ldr import (
     GET_DATA,
     LdrServerState,
@@ -15,9 +16,14 @@ from repro.dap.ldr import (
     PUT_METADATA,
     QUERY_TAG_LOCATION,
 )
+from repro.net.latency import FixedLatency
 from repro.net.message import request
-from repro.registers.static import StaticRegisterDeployment
 from repro.spec.properties import check_dap_properties
+
+
+def dap(dep, client):
+    """``client``'s DAP client for the deployment's one configuration."""
+    return client.dap_for(dep.initial_configuration)
 
 
 def make_config(directories=3, replicas=3):
@@ -77,20 +83,23 @@ class TestLdrPrimitives:
         kwargs.setdefault("record_dap", True)
         kwargs.setdefault("num_writers", 2)
         kwargs.setdefault("num_readers", 2)
-        return StaticRegisterDeployment.ldr(num_directories=3, num_replicas=5, **kwargs)
+        # LDR takes the first half of the servers as directories: 4 + 4.
+        return AresDeployment(initial_dap="ldr", num_servers=8, num_reconfigurers=0,
+                              latency=FixedLatency(1.0), **kwargs)
 
     def test_put_then_get_round_trip(self):
         dep = self._deployment()
         writer, reader = dep.writers[0], dep.readers[0]
         pair = TagValue(Tag(1, writer.pid), Value.of_size(100, label="doc"))
-        dep.sim.run_until_complete(writer.spawn(writer.dap.put_data(pair)))
-        result = dep.sim.run_until_complete(reader.spawn(reader.dap.get_data()))
+        dep.sim.run_until_complete(writer.spawn(dap(dep, writer).put_data(pair)))
+        result = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
         assert result.tag == pair.tag
         assert result.value.label == "doc"
 
     def test_initial_read_returns_bottom(self):
         dep = self._deployment()
-        result = dep.sim.run_until_complete(dep.readers[0].spawn(dep.readers[0].dap.get_data()))
+        reader = dep.readers[0]
+        result = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
         assert result.tag == BOTTOM_TAG
 
     def test_read_transfers_value_only_once(self):
@@ -101,14 +110,14 @@ class TestLdrPrimitives:
         writer, reader = dep.writers[0], dep.readers[0]
         value_size = 10_000
         pair = TagValue(Tag(1, writer.pid), Value.of_size(value_size, label="big"))
-        dep.sim.run_until_complete(writer.spawn(writer.dap.put_data(pair)))
+        dep.sim.run_until_complete(writer.spawn(dap(dep, writer).put_data(pair)))
         before = dep.stats.by_kind("LDR-DATA").data_bytes
-        dep.sim.run_until_complete(reader.spawn(reader.dap.get_data()))
+        dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
         dep.sim.run()
         after = dep.stats.by_kind("LDR-DATA").data_bytes
         transferred = after - before
         # At most f+1 replicas answer with the full value.
-        cfg = dep.configuration
+        cfg = dep.initial_configuration
         assert transferred <= (cfg.ldr_f + 1) * value_size
         assert transferred >= value_size
 
@@ -121,15 +130,18 @@ class TestLdrPrimitives:
             dep.read(1)
         assert check_dap_properties(dep.dap_recorder) == []
 
-    def test_template_a2_reads_skip_propagation(self):
-        dep = StaticRegisterDeployment.ldr(num_directories=3, num_replicas=5,
-                                           num_writers=1, num_readers=1,
-                                           use_template_a2=True, record_dap=True)
+    def test_agreed_reads_skip_propagation(self):
+        # Template A2's read (get-data only) is what an ARES read whose
+        # directory majority agrees runs: LDR's get-data does its own helping,
+        # i.e. it satisfies property C3.
+        dep = self._deployment(num_writers=1, num_readers=1)
         dep.write(dep.writers[0].next_value(32), 0)
         value = dep.read(0)
         assert value.label == "writer-0:1"
-        # A2 reads perform no put-data at all.
-        put_calls = dep.dap_recorder.calls_for(dep.configuration.cfg_id, "put-data")
+        reader = dep.readers[0]
+        pair = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
+        assert pair.value.label == "writer-0:1"
+        put_calls = dep.dap_recorder.calls_for(dep.initial_configuration.cfg_id, "put-data")
         assert len(put_calls) == 1  # only the write's put-data
         violations = check_dap_properties(dep.dap_recorder, check_c3=True)
         assert violations == []

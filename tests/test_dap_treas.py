@@ -18,10 +18,15 @@ from repro.dap.treas import (PUT_DATA, QUERY_LIST, QUERY_TAG, TreasDapClient,
                              TreasServerState)
 from repro.erasure.interface import CodedElement
 from repro.erasure.rs import ReedSolomonCode
+from repro.net.latency import FixedLatency
 from repro.net.message import request
-from repro.registers.static import StaticRegisterDeployment
 from repro.spec.properties import check_dap_properties
 from repro.workloads.scenarios import run_scenario, scenario_names
+
+
+def dap(dep, client):
+    """``client``'s DAP client for the deployment's one configuration."""
+    return client.dap_for(dep.initial_configuration)
 
 
 def make_config(n=6, k=4, delta=2):
@@ -181,14 +186,15 @@ class TestTreasPrimitives:
         kwargs.setdefault("record_dap", True)
         kwargs.setdefault("num_writers", 2)
         kwargs.setdefault("num_readers", 2)
-        return StaticRegisterDeployment.treas(num_servers=n, k=k, delta=delta, **kwargs)
+        return AresDeployment(initial_dap="treas", num_servers=n, k=k, delta=delta,
+                              num_reconfigurers=0, latency=FixedLatency(1.0), **kwargs)
 
     def test_put_then_get_round_trip(self):
         dep = self._deployment()
         writer, reader = dep.writers[0], dep.readers[0]
         pair = TagValue(Tag(1, writer.pid), Value.of_size(120, label="hello"))
-        dep.sim.run_until_complete(writer.spawn(writer.dap.put_data(pair)))
-        result = dep.sim.run_until_complete(reader.spawn(reader.dap.get_data()))
+        dep.sim.run_until_complete(writer.spawn(dap(dep, writer).put_data(pair)))
+        result = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
         assert result.tag == pair.tag
         assert result.value.payload == pair.value.payload
 
@@ -196,13 +202,15 @@ class TestTreasPrimitives:
         dep = self._deployment()
         writer = dep.writers[0]
         pair = TagValue(Tag(7, writer.pid), Value.of_size(16, label="x"))
-        dep.sim.run_until_complete(writer.spawn(writer.dap.put_data(pair)))
-        tag = dep.sim.run_until_complete(dep.readers[0].spawn(dep.readers[0].dap.get_tag()))
+        dep.sim.run_until_complete(writer.spawn(dap(dep, writer).put_data(pair)))
+        reader = dep.readers[0]
+        tag = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_tag()))
         assert tag >= pair.tag
 
     def test_initial_get_data_returns_bottom_pair(self):
         dep = self._deployment()
-        result = dep.sim.run_until_complete(dep.readers[0].spawn(dep.readers[0].dap.get_data()))
+        reader = dep.readers[0]
+        result = dep.sim.run_until_complete(reader.spawn(dap(dep, reader).get_data()))
         assert result.tag == BOTTOM_TAG
         assert result.value.size == 0
 
@@ -220,7 +228,7 @@ class TestTreasPrimitives:
             dep.servers[server_id(index)].crash()
         writer = dep.writers[0]
         pair = TagValue(Tag(1, writer.pid), Value.of_size(8, label="x"))
-        handle = writer.spawn(writer.dap.put_data(pair))
+        handle = writer.spawn(dap(dep, writer).put_data(pair))
         dep.sim.run()
         assert isinstance(handle.exception(), QuorumUnavailableError)
 
@@ -230,7 +238,7 @@ class TestTreasPrimitives:
         value_size = 4000
         writer = dep.writers[0]
         pair = TagValue(Tag(1, writer.pid), Value.of_size(value_size, label="x"))
-        dep.sim.run_until_complete(writer.spawn(writer.dap.put_data(pair)))
+        dep.sim.run_until_complete(writer.spawn(dap(dep, writer).put_data(pair)))
         put_traffic = dep.stats.by_kind(PUT_DATA)
         assert put_traffic.messages == n
         assert put_traffic.data_bytes == n * (value_size // k)
@@ -267,7 +275,8 @@ class TestDecodedElementReuse:
     def _static(self, **kwargs):
         kwargs.setdefault("num_writers", 1)
         kwargs.setdefault("num_readers", 1)
-        return StaticRegisterDeployment.treas(num_servers=6, k=4, delta=2, **kwargs)
+        return AresDeployment(initial_dap="treas", num_servers=6, k=4, delta=2,
+                              num_reconfigurers=0, latency=FixedLatency(1.0), **kwargs)
 
     def test_write_back_reuses_what_the_read_decoded_from(self, encode_calls):
         dep = self._static()
@@ -275,13 +284,13 @@ class TestDecodedElementReuse:
         dep.servers[server_id(4)].crash()
         reader = dep.readers[0]
         del encode_calls[:]
-        pair = self._run(reader, reader.dap.get_data())
-        assert reader.dap._decoded_from[0] == pair.tag
-        self._run(reader, reader.dap.put_data(pair))
+        pair = self._run(reader, dap(dep, reader).get_data())
+        assert dap(dep, reader)._decoded_from[0] == pair.tag
+        self._run(reader, dap(dep, reader).put_data(pair))
         [(code, known, elements)] = encode_calls
         assert known == [0, 1, 2, 3, 5]
         assert elements == ReedSolomonCode(6, 4).encode(pair.value)
-        assert reader.dap._decoded_from is None
+        assert dap(dep, reader)._decoded_from is None
 
     def test_elements_are_let_go_with_the_pair(self):
         dep = self._static()
@@ -292,10 +301,10 @@ class TestDecodedElementReuse:
             # Algorithm 7's read loop: a read through several configurations
             # keeps the best pair and writes back into the last one only, so
             # the pairs it drops must not pin their elements.
-            pair = yield from reader.dap.get_data()
-            held_with_the_pair = reader.dap._decoded_from is not None
+            pair = yield from dap(dep, reader).get_data()
+            held_with_the_pair = dap(dep, reader)._decoded_from is not None
             pair = None
-            return held_with_the_pair, reader.dap._decoded_from is None
+            return held_with_the_pair, dap(dep, reader)._decoded_from is None
 
         assert self._run(reader, traverse()) == (True, True)
 
@@ -356,17 +365,18 @@ class TestDecodedElementReuse:
         dep = self._static()
         dep.write(Value.of_size(400, label="v"), 0)
         reader = dep.readers[0]
-        pair = self._run(reader, reader.dap.get_data())
-        assert reader.dap._decoded_from is not None
+        pair = self._run(reader, dap(dep, reader).get_data())
+        assert dap(dep, reader)._decoded_from is not None
         # A higher tag known to k servers without its elements: t*_max is
         # never decodable, so every attempt is inconclusive.
         for index in range(4):
-            dep.servers[server_id(index)].dap_state.insert(Tag(9, writer_id(0)), None)
-        reader.dap.max_get_data_attempts = 2
-        handle = reader.spawn(reader.dap.get_data())
+            dep.servers[server_id(index)].dap_state_for(
+                dep.initial_configuration.cfg_id).insert(Tag(9, writer_id(0)), None)
+        dap(dep, reader).max_get_data_attempts = 2
+        handle = reader.spawn(dap(dep, reader).get_data())
         dep.sim.run()
         assert isinstance(handle.exception(), QuorumUnavailableError)
-        assert reader.dap._decoded_from is None
+        assert dap(dep, reader)._decoded_from is None
         assert pair.value.label == "v"
 
     def test_get_data_again_replaces_what_was_held(self, encode_calls):
@@ -376,25 +386,25 @@ class TestDecodedElementReuse:
         dep = self._static()
         dep.write(Value.of_size(400, label="one"), 0)
         reader = dep.readers[0]
-        first = self._run(reader, reader.dap.get_data())
+        first = self._run(reader, dap(dep, reader).get_data())
         dep.write(Value.of_size(400, label="two", fill=0x22), 0)
-        second = self._run(reader, reader.dap.get_data())
+        second = self._run(reader, dap(dep, reader).get_data())
         assert second.tag > first.tag
-        assert reader.dap._decoded_from[0] == second.tag
+        assert dap(dep, reader)._decoded_from[0] == second.tag
         del encode_calls[:]
-        self._run(reader, reader.dap.put_data(first))
+        self._run(reader, dap(dep, reader).put_data(first))
         [(code, known, elements)] = encode_calls
         assert known == []
         assert elements == ReedSolomonCode(6, 4).encode(first.value)
-        assert reader.dap._decoded_from is None
+        assert dap(dep, reader)._decoded_from is None
 
     def test_elements_of_another_value_under_the_same_tag_are_refused(self):
         dep = self._static()
         dep.write(Value.of_size(400, label="v"), 0)
         reader = dep.readers[0]
-        pair = self._run(reader, reader.dap.get_data())
+        pair = self._run(reader, dap(dep, reader).get_data())
         forged = TagValue(pair.tag, Value.of_size(300, label="other"))
-        handle = reader.spawn(reader.dap.put_data(forged))
+        handle = reader.spawn(dap(dep, reader).put_data(forged))
         dep.sim.run()
         assert isinstance(handle.exception(), ValueError)
-        assert reader.dap._decoded_from is None
+        assert dap(dep, reader)._decoded_from is None

@@ -1,8 +1,9 @@
 """What every kind of deployment owes its consumers.
 
 The workload driver, the chaos engine, ``install_metrics`` and the
-benchmarks read a deployment by duck typing; these tests hold the three
-kinds built on :class:`~repro.core.deployment.Deployment` to one surface.
+benchmarks read a deployment by duck typing; these tests hold the two
+kinds built on :class:`~repro.core.deployment.Deployment` to one surface,
+and the static register -- an ARES deployment with no reconfigurer -- too.
 """
 
 from __future__ import annotations
@@ -10,12 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import At, ChaosEngine, Crash, Schedule
-from repro.common.errors import ConfigurationError
 from repro.common.ids import server_id
 from repro.core.deployment import AresDeployment
-from repro.net.latency import FixedLatency, UniformLatency
+from repro.net.latency import UniformLatency
 from repro.obs.registry import install_metrics
-from repro.registers.static import StaticRegisterDeployment
 from repro.sim.process import RetryPolicy
 from repro.spec.linearizability import check_linearizability_per_key
 from repro.store import ShardSpec, StoreDeployment
@@ -24,7 +23,8 @@ from repro.workloads.generator import ClosedLoopDriver, WorkloadSpec
 KINDS = {
     "ares": lambda **kw: AresDeployment(num_servers=5, initial_dap="abd", **kw),
     "store": lambda **kw: StoreDeployment(shards=(ShardSpec(dap="abd", num_servers=3),) * 2, **kw),
-    "static": lambda **kw: StaticRegisterDeployment.abd(5, num_writers=2, num_readers=2, **kw),
+    "static": lambda **kw: AresDeployment(num_servers=5, initial_dap="abd",
+                                          num_reconfigurers=0, **kw),
 }
 
 
@@ -55,8 +55,7 @@ def test_instrumented_chaotic_workload_verifies(kind):
 
 
 def test_latency_model_and_its_default(kind):
-    default = FixedLatency if kind == "static" else UniformLatency
-    assert isinstance(KINDS[kind]().network.latency, default)
+    assert isinstance(KINDS[kind]().network.latency, UniformLatency)
     chosen = UniformLatency(2.0, 3.0)
     assert KINDS[kind](latency=chosen).network.latency is chosen
 
@@ -74,11 +73,6 @@ def test_retry_reaches_readers_and_writers_only(kind):
 def test_server_ids_keep_counting_from_the_pool_size(kind):
     deployment = KINDS[kind]()
     size = len(deployment.servers)
-    if kind == "static":
-        with pytest.raises(ConfigurationError):
-            deployment.add_servers(1)
-        assert len(deployment.servers) == size
-        return
     assert deployment.add_servers(2) == [server_id(size), server_id(size + 1)]
     assert deployment.add_servers(1) == [server_id(size + 2)]
     assert list(deployment.servers)[size:] == [server_id(size + i) for i in range(3)]

@@ -17,10 +17,10 @@ from repro.chaos.schedule import Schedule
 from repro.common.ids import server_id, writer_id
 from repro.common.tags import BOTTOM_TAG, Tag
 from repro.common.values import Value
+from repro.core.deployment import AresDeployment
 from repro.erasure import rs
 from repro.erasure.rs import ReedSolomonCode
-from repro.net.latency import UniformLatency
-from repro.registers.static import StaticRegisterDeployment
+from repro.net.latency import FixedLatency, UniformLatency
 from repro.store import ShardSpec, StoreDeployment, StoreSpec
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.scenarios import ChaosScenario, run_scenario_instance
@@ -120,24 +120,33 @@ class TestTreasReadRowCombinations:
 
     @staticmethod
     def _register(holders):
-        """A register whose servers ``holders`` store one written pair."""
-        deployment = StaticRegisterDeployment.treas(
-            num_servers=6, k=4, delta=2, num_writers=1, num_readers=1)
+        """A register whose servers ``holders`` store one written pair.
+
+        Every server's DAP state is created here, before any count is
+        taken: creating one encodes the initial value.
+        """
+        deployment = AresDeployment(
+            initial_dap="treas", num_servers=6, k=4, delta=2, num_writers=1,
+            num_readers=1, num_reconfigurers=0, latency=FixedLatency(1.0))
+        configuration = deployment.initial_configuration
+        states = [deployment.servers[pid].dap_state_for(configuration.cfg_id)
+                  for pid in configuration.servers]
         value = Value.of_size(4096, label="v")
         tag = Tag(1, writer_id(0))
-        elements = deployment.configuration.code.encode(value)
+        elements = configuration.code.encode(value)
         for index in holders:
-            deployment.servers[server_id(index)].dap_state.insert(tag, elements[index])
+            states[index].insert(tag, elements[index])
         return deployment, tag, elements
 
     @staticmethod
     def _read(deployment, kernel):
         """``(pair, decode combinations, write-back combinations)`` of one read."""
         reader = deployment.readers[0]
+        dap = reader.dap_for(deployment.initial_configuration)
         kernel.take()
-        pair = deployment.sim.run_until_complete(reader.spawn(reader.dap.get_data()))
+        pair = deployment.sim.run_until_complete(reader.spawn(dap.get_data()))
         decode = kernel.take()[0]
-        deployment.sim.run_until_complete(reader.spawn(reader.dap.put_data(pair)))
+        deployment.sim.run_until_complete(reader.spawn(dap.put_data(pair)))
         return pair, decode, kernel.take()[0]
 
     @pytest.mark.parametrize("silent", range(6))
@@ -162,7 +171,8 @@ class TestTreasReadRowCombinations:
         assert pair.tag == tag
         assert (decode, write_back) == expected
         # The write-back delivered to the lagging server what a fresh encode would.
-        lagging_state = deployment.servers[server_id(lagging)].dap_state
+        lagging_state = deployment.servers[server_id(lagging)].dap_state_for(
+            deployment.initial_configuration.cfg_id)
         assert lagging_state.coded_element_for(tag) == elements[lagging]
 
     def test_read_of_the_bottom_tag_is_unchanged(self, kernel):

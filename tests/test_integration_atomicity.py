@@ -22,7 +22,6 @@ import pytest
 from repro.common.values import Value
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.net.latency import UniformLatency
-from repro.registers.static import StaticRegisterDeployment
 from repro.spec.linearizability import check_linearizability, check_tag_monotonicity
 from repro.spec.properties import check_dap_properties
 
@@ -41,9 +40,9 @@ def assert_execution_correct(deployment, operations):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_static_treas_random_concurrency(seed):
-    dep = StaticRegisterDeployment.treas(
-        num_servers=7, k=5, delta=8, num_writers=3, num_readers=3,
-        latency=UniformLatency(1.0, 6.0), seed=seed, record_dap=True)
+    dep = AresDeployment(
+        initial_dap="treas", num_servers=7, k=5, delta=8, num_writers=3, num_readers=3,
+        num_reconfigurers=0, latency=UniformLatency(1.0, 6.0), seed=seed, record_dap=True)
     ops = []
     for round_number in range(3):
         for index in range(3):
@@ -55,9 +54,9 @@ def test_static_treas_random_concurrency(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_static_abd_random_concurrency(seed):
-    dep = StaticRegisterDeployment.abd(
-        num_servers=5, num_writers=3, num_readers=3,
-        latency=UniformLatency(1.0, 6.0), seed=seed, record_dap=True)
+    dep = AresDeployment(
+        initial_dap="abd", num_servers=5, num_writers=3, num_readers=3,
+        num_reconfigurers=0, latency=UniformLatency(1.0, 6.0), seed=seed, record_dap=True)
     ops = []
     for round_number in range(3):
         for index in range(3):

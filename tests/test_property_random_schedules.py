@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.net.latency import UniformLatency
-from repro.registers.static import StaticRegisterDeployment
 from repro.spec.linearizability import check_linearizability, check_tag_monotonicity
 from repro.spec.properties import check_dap_properties
 
@@ -76,18 +75,20 @@ class TestRandomSchedulesStatic:
     @RELAXED
     @given(schedule=schedules, seed=st.integers(0, 1000))
     def test_treas_register_is_always_atomic(self, schedule, seed):
-        deployment = StaticRegisterDeployment.treas(
-            num_servers=6, k=4, delta=12, num_writers=3, num_readers=3,
-            latency=UniformLatency(1.0, 4.0), seed=seed, record_dap=True)
+        deployment = AresDeployment(
+            initial_dap="treas", num_servers=6, k=4, delta=12, num_writers=3,
+            num_readers=3, num_reconfigurers=0, latency=UniformLatency(1.0, 4.0),
+            seed=seed, record_dap=True)
         operations = execute_schedule(deployment, schedule)
         assert_safe(deployment, operations)
 
     @RELAXED
     @given(schedule=schedules, seed=st.integers(0, 1000))
     def test_abd_register_is_always_atomic(self, schedule, seed):
-        deployment = StaticRegisterDeployment.abd(
-            num_servers=5, num_writers=3, num_readers=3,
-            latency=UniformLatency(1.0, 4.0), seed=seed, record_dap=True)
+        deployment = AresDeployment(
+            initial_dap="abd", num_servers=5, num_writers=3, num_readers=3,
+            num_reconfigurers=0, latency=UniformLatency(1.0, 4.0), seed=seed,
+            record_dap=True)
         operations = execute_schedule(deployment, schedule)
         assert_safe(deployment, operations)
 

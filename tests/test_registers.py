@@ -1,4 +1,8 @@
-"""Integration tests for static (single-configuration) registers."""
+"""Integration tests for static (single-configuration) registers.
+
+A static register is an ARES deployment with no reconfigurer: its one
+configuration is the whole configuration sequence.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +10,25 @@ import pytest
 
 from repro.common.ids import server_id
 from repro.common.values import Value
-from repro.net.latency import UniformLatency
-from repro.registers.static import StaticRegisterDeployment
+from repro.core.deployment import AresDeployment
+from repro.net.latency import FixedLatency, UniformLatency
 from repro.spec.history import OperationType
 from repro.spec.linearizability import check_linearizability, check_tag_monotonicity
 from repro.spec.properties import check_dap_properties
 
 
+def static(dap, num_servers, **kwargs):
+    """A zero-reconfigurer deployment, at ``FixedLatency(1.0)`` unless told otherwise."""
+    kwargs.setdefault("latency", FixedLatency(1.0))
+    return AresDeployment(initial_dap=dap, num_servers=num_servers, num_reconfigurers=0,
+                          **kwargs)
+
+
 DEPLOYMENT_BUILDERS = {
-    "abd": lambda **kw: StaticRegisterDeployment.abd(num_servers=5, **kw),
-    "treas": lambda **kw: StaticRegisterDeployment.treas(num_servers=6, k=4, delta=6, **kw),
-    "ldr": lambda **kw: StaticRegisterDeployment.ldr(num_directories=3, num_replicas=4, **kw),
+    "abd": lambda **kw: static("abd", 5, **kw),
+    "treas": lambda **kw: static("treas", 6, k=4, delta=6, **kw),
+    # LDR takes the first half of the servers as directories: 3 + 4.
+    "ldr": lambda **kw: static("ldr", 7, **kw),
 }
 
 
@@ -72,15 +84,14 @@ class TestConcurrentAtomicity:
 
 class TestCrashTolerance:
     def test_abd_tolerates_minority(self):
-        dep = StaticRegisterDeployment.abd(num_servers=5, num_writers=1, num_readers=1)
+        dep = static("abd", 5, num_writers=1, num_readers=1)
         dep.servers[server_id(0)].crash()
         dep.servers[server_id(1)].crash()
         dep.write(Value.of_size(32, label="x"), 0)
         assert dep.read(0).label == "x"
 
     def test_treas_tolerates_f_crashes(self):
-        dep = StaticRegisterDeployment.treas(num_servers=9, k=5, delta=2,
-                                             num_writers=1, num_readers=1)
+        dep = static("treas", 9, k=5, delta=2, num_writers=1, num_readers=1)
         # f = (9 - 5) / 2 = 2
         dep.servers[server_id(7)].crash()
         dep.servers[server_id(8)].crash()
@@ -88,9 +99,8 @@ class TestCrashTolerance:
         assert dep.read(0).label == "x"
 
     def test_writer_crash_mid_operation_leaves_register_consistent(self):
-        dep = StaticRegisterDeployment.treas(num_servers=6, k=4, delta=4,
-                                             num_writers=2, num_readers=1,
-                                             latency=UniformLatency(1.0, 3.0), seed=9)
+        dep = static("treas", 6, k=4, delta=4, num_writers=2, num_readers=1,
+                     latency=UniformLatency(1.0, 3.0), seed=9)
         # Start a write and crash the writer before it can finish.
         pending = dep.spawn_write(dep.writers[0].next_value(64), 0)
         dep.sim.run_until(1.5)
@@ -109,12 +119,11 @@ class TestCrashTolerance:
 
 class TestStorageAccounting:
     def test_abd_stores_one_copy_per_server(self):
-        dep = StaticRegisterDeployment.abd(num_servers=5, num_writers=1, num_readers=1)
+        dep = static("abd", 5, num_writers=1, num_readers=1)
         dep.write(Value.of_size(200, label="x"), 0)
         assert dep.total_storage_data_bytes() == 5 * 200
 
     def test_treas_stores_fragments(self):
-        dep = StaticRegisterDeployment.treas(num_servers=6, k=4, delta=2,
-                                             num_writers=1, num_readers=1)
+        dep = static("treas", 6, k=4, delta=2, num_writers=1, num_readers=1)
         dep.write(Value.of_size(400, label="x"), 0)
         assert dep.total_storage_data_bytes() == 6 * 100

@@ -42,13 +42,12 @@ class StreamingWindowError(StreamingHistoryError):
 
 
 class StreamingAmbiguityError(StreamingHistoryError):
-    """The online checker cannot decide the history without full records.
+    """The register fold cannot decide the history without full records.
 
-    The online checker is the streaming variant of the *fast* register
-    checker; histories the fast checker hands to the Wing-Gong reference
-    search (duplicate value labels, no greedy witness order) need the full
-    record set, which streaming mode has already discarded.  Re-run the
-    scenario in batch mode to obtain a verdict.
+    Keys the fold marks ambiguous (a reused value label it still holds, no
+    greedy witness order) need the Wing-Gong reference search, and with it
+    the full record set, which streaming mode has already discarded.
+    Re-run the scenario in batch mode, where the search decides them.
     """
 
 

@@ -3,8 +3,9 @@
 A :class:`History` records, for every high-level read or write operation,
 its invocation time, response time, the process that issued it, and its
 result (the label of the value written or returned).  Histories are produced
-by the register clients and the ARES clients and consumed by the
-linearizability checker and by the latency-analysis benchmarks.
+by the ARES and store clients and consumed by the register fold of
+:mod:`repro.spec.streaming` (live, or replayed over the finished history by
+:mod:`repro.spec.linearizability`) and by the latency-analysis benchmarks.
 
 Multi-object (store) histories
 ------------------------------
@@ -19,10 +20,9 @@ per-key sub-histories.
 Streaming histories
 -------------------
 :meth:`History.enable_streaming` switches an (empty) history into a bounded
-open-window mode: completed operations are fed to the online
-linearizability / tag-monotonicity checkers in
-:mod:`repro.spec.streaming` as their concurrency windows close, the
-verified prefix is folded into a running signature accumulator
+open-window mode: the register fold checks each operation as it happens
+instead of replaying the history at the end, the records whose concurrency
+windows closed are folded into a running signature accumulator
 (byte-identical to the batch :meth:`signature_hash`), and the folded
 records are discarded.  Memory stays O(open window) instead of O(run),
 which is what lets the scale benchmarks push 10^6+ operations through the

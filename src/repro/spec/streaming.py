@@ -1,43 +1,47 @@
-"""Online (streaming) verification of operation histories.
+"""The register fold: atomicity checking of operation histories, event by event.
 
-This module is the engine behind :meth:`History.enable_streaming
-<repro.spec.history.History.enable_streaming>`: a :class:`HistoryStream`
-watches every invocation/response/failure a streaming history records,
-folds completed operations out of the history as their concurrency windows
-close, and keeps memory O(open window) instead of O(run).  Three things
-happen to each folded record:
+Atomicity (the paper's conditions A1-A3) is decided in one place: a
+:class:`RegisterFold` holds, per object key, an :class:`OnlineRegisterChecker`
+(a Gibbons-Korach value partition) and an :class:`OnlineTagChecker`
+(Lemma 20's tag monotonicity), fed invocations and responses in
+event-time order.  It has two drivers:
 
-* its signature entry is fed into a running SHA-256 accumulator that is
-  **byte-identical** to ``sha256(repr(history.signature()))`` of the batch
-  path (the golden determinism hashes must not move);
-* it is checked by an :class:`OnlineRegisterChecker` -- the incremental
-  variant of the *fast* value-partition linearizability checker in
-  :mod:`repro.spec.linearizability`, per object key for keyed histories;
-* its tag is checked by an :class:`OnlineTagChecker`, the incremental
-  variant of :func:`~repro.spec.linearizability.check_tag_monotonicity`.
+* :class:`HistoryStream` (:meth:`History.enable_streaming
+  <repro.spec.history.History.enable_streaming>`) feeds it live and folds
+  completed records out of the history as their concurrency windows close,
+  keeping memory O(open window) instead of O(run); their signature entries
+  go into a running SHA-256 accumulator **byte-identical** to a batch
+  history's ``sha256(repr(history.signature()))``.
+* :func:`replay` feeds it a finished batch history in one pass and leaves
+  the records in place; :mod:`repro.spec.linearizability` builds the batch
+  verdicts on it.
 
-The online register checker mirrors the fast checker's necessary
-conditions exactly; histories the fast checker would hand to the Wing-Gong
-reference search (duplicate value labels, no greedy witness) raise
-:class:`~repro.common.errors.StreamingAmbiguityError` instead, because the
-reference search needs the full record set streaming mode has discarded.
-Such histories must be re-run in batch mode.
+The fold never guesses: a key it cannot decide (a write reusing a value
+label it still holds, no greedy witness order) is marked ambiguous.  The
+live stream then raises :class:`~repro.common.errors.StreamingAmbiguityError`,
+since the Wing-Gong reference search needs the records it discarded; the
+batch checks hand the key to that search.
 
 Fold rules (why this is sound)
 ------------------------------
 Invocations and responses arrive in non-decreasing simulated time (the
-stream enforces this), so the *frontier* ``F`` -- the invocation time of
-the earliest still-open operation -- only moves forward.  A value cluster
-(one write plus the reads returning its label) may be folded once its
-write completed and both its earliest response and latest invocation lie
-before ``F``: no future operation can be invoked before ``F``, so the
-cluster's precedence relations against all future operations are fully
-determined by two scalars kept after the fold.  Folded clusters that are
-still legally readable (their earliest response does not precede another
-folded cluster's latest invocation) stay in a small *readable* set;
-everything else collapses into two scalars (``retired_max_inv`` and a
-per-live-cluster ``fold_floor``) that preserve exactly the pair-violation
-checks of the batch checker.
+stream enforces this, the replay sorts for it), so the *frontier* ``F`` --
+the invocation time of the earliest still-open operation -- only moves
+forward.  A value cluster (one write plus the reads returning its label)
+may be folded once its write completed and both its earliest response and
+latest invocation lie before ``F``: no future operation can be invoked
+before ``F``, so the cluster's precedence relations against all future
+operations are fully determined by two scalars kept after the fold.  Two
+clusters that each contain an operation really preceding one of the other
+can never both be contiguous segments of a linearization (a stale read or
+new/old inversion); that cycle is checked pairwise while clusters are live
+and through the kept scalars afterwards.  Folded clusters that are still
+legally readable (their earliest response does not precede another folded
+cluster's latest invocation) stay in a small *readable* set; everything
+else collapses into two scalars (``retired_max_inv`` and a
+per-live-cluster ``fold_floor``).  A passing verdict is backed by a
+witness: two candidate orders (clusters by earliest response, and by
+protocol tag) are swept incrementally, and one must survive.
 """
 
 from __future__ import annotations
@@ -50,8 +54,12 @@ from repro.common.errors import (StreamingAmbiguityError, StreamingHistoryError,
                                  StreamingWindowError)
 from repro.spec.history import (History, OperationRecord, OperationType,
                                 signature_entry)
-from repro.spec.linearizability import INITIAL_LABEL
 from repro.spec.signature import SignatureAccumulator
+
+#: Label of the register's initial value (the ``"v0"`` label of
+#: :data:`repro.common.values.BOTTOM_VALUE`): reads linearized before every
+#: write return it.
+INITIAL_LABEL = "v0"
 
 _INFINITY = float("inf")
 
@@ -141,11 +149,11 @@ class _LiveCluster:
 class _WitnessBuilder:
     """One incremental candidate witness (a greedy linear sweep).
 
-    Mirrors one entry of the batch checker's ``candidates`` list: clusters
-    are appended as contiguous segments in a fixed global order, and the
-    sweep carries the max invocation seen so far -- a segment whose
-    operation responds *before* that point cannot extend the witness, which
-    kills this candidate (but not the others).  ``pending`` buffers closed
+    Clusters are appended as contiguous segments (each opened by its
+    write) in a fixed global order, and the sweep carries the max
+    invocation seen so far -- a segment whose operation responds *before*
+    that point cannot extend the witness, which kills this candidate (but
+    not the others).  ``pending`` buffers closed
     clusters until they are provably next in this builder's order.
     """
 
@@ -176,10 +184,10 @@ class _WitnessBuilder:
 
 
 class OnlineRegisterChecker:
-    """Streaming register linearizability for one object key.
+    """Register linearizability for one object key, decided as events arrive.
 
-    Maintains exactly the fast checker's necessary conditions over a
-    bounded state: live clusters (unfolded values), a small readable set of
+    Checks the value partition's necessary conditions over a bounded
+    state: live clusters (unfolded values), a small readable set of
     folded values, two scalars for everything retired, the initial-value
     read bounds, and the running witness sweep.  ``failure`` holds the
     first proven violation; ``ambiguous`` marks histories only the batch
@@ -200,8 +208,8 @@ class OnlineRegisterChecker:
         self.first_cluster_res = _INFINITY
         self.first_cluster_label: Optional[str] = None
         self.latest_initial_inv = -_INFINITY
-        #: The two candidate witnesses of the batch checker, incrementally:
-        #: clusters by earliest response, and clusters by protocol tag.
+        #: The two candidate witnesses, built incrementally: clusters by
+        #: earliest response, and clusters by protocol tag.
         self.by_res = _WitnessBuilder()
         self.by_tag = _WitnessBuilder()
         self._last_unswept: Optional[str] = None
@@ -284,8 +292,8 @@ class OnlineRegisterChecker:
         if record.tag is not None:
             cluster.tag_key = record.tag.sort_key
         else:
-            # Batch builds the tag-order candidate only when *every*
-            # effective write carries a tag; one untagged write kills it.
+            # The tag-order candidate exists only when *every* effective
+            # write carries a tag; one untagged write kills it.
             self._kill_tag_candidate()
         if cluster.min_res is None:
             self._note_first_response(cluster, record.responded_at)
@@ -330,7 +338,7 @@ class OnlineRegisterChecker:
             if record.invoked_at > entry[1]:
                 entry[1] = record.invoked_at
             # A builder that has not swept this value's segment yet takes
-            # the read *inside* the segment (the batch witness shape); one
+            # the read *inside* the segment (the witness shape); one
             # that already has only needs the invocation bound.
             read = (record.invoked_at, record.op_id, record.responded_at)
             appended = False
@@ -391,7 +399,7 @@ class OnlineRegisterChecker:
 
     def finalize(self) -> None:
         """Fold what remains (including pending writes that have readers);
-        pending writes nobody read are dropped, as the batch checker does."""
+        pending writes nobody read are dropped: no witness needs them."""
         for cluster in list(self.clusters.values()):
             if self.decided:
                 return
@@ -424,7 +432,7 @@ class OnlineRegisterChecker:
         self._drain_tag(final)
 
     def _drain_res(self, final: bool) -> None:
-        """Batch candidate 1: clusters by ``(min_res, write_inv, write_op)``.
+        """Candidate 1: clusters by ``(min_res, write_inv, write_op)``.
 
         A queued cluster is provably next once no live cluster sorts below
         it -- live clusters without a response yet cannot, because their
@@ -446,7 +454,7 @@ class OnlineRegisterChecker:
                 return
 
     def _drain_tag(self, final: bool) -> None:
-        """Batch candidate 2: clusters by ``(tag sort key, write_op)``.
+        """Candidate 2: clusters by ``(tag sort key, write_op)``.
 
         A queued cluster ``c`` is provably next once every live cluster
         either carries a larger tag or was invoked after ``c``'s write
@@ -475,7 +483,7 @@ class OnlineRegisterChecker:
 
     def _kill_tag_candidate(self) -> None:
         """An effective write without a tag: the tag-order candidate is off
-        the table, exactly as in the batch checker."""
+        the table."""
         if not self.by_tag.failed:
             self.by_tag.failed = True
             self.by_tag.pending.clear()
@@ -522,20 +530,23 @@ class OnlineRegisterChecker:
 
 
 class OnlineTagChecker:
-    """Streaming tag monotonicity (Lemma 20) for one object key.
+    """Tag monotonicity (Lemma 20) for one object key, checked as events arrive.
 
+    For any two complete operations ``π1 → π2`` the tag of ``π2`` must be at
+    least the tag of ``π1``, and strictly larger when ``π2`` is a write.
     Keeps the monotone envelope of prefix-maximum tags over operations in
     response order; because responses arrive in time order, each completed
     operation only needs one binary search against the envelope, and the
-    envelope is pruned below the fold frontier.
+    envelope is pruned below the fold frontier.  The envelope keeps its
+    records, not their text: they are formatted only into a failure.
     """
 
-    __slots__ = ("_resp_times", "_tags", "_descs", "failure")
+    __slots__ = ("_resp_times", "_tags", "_records", "failure")
 
     def __init__(self) -> None:
         self._resp_times: List[float] = []
         self._tags: list = []
-        self._descs: List[str] = []
+        self._records: List[OperationRecord] = []
         self.failure: Optional[str] = None
 
     def observe(self, record: OperationRecord) -> None:
@@ -547,20 +558,20 @@ class OnlineTagChecker:
             best_tag = self._tags[index - 1]
             if tag < best_tag:
                 self.failure = (f"tag of {record} is smaller than the tag of "
-                                f"the preceding {self._descs[index - 1]}")
+                                f"the preceding {self._records[index - 1]}")
             elif record.op_type is OperationType.WRITE and not tag > best_tag:
                 self.failure = (f"write {record} does not have a strictly "
                                 "larger tag than the preceding "
-                                f"{self._descs[index - 1]}")
+                                f"{self._records[index - 1]}")
             if self.failure is not None:
                 self._resp_times = []
                 self._tags = []
-                self._descs = []
+                self._records = []
                 return
         if not self._tags or tag > self._tags[-1]:
             self._resp_times.append(record.responded_at)
             self._tags.append(tag)
-            self._descs.append(str(record))
+            self._records.append(record)
 
     def prune(self, frontier: float) -> None:
         """Forget envelope points no future operation can be compared to."""
@@ -570,11 +581,122 @@ class OnlineTagChecker:
         if index > 1:
             del self._resp_times[:index - 1]
             del self._tags[:index - 1]
-            del self._descs[:index - 1]
+            del self._records[:index - 1]
+
+
+class RegisterFold:
+    """The register and tag checkers of every object key, fed event by event.
+
+    Both drivers -- the live :class:`HistoryStream` and the batch
+    :func:`replay` -- call :meth:`invoke` and :meth:`respond` in event-time
+    order and :meth:`finalize` once at the end.  With ``by_key=False``
+    every record is checked against one register whatever its key (the
+    single-register batch checks).
+    """
+
+    __slots__ = ("by_key", "registers", "tags", "keyed")
+
+    def __init__(self, by_key: bool = True) -> None:
+        self.by_key = by_key
+        #: Per-key checkers, in key first-invocation order.
+        self.registers: Dict[Optional[str], OnlineRegisterChecker] = {}
+        self.tags: Dict[Optional[str], OnlineTagChecker] = {}
+        #: Whether any read/write record was checked under a named key
+        #: (verdicts then name their key).
+        self.keyed = False
+
+    def invoke(self, record: OperationRecord) -> None:
+        key = record.key if self.by_key else None
+        register = self.registers.get(key)
+        if register is None:
+            register = self.registers[key] = OnlineRegisterChecker(key)
+            self.tags[key] = OnlineTagChecker()
+        if record.op_type is not OperationType.RECONFIG:
+            if key is not None:
+                self.keyed = True
+            register.invoke(record)
+
+    def respond(self, record: OperationRecord, frontier: float) -> None:
+        """Check a response (or a failure), then fold what closed before
+        ``frontier`` on the record's key."""
+        if record.op_type is OperationType.RECONFIG:
+            return
+        key = record.key if self.by_key else None
+        register, tag_checker = self.registers[key], self.tags[key]
+        if record.failed:
+            register.fail(record)
+        else:
+            register.complete(record)
+            tag_checker.observe(record)
+        register.advance(frontier)
+        tag_checker.prune(frontier)
+
+    def finalize(self) -> None:
+        """Fold what remains on every key and settle the verdicts."""
+        for register in self.registers.values():
+            register.finalize()
+
+    def linearizability_failure(self) -> Optional[str]:
+        """First proven atomicity violation, in key first-invocation order.
+
+        Raises :class:`~repro.common.errors.StreamingAmbiguityError` when
+        some key could only be decided by the batch reference checker and
+        no other key has a proven violation.
+        """
+        ambiguous: Optional[str] = None
+        for key, register in self.registers.items():
+            prefix = f"key {key!r}: " if self.keyed else ""
+            if register.failure is not None:
+                return prefix + register.failure
+            if register.ambiguous is not None and ambiguous is None:
+                ambiguous = prefix + register.ambiguous
+        if ambiguous is not None:
+            raise StreamingAmbiguityError(ambiguous)
+        return None
+
+    def tag_failure(self) -> Optional[str]:
+        """First tag-monotonicity violation, in key first-invocation order."""
+        for key, checker in self.tags.items():
+            if checker.failure is not None:
+                prefix = f"key {key!r}: " if self.keyed else ""
+                return prefix + checker.failure
+        return None
+
+
+def replay(history: History, by_key: bool = True) -> RegisterFold:
+    """Decide a finished batch history by driving a fold over it in one pass.
+
+    Events are replayed in ``(time, invocations before responses, op_id)``
+    order, a failure standing for its record's response.  At equal times
+    invocations go first: precedence needs a response strictly before an
+    invocation, and in a live run a write is invoked before any read can
+    return its value.  After each response the frontier is the invocation
+    time of the earliest record, in invocation order, whose response has
+    not been replayed yet.  The history's records stay in place.
+    """
+    fold = RegisterFold(by_key)
+    records = history.operations()
+    events = [(record.invoked_at, 0, record.op_id, record) for record in records]
+    events.extend((record.responded_at, 1, record.op_id, record)
+                  for record in records if record.responded_at is not None)
+    events.sort()
+    answered = set()
+    first = 0
+    for _at, is_response, op_id, record in events:
+        if not is_response:
+            fold.invoke(record)
+            continue
+        answered.add(op_id)
+        while first < len(records) and records[first].op_id in answered:
+            first += 1
+        fold.respond(record, records[first].invoked_at
+                     if first < len(records) else _INFINITY)
+    fold.finalize()
+    return fold
 
 
 class HistoryStream:
-    """Coordinates folding, checking and signature accumulation.
+    """The live driver of a :class:`RegisterFold`, plus signature accumulation.
 
     Created by :meth:`History.enable_streaming`; the history calls
     :meth:`on_invoke` / :meth:`on_respond` / :meth:`on_fail` for every
@@ -588,9 +710,7 @@ class HistoryStream:
         self._history = history
         self.window_limit = window_limit
         self._accumulator = SignatureAccumulator()
-        self._registers: Dict[Optional[str], OnlineRegisterChecker] = {}
-        self._tags: Dict[Optional[str], OnlineTagChecker] = {}
-        self._keyed = False
+        self._fold = RegisterFold()
         self._finalized = False
         self._last_event_at = -_INFINITY
         self.total_records = 0
@@ -618,7 +738,7 @@ class HistoryStream:
 
     def is_keyed(self) -> bool:
         """Mirror of :meth:`History.is_keyed` over the streamed records."""
-        return self._keyed
+        return self._fold.keyed
 
     # -------------------------------------------------------------- events
     def _admit(self, what: str, at: float) -> None:
@@ -631,14 +751,6 @@ class HistoryStream:
                 f"recorded in event-time order (last event at "
                 f"{self._last_event_at})")
         self._last_event_at = at
-
-    def _register_for(self, key: Optional[str]) -> OnlineRegisterChecker:
-        register = self._registers.get(key)
-        if register is None:
-            register = OnlineRegisterChecker(key)
-            self._registers[key] = register
-            self._tags[key] = OnlineTagChecker()
-        return register
 
     def on_invoke(self, record: OperationRecord) -> None:
         self._admit("record an invocation", record.invoked_at)
@@ -653,11 +765,7 @@ class HistoryStream:
                 f"open concurrency window ({open_window} unfolded records) "
                 f"exceeded window_limit={self.window_limit}; an operation "
                 "that never responds is pinning the fold frontier")
-        register = self._register_for(record.key)
-        if record.op_type is not OperationType.RECONFIG:
-            if record.key is not None:
-                self._keyed = True
-            register.invoke(record)
+        self._fold.invoke(record)
 
     def on_respond(self, record: OperationRecord) -> None:
         self._admit("record a response", record.responded_at)
@@ -667,36 +775,29 @@ class HistoryStream:
             self.read_latencies.add(latency)
         elif record.op_type is OperationType.WRITE:
             self.write_latencies.add(latency)
-        if record.op_type is not OperationType.RECONFIG:
-            self._registers[record.key].complete(record)
-            self._tags[record.key].observe(record)
         self._advance(record)
 
     def on_fail(self, record: OperationRecord) -> None:
         self._admit("record a failure", record.responded_at)
         self.failed_operations += 1
-        if record.op_type is not OperationType.RECONFIG:
-            self._registers[record.key].fail(record)
         self._advance(record)
 
     def _advance(self, record: OperationRecord) -> None:
-        """Fold the closed prefix, then let the touched key catch up."""
+        """Fold the closed prefix, then hand the response to the fold."""
         records = self._history._records
-        fold = self._accumulator.fold
+        fold_entry = self._accumulator.fold
         while records:
             first_id = next(iter(records))
             first = records[first_id]
             if first.responded_at is None:
                 frontier = first.invoked_at
                 break
-            fold(signature_entry(first))
+            fold_entry(signature_entry(first))
             del records[first_id]
             self.folded_records += 1
         else:
             frontier = _INFINITY
-        if record.op_type is not OperationType.RECONFIG:
-            self._registers[record.key].advance(frontier)
-            self._tags[record.key].prune(frontier)
+        self._fold.respond(record, frontier)
 
     # ------------------------------------------------------------ finishing
     def finalize(self) -> None:
@@ -710,13 +811,12 @@ class HistoryStream:
             return
         self._finalized = True
         records = self._history._records
-        fold = self._accumulator.fold
+        fold_entry = self._accumulator.fold
         for record in records.values():
-            fold(signature_entry(record))
+            fold_entry(signature_entry(record))
             self.folded_records += 1
         records.clear()
-        for register in self._registers.values():
-            register.finalize()
+        self._fold.finalize()
 
     def signature_digests(self) -> SignatureAccumulator:
         """The fold accumulator over every record, once :meth:`finalize` ran."""
@@ -725,34 +825,13 @@ class HistoryStream:
 
     # ------------------------------------------------------------- verdicts
     def method(self) -> str:
-        """Checker-method label, mirroring the batch ``fast`` labels."""
-        return "per-key(streaming)" if self._keyed else "streaming"
+        """Checker-method label: the batch checks label the same fold ``fast``."""
+        return "per-key(streaming)" if self._fold.keyed else "streaming"
 
     def linearizability_failure(self) -> Optional[str]:
-        """First proven atomicity violation, in key first-invocation order.
-
-        Raises :class:`~repro.common.errors.StreamingAmbiguityError` when
-        some key could only be decided by the batch reference checker and
-        no other key has a proven violation.
-        """
-        ambiguous: Optional[str] = None
-        for key, register in self._registers.items():
-            if register.failure is not None:
-                if self._keyed:
-                    return f"key {key!r}: {register.failure}"
-                return register.failure
-            if register.ambiguous is not None and ambiguous is None:
-                prefix = f"key {key!r}: " if self._keyed else ""
-                ambiguous = prefix + register.ambiguous
-        if ambiguous is not None:
-            raise StreamingAmbiguityError(ambiguous)
-        return None
+        """See :meth:`RegisterFold.linearizability_failure`."""
+        return self._fold.linearizability_failure()
 
     def tag_failure(self) -> Optional[str]:
-        """First tag-monotonicity violation, in key first-invocation order."""
-        for key, checker in self._tags.items():
-            if checker.failure is not None:
-                if self._keyed:
-                    return f"key {key!r}: {checker.failure}"
-                return checker.failure
-        return None
+        """See :meth:`RegisterFold.tag_failure`."""
+        return self._fold.tag_failure()

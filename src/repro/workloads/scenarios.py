@@ -175,15 +175,17 @@ class ChaosRunResult:
         is the single source of truth for scenario verification --
         :meth:`verify` raises on it and the sweep workers record it.
 
-        Keyed (store) histories are checked **per key**: each object is an
+        Both verdicts come from one register fold
+        (:mod:`repro.spec.streaming`): a streaming history drove it live,
+        and a batch history is replayed through it once, in event-time
+        order (:func:`~repro.spec.linearizability.check_atomicity`), with
+        the Wing-Gong search deciding any key the fold cannot.  Keyed
+        (store) histories are checked **per key**: each object is an
         independent atomic register, so linearizability and tag
-        monotonicity are asserted on every per-key sub-history (the
-        checker-method label becomes e.g. ``per-key(fast)``).
+        monotonicity are asserted on every key (the checker-method label
+        becomes e.g. ``per-key(fast)``).
         """
-        from repro.spec.linearizability import (check_linearizability,
-                                                check_linearizability_per_key,
-                                                check_tag_monotonicity,
-                                                check_tag_monotonicity_per_key)
+        from repro.spec.linearizability import check_atomicity
 
         errors = list(self.workload.errors) + list(self.reconfig_errors)
         if errors:
@@ -204,19 +206,11 @@ class ChaosRunResult:
                 return (f"scenario {self.scenario.name!r} (seed {self.seed}) "
                         f"violated tag monotonicity: {tag_violation}"), method
             return None, method
-        keyed = self.history.is_keyed()
-        if keyed:
-            result = check_linearizability_per_key(self.history)
-        else:
-            result = check_linearizability(self.history)
+        result, monotonic = check_atomicity(self.history)
         if not result.ok:
             return (f"scenario {self.scenario.name!r} (seed {self.seed}) violated "
                     f"atomicity: {result.reason}\nchaos log:\n"
                     f"{self.engine.describe_log()}"), result.method
-        if keyed:
-            monotonic = check_tag_monotonicity_per_key(self.history)
-        else:
-            monotonic = check_tag_monotonicity(self.history)
         if monotonic is not None:
             return (f"scenario {self.scenario.name!r} (seed {self.seed}) violated "
                     f"tag monotonicity: {monotonic}"), result.method

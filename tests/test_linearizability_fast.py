@@ -1,12 +1,14 @@
-"""Differential tests: the fast linearizability checker vs Wing-Gong.
+"""Differential tests: the register fold vs Wing-Gong.
 
-The fast value-partition checker (PR 2) must agree with the exhaustive
+:func:`check_linearizability` replays a history through the register fold
+of ``repro.spec.streaming``; the fold must agree with the exhaustive
 reference search on *every* history -- it is allowed to defer (fall back),
 never to disagree.  These tests drive both checkers over thousands of
 seeded random histories, including incomplete writes, reads of the initial
-value, deliberately non-linearizable mutations and duplicate-label
-histories that force the fallback path, and validate every positive
-witness independently.
+value, deliberately non-linearizable mutations, duplicate-label histories
+that force the fallback path and tie-heavy closed-loop histories that pin
+the replay's event order, and validate every reference witness
+independently.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 
 import pytest
 
+from repro.common.errors import StreamingAmbiguityError
 from repro.common.ids import reader_id, writer_id
 from repro.spec.history import History, OperationType
 from repro.spec.linearizability import (INITIAL_LABEL, check_linearizability,
@@ -109,8 +112,73 @@ def mutate_non_linearizable(history: History, rng: random.Random) -> History:
     return history
 
 
+def closed_loop_history(rng: random.Random) -> History:
+    """Closed-loop sessions on an integer clock, as under a fixed latency
+    with zero think time: each session invokes its next operation at the
+    instant its previous one responded, so invocations and responses tie
+    everywhere.  Reads return a value whose write was invoked no later than
+    the read responded (a read answering at the instant its write was
+    invoked is legal: the two are concurrent); ~10% of sessions leave their
+    last write pending.
+    """
+    history = History()
+    labels = []  # (label, write_start)
+    ops = []
+    for w in range(rng.randint(1, 3)):
+        t = rng.randint(0, 2)
+        count = rng.randint(0, 4)
+        for k in range(count):
+            end = t + rng.randint(1, 3)
+            label = f"w{w}k{k}"
+            pending = k == count - 1 and rng.random() < 0.1
+            labels.append((label, t))
+            ops.append((writer_id(w), OperationType.WRITE, t,
+                        None if pending else end, label))
+            t = end
+    for r in range(rng.randint(1, 3)):
+        t = rng.randint(0, 2)
+        for _ in range(rng.randint(0, 5)):
+            end = t + rng.randint(1, 3)
+            candidates = [lab for lab, start in labels if start <= end]
+            if candidates and rng.random() > 0.2:
+                label = rng.choice(candidates)
+            else:
+                label = INITIAL_LABEL
+            ops.append((reader_id(r), OperationType.READ, t, end, label))
+            t = end
+    for pid, op_type, start, end, label in ops:
+        record = history.invoke(pid, op_type, float(start), value_label=label)
+        if end is not None:
+            history.respond(record, float(end), value_label=label)
+    return history
+
+
+def streamed(history: History) -> History:
+    """Record ``history``'s events into a live streaming history, in the
+    replay's ``(time, invocations before responses, op_id)`` order."""
+    live = History()
+    live.enable_streaming()
+    events = sorted(
+        [(r.invoked_at, 0, r.op_id, r) for r in history.operations()]
+        + [(r.responded_at, 1, r.op_id, r) for r in history.operations()
+           if r.responded_at is not None])
+    copies = {}
+    for at, is_response, op_id, record in events:
+        if not is_response:
+            label = record.value_label if record.op_type is OperationType.WRITE else None
+            copies[op_id] = live.invoke(record.process, record.op_type, at,
+                                        value_label=label, key=record.key)
+        elif record.failed:
+            live.fail(copies[op_id], at)
+        else:
+            live.respond(copies[op_id], at, value_label=record.value_label,
+                         tag=record.tag)
+    live.stream.finalize()
+    return live
+
+
 def duplicate_label_history(rng: random.Random) -> History:
-    """Writes reuse labels: the fast checker must defer, and the combined
+    """Writes reuse labels: the batch check must defer, and the combined
     checker must still agree with the reference."""
     history = random_history(rng, allow_ghost=False)
     extra = history.invoke(writer_id(8), OperationType.WRITE,
@@ -158,9 +226,9 @@ class TestDifferential:
                 f"vs {reference.reason!r} on\n{history.describe()}")
             if combined.method == "fast":
                 fast_decisions += 1
-            if combined.ok:
-                validate_witness(history, combined.order)
-        # The fast path must carry the overwhelming majority of histories,
+            if reference.ok:
+                validate_witness(history, reference.order)
+        # The fold must carry the overwhelming majority of histories,
         # otherwise the fallback erodes the performance win.
         assert fast_decisions > 1800
 
@@ -170,7 +238,7 @@ class TestDifferential:
             history = sequential_history(rng, rng.randint(0, 60))
             result = check_linearizability(history)
             assert result.ok and result.method == "fast", result.reason
-            validate_witness(history, result.order)
+            validate_witness(history, check_linearizability_reference(history).order)
 
     def test_mutated_histories_rejected_by_both(self):
         rng = random.Random(0xBAD)
@@ -185,13 +253,46 @@ class TestDifferential:
         assert rejected > 400, "mutation generator failed to produce violations"
 
     def test_duplicate_labels_fall_back_and_agree(self):
+        # The batch check defers every duplicate-label history.  The live
+        # stream sees a reused label only while the first write's value is
+        # still live or readable, so it decides some of them: every one it
+        # decides must agree with the reference.
         rng = random.Random(0xD0B)
+        live_decisions = 0
         for _ in range(300):
             history = duplicate_label_history(rng)
             combined = check_linearizability(history)
             reference = check_linearizability_reference(history)
             assert combined.ok == reference.ok
             assert combined.method == "reference"
+            try:
+                failure = streamed(history).stream.linearizability_failure()
+            except StreamingAmbiguityError:
+                continue
+            live_decisions += 1
+            assert (failure is None) == reference.ok, (
+                f"live stream says {failure!r}, reference says "
+                f"{reference.reason!r} on\n{history.describe()}")
+        assert live_decisions > 0
+
+    def test_tie_heavy_closed_loop_histories_agree(self):
+        # Replaying responses before invocations at equal times would let a
+        # read answering at the instant its write was invoked arrive before
+        # that write, a false "no write" failure no live run can produce.
+        rng = random.Random(0x71E)
+        deferred = 0
+        for _ in range(3000):
+            history = closed_loop_history(rng)
+            combined = check_linearizability(history)
+            reference = check_linearizability_reference(history)
+            assert combined.ok == reference.ok, (
+                f"checkers disagree ({combined.method}): {combined.reason!r} "
+                f"vs {reference.reason!r} on\n{history.describe()}")
+            if combined.method == "reference":
+                deferred += 1
+            if reference.ok:
+                validate_witness(history, reference.order)
+        assert deferred < 300
 
     def test_incomplete_write_read_forces_effect(self):
         rng = random.Random(5)
@@ -262,7 +363,7 @@ class TestFastCheckerUnit:
         result = check_linearizability(history)
         reference = check_linearizability_reference(history)
         assert reference.ok and result.ok
-        validate_witness(history, result.order)
+        validate_witness(history, reference.order)
 
     def test_empty_history_fast(self):
         result = check_linearizability(History())

@@ -298,12 +298,12 @@ class TestExactCounts:
         # into common/ids.py are the 24 + 178 constructions (processes, one
         # ConfigId per key touched) and the names rendered by ``str()``: the
         # store client's get/put and multi_get/multi_put coroutine labels
-        # (480), the streaming tag checker's descriptions of the records
-        # that raise their key's maximum tag (265) and the 8 workload
-        # sessions; gather labels read ``pid.name`` and cost none.  Every
+        # (480) and the 8 workload sessions; gather labels read ``pid.name``
+        # and cost none, and the tag checker keeps the records that raise
+        # their key's maximum tag, formatting one only into a failure.  Every
         # one of the 20 messages is looked up by id in two to four dicts and
         # sets, so a Python ``__hash__`` would cost thousands of calls here.
-        assert calls["ids"] == {"__new__": 202, "__str__": 753, "server_id": 15,
+        assert calls["ids"] == {"__new__": 202, "__str__": 488, "server_id": 15,
                                 "writer_id": 4, "reader_id": 4,
                                 "reconfigurer_id": 1}
         # Per message the network layer runs one ledger row (``record``) and

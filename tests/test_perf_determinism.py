@@ -85,7 +85,7 @@ def test_scenario_histories_are_decided_by_the_fast_checker():
     If one does, chaos verification silently reverts to the exponential
     reference search, which is exactly the cost PR 2 removed.  Keyed store
     scenarios are checked per key; every per-key sub-history must likewise
-    be decided by the fast checker.
+    be decided by the register fold (method ``fast``).
     """
     for name in scenario_names():
         result = run_scenario(name, seed=0)

@@ -1,11 +1,13 @@
 """Differential tests: streaming verification against the batch checkers.
 
-The streaming stack (``repro.spec.streaming``) must be *equivalent* to the
-batch path everywhere it claims a verdict: same pass/fail decision, same
-failure classification, and byte-identical signature hashes.  Histories it
-cannot decide online must raise :class:`StreamingAmbiguityError` -- never
-silently pass.  These tests drive both modes over the scenario registry and
-over hand-doctored adversarial histories.
+The register fold (``repro.spec.streaming``) has two drivers: a streaming
+history feeds it live, and the batch checks replay a finished history
+through it.  The two must be *equivalent* everywhere the live stream claims
+a verdict: same pass/fail decision, same failure classification, and
+byte-identical signature hashes.  Histories it cannot decide online must
+raise :class:`StreamingAmbiguityError` -- never silently pass.  These tests
+drive both modes over the scenario registry and over hand-doctored
+adversarial histories.
 """
 
 import hashlib

@@ -10,12 +10,17 @@ fault sequences.
 
 The three layers:
 
-* :mod:`repro.chaos.faults`   -- the fault vocabulary (:class:`Crash`,
-  :class:`Restart`, :class:`Partition`, :class:`Isolate`, :class:`Heal`,
-  :class:`Drop`, :class:`Duplicate`, :class:`Reorder`,
-  :class:`LatencySpike`, :class:`SlowServer`) plus the scripted
+* :mod:`repro.chaos.faults`   -- the faults.  Point faults
+  (:class:`Crash`, :class:`Restart`, :class:`Heal`, and the scripted
   :class:`Reconfigure` action, which fires a live migration from a
-  schedule so reconfigurations interleave with faults at exact times.
+  schedule so reconfigurations interleave with faults at exact times), and
+  window faults: one link matcher, :class:`Links`, and the effects over it
+  (:class:`Cut`, :class:`Lossy`, :class:`Slow`, :class:`Refuse`, plus
+  :class:`Duplicate`).  The vocabulary scenarios use is one constructor
+  per name on top of them: :func:`Partition`, :func:`Isolate`,
+  :func:`Drop`, :func:`Reorder`, :func:`LatencySpike`,
+  :func:`SlowServer`, :func:`CpuPressure`, :func:`MemoryPressure` and
+  :func:`DiskFull`.
 * :mod:`repro.chaos.schedule` -- the schedule DSL (:class:`At`,
   :class:`During`, :class:`Stochastic`, :class:`Schedule`).
 * :mod:`repro.chaos.engine`   -- :class:`ChaosEngine`, which resolves
@@ -40,6 +45,7 @@ from repro.chaos.engine import ChaosEngine
 from repro.chaos.faults import (
     CpuPressure,
     Crash,
+    Cut,
     DiskFull,
     Drop,
     Duplicate,
@@ -47,11 +53,15 @@ from repro.chaos.faults import (
     Heal,
     Isolate,
     LatencySpike,
+    Links,
+    Lossy,
     MemoryPressure,
     Partition,
     Reconfigure,
+    Refuse,
     Reorder,
     Restart,
+    Slow,
     SlowServer,
 )
 from repro.chaos.schedule import At, During, Schedule, Stochastic
@@ -64,6 +74,11 @@ __all__ = [
     "Partition",
     "Isolate",
     "Heal",
+    "Links",
+    "Cut",
+    "Lossy",
+    "Slow",
+    "Refuse",
     "Drop",
     "Duplicate",
     "Reconfigure",

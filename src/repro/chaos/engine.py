@@ -21,10 +21,10 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
-from repro.common.ids import ProcessId
+from repro.common.ids import ProcessId, Role
 from repro.net.network import Network
 
-from repro.chaos.faults import Fault, Isolate, Partition, Target
+from repro.chaos.faults import Cut, Fault, Target
 from repro.chaos.schedule import Schedule
 
 #: Shorthand prefixes accepted in fault targets: ``s3`` = ``server-3`` etc.
@@ -44,6 +44,17 @@ LOG_RECENT = 256
 #: anywhere inside a step agree deterministically instead of sampling
 #: fresh micro-noise at every float.
 RATE_RESOLUTION = 1.0 / 64.0
+
+#: The network's add/remove methods for each hook kind of :meth:`ChaosEngine.install`.
+_NETWORK_HOOKS = {
+    "drop": ("add_drop_filter", "remove_drop_filter"),
+    "delay": ("add_delay_adjuster", "remove_delay_adjuster"),
+    "dup": ("add_duplicator", "remove_duplicator"),
+}
+
+#: What a gated hook returns when its gate does not fire (a delay hook
+#: returns the delay it was given): keep, no extra copies, admit.
+_IDLE = {"drop": False, "dup": 0, "governor": None}
 
 
 class StochasticGate:
@@ -119,13 +130,13 @@ class ChaosEngine:
         #: way it checks workload sessions.
         self.pending_operations: List = []
         # Hooks installed per fault instance: fault id -> stack of
-        # per-activation groups of (kind, callable) entries with kind in
-        # {"drop", "delay", "dup"}.  Grouping per activation lets the same
+        # per-activation groups of (kind, hook, governor) entries, as
+        # passed to install().  Grouping per activation lets the same
         # fault object appear in several (even overlapping) schedule
         # entries: each stop removes only its own activation's hooks.
-        self._hooks: Dict[int, List[List[Tuple[str, object]]]] = {}
+        self._hooks: Dict[int, List[List[Tuple[str, object, object]]]] = {}
         # Collects the hooks installed by the fault.start() call in flight.
-        self._pending_install: Optional[List[Tuple[str, object]]] = None
+        self._pending_install: Optional[List[Tuple[str, object, object]]] = None
         # Bernoulli gates handed out to Stochastic schedule entries, in
         # creation (= arming) order; the counter seeds each gate's RNG.
         self.gates: List[StochasticGate] = []
@@ -154,8 +165,18 @@ class ChaosEngine:
         raise SimulationError(f"chaos target {target!r} does not name a registered process")
 
     def resolve_all(self, targets: Iterable[Target]) -> FrozenSet[ProcessId]:
-        """Resolve a collection of targets to a frozen set of process ids."""
-        return frozenset(self.resolve(target) for target in targets)
+        """Resolve a collection of targets to a frozen set of process ids.
+
+        A :class:`~repro.common.ids.Role` target stands for every process
+        registered with that role now.
+        """
+        pids = set()
+        for target in targets:
+            if isinstance(target, Role):
+                pids.update(pid for pid in self.network.processes if pid.role is target)
+            else:
+                pids.add(self.resolve(target))
+        return frozenset(pids)
 
     # ------------------------------------------------------------- injection
     def inject(self, schedule: Union[Schedule, Iterable]) -> "ChaosEngine":
@@ -248,10 +269,9 @@ class ChaosEngine:
         self.active.remove(fault)
 
     def heal_partitions(self) -> None:
-        """Stop every active :class:`Partition`/:class:`Isolate` activation."""
+        """Stop every active :class:`~repro.chaos.faults.Cut` activation."""
         while True:
-            fault = next((f for f in self.active
-                          if isinstance(f, (Partition, Isolate))), None)
+            fault = next((f for f in self.active if isinstance(f, Cut)), None)
             if fault is None:
                 return
             self._stop(fault)
@@ -310,95 +330,50 @@ class ChaosEngine:
         return (marker, *self.log)
 
     # ----------------------------------------------------------- hook wiring
-    def _register_hook(self, fault: Fault, entry: Tuple[str, object]) -> None:
+    def install(self, fault: Fault, kind: str, hook, governor=None) -> None:
+        """Install ``hook`` on behalf of ``fault`` (removed on stop).
+
+        ``kind`` names where it goes: ``"drop"``, ``"delay"`` and ``"dup"``
+        are the network's drop filters, delay adjusters and duplicators,
+        and ``"governor"`` is ``governor``'s admission rules (see
+        :class:`~repro.chaos.resources.ResourceGovernor`).
+
+        Inside a :class:`~repro.chaos.schedule.Stochastic` activation the
+        hook is wrapped behind a gate: the gate draws first, on every
+        decision (so the draw sequence is independent of the hook's own
+        link matching), and when it does not fire the hook is idle -- the
+        message is kept, gets no extra copies and keeps its sampled delay,
+        and the request is admitted.
+        """
+        gate = self._active_gate
+        if gate is not None:
+            inner, idle = hook, _IDLE.get(kind)
+
+            def hook(*args):
+                if gate.fires():
+                    return inner(*args)
+                return args[-1] if kind == "delay" else idle
+        if governor is not None:
+            governor.rules.append(hook)
+        else:
+            getattr(self.network, _NETWORK_HOOKS[kind][0])(hook)
+        entry = (kind, hook, governor)
         if self._pending_install is not None:
             self._pending_install.append(entry)
         else:  # installed outside _start/_apply (direct fault.start(engine))
             self._hooks.setdefault(id(fault), []).append([entry])
-
-    def install_drop_filter(self, fault: Fault, rule) -> None:
-        """Install a drop filter on behalf of ``fault`` (removed on stop).
-
-        Inside a :class:`~repro.chaos.schedule.Stochastic` activation the
-        rule is wrapped behind a per-message gate draw: the gate flips its
-        coin first (so the draw sequence is independent of the rule's own
-        scope matching), and only a fired gate consults the rule.
-        """
-        gate = self._active_gate
-        if gate is not None:
-            inner = rule
-            def rule(src, dest, message, _gate=gate, _inner=inner):
-                return _gate.fires() and _inner(src, dest, message)
-        self.network.add_drop_filter(rule)
-        self._register_hook(fault, ("drop", rule))
-
-    def install_delay_adjuster(self, fault: Fault, adjuster) -> None:
-        """Install a delay adjuster on behalf of ``fault`` (removed on stop).
-
-        Under a stochastic gate, messages whose gate draw does not fire keep
-        their sampled delay untouched.
-        """
-        gate = self._active_gate
-        if gate is not None:
-            inner = adjuster
-            def adjuster(src, dest, message, delay, _gate=gate, _inner=inner):
-                if not _gate.fires():
-                    return delay
-                return _inner(src, dest, message, delay)
-        self.network.add_delay_adjuster(adjuster)
-        self._register_hook(fault, ("delay", adjuster))
-
-    def install_duplicator(self, fault: Fault, rule) -> None:
-        """Install a duplication rule on behalf of ``fault`` (removed on stop).
-
-        Under a stochastic gate, messages whose gate draw does not fire get
-        zero extra copies.
-        """
-        gate = self._active_gate
-        if gate is not None:
-            inner = rule
-            def rule(src, dest, message, _gate=gate, _inner=inner):
-                if not _gate.fires():
-                    return 0
-                return _inner(src, dest, message)
-        self.network.add_duplicator(rule)
-        self._register_hook(fault, ("dup", rule))
-
-    def install_governor_rule(self, fault: Fault, governor, rule) -> None:
-        """Install a server-admission rule on behalf of ``fault`` (removed on stop).
-
-        ``governor`` is the target server's
-        :class:`~repro.chaos.resources.ResourceGovernor`; the rule maps
-        ``(server, message)`` to a refusal reason (or ``None`` to
-        admit).  Under a stochastic gate the rule only applies to messages
-        whose gate draw fires.
-        """
-        gate = self._active_gate
-        if gate is not None:
-            inner = rule
-            def rule(server, message, _gate=gate, _inner=inner):
-                if not _gate.fires():
-                    return None
-                return _inner(server, message)
-        governor.rules.append(rule)
-        self._register_hook(fault, ("governor", (governor, rule)))
 
     def remove_hooks(self, fault: Fault) -> None:
         """Remove the hooks of ``fault``'s most recent activation."""
         groups = self._hooks.get(id(fault))
         if not groups:
             return
-        for kind, hook in groups.pop():
-            if kind == "drop":
-                self.network.remove_drop_filter(hook)
-            elif kind == "delay":
-                self.network.remove_delay_adjuster(hook)
-            elif kind == "governor":
-                governor, rule = hook
-                if rule in governor.rules:
-                    governor.rules.remove(rule)
+        for kind, hook, governor in groups.pop():
+            if governor is not None:
+                if hook in governor.rules:
+                    governor.rules.remove(hook)
             else:
-                self.network.remove_duplicator(hook)
+                getattr(self.network, _NETWORK_HOOKS[kind][1])(hook)
         if not groups:
             del self._hooks[id(fault)]
 

@@ -14,9 +14,10 @@ pressure" from a dead peer and retry with backoff.
 The governor itself is inert scaffolding: with no rules installed (the
 default -- servers are built with ``governor = None``) the admission check
 is a single attribute test and executions are byte-identical to builds
-without this module.  Rules are installed and removed through the chaos
-engine's hook machinery (:meth:`~repro.chaos.engine.ChaosEngine.install_governor_rule`),
-so resource faults participate in ``During``/``Stochastic`` windows, heal
+without this module.  Rules are installed by the
+:class:`~repro.chaos.faults.Refuse` effect through the chaos engine's one
+hook installer (:meth:`~repro.chaos.engine.ChaosEngine.install`), so
+resource faults participate in ``During``/``Stochastic`` windows, heal
 cleanly, and respect stochastic gates like every network-level fault.
 """
 

@@ -7,17 +7,24 @@ import pytest
 from repro.chaos import (
     At,
     ChaosEngine,
+    CpuPressure,
     Crash,
+    Cut,
+    DiskFull,
     Drop,
     Duplicate,
     During,
     Heal,
     Isolate,
     LatencySpike,
+    Lossy,
+    MemoryPressure,
     Partition,
+    Refuse,
     Reorder,
     Restart,
     Schedule,
+    Slow,
     SlowServer,
 )
 from repro.common.errors import SimulationError
@@ -225,6 +232,53 @@ class TestFaultMechanics:
         times = [t for t, _ in engine.log]
         assert times == sorted(times) == [3, 7, 9]
         assert "crash(s4)" in engine.describe_log()
+
+
+#: Every vocabulary constructor (and ``Duplicate``): the effect it builds,
+#: its ``describe()`` text -- recorded in the chaos log, hence in every
+#: golden signature -- and what one ABD write under it shows: whether any
+#: message was dropped, and whether the engine RNG advanced.
+VOCABULARY = [
+    (Partition({"s0"}, {"s1"}), Cut, "partition({s0} | {s1})", True, False),
+    (Isolate("s3", "s4"), Cut, "isolate(s3, s4)", True, False),
+    (Drop(1.0, src="s4"), Lossy, "drop(p=1.0 from s4)", True, True),
+    (Drop(1.0, src=["s1"], dst=["s2", "s3"]), Lossy,
+     "drop(p=1.0 from s1 to s2, s3)", False, False),
+    # An explicitly empty list matches no link: nothing drops, no coin.
+    (Drop(1.0, dst=[]), Lossy, "drop(p=1.0 to )", False, False),
+    (Duplicate(0.25), Duplicate, "duplicate(p=0.25, copies=1)", False, True),
+    # Zero jitter still draws its uniform, one per message.
+    (Reorder(0.0), Slow, "reorder(jitter=0.0)", False, True),
+    (LatencySpike(1.5), Slow, "latency_spike(factor=1.5, extra=0.0)", False, False),
+    (SlowServer("s0", factor=4.0), Slow, "slow_server(s0, factor=4.0, extra=0.0)",
+     False, False),
+    (CpuPressure(), Slow, "cpu_pressure(all servers, factor=3.0, extra=0.0)",
+     False, False),
+    (CpuPressure("s3", extra=0.5), Slow, "cpu_pressure(s3, factor=3.0, extra=0.5)",
+     False, False),
+    (MemoryPressure(4096), Refuse, "memory_pressure(all servers, budget=4096B)",
+     False, False),
+    (MemoryPressure(0, "s4"), Refuse, "memory_pressure(s4, budget=0B)", False, False),
+    (DiskFull("s4"), Refuse, "disk_full(s4)", False, False),
+]
+
+
+class TestVocabulary:
+    @pytest.mark.parametrize("fault, effect, text, drops, draws", VOCABULARY,
+                             ids=[row[2] for row in VOCABULARY])
+    def test_each_name_is_one_effect_with_its_own_text(self, fault, effect, text,
+                                                       drops, draws):
+        assert isinstance(fault, effect)
+        assert fault.describe() == text
+        deployment = abd_deployment()
+        engine = ChaosEngine(deployment.network, seed=3)
+        engine.inject(Schedule([During(0.5, 1000, fault)]))
+        deployment.sim.run_until(1.0)
+        state = engine.rng.getstate()
+        deployment.write(Value.from_text("probe", label="v1"))
+        assert engine.log[0] == (0.5, f"start {text}")
+        assert (deployment.network.messages_dropped > 0) == drops
+        assert (engine.rng.getstate() != state) == draws
 
 
 class TestSubstrateHooks:

@@ -28,8 +28,9 @@ ALL_SCENARIOS = scenario_names()
 #: tier-1 passes.  Every scenario x seed in 0..999 verifies.  145, 146 and
 #: 245 are ``store_migration_gc`` seeds whose timing has parked a reader
 #: (145, 146) or a writer (245) on a round of two replies, two
-#: retired-configuration refusals and one crashed server (ROADMAP item 1).
-#: The round now ends at the first retirement refusal.
+#: retired-configuration refusals and one crashed server.  The round now
+#: ends at the first retirement refusal (CHANGES.md, PR 28: one
+#: retired-configuration NACK ends a round).
 SEEDS = (0, 41, 97, 145, 146, 150, 200, 245)
 
 

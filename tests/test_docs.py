@@ -7,7 +7,8 @@ the code (regenerate with ``python -m repro.workloads --list-scenarios
 checker from ``tools/check_links.py`` also runs here so broken
 cross-references fail the tier-1 matrix, not just the CI docs job.  The
 paper-claims table of ``docs/PERFORMANCE.md`` must list exactly the
-``benchmarks/bench_*.py`` scripts on disk.
+``benchmarks/bench_*.py`` scripts on disk, and the fault tables of
+``docs/CHAOS.md`` exactly the faults ``repro.chaos`` exports.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.workloads.scenarios import SCENARIOS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS_MD = REPO_ROOT / "docs" / "SCENARIOS.md"
+CHAOS_MD = REPO_ROOT / "docs" / "CHAOS.md"
 
 
 def _load_check_links():
@@ -106,6 +108,48 @@ class TestBenchmarkScripts:
             stale.extend((str(path.relative_to(REPO_ROOT)), name)
                          for name in set(re.findall(r"\bBENCH_\w+\.json\b", text)))
         assert stale == []
+
+
+class TestChaosDoc:
+    """``docs/CHAOS.md`` describes the chaos package as it is."""
+
+    def test_fault_tables_name_exactly_the_exported_faults(self):
+        """Every fault class and constructor ``repro.chaos`` exports has a row."""
+        import inspect
+        import re
+
+        import repro.chaos as chaos
+        from repro.chaos.faults import Fault
+
+        exported = set()
+        for name in chaos.__all__:
+            obj = getattr(chaos, name)
+            if inspect.isclass(obj) and issubclass(obj, Fault) and obj is not Fault:
+                exported.add(name)
+            elif inspect.isfunction(obj) and obj.__module__ == "repro.chaos.faults":
+                exported.add(name)
+        text = CHAOS_MD.read_text(encoding="utf-8")
+        section = text.split("\n## The fault vocabulary")[1].split("\n## ")[0]
+        named = set(re.findall(r"^\| `(\w+)\(", section, re.M))
+        assert named == exported
+
+    def test_schedule_snippet_executes_and_prints_its_log(self, capsys):
+        """The schedule-DSL snippet is real code: run it verbatim.
+
+        Extracts the fenced Python block under "The schedule DSL" and
+        executes it; the snippet's own asserts check every read and the
+        history's linearizability, and the chaos log it prints must be the
+        one the document shows below it.
+        """
+        import re
+
+        text = CHAOS_MD.read_text(encoding="utf-8")
+        section = text.split("\n## The schedule DSL")[1].split("\n## ")[0]
+        code = re.search(r"```python\n(.*?)```", section, re.S)
+        shown = re.search(r"```text\n(.*?)```", section, re.S)
+        assert code and shown, "schedule section needs a python and a text block"
+        exec(compile(code.group(1), "CHAOS:schedule-dsl", "exec"), {})
+        assert capsys.readouterr().out == shown.group(1)
 
 
 class TestMarkdownLinks:

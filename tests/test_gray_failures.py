@@ -459,7 +459,8 @@ class TestRetryBackoff:
 
     @pytest.mark.parametrize("policy", [None, NO_JITTER], ids=["plain", "retry"])
     def test_one_retired_refusal_ends_a_round_a_crash_left_short(self, policy):
-        # ROADMAP item 1's round: threshold 3 of 5, two replies, two
+        # The round of CHANGES.md, PR 28 (one retired-configuration NACK
+        # ends a round): threshold 3 of 5, two replies, two
         # retired-config refusals, and the fifth server crashed with the
         # request in flight.  Counted as refusals, 5 - 2 = 3 acceptances
         # stayed possible, so the round hung (plain) or burnt its retries on

@@ -1,20 +1,19 @@
-"""Configurations, quorum systems and configuration sequences.
+"""Configurations and configuration sequences.
 
 A *configuration* (Section 2) identifies a set of servers, a quorum system
 over them, the atomic-memory algorithm (DAP implementation) and erasure code
 used within them, and names the consensus instance used to agree on its
-successor.  ARES maintains a *configuration sequence*: an array of
+successor.  A quorum system only ever decides how many replies a round
+awaits, so a configuration keeps it as numbers: ``quorum_size`` for its DAP
+rounds, and a majority of ``consensus_servers`` for consensus and
+``put-config``.  ARES maintains a *configuration sequence*: an array of
 ``<cfg, status>`` pairs where ``status ∈ {P, F}``.
 """
 
-from repro.config.quorums import QuorumSystem, MajorityQuorums, ThresholdQuorums
 from repro.config.configuration import Configuration, DapKind
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status
 
 __all__ = [
-    "QuorumSystem",
-    "MajorityQuorums",
-    "ThresholdQuorums",
     "Configuration",
     "DapKind",
     "ConfigRecord",

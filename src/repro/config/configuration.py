@@ -3,7 +3,8 @@
 A configuration ``c`` (Section 2) describes:
 
 (i)   the servers ``c.Servers`` that host the object in this epoch;
-(ii)  the quorum system defined on ``c.Servers``;
+(ii)  the quorum system defined on ``c.Servers``, kept as the one number
+      it decides: how many replies a DAP round awaits;
 (iii) the atomic-memory algorithm used inside the configuration (which DAP
       implementation, with which erasure-code parameters and garbage
       collection bound δ); and
@@ -17,12 +18,11 @@ objects rather than mutating existing ones.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import ConfigId, ProcessId
-from repro.config.quorums import MajorityQuorums, QuorumSystem, ThresholdQuorums
 from repro.erasure.interface import ErasureCode
 from repro.erasure.replication import ReplicationCode
 from repro.erasure.rs import ReedSolomonCode
@@ -41,7 +41,7 @@ class Configuration:
     """An immutable configuration.
 
     Use the :meth:`abd`, :meth:`treas` or :meth:`ldr` factories rather than
-    the constructor; they pick the matching quorum system and erasure code
+    the constructor; they pick the matching quorum size and erasure code
     and validate the parameter constraints the paper imposes.
 
     Attributes
@@ -56,18 +56,20 @@ class Configuration:
         inside this configuration.
     code:
         The erasure code; ``code.n == len(servers)``.
-    quorums:
-        The quorum system used by the DAP.
+    quorum_size:
+        The number of replies a DAP round awaits: a majority of ``servers``
+        (ABD), ``⌈(n+k)/2⌉`` (TREAS), a majority of the directories (LDR).
     delta:
         TREAS garbage-collection parameter δ: the maximum number of writes
         concurrent with a read for which liveness is guaranteed; servers keep
         coded elements for the δ+1 highest tags.
-    consensus_quorums:
-        Quorum system used by the configuration's consensus instance and by
-        the configuration-sequence service: majorities over ``servers``,
-        over the directories for LDR.  Every DAP's first round and
-        ``put-data`` round reach one, which is how readers and writers
-        discover the sequence (docs/ARCHITECTURE.md, "Fused discovery").
+    consensus_servers:
+        The servers of the configuration's consensus instance and of the
+        configuration-sequence service, whose rounds await a majority of
+        them (:attr:`consensus_quorum_size`): all of ``servers``, the
+        directories for LDR.  Every DAP's first round and ``put-data`` round
+        reach such a majority, which is how readers and writers discover
+        the sequence (docs/ARCHITECTURE.md, "Fused discovery").
     ldr_directories / ldr_replicas:
         For LDR configurations only: the split of ``servers`` into directory
         servers and replica servers.
@@ -77,9 +79,9 @@ class Configuration:
     servers: Tuple[ProcessId, ...]
     dap: DapKind
     code: ErasureCode
-    quorums: QuorumSystem
+    quorum_size: int
     delta: int = 2
-    consensus_quorums: QuorumSystem = field(default=None)  # type: ignore[assignment]
+    consensus_servers: Tuple[ProcessId, ...] = None  # type: ignore[assignment]
     ldr_directories: Tuple[ProcessId, ...] = ()
     ldr_replicas: Tuple[ProcessId, ...] = ()
 
@@ -95,8 +97,13 @@ class Configuration:
             )
         if self.delta < 0:
             raise ConfigurationError("delta must be non-negative")
-        if self.consensus_quorums is None:
-            object.__setattr__(self, "consensus_quorums", MajorityQuorums(list(self.servers)))
+        if self.consensus_servers is None:
+            object.__setattr__(self, "consensus_servers", self.servers)
+        if not 0 < self.quorum_size <= len(self.consensus_servers):
+            raise ConfigurationError(
+                f"configuration {self.cfg_id}: quorum size {self.quorum_size} invalid "
+                f"for {len(self.consensus_servers)} servers"
+            )
 
     # -------------------------------------------------------------- factories
     @classmethod
@@ -114,7 +121,7 @@ class Configuration:
             servers=servers,
             dap=DapKind.ABD,
             code=ReplicationCode(len(servers)),
-            quorums=MajorityQuorums(list(servers)),
+            quorum_size=len(servers) // 2 + 1,
         )
 
     @classmethod
@@ -150,7 +157,7 @@ class Configuration:
             servers=servers,
             dap=DapKind.TREAS,
             code=ReedSolomonCode(n, k),
-            quorums=ThresholdQuorums.for_treas(servers, k),
+            quorum_size=-(-(n + k) // 2),  # ceil((n + k) / 2)
             delta=delta,
         )
 
@@ -185,8 +192,8 @@ class Configuration:
             servers=servers,
             dap=DapKind.LDR,
             code=ReplicationCode(len(servers)),
-            quorums=MajorityQuorums(list(directories)),
-            consensus_quorums=MajorityQuorums(list(directories)),
+            quorum_size=len(directories) // 2 + 1,
+            consensus_servers=directories,
             ldr_directories=directories,
             ldr_replicas=replicas,
             delta=f,
@@ -228,9 +235,9 @@ class Configuration:
         return self.code.k
 
     @property
-    def quorum_size(self) -> int:
-        """The DAP's reply threshold for this configuration."""
-        return self.quorums.quorum_size
+    def consensus_quorum_size(self) -> int:
+        """A majority of :attr:`consensus_servers`: what Paxos and ``put-config`` await."""
+        return len(self.consensus_servers) // 2 + 1
 
     @property
     def ldr_f(self) -> int:
@@ -245,10 +252,9 @@ class Configuration:
             raise ConfigurationError(f"{pid} is not a member of {self.cfg_id}") from None
 
     def max_crash_failures(self) -> int:
-        """Crash tolerance: ``⌊(n-k)/2⌋`` for TREAS, minority for ABD/LDR."""
-        if self.dap is DapKind.TREAS:
-            return (self.n - self.k) // 2
-        return self.quorums.max_crash_failures()
+        """Crash tolerance, the servers beyond one quorum: ``⌊(n-k)/2⌋`` for
+        TREAS, a minority for ABD, a minority of the directories for LDR."""
+        return len(self.consensus_servers) - self.quorum_size
 
     def describe(self) -> str:
         """One-line description used in reports and examples."""

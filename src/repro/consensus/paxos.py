@@ -1,10 +1,10 @@
 """Single-decree Paxos.
 
 One Paxos *instance* decides the successor of one configuration.  The
-reconfiguration client is the proposer; the servers of the configuration's
-``consensus_quorums`` (all of ``c.Servers``, or an LDR configuration's
-directories) are the acceptors; majorities of those servers form the Paxos
-quorums.
+reconfiguration client is the proposer; the configuration's
+``consensus_servers`` (all of ``c.Servers``, or an LDR configuration's
+directories) are the acceptors; a round awaits a majority of them
+(``consensus_quorum_size``).
 
 The implementation is classic Synod Paxos:
 
@@ -120,8 +120,8 @@ class PaxosProposer:
     process:
         The client process driving the proposal (a reconfiguration client).
     configuration:
-        The configuration whose ``consensus_quorums`` servers act as
-        acceptors; its majorities are the Paxos quorums.
+        The configuration whose ``consensus_servers`` act as acceptors; its
+        ``consensus_quorum_size`` is the Paxos quorum size.
     instance:
         Identifier of the instance, conventionally the configuration id whose
         successor is being decided.
@@ -161,8 +161,8 @@ class PaxosProposer:
         """
         if value is None:
             raise ConsensusError("cannot propose None")
-        servers = list(self.configuration.consensus_quorums.servers)
-        majority = self.configuration.consensus_quorums.quorum_size
+        servers = self.configuration.consensus_servers
+        majority = self.configuration.consensus_quorum_size
         round_number = 1
 
         while round_number <= self.max_rounds:

@@ -13,8 +13,9 @@ This package contains the paper's main contribution:
   whose add-config walks on Paxos phase 1 and whose fenced transfer query
   carries the decision to the previous configuration.
 * :mod:`repro.core.client`    -- ARES readers and writers (Algorithm 7).
-* :mod:`repro.core.ares_treas` -- the optimised direct server-to-server state
-  transfer of Section 5 (Algorithms 8 and 9).
+* :mod:`repro.core.ares_treas` -- the reconfigurer of Section 5's direct
+  server-to-server state transfer (Algorithm 8; the servers' Algorithm 9 is
+  part of :class:`~repro.dap.treas.TreasServerState`).
 * :mod:`repro.core.deployment` -- builds complete ARES systems for tests,
   examples and benchmarks.
 """
@@ -23,7 +24,7 @@ from repro.core.directory import ConfigurationDirectory
 from repro.core.server import AresServer
 from repro.core.client import AresClient
 from repro.core.reconfig import AresReconfigurer
-from repro.core.ares_treas import TreasTransferServerState, DirectTransferReconfigurer
+from repro.core.ares_treas import DirectTransferReconfigurer
 from repro.core.deployment import AresDeployment, DeploymentSpec
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "AresServer",
     "AresClient",
     "AresReconfigurer",
-    "TreasTransferServerState",
     "DirectTransferReconfigurer",
     "AresDeployment",
     "DeploymentSpec",

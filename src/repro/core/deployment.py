@@ -34,7 +34,7 @@ from repro.common.ids import (
 )
 from repro.common.values import Value
 from repro.config.configuration import Configuration
-from repro.core.ares_treas import DirectTransferReconfigurer, transfer_dap_state_factory
+from repro.core.ares_treas import DirectTransferReconfigurer
 from repro.core.client import AresClient
 from repro.core.directory import ConfigurationDirectory
 from repro.core.reconfig import AresReconfigurer
@@ -204,7 +204,9 @@ class DeploymentSpec(CommonSpec):
     consensus_delay:
         Extra latency per consensus decision (the ``T(CN)`` knob).
     direct_state_transfer:
-        Enable the Section 5 ARES-TREAS transfer path.
+        Reconfigure with Section 5's ARES-TREAS transfer
+        (:class:`~repro.core.ares_treas.DirectTransferReconfigurer`); every
+        TREAS server state serves it.
     """
 
     num_servers: int = 5
@@ -232,8 +234,7 @@ class AresDeployment(Deployment):
         self._build_clients()
 
     def _make_server(self, pid: ProcessId) -> AresServer:
-        factory = transfer_dap_state_factory if self.spec.direct_state_transfer else None
-        return AresServer(pid, self.network, self.directory, dap_state_factory=factory)
+        return AresServer(pid, self.network, self.directory)
 
     def _make_client(self, pid: ProcessId) -> AresClient:
         return AresClient(pid, self.network, self.directory, self.initial_configuration,

@@ -320,7 +320,7 @@ class ReconfigOpsMixin(SequenceTraversalMixin):
                     lambda rid, old=old: request(
                         RETIRE_CONFIG, rid, config_id=old.cfg_id,
                         metadata_fields=3, record=final_record, index=mu),
-                    threshold=old.consensus_quorums.quorum_size,
+                    threshold=old.consensus_quorum_size,
                     label="retire-config",
                 )
             except (QuorumRefusedError, QuorumUnavailableError):

@@ -39,11 +39,10 @@ chain.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import RETIRED_CONFIG_REASON
 from repro.common.ids import ConfigId, ProcessId
-from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, Status
 from repro.consensus.paxos import ACCEPT, PREPARE, PaxosAcceptorState
 from repro.core.directory import ConfigurationDirectory
@@ -75,9 +74,6 @@ _DISCOVERY_KINDS = frozenset({abd.QUERY_TAG, abd.QUERY_DATA, abd.WRITE,
                               ldr.QUERY_TAG_LOCATION, ldr.PUT_METADATA})
 _NEXT_BYTES = 2 * METADATA_FIELD_BYTES
 
-#: Factory signature for per-configuration DAP server state.
-DapStateFactory = Callable[[Configuration, ProcessId], DapServerState]
-
 
 class AresServer(Process):
     """A server participating in the ARES service.
@@ -89,10 +85,6 @@ class AresServer(Process):
     directory:
         The configuration directory used to resolve configuration ids that
         arrive in messages.
-    dap_state_factory:
-        Factory building the per-configuration DAP state; the deployment
-        passes :class:`~repro.core.ares_treas.TreasTransferServerState`'s
-        factory when direct state transfer (Section 5) is enabled.
     """
 
     def __init__(
@@ -100,11 +92,9 @@ class AresServer(Process):
         pid: ProcessId,
         network: Network,
         directory: ConfigurationDirectory,
-        dap_state_factory: Optional[DapStateFactory] = None,
     ) -> None:
         super().__init__(pid, network)
         self.directory = directory
-        self.dap_state_factory = dap_state_factory or make_dap_server_state
         #: nextC per configuration this server belongs to (⊥ encoded as None).
         self.next_config: Dict[ConfigId, Optional[ConfigRecord]] = {}
         #: DAP server state per configuration.
@@ -267,7 +257,7 @@ class AresServer(Process):
         configuration = self.directory.maybe_get(cfg_id)
         if configuration is None or self.pid not in configuration.servers:
             return None
-        state = self.dap_state_factory(configuration, self.pid)
+        state = make_dap_server_state(configuration, self.pid)
         state.bind(self)
         self.dap_states[cfg_id] = state
         return state

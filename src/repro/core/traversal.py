@@ -97,10 +97,10 @@ class SequenceTraversalMixin:
     def put_config(self, configuration: Configuration, record: ConfigRecord):
         """Coroutine: write ``record`` to ``nextC`` at a consensus quorum of ``configuration``."""
         yield self.broadcast_and_gather(
-            configuration.consensus_quorums.servers,
+            configuration.consensus_servers,
             lambda rid: request(WRITE_CONFIG, rid, config_id=configuration.cfg_id,
                                 metadata_fields=2, record=record),
-            threshold=configuration.consensus_quorums.quorum_size,
+            threshold=configuration.consensus_quorum_size,
             label="put-config",
         )
         return None

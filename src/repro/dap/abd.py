@@ -48,7 +48,7 @@ class AbdDapClient(DapClient):
         cfg = self.configuration
         replies = yield self.process.broadcast_and_gather(
             cfg.servers, self._query(QUERY_TAG, fence),
-            threshold=cfg.quorums.quorum_size,
+            threshold=cfg.quorum_size,
             label="abd-get-tag",
         )
         tag = max_tag([msg["tag"] for _, msg in replies])
@@ -65,7 +65,7 @@ class AbdDapClient(DapClient):
         cfg = self.configuration
         replies = yield self.process.broadcast_and_gather(
             cfg.servers, self._query(QUERY_DATA, fence),
-            threshold=cfg.quorums.quorum_size,
+            threshold=cfg.quorum_size,
             label="abd-get-data",
         )
         best = None
@@ -95,7 +95,7 @@ class AbdDapClient(DapClient):
                 WRITE, rid, config_id=cfg.cfg_id, data_bytes=value.size,
                 metadata_fields=2, tag=tag_value.tag, value=value,
             ),
-            threshold=cfg.quorums.quorum_size,
+            threshold=cfg.quorum_size,
             label="abd-put-data",
         )
         self.next_config = next_link([msg.get("next") for _, msg in replies])

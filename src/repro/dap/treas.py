@@ -32,13 +32,16 @@ notes the returned tag as agreed
 (:attr:`~repro.dap.interface.DapClient.agreed_tag`) when every list of its
 quorum holds that tag with its coded element, which lets a read skip its
 write-back (``docs/ARCHITECTURE.md``, "One-round reads").
+
+The server state also plays the servers' part of Section 5's direct state
+transfer (Algorithm 9); :mod:`repro.core.ares_treas` is the reconfigurer's.
 """
 
 from __future__ import annotations
 
 import weakref
 from bisect import insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import QuorumUnavailableError
 from repro.common.ids import ProcessId
@@ -53,6 +56,13 @@ from repro.net.message import Message, reply, request
 QUERY_TAG = "TREAS-QUERY-TAG"
 QUERY_LIST = "TREAS-QUERY-LIST"
 PUT_DATA = "TREAS-PUT-DATA"
+#: Section 5's direct transfer: the md-broadcast forward request (to the
+#: servers of the old configuration ``C``), a coded element forwarded from a
+#: server of ``C`` to one of the new configuration ``C'``, and the
+#: acknowledgement from a server of ``C'`` to the reconfigurer.
+MD_BCAST_REQ_FW = "ARES-MD-REQ-FW-CODE-ELEM"
+FWD_CODE_ELEM = "ARES-FWD-CODE-ELEM"
+TRANSFER_ACK = "ARES-TRANSFER-ACK"
 
 
 class TreasDapClient(DapClient):
@@ -197,7 +207,25 @@ class TreasDapClient(DapClient):
 
 
 class TreasServerState(DapServerState):
-    """Per-configuration server state: the bounded ``List`` variable."""
+    """Per-configuration server state: the bounded ``List`` variable.
+
+    It also plays both server roles of Section 5's direct transfer
+    (Algorithm 9): at a server of the *old* configuration it echoes a
+    forward request and forwards its coded element for the requested tag;
+    at a server of the *new* one it collects forwarded elements, decodes,
+    re-encodes and acknowledges.  Each role's state is created by its first
+    transfer message, so a state that never transfers holds none of it.
+    """
+
+    #: Old-configuration role: ``(reconfigurer, broadcast id)`` pairs already
+    #: relayed (the md-primitive's echo; ids are per reconfigurer), and the
+    #: forward requests for tags whose element has not arrived yet, by tag.
+    seen_broadcasts: Optional[Set[Tuple[ProcessId, int]]] = None
+    pending_forwards: Optional[Dict[Tag, List[Message]]] = None
+    #: New-configuration role: ``D``, the forwarded elements per
+    #: ``(reconfigurer, tag)``, and ``Recons``, the reconfigurers acknowledged.
+    transfer_buffer: Optional[Dict[Tuple[ProcessId, Tag], Dict[int, CodedElement]]] = None
+    recons: Optional[Set[ProcessId]] = None
 
     def __init__(self, configuration: Configuration, server_pid: ProcessId) -> None:
         super().__init__(configuration, server_pid)
@@ -225,7 +253,106 @@ class TreasServerState(DapServerState):
         if kind == PUT_DATA:
             self.insert(message["tag"], message["element"])
             return reply(message, kind="TREAS-ACK")
+        if kind == MD_BCAST_REQ_FW:
+            self._on_forward_request(message)
+        elif kind == FWD_CODE_ELEM:
+            self._on_forwarded_element(message)
         return None
+
+    # ------------------------------ direct transfer, old configuration (C)
+    def _on_forward_request(self, message: Message) -> None:
+        """Algorithm 9, REQ-FW-CODE-ELEM handler at a server of ``C``.
+
+        The message arrives through the md-primitive: on first delivery the
+        server echoes it to every other server of ``C`` so that the request
+        reaches all non-faulty members even if the reconfigurer crashed
+        mid-broadcast (all-or-none delivery).  A server that lacks the
+        element of a tag still inside its δ+1 window keeps the request until
+        a ``put-data`` brings the element (docs/ARCHITECTURE.md, "Why a
+        forward request waits for its element").
+        """
+        if self.seen_broadcasts is None:
+            self.seen_broadcasts, self.pending_forwards = set(), {}
+        broadcast = (message["reconfigurer"], message["broadcast_id"])
+        if broadcast in self.seen_broadcasts:
+            return
+        self.seen_broadcasts.add(broadcast)
+        for peer in self.configuration.servers:
+            if peer != self.server_pid:
+                self.server.send(peer, Message(
+                    kind=MD_BCAST_REQ_FW, body=dict(message.body),
+                    metadata_bytes=message.metadata_bytes,
+                    config_id=message.config_id,
+                ))
+        tag: Tag = message["tag"]
+        element = self.coded_element_for(tag)
+        if element is not None:
+            self._forward(message, element)
+        elif not self._below_window(tag):
+            self.pending_forwards.setdefault(tag, []).append(message)
+
+    def _forward(self, request: Message, element: CodedElement) -> None:
+        """Send ``element`` of the requested tag to every server of the target."""
+        target: Configuration = request["target_config"]
+        for destination in target.servers:
+            self.server.send(destination, Message(
+                kind=FWD_CODE_ELEM,
+                body={
+                    "tag": request["tag"],
+                    "element": element,
+                    "source_config": self.configuration,
+                    "target_config": target,
+                    "reconfigurer": request["reconfigurer"],
+                    "transfer_rid": request["transfer_rid"],
+                },
+                data_bytes=element.size,
+                metadata_bytes=4 * 16,
+                config_id=target.cfg_id,
+            ))
+
+    def _serve_pending(self, tag: Tag) -> None:
+        """Forward the element ``insert`` just stored for ``tag`` to whoever
+        asked for it, and drop the requests whose tag fell below the window."""
+        element = self.list[tag]
+        if element is not None:
+            for request in self.pending_forwards.pop(tag, ()):
+                self._forward(request, element)
+        for stale in [t for t in self.pending_forwards if self._below_window(t)]:
+            del self.pending_forwards[stale]
+
+    def _below_window(self, tag: Tag) -> bool:
+        """Whether an element for ``tag`` would be trimmed on arrival (every
+        trimmed tag is)."""
+        held = self._element_tags
+        return len(held) > self.configuration.delta and tag < held[0]
+
+    # ------------------------------ direct transfer, new configuration (C')
+    def _on_forwarded_element(self, message: Message) -> None:
+        """Algorithm 9, FWD-CODE-ELEM handler at a server of ``C'``."""
+        if self.recons is None:
+            self.transfer_buffer, self.recons = {}, set()
+        tag: Tag = message["tag"]
+        element: CodedElement = message["element"]
+        source: Configuration = message["source_config"]
+        reconfigurer: ProcessId = message["reconfigurer"]
+        if reconfigurer in self.recons:
+            return
+        if tag not in self.list:
+            buffer = self.transfer_buffer.setdefault((reconfigurer, tag), {})
+            buffer[element.index] = element
+            if len(buffer) >= source.code.k:
+                value = source.code.decode(buffer.values())
+                del self.transfer_buffer[(reconfigurer, tag)]
+                self.insert(tag, self.configuration.code.encode_one(value, self.my_index))
+        if tag in self.list:
+            self.recons.add(reconfigurer)
+            self.server.send(reconfigurer, Message(
+                kind=TRANSFER_ACK,
+                body={"tag": tag},
+                metadata_bytes=2 * 16,
+                in_reply_to=message["transfer_rid"],
+                config_id=self.configuration.cfg_id,
+            ))
 
     # --------------------------------------------------------------- storage
     def insert(self, tag: Tag, element: Optional[CodedElement]) -> None:
@@ -236,7 +363,8 @@ class TreasServerState(DapServerState):
         (Algorithm 3, lines 12-15).  A tag that already holds an element
         keeps it.  This is the only writer of ``List``: it also keeps the
         maximum tag, the element-bearing tags and the stored-bytes total
-        current, so each insert costs O(δ) however many placeholders there are.
+        current, so each insert costs O(δ) however many placeholders there are,
+        and serves the forward requests kept for the tags it stores.
         """
         if self.list.get(tag) is not None:
             return
@@ -251,6 +379,8 @@ class TreasServerState(DapServerState):
             trimmed = self._element_tags.pop(0)
             self._data_bytes -= self.list[trimmed].size
             self.list[trimmed] = None
+        if self.pending_forwards:
+            self._serve_pending(tag)
 
     def storage_data_bytes(self) -> int:
         return self._data_bytes

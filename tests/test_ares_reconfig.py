@@ -83,7 +83,7 @@ class TestSequenceTraversal:
             1 for server in dep.servers.values()
             if server.next_config.get(dep.initial_configuration.cfg_id) is not None
         )
-        assert holders >= dep.initial_configuration.consensus_quorums.quorum_size
+        assert holders >= dep.initial_configuration.consensus_quorum_size
 
 
 class TestReconfigOperation:
@@ -184,7 +184,7 @@ class TestTransferFence:
         for configuration, record in ((c0, records[0]), (c1, records[1])):
             holders = [pid for pid in configuration.servers
                        if dep.servers[pid].next_config.get(configuration.cfg_id) is record]
-            assert len(holders) >= configuration.quorums.quorum_size
+            assert len(holders) >= configuration.quorum_size
 
 
     def test_an_ldr_transfer_fences_its_directory_query(self):
@@ -211,7 +211,7 @@ class TestTransferFence:
         assert fences == [(pid, record) for pid in c0.ldr_directories]
         holders = [pid for pid in c0.ldr_directories
                    if dep.servers[pid].next_config.get(c0.cfg_id) is record]
-        assert len(holders) >= c0.consensus_quorums.quorum_size
+        assert len(holders) >= c0.consensus_quorum_size
 
 
 class TestConsensusQuorums:

@@ -2,23 +2,22 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.common.ids import server_id
+from repro.common.ids import config_id, reconfigurer_id, server_id, writer_id
+from repro.common.tags import Tag
 from repro.common.values import Value
-from repro.config.configuration import DapKind
+from repro.config.configuration import Configuration, DapKind
 from repro.config.sequence import Status
-from repro.core.ares_treas import (
-    FWD_CODE_ELEM,
-    MD_BCAST_REQ_FW,
-    TRANSFER_ACK,
-    TreasTransferServerState,
-    transfer_dap_state_factory,
-)
 from repro.core.deployment import AresDeployment, DeploymentSpec
-from repro.dap.treas import QUERY_TAG
-from repro.net.latency import UniformLatency
+from repro.dap.treas import (FWD_CODE_ELEM, MD_BCAST_REQ_FW, PUT_DATA, QUERY_TAG,
+                             TRANSFER_ACK, TreasServerState)
+from repro.net.latency import FixedLatency, UniformLatency
+from repro.net.message import Message
 from repro.spec.linearizability import check_linearizability
+from test_mutants import _slowed, dropped_forward_requests
 
 
 def make_deployment(direct=True, **overrides):
@@ -28,20 +27,6 @@ def make_deployment(direct=True, **overrides):
                     direct_state_transfer=direct)
     defaults.update(overrides)
     return AresDeployment(DeploymentSpec(**defaults))
-
-
-class TestFactory:
-    def test_treas_configurations_get_transfer_state(self):
-        dep = make_deployment()
-        cfg = dep.initial_configuration
-        state = transfer_dap_state_factory(cfg, cfg.servers[0])
-        assert isinstance(state, TreasTransferServerState)
-
-    def test_abd_configurations_fall_back_to_plain_state(self):
-        dep = make_deployment()
-        abd_cfg = dep.make_configuration(dap="abd", fresh_servers=3)
-        state = transfer_dap_state_factory(abd_cfg, abd_cfg.servers[0])
-        assert not isinstance(state, TreasTransferServerState)
 
 
 class TestDirectTransfer:
@@ -158,7 +143,7 @@ class TestDirectTransfer:
         states = [state for server in dep.servers.values()
                   for state in server.dap_states.values()]
         assert sum(r.direct_transfers for r in dep.reconfigurers) == 3
-        assert all(isinstance(state, TreasTransferServerState) for state in states)
+        assert all(isinstance(state, TreasServerState) for state in states)
         for state in states:
             held = [e for e in state.list.values() if e is not None]
             assert len(held) <= 2
@@ -188,6 +173,89 @@ class TestDirectTransfer:
         assert all(op.exception() is None for op in ops)
         result = check_linearizability(dep.history)
         assert result.ok, result.reason
+
+
+class TestForwardOfAnInFlightWrite:
+    @pytest.mark.parametrize("mutated", [False, True], ids=["protocol", "mutant"])
+    def test_transfer_of_an_in_flight_write_completes(self, mutated, monkeypatch):
+        """A source keeps a forward request until the element arrives.
+
+        TREAS ``[6, 4]`` on ``s0``..``s5``; every message takes 1 unless
+        slowed below.  The writer's put-data of ``tau`` reaches ``s0``..``s2``
+        at 3 and ``s3``..``s5`` (``n - k + 1`` servers) only at 103.  The
+        reconfiguration onto six fresh servers starts at 3.5; its get-tag
+        quorum reports ``tau`` and its forward request reaches ``c0`` at
+        10.5, when only three sources (``< k``) hold ``tau``'s element.  Under
+        the protocol ``s3``..``s5`` keep the request and forward the element
+        when the put-data brings it, so ``c1`` decodes and its acks reach the
+        reconfigurer at 105.  Under the mutant they drop it, and the queue
+        drains at 108 with the reconfiguration open.
+        """
+        if mutated:
+            dropped_forward_requests(monkeypatch)
+        dep = AresDeployment(num_servers=6, initial_dap="treas", k=4, num_writers=1,
+                             num_readers=1, latency=FixedLatency(1.0),
+                             direct_state_transfer=True)
+        old = dep.initial_configuration
+        _slowed(dep, {(dep.writers[0].pid, server, PUT_DATA): 100
+                      for server in old.servers[3:]})
+        new_cfg = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
+        write = dep.spawn_write(Value.of_size(8, label="tau"))
+        reconfigs = []
+        dep.sim.schedule(3.5, lambda: reconfigs.append(dep.spawn_reconfig(new_cfg)))
+        dep.run()
+        assert write.done() and write.exception() is None
+        assert (reconfigs[0].done(), dep.reconfigurers[0].direct_transfers) == \
+            ((False, 0) if mutated else (True, 1))
+        if not mutated:
+            assert dep.read().label == "tau"
+            assert check_linearizability(dep.history).ok
+            for pid in old.servers:
+                assert dep.servers[pid].dap_states[old.cfg_id].pending_forwards == {}
+
+    def test_a_kept_request_is_served_by_its_element_or_dropped_below_the_window(self):
+        cfg = Configuration.treas(config_id(0), [server_id(i) for i in range(6)], k=4, delta=1)
+        target = Configuration.treas(config_id(1), [server_id(i) for i in range(6, 12)], k=4)
+        state = TreasServerState(cfg, server_id(0))
+        sent = []
+        state.bind(SimpleNamespace(send=lambda dest, message: sent.append(message.kind)))
+        element = cfg.code.encode(Value.of_size(40, label="x"))[0]
+        t1, t2, t3, t4 = (Tag(z, writer_id(0)) for z in range(1, 5))
+
+        def request(tag, broadcast_id):
+            state.handle(reconfigurer_id(0), Message(
+                kind=MD_BCAST_REQ_FW, config_id=cfg.cfg_id,
+                body={"tag": tag, "target_config": target, "reconfigurer": reconfigurer_id(0),
+                      "transfer_rid": broadcast_id, "broadcast_id": broadcast_id}))
+
+        request(t2, 1)
+        request(t4, 2)
+        assert list(state.pending_forwards) == [t2, t4]
+        assert FWD_CODE_ELEM not in sent
+        state.insert(t3, element)
+        assert list(state.pending_forwards) == [t2, t4]
+        # t4's element arrives: its request is served, and t2 falls below the
+        # window of delta + 1 = 2 elements (t3, t4), so its request goes.
+        state.insert(t4, element)
+        assert state.pending_forwards == {}
+        assert sent.count(FWD_CODE_ELEM) == target.n
+        request(t1, 3)
+        assert state.pending_forwards == {}
+        assert sent.count(FWD_CODE_ELEM) == target.n
+
+    def test_each_role_creates_only_its_own_transfer_state(self):
+        dep = make_deployment()
+        dep.write(Value.of_size(300, label="x"), 0)
+        dep.read(0)
+        old = dep.initial_configuration
+        states = [dep.servers[pid].dap_states[old.cfg_id] for pid in old.servers]
+        assert all(state.seen_broadcasts is state.recons is None for state in states)
+        new_cfg = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
+        dep.reconfig(new_cfg, 0)
+        assert all(state.seen_broadcasts and state.recons is None for state in states)
+        for pid in new_cfg.servers:
+            state = dep.servers[pid].dap_states[new_cfg.cfg_id]
+            assert state.seen_broadcasts is None and state.recons
 
 
 class TestWriteBackAcrossAReconfiguration:

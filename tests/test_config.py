@@ -1,4 +1,4 @@
-"""Unit tests for quorum systems, configurations and configuration sequences."""
+"""Unit tests for quorum sizes, configurations and configuration sequences."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.common.errors import ConfigurationError
 from repro.common.ids import config_id, server_id
 from repro.config.configuration import Configuration, DapKind
-from repro.config.quorums import MajorityQuorums, ThresholdQuorums
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status
 
 
@@ -16,55 +15,59 @@ def servers(count: int, start: int = 0):
     return [server_id(start + i) for i in range(count)]
 
 
-class TestMajorityQuorums:
+class TestMajorityQuorumSize:
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (9, 5)])
     def test_quorum_size(self, n, expected):
-        assert MajorityQuorums(servers(n)).quorum_size == expected
+        assert Configuration.abd(config_id(0), servers(n)).quorum_size == expected
 
     @given(st.integers(1, 30))
     def test_quorum_is_the_smallest_strict_majority(self, n):
-        size = MajorityQuorums(servers(n)).quorum_size
+        size = Configuration.abd(config_id(0), servers(n)).quorum_size
         assert 2 * size > n >= 2 * (size - 1)
 
     def test_a_quorum_outlives_max_crash_failures(self):
-        majority = MajorityQuorums(servers(5))
+        majority = Configuration.abd(config_id(0), servers(5))
         assert majority.max_crash_failures() == 2
         assert majority.n - majority.max_crash_failures() == majority.quorum_size
-        treas = ThresholdQuorums.for_treas(servers(6), 4)
+        treas = Configuration.treas(config_id(0), servers(6), k=4)
         assert treas.max_crash_failures() == 1
 
     @given(st.integers(1, 30))
     def test_any_two_majorities_intersect(self, n):
-        system = MajorityQuorums(servers(n))
-        assert 2 * system.quorum_size - system.n >= 1
+        cfg = Configuration.abd(config_id(0), servers(n))
+        assert 2 * cfg.quorum_size - cfg.n >= 1
+        assert 2 * cfg.consensus_quorum_size - len(cfg.consensus_servers) >= 1
 
     def test_duplicate_servers_rejected(self):
         with pytest.raises(ConfigurationError):
-            MajorityQuorums([server_id(0), server_id(0)])
+            Configuration.abd(config_id(0), [server_id(0), server_id(0)])
 
     def test_max_crash_failures(self):
-        assert MajorityQuorums(servers(5)).max_crash_failures() == 2
-        assert MajorityQuorums(servers(4)).max_crash_failures() == 1
+        assert Configuration.abd(config_id(0), servers(5)).max_crash_failures() == 2
+        assert Configuration.abd(config_id(0), servers(4)).max_crash_failures() == 1
 
 
-class TestThresholdQuorums:
+class TestThresholdQuorumSize:
     @pytest.mark.parametrize("n,k,expected", [(3, 2, 3), (5, 3, 4), (6, 4, 5), (9, 6, 8), (11, 7, 9)])
     def test_treas_threshold(self, n, k, expected):
-        system = ThresholdQuorums.for_treas(servers(n), k)
-        assert system.quorum_size == expected
+        assert Configuration.treas(config_id(0), servers(n), k=k).quorum_size == expected
 
     @given(st.integers(3, 30))
     def test_treas_quorums_intersect_in_k_servers(self, n):
         k = max(1, (2 * n) // 3)
-        system = ThresholdQuorums.for_treas(servers(n), k)
+        cfg = Configuration.treas(config_id(0), servers(n), k=k)
         # Two quorums of size ceil((n+k)/2) intersect in >= k servers.
-        assert 2 * system.quorum_size - system.n >= k
+        assert 2 * cfg.quorum_size - cfg.n >= k
+        assert cfg.max_crash_failures() == (n - k) // 2
 
     def test_invalid_threshold_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThresholdQuorums(servers(3), 0)
-        with pytest.raises(ConfigurationError):
-            ThresholdQuorums(servers(3), 4)
+        from repro.erasure.rs import ReedSolomonCode
+
+        for quorum_size in (0, 4):
+            with pytest.raises(ConfigurationError):
+                Configuration(cfg_id=config_id(0), servers=tuple(servers(3)),
+                              dap=DapKind.TREAS, code=ReedSolomonCode(3, 2),
+                              quorum_size=quorum_size)
 
 
 class TestConfigurationFactories:
@@ -111,14 +114,19 @@ class TestConfigurationFactories:
         # nextC, put-config and Paxos live on the directories, which every
         # LDR operation reaches anyway.
         cfg = Configuration.ldr(config_id(0), servers(3), servers(5, start=3))
-        assert cfg.consensus_quorums.servers == list(cfg.ldr_directories)
-        assert cfg.consensus_quorums.quorum_size == cfg.quorum_size == 2
+        assert cfg.consensus_servers == cfg.ldr_directories
+        assert cfg.consensus_quorum_size == cfg.quorum_size == 2
+        assert cfg.max_crash_failures() == 1
 
     @pytest.mark.parametrize("dap", ["abd", "treas"])
     def test_other_consensus_quorums_are_majorities_of_all_servers(self, dap):
         cfg = Configuration.of_kind(dap, config_id(0), servers(6))
-        assert cfg.consensus_quorums.servers == list(cfg.servers)
-        assert cfg.consensus_quorums.quorum_size == 4
+        assert cfg.consensus_servers == cfg.servers
+        assert cfg.consensus_quorum_size == 4
+
+    def test_ldr_without_directories_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Configuration.ldr(config_id(0), [], servers(3))
 
     def test_ldr_overlapping_roles_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -130,12 +138,11 @@ class TestConfigurationFactories:
 
     def test_code_server_count_must_match(self):
         from repro.erasure.rs import ReedSolomonCode
-        from repro.config.quorums import MajorityQuorums as MQ
 
         with pytest.raises(ConfigurationError):
             Configuration(
                 cfg_id=config_id(1), servers=tuple(servers(4)), dap=DapKind.TREAS,
-                code=ReedSolomonCode(5, 3), quorums=MQ(servers(4)),
+                code=ReedSolomonCode(5, 3), quorum_size=3,
             )
 
     def test_empty_and_duplicate_servers_rejected(self):

@@ -12,7 +12,6 @@ from repro.common.ids import config_id, server_id, writer_id
 from repro.common.tags import BOTTOM_TAG, Tag, TagValue
 from repro.common.values import Value
 from repro.config.configuration import Configuration
-from repro.core.ares_treas import TreasTransferServerState
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.dap.treas import (PUT_DATA, QUERY_LIST, QUERY_TAG, TreasDapClient,
                              TreasServerState)
@@ -141,12 +140,11 @@ insert_steps = st.lists(st.tuples(
 
 
 class TestServerBookkeepingEqualsRescan:
-    @pytest.mark.parametrize("state_class", [TreasServerState, TreasTransferServerState])
     @pytest.mark.parametrize("delta", [0, 1, 4])
     @settings(max_examples=60, deadline=None)
     @given(steps=insert_steps)
-    def test_after_every_insert(self, state_class, delta, steps):
-        state = state_class(make_config(delta=delta), server_id(3))
+    def test_after_every_insert(self, delta, steps):
+        state = TreasServerState(make_config(delta=delta), server_id(3))
         reference = RescannedList(state)
         offered = [BOTTOM_TAG]
         for tag, size in steps:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.values import Value
-from repro.core.ares_treas import FWD_CODE_ELEM, MD_BCAST_REQ_FW
+from repro.dap.treas import FWD_CODE_ELEM, MD_BCAST_REQ_FW
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.net.latency import FixedLatency, UniformLatency
 
@@ -37,7 +37,7 @@ class TestEchoDelivery:
         for pid in old_cfg.servers:
             state = dep.servers[pid].dap_states.get(old_cfg.cfg_id)
             assert state is not None
-            assert len(state._seen_broadcasts) == 1
+            assert len(state.seen_broadcasts) == 1
 
     def test_duplicate_echoes_do_not_duplicate_forwards(self):
         dep = make_deployment(latency=FixedLatency(1.0))
@@ -78,7 +78,7 @@ class TestReconfigurerCrashMidBroadcast:
         assert handle.exception() is not None or handle.done()
         # ...but the forward request reached every old server (all-or-none).
         old_cfg = dep.initial_configuration
-        seen = [len(dep.servers[pid].dap_states[old_cfg.cfg_id]._seen_broadcasts)
+        seen = [len(dep.servers[pid].dap_states[old_cfg.cfg_id].seen_broadcasts)
                 for pid in old_cfg.servers
                 if old_cfg.cfg_id in dep.servers[pid].dap_states]
         assert seen and all(count == seen[0] for count in seen)

@@ -41,10 +41,15 @@ one-round reads:
   configuration restarts the whole read or write instead of re-basing on
   the tombstone, so a restarted write queries again and stores its value
   under a second, fresh tag.
+* ``dropped-forward-requests`` -- a TREAS source server that lacks the
+  element of a direct transfer's tag drops the forward request instead of
+  serving it when the element arrives, so the transfer of an in-flight
+  write's tag never completes.
 
-Eight hand-built ``FixedLatency`` executions kill the mutants, six of them
-where no registered cell does; a ninth shows why a one-round read needs
-the transfer fence.
+Nine hand-built ``FixedLatency`` executions kill the mutants, seven of them
+where no registered cell does; a tenth shows why a one-round read needs
+the transfer fence.  ``dropped-forward-requests``'s is
+``tests/test_ares_treas_transfer.py::TestForwardOfAnInFlightWrite``.
 """
 
 from __future__ import annotations
@@ -192,6 +197,15 @@ def _restarting(body, cap=64):
     return restarting
 
 
+def _drop_pending(self, tag):
+    """``_serve_pending`` forgetting every kept forward request."""
+    self.pending_forwards.clear()
+
+
+def dropped_forward_requests(monkeypatch) -> None:
+    monkeypatch.setattr(treas.TreasServerState, "_serve_pending", _drop_pending)
+
+
 def fresh_tag_restart(monkeypatch) -> None:
     monkeypatch.setattr(RegisterOpsMixin, "_register_propagate",
                         _propagate_without_rebase)
@@ -209,6 +223,7 @@ MUTANTS = {
     "ldr-read-agrees-on-max": ldr_read_agrees_on_max,
     "repropose-installed": repropose_installed,
     "fresh-tag-restart": fresh_tag_restart,
+    "dropped-forward-requests": dropped_forward_requests,
 }
 
 #: mutant -> first killing ``(scenario, seed)``.
@@ -255,6 +270,12 @@ SURVIVORS = {
         "0..999 of every registered scenario; store_migration_gc is the one "
         "registered scenario with gc on; test_counter_execution_of_a_write_"
         "restarted_with_a_fresh_tag builds the execution by hand)")),
+    "dropped-forward-requests": (("treas_reconfig_partition", 0), (
+        "missing scenario: a direct-transfer reconfiguration (no registered "
+        "scenario runs one, ROADMAP item 21(a)) of the tag of a TREAS write "
+        "whose put-data reaches n-k+1 servers only after the forward request "
+        "(survives every registered cell; TestForwardOfAnInFlightWrite in "
+        "test_ares_treas_transfer.py builds the execution by hand)")),
     "treas-read-agrees-on-decodable": (("treas_partition_heal", 0), (
         "missing scenario: a TREAS write whose put-data reaches exactly k "
         "servers long before the others, while one reader's get-data quorum "

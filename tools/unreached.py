@@ -2,6 +2,9 @@
 
 Runs the system's own callers in this process, under ``sys.setprofile``:
 
+* the import of the scenario registry and the CLIs, so that functions that
+  run while a module loads (the registered scenarios' fault constructors)
+  count as called;
 * every registered scenario at seeds 0-2 (``--quick``: seed 0 only), plus a
   streaming run and a metrics run (with its SLO verdicts) at seed 0;
 * every script in ``examples/``;
@@ -73,8 +76,21 @@ def _run_script(path: pathlib.Path, *args: str) -> int:
         sys.argv, sys.path[:] = saved_argv, saved_path
 
 
+def _import_entry_modules() -> int:
+    """Import the scenario registry and the CLIs (an entry point)."""
+    import repro.sweep.__main__  # noqa: F401
+    import repro.workloads.__main__  # noqa: F401
+    import repro.workloads.scenarios  # noqa: F401
+    return 0
+
+
 def entry_points(quick: bool):
-    """Yield ``(label, thunk)`` pairs; a thunk returns an exit status."""
+    """Yield ``(label, thunk)`` pairs; a thunk returns an exit status.
+
+    The first thunk imports the modules the others need, so that it runs
+    under the profiler and the imports below it find them loaded.
+    """
+    yield "import repro.workloads.scenarios and the CLIs", _import_entry_modules
     from repro.sweep.__main__ import main as sweep_main
     from repro.workloads.__main__ import main as workloads_main
     from repro.workloads.scenarios import run_scenario, scenario_names
